@@ -20,14 +20,25 @@ class SingularHomography(RepbenchError):
 class ParseError(RepbenchError):
     """Malformed input text.
 
-    `line` is the 1-based line number when the error is attributable to one.
+    `line` is the 1-based line number when the error is attributable to one,
+    `path` the file the text came from when it was read from one, and
+    `reason` the message without either prefix.
     """
 
-    def __init__(self, message, line=None):
+    def __init__(self, reason, line=None, path=None):
+        self.reason = reason
         self.line = line
+        self.path = path
+        message = reason
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
+
+    def with_path(self, path):
+        """The same error, of the same type, attributed to file `path`."""
+        return type(self)(self.reason, line=self.line, path=path)
 
 
 class InvalidRegion(ParseError):

@@ -327,35 +327,36 @@ def write_manifest(manifest):
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _read(path):
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError as exc:
+        raise ParseError(exc.strerror or str(exc), path=path) from None
+
+
 def load_keypoints(path, image_id, width, height):
     """Read and parse a keypoint file, prefixing errors with the path."""
-    try:
-        text = open(path, "rb").read()
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc.strerror or exc}") from None
+    text = _read(path)
     try:
         return parse_keypoints(text, image_id, width, height)
     except ParseError as exc:
-        raise type(exc)(f"{path}: {exc.args[0]}") from None
+        raise exc.with_path(path) from None
 
 
 def load_homography(path):
-    try:
-        text = open(path, "rb").read()
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc.strerror or exc}") from None
+    text = _read(path)
     try:
         return parse_homography(text)
     except ParseError as exc:
-        raise type(exc)(f"{path}: {exc.args[0]}") from None
+        raise exc.with_path(path) from None
 
 
 def load_manifest(path):
-    try:
-        text = open(path, "rb").read()
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc.strerror or exc}") from None
+    text = _read(path)
     try:
         return parse_manifest(text)
-    except (ParseError, ManifestError) as exc:
-        raise type(exc)(f"{path}: {exc.args[0]}") from None
+    except ParseError as exc:
+        raise exc.with_path(path) from None
+    except ManifestError as exc:
+        raise ManifestError(f"{path}: {exc}") from None

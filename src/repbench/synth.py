@@ -125,11 +125,16 @@ def _random_region(rng, cfg):
 
 
 def _unit_descriptor(rng, dim):
-    v = np.array([rng.normal() for _ in range(dim)])
+    return _normalized(np.array([rng.normal() for _ in range(dim)]))
+
+
+def _normalized(v):
+    """v scaled to unit norm; the zero vector becomes e1, without a draw."""
     norm = float(np.sqrt(v @ v))
     if norm == 0.0:
-        v[0] = 1.0
-        return v
+        e1 = np.zeros_like(v)
+        e1[0] = 1.0
+        return e1
     return v / norm
 
 
@@ -186,8 +191,9 @@ def derive_test(ref, h, cfg, image_id="test"):
     points consume nothing further).  Each survivor then draws jitter (2
     normals) and, when descriptors are present, descriptor noise
     (descriptor_dim normals) regardless of the sigma values, so streams stay
-    aligned when only the magnitudes change.  Survivors jittered out of
-    [0, W] x [0, H] are culled after their draws.  Finally n_distractors
+    aligned when only the magnitudes change; a noisy descriptor of norm 0
+    becomes e1 without a draw.  Survivors jittered out of [0, W] x [0, H]
+    are culled after their draws.  Finally n_distractors
     random keypoints are appended (same draw order as generate_reference,
     with rejection-sampled descriptors).
     """
@@ -214,9 +220,7 @@ def derive_test(ref, h, cfg, image_id="test"):
             continue
         desc = None
         if cfg.descriptor_dim:
-            desc = kp.descriptor + noise * cfg.descriptor_noise_sigma
-            norm = float(np.sqrt(desc @ desc))
-            desc = desc / norm if norm > 0 else _unit_descriptor(rng, cfg.descriptor_dim)
+            desc = _normalized(kp.descriptor + noise * cfg.descriptor_noise_sigma)
             planted_descs.append(desc)
         kps.append(Keypoint(SecondMomentEllipse(center, moved.shape), desc))
 

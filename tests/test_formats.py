@@ -233,6 +233,23 @@ class TestLoaders:
         assert "bad.kpts" in str(info.value)
         assert "line 1" in str(info.value)
 
+    def test_load_keypoints_keeps_line_number(self, tmp_path):
+        p = tmp_path / "bad.kpts"
+        p.write_text("1.0\n2\n10 twenty 0.5 0.0 0.5\n")
+        with pytest.raises(ParseError) as info:
+            load_keypoints(str(p), "img", 100, 100)
+        assert info.value.line == 3
+        assert info.value.path == str(p)
+        assert str(info.value) == f"{p}: line 3: bad value 'twenty'"
+
+    def test_load_keypoints_keeps_error_type(self, tmp_path):
+        p = tmp_path / "bad.kpts"
+        p.write_text("1.0\n1\n10 20 -1.0 0.0 0.5\n")
+        with pytest.raises(InvalidRegion) as info:
+            load_keypoints(str(p), "img", 100, 100)
+        assert info.value.line == 3
+        assert str(info.value).count("line 3") == 1
+
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ParseError) as info:
             load_keypoints(str(tmp_path / "nope.kpts"), "img", 10, 10)

@@ -53,6 +53,12 @@ class TestHomography:
         with pytest.raises(SingularHomography):
             Homography(np.array([[1.0, 0, 0], [0, 1, 0], [1, 1, 0]]))
 
+    def test_inverse_computed_once(self):
+        h = random_homography(np.random.default_rng(3))
+        inv = h.inverse()
+        assert h.inverse() is inv
+        assert np.array_equal(inv.m, np.linalg.inv(h.m))
+
     def test_rejects_bad_shape_and_nonfinite(self):
         with pytest.raises(ValueError):
             Homography(np.eye(2))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from repbench.formats import write_keypoints
+from repbench.formats import Keypoint, KeypointSet, write_keypoints
 from repbench.geometry import Homography
 from repbench.metrics import EvalConfig, evaluate_pair
 from repbench.synth import (
@@ -274,3 +274,27 @@ class TestDeriveTest:
             assert np.allclose(got.region.center, target, atol=1e-9)
             want_shape = np.linalg.inv(a).T @ kp.region.shape @ np.linalg.inv(a)
             assert np.allclose(got.region.shape, want_shape, atol=1e-9)
+
+    def test_zero_norm_descriptor_falls_back_without_a_draw(self):
+        # With no descriptor noise, a zero reference descriptor stays zero; its
+        # fallback must not shift the draws of the points and distractors
+        # that follow.
+        cfg = SynthConfig(seed=41, n_points=12, jitter_sigma=0.5, n_distractors=4, descriptor_dim=8)
+        ref = generate_reference(cfg)
+        zeroed = KeypointSet(
+            ref.image_id, ref.width, ref.height, ref.descriptor_dim,
+            [Keypoint(ref.keypoints[0].region, np.zeros(8))] + ref.keypoints[1:],
+        )
+        h = Homography.identity()
+        plain = derive_test(ref, h, cfg)
+        fallback = derive_test(zeroed, h, cfg)
+        assert np.array_equal(fallback.keypoints[0].descriptor, np.eye(8)[0])
+        assert len(fallback) == len(plain)
+        for got, want in zip(fallback.keypoints[1:], plain.keypoints[1:]):
+            assert np.array_equal(got.region.center, want.region.center)
+            assert np.array_equal(got.region.shape, want.region.shape)
+        # the first distractor region is drawn before any rejection sampling
+        # against the (changed) planted descriptors
+        assert np.array_equal(
+            fallback.keypoints[-4].region.center, plain.keypoints[-4].region.center
+        )
