@@ -171,7 +171,11 @@ def parse_keypoints(text, image_id, width, height):
             raise ParseError(
                 f"expected {expected_tokens} tokens, got {len(tokens)}", line=lineno0
             )
-        values = [_parse_real(t, lineno0) for t in tokens]
+        try:
+            values = list(map(float, tokens))
+        except ValueError:
+            # re-parse token by token to name the bad one
+            values = [_parse_real(t, lineno0) for t in tokens]
         u, v, a, b, c = values[:5]
         if not all(math.isfinite(x) for x in (u, v)):
             raise InvalidRegion("keypoint center must be finite", line=lineno0)
@@ -184,10 +188,9 @@ def parse_keypoints(text, image_id, width, height):
             )
         descriptor = None
         if descriptor_dim > 0:
-            tail = values[5:]
-            if not all(math.isfinite(x) for x in tail):
+            descriptor = np.array(values[5:])
+            if not np.isfinite(descriptor).all():
                 raise ParseError("descriptor values must be finite", line=lineno0)
-            descriptor = np.array(tail)
         keypoints.append(Keypoint(SecondMomentEllipse.from_abc(u, v, a, b, c), descriptor))
 
     if len(keypoints) != count:

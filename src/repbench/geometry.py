@@ -22,6 +22,9 @@ PROJECTIVE_EPS = 1e-12
 # overlap_error never evaluates more than this many grid samples per pair.
 MAX_OVERLAP_SAMPLES = 4_000_000
 
+# pairwise_distances holds about this many coordinate differences at a time.
+PAIRWISE_BLOCK_ELEMENTS = 1 << 16
+
 
 class Homography:
     """Invertible 3x3 projective map, row-major, reference frame -> test frame.
@@ -163,6 +166,30 @@ def project_points(h, pts):
     out = np.full_like(pts, np.nan)
     out[ok] = hom[ok, :2] / w[ok, None]
     return out, ok
+
+
+def pairwise_distances(a, b):
+    """(N, M) Euclidean distances between the rows of a (N, D) and b (M, D).
+
+    Entry (i, j) is sqrt(((a[i] - b[j]) * (a[i] - b[j])).sum()), summed over
+    the same contiguous D values as the broadcast a[:, None] - b[None], so
+    every distance has the same bits as that expression.  The differences
+    are held a block of rows at a time, about PAIRWISE_BLOCK_ELEMENTS values
+    (at least one row), never all N*M*D at once.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n, dim = a.shape
+    m = len(b)
+    out = np.empty((n, m))
+    rows = max(1, PAIRWISE_BLOCK_ELEMENTS // max(1, m * dim))
+    buf = np.empty((min(rows, n), m, dim))
+    for i0 in range(0, n, rows):
+        block = buf[: min(rows, n - i0)]
+        np.subtract(a[i0 : i0 + rows, None, :], b[None], out=block)
+        np.multiply(block, block, out=block)
+        block.sum(axis=2, out=out[i0 : i0 + rows])
+    return np.sqrt(out, out=out)
 
 
 def homography_jacobian(h, p):

@@ -5,6 +5,11 @@ that also satisfy the geometric repeatability predicate (common part, center
 distance, overlap error) under the known homography.  Matching itself is
 greedy one-to-one nearest neighbor by default; a Lowe-style ratio test is
 available as an alternative since evaluation protocols differ on this point.
+
+Descriptor distances come from geometry.pairwise_distances, which holds the
+differences a bounded block of rows at a time but uses the same
+difference-squared-sum formula as the whole N x M x D broadcast, so every
+distance, and with it every tie-break, has the same bits.
 """
 
 from dataclasses import dataclass
@@ -12,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRegion, DescriptorUnavailable, PointAtInfinity
+from .geometry import pairwise_distances, project_point
 
 
 @dataclass(frozen=True)
@@ -31,9 +37,35 @@ def _descriptor_matrices(ref, test):
     return ref.descriptors(), test.descriptors()
 
 
-def _distance_matrix(a, b):
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+# nn_match reads the sorted distance order this many entries at a time.
+ORDER_CHUNK = 1 << 16
+
+
+def _stable_order_prefix(flat, k):
+    """A prefix, at least k long, of np.argsort(flat, kind="stable").
+
+    Every entry up to the k-th smallest value is selected, ties included, in
+    index order, so a stable sort of the selection orders it exactly as the
+    full stable sort orders its first entries.
+    """
+    if k >= flat.size:
+        return np.argsort(flat, kind="stable")
+    t = np.partition(flat, k - 1)[k - 1]
+    idx = np.flatnonzero(flat <= t)
+    return idx[np.argsort(flat[idx], kind="stable")]
+
+
+def _stable_order_chunks(flat, k):
+    """np.argsort(flat, kind="stable") in chunks of at most ORDER_CHUNK,
+    sorted only as far as they are read: a prefix of at least k entries,
+    then prefixes four times longer, each resuming where the last ended."""
+    done = 0
+    while done < flat.size:
+        order = _stable_order_prefix(flat, k)
+        for start in range(done, len(order), ORDER_CHUNK):
+            yield order[start : start + ORDER_CHUNK]
+        done = len(order)
+        k *= 4
 
 
 def nn_match(ref, test):
@@ -46,22 +78,24 @@ def nn_match(ref, test):
     a, b = _descriptor_matrices(ref, test)
     if len(a) == 0 or len(b) == 0:
         return []
-    d = _distance_matrix(a, b)
+    d = pairwise_distances(a, b)
     n_test = d.shape[1]
-    # A stable sort of the row-major flattening breaks ties exactly by
-    # (ref_index, test_index).
-    order = np.argsort(d.ravel(), kind="stable")
     want = min(d.shape)
     used_ref = np.zeros(d.shape[0], dtype=bool)
     used_test = np.zeros(n_test, dtype=bool)
     matches = []
-    for flat in order.tolist():
-        i, j = divmod(flat, n_test)
-        if used_ref[i] or used_test[j]:
-            continue
-        used_ref[i] = True
-        used_test[j] = True
-        matches.append(DescriptorMatch(i, j, float(d[i, j])))
+    # A stable sort of the row-major flattening breaks ties exactly by
+    # (ref_index, test_index).  The greedy often ends within the first
+    # 2 * want entries, so the order is sorted only as far as it is read.
+    for chunk in _stable_order_chunks(d.ravel(), 2 * want):
+        rows, cols = np.divmod(chunk, n_test)
+        # entries on a row or column matched in an earlier chunk are out
+        free = ~(used_ref[rows] | used_test[cols])
+        for i, j in zip(rows[free].tolist(), cols[free].tolist()):
+            if not (used_ref[i] or used_test[j]):
+                used_ref[i] = used_test[j] = True
+                matches.append(DescriptorMatch(i, j, float(d[i, j])))
+        # want matches use up every row or every column
         if len(matches) == want:
             break
     matches.sort(key=lambda m: (m.ref_index, m.test_index))
@@ -81,19 +115,16 @@ def ratio_match(ref, test, ratio=0.8):
     a, b = _descriptor_matrices(ref, test)
     if len(a) == 0 or len(b) == 0:
         return []
-    d = _distance_matrix(a, b)
-    candidates = []
-    for i in range(d.shape[0]):
-        row = d[i]
-        j = int(np.argmin(row))
-        d1 = float(row[j])
-        if d.shape[1] == 1:
-            candidates.append((d1, i, j))
-            continue
-        d2 = float(np.partition(row, 1)[1])
-        if d1 < ratio * d2:
-            candidates.append((d1, i, j))
-    candidates.sort()
+    d = pairwise_distances(a, b)
+    nearest = d.argmin(axis=1)
+    d1 = np.take_along_axis(d, nearest[:, None], axis=1)[:, 0]
+    if d.shape[1] == 1:
+        keep = np.arange(len(d))
+    else:
+        keep = np.flatnonzero(d1 < ratio * np.partition(d, 1, axis=1)[:, 1])
+    candidates = sorted(
+        zip(d1[keep].tolist(), keep.tolist(), nearest[keep].tolist())
+    )
     used_test = set()
     matches = []
     for dist, i, j in candidates:
@@ -120,7 +151,6 @@ def verify_matches(matches, ref, test, h, cfg) -> int:
     projected reference center falls within cfg.epsilon_px of the test
     center, and the region overlap error is below cfg.max_overlap_error.
     """
-    from .geometry import project_point
     from .metrics import common_part_filter, region_overlap_error
 
     if not matches:

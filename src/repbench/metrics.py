@@ -23,6 +23,7 @@ from .geometry import (
     map_region_to_reference,
     normalize_pair,
     overlap_error,
+    pairwise_distances,
     project_points,
 )
 
@@ -140,10 +141,7 @@ def _common_and_correspondences(ref, test, h, cfg):
     proj, ok = project_points(h, ref.centers()[ref_idx])
     # common-part membership already implies a finite projection
     assert bool(np.all(ok))
-    test_centers = test.centers()[test_idx]
-    d = np.sqrt(
-        ((proj[:, None, :] - test_centers[None, :, :]) ** 2).sum(axis=2)
-    )
+    d = pairwise_distances(proj, test.centers()[test_idx])
     cand_i, cand_j = np.nonzero(d < cfg.epsilon_px)
 
     candidates = []

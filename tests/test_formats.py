@@ -123,6 +123,15 @@ class TestMalformedKeypoints:
             parse_keypoints(text, "img", 100, 100)
         assert fragment in str(info.value)
 
+    def test_bad_descriptor_token_names_token_and_line(self):
+        good = "10 20 0.5 0.0 0.5 1 2 3"
+        text = f"3\n3\n{good}\n{good}\n10 20 0.5 0.0 0.5 1 2e x3\n"
+        with pytest.raises(ParseError) as info:
+            parse_keypoints(text, "img", 100, 100)
+        assert type(info.value) is ParseError
+        assert info.value.line == 5
+        assert str(info.value) == "line 5: bad value '2e'"
+
 
 class TestHomographyFiles:
     def test_parse_whitespace_layouts(self):
