@@ -206,16 +206,10 @@ def write_keypoints(kset):
     out = ["1.0" if kset.descriptor_dim == 0 else str(kset.descriptor_dim)]
     out.append(str(len(kset.keypoints)))
     for kp in kset.keypoints:
-        s = kp.region.shape
-        tokens = [
-            repr(float(kp.region.center[0])),
-            repr(float(kp.region.center[1])),
-            repr(float(s[0, 0])),
-            repr(float(s[0, 1])),
-            repr(float(s[1, 1])),
-        ]
+        (a, b), (_, c) = kp.region.shape.tolist()
+        tokens = [*map(repr, kp.region.center.tolist()), repr(a), repr(b), repr(c)]
         if kp.descriptor is not None:
-            tokens.extend(repr(float(d)) for d in kp.descriptor)
+            tokens.extend(map(repr, np.asarray(kp.descriptor, dtype=float).tolist()))
         out.append(" ".join(tokens))
     return "\n".join(out) + "\n"
 

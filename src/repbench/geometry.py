@@ -233,11 +233,6 @@ def map_region_to_reference(h, ref_center, test_region):
         ) from exc
 
 
-def area(e):
-    """Closed-form ellipse area pi / sqrt(det mu)."""
-    return e.area
-
-
 def normalize_pair(ref, test, target_radius):
     """Rescale both shape matrices by the one factor that gives the reference
     region the area of a circle of radius `target_radius`.  Centers unchanged.

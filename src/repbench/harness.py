@@ -15,7 +15,7 @@ byte on every number.  Undefined values are empty CSV fields and JSON nulls.
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .formats import (
 from .geometry import Homography
 from .metrics import EvalConfig, evaluate_pair
 from .stats import bin_scores, correlate, summarize
-from .synth import SynthConfig, derive_test, generate_reference
+from .synth import derive_test, generate_reference
 
 SEQUENCE_SCHEMA = "repbench.sequence/1"
 PAIR_SCHEMA = "repbench.pair/1"
@@ -137,18 +137,6 @@ def format_value(x):
     return repr(float(x))
 
 
-def config_to_dict(cfg):
-    return {
-        "epsilon_px": cfg.epsilon_px,
-        "max_overlap_error": cfg.max_overlap_error,
-        "normalize_radius": cfg.normalize_radius,
-        "grid_step": cfg.grid_step,
-        "eq1_population": cfg.eq1_population,
-        "matcher": cfg.matcher,
-        "ratio_threshold": cfg.ratio_threshold,
-    }
-
-
 def _dump_json(obj):
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
@@ -182,7 +170,7 @@ def sequence_report_json(report):
         "schema": SEQUENCE_SCHEMA,
         "dataset": report.dataset,
         "detector": report.detector,
-        "config": config_to_dict(report.config),
+        "config": asdict(report.config),
         "pairs": pairs,
         "series": {
             "eq1": report.series("eq1"),
@@ -222,7 +210,7 @@ def pair_report_json(evaluation, cfg, ref_path, test_path, homography_path):
         "ref": ref_path,
         "test": test_path,
         "homography": homography_path,
-        "config": config_to_dict(cfg),
+        "config": asdict(cfg),
         "n_ref": e.n_ref,
         "n_test": e.n_test,
         "n_rep": e.n_rep,
@@ -530,18 +518,7 @@ def synth_sequence(
             )
         else:
             jitter = cfg.jitter_sigma
-        step_cfg = SynthConfig(
-            seed=cfg.seed + k,
-            n_points=cfg.n_points,
-            image_width=cfg.image_width,
-            image_height=cfg.image_height,
-            scale_range=cfg.scale_range,
-            jitter_sigma=jitter,
-            dropout_rate=cfg.dropout_rate,
-            n_distractors=cfg.n_distractors,
-            descriptor_dim=cfg.descriptor_dim,
-            descriptor_noise_sigma=cfg.descriptor_noise_sigma,
-        )
+        step_cfg = replace(cfg, seed=cfg.seed + k, jitter_sigma=jitter)
         image_id = f"img{i}"
         kset = derive_test(ref, h, step_cfg, image_id=image_id)
         kpath = f"{image_id}.kpts"

@@ -14,10 +14,11 @@ four lines and can be re-implemented bit-for-bit in any language:
 
 Uniforms in (0, 1) are ((output >> 11) + 0.5) * 2^-53.  Normal deviates use
 Box-Muller, z = sqrt(-2 ln u1) * cos(2 pi u2), consuming exactly two uniforms
-per deviate with no caching of the sine branch.  The draw order per keypoint
-is fixed and documented on each operation, so identical configs give
-byte-identical keypoint files.  Derived test images use the independent
-stream seeded with seed XOR 0xD1B54A32D192ED03.
+per deviate with no caching of the sine branch.  SplitMix64.uniforms(n) and
+normals(n) draw n values as one block, bit-identical to n scalar calls.  The
+draw order per keypoint is fixed and documented on each operation, so
+identical configs give byte-identical keypoint files.  Derived test images
+use the independent stream seeded with seed XOR 0xD1B54A32D192ED03.
 """
 
 import math
@@ -31,6 +32,12 @@ from .errors import DegenerateRegion, PointAtInfinity
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# Block draws keep every operand uint64: a Python int operand could promote
+# the array to float64 under numpy 1.x.
+_GOLDEN_U64 = np.uint64(_GOLDEN)
+_MIX1_U64 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2_U64 = np.uint64(0x94D049BB133111EB)
+_U11, _U27, _U30, _U31 = (np.uint64(k) for k in (11, 27, 30, 31))
 TEST_STREAM_SALT = 0xD1B54A32D192ED03
 
 MAX_AXIS_RATIO = 3.0
@@ -62,6 +69,33 @@ class SplitMix64:
         u1 = self.uniform()
         u2 = self.uniform()
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+    def uniforms(self, n):
+        """n uniforms as a float64 array, bit-identical to n uniform() calls.
+
+        Draw k of the block mixes state + k * golden (wrapping uint64), so
+        the whole block is computed at once and state ends where the n
+        scalar calls would leave it.
+        """
+        with np.errstate(over="ignore"):
+            z = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN_U64 + np.uint64(self.state)
+            z = (z ^ (z >> _U30)) * _MIX1_U64
+            z = (z ^ (z >> _U27)) * _MIX2_U64
+            z ^= z >> _U31
+        self.state = (self.state + int(n) * _GOLDEN) & _MASK64
+        return ((z >> _U11).astype(np.float64) + 0.5) * 2.0 ** -53
+
+    def normals(self, n):
+        """n normals as a float64 array, bit-identical to n normal() calls.
+
+        log and cos are libm's (math), element by element: numpy's SIMD
+        versions differ from them in the last bit on some inputs.  sqrt and
+        the products are correctly rounded, so numpy computes those.
+        """
+        u = self.uniforms(2 * n)
+        logs = np.fromiter(map(math.log, u[0::2].tolist()), np.float64, n)
+        coss = np.fromiter(map(math.cos, (2.0 * math.pi * u[1::2]).tolist()), np.float64, n)
+        return np.sqrt(-2.0 * logs) * coss
 
 
 @dataclass(frozen=True)
@@ -104,12 +138,13 @@ def _random_region(rng, cfg):
     radius r), q in [1, MAX_AXIS_RATIO] the axis ratio, theta the major-axis
     angle in [0, pi).
     """
-    cx = rng.uniform() * cfg.image_width
-    cy = rng.uniform() * cfg.image_height
+    ux, uy, ur, uq, ut = rng.uniforms(5).tolist()
+    cx = ux * cfg.image_width
+    cy = uy * cfg.image_height
     lo, hi = cfg.scale_range
-    r = lo + rng.uniform() * (hi - lo)
-    q = 1.0 + rng.uniform() * (MAX_AXIS_RATIO - 1.0)
-    theta = rng.uniform() * math.pi
+    r = lo + ur * (hi - lo)
+    q = 1.0 + uq * (MAX_AXIS_RATIO - 1.0)
+    theta = ut * math.pi
     major = r * math.sqrt(q)
     minor = r / math.sqrt(q)
     d1 = 1.0 / (major * major)
@@ -125,7 +160,7 @@ def _random_region(rng, cfg):
 
 
 def _unit_descriptor(rng, dim):
-    return _normalized(np.array([rng.normal() for _ in range(dim)]))
+    return _normalized(rng.normals(dim))
 
 
 def _normalized(v):
@@ -203,16 +238,13 @@ def derive_test(ref, h, cfg, image_id="test"):
     for kp in ref.keypoints:
         if rng.uniform() < cfg.dropout_rate:
             continue
-        jx = rng.normal()
-        jy = rng.normal()
-        noise = None
-        if cfg.descriptor_dim:
-            noise = np.array([rng.normal() for _ in range(cfg.descriptor_dim)])
+        # jitter x, jitter y, then the descriptor noise, in one block
+        draws = rng.normals(2 + cfg.descriptor_dim)
         try:
             moved = _transport_region(kp.region, h)
         except (PointAtInfinity, DegenerateRegion, np.linalg.LinAlgError):
             continue
-        center = moved.center + np.array([jx, jy]) * cfg.jitter_sigma
+        center = moved.center + draws[:2] * cfg.jitter_sigma
         if not (
             0.0 <= center[0] <= cfg.image_width
             and 0.0 <= center[1] <= cfg.image_height
@@ -220,7 +252,7 @@ def derive_test(ref, h, cfg, image_id="test"):
             continue
         desc = None
         if cfg.descriptor_dim:
-            desc = _normalized(kp.descriptor + noise * cfg.descriptor_noise_sigma)
+            desc = _normalized(kp.descriptor + draws[2:] * cfg.descriptor_noise_sigma)
             planted_descs.append(desc)
         kps.append(Keypoint(SecondMomentEllipse(center, moved.shape), desc))
 

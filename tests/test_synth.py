@@ -3,12 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from repbench.errors import DegenerateRegion, PointAtInfinity
 from repbench.formats import Keypoint, KeypointSet, write_keypoints
-from repbench.geometry import Homography
+from repbench.geometry import (
+    Homography,
+    SecondMomentEllipse,
+    homography_jacobian,
+    project_point,
+)
 from repbench.metrics import EvalConfig, evaluate_pair
 from repbench.synth import (
     MAX_AXIS_RATIO,
     DISTRACTOR_MAX_COSINE,
+    DISTRACTOR_TRIES,
     TEST_STREAM_SALT,
     SplitMix64,
     SynthConfig,
@@ -298,3 +305,244 @@ class TestDeriveTest:
         assert np.array_equal(
             fallback.keypoints[-4].region.center, plain.keypoints[-4].region.center
         )
+
+
+# ---------------------------------------------------------------------------
+# Block draws against the scalar generator
+# ---------------------------------------------------------------------------
+
+BLOCK_SEEDS = (0, 7, 2**64 - 5)  # 2**64 - 5 wraps the state on the first draw
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("seed", BLOCK_SEEDS)
+    @pytest.mark.parametrize("n", [0, 1, 10**5])
+    @pytest.mark.parametrize("kind", ["uniform", "normal"])
+    def test_block_equals_scalar_calls(self, kind, n, seed):
+        # uniforms(n) / normals(n) against n uniform() / normal() calls
+        block, scalar = SplitMix64(seed), SplitMix64(seed)
+        got = getattr(block, kind + "s")(n)
+        draw = getattr(scalar, kind)
+        want = np.array([draw() for _ in range(n)], dtype=np.float64)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tobytes() == want.tobytes()
+        assert block.state == scalar.state
+
+
+# ---------------------------------------------------------------------------
+# Frozen copy of the scalar synth implementation (one Python call per draw);
+# the block-drawing generator must write exactly the same bytes.
+# ---------------------------------------------------------------------------
+
+
+def _old_random_region(rng, cfg):
+    cx = rng.uniform() * cfg.image_width
+    cy = rng.uniform() * cfg.image_height
+    lo, hi = cfg.scale_range
+    r = lo + rng.uniform() * (hi - lo)
+    q = 1.0 + rng.uniform() * (MAX_AXIS_RATIO - 1.0)
+    theta = rng.uniform() * math.pi
+    major = r * math.sqrt(q)
+    minor = r / math.sqrt(q)
+    d1 = 1.0 / (major * major)
+    d2 = 1.0 / (minor * minor)
+    co, si = math.cos(theta), math.sin(theta)
+    shape = np.array(
+        [
+            [co * co * d1 + si * si * d2, co * si * (d1 - d2)],
+            [co * si * (d1 - d2), si * si * d1 + co * co * d2],
+        ]
+    )
+    return SecondMomentEllipse(np.array([cx, cy]), shape)
+
+
+def _old_normalized(v):
+    norm = float(np.sqrt(v @ v))
+    if norm == 0.0:
+        e1 = np.zeros_like(v)
+        e1[0] = 1.0
+        return e1
+    return v / norm
+
+
+def _old_unit_descriptor(rng, dim):
+    return _old_normalized(np.array([rng.normal() for _ in range(dim)]))
+
+
+def old_generate_reference(cfg, image_id="ref"):
+    rng = SplitMix64(cfg.seed)
+    kps = []
+    for _ in range(cfg.n_points):
+        region = _old_random_region(rng, cfg)
+        desc = _old_unit_descriptor(rng, cfg.descriptor_dim) if cfg.descriptor_dim else None
+        kps.append(Keypoint(region, desc))
+    return KeypointSet(image_id, cfg.image_width, cfg.image_height, cfg.descriptor_dim, kps)
+
+
+def _old_transport_region(region, h):
+    a = homography_jacobian(h, region.center)
+    a_inv = np.linalg.inv(a)
+    shape = a_inv.T @ region.shape @ a_inv
+    center = project_point(h, region.center)
+    return SecondMomentEllipse(center, 0.5 * (shape + shape.T))
+
+
+def _old_distractor_descriptor(rng, dim, planted):
+    best = None
+    best_cos = math.inf
+    for _ in range(DISTRACTOR_TRIES):
+        cand = _old_unit_descriptor(rng, dim)
+        worst = float(np.max(planted @ cand)) if len(planted) else -1.0
+        if worst <= DISTRACTOR_MAX_COSINE:
+            return cand
+        if worst < best_cos:
+            best_cos = worst
+            best = cand
+    return best
+
+
+def old_derive_test(ref, h, cfg, image_id="test"):
+    rng = SplitMix64(cfg.seed ^ TEST_STREAM_SALT)
+    kps = []
+    planted_descs = []
+    for kp in ref.keypoints:
+        if rng.uniform() < cfg.dropout_rate:
+            continue
+        jx = rng.normal()
+        jy = rng.normal()
+        noise = None
+        if cfg.descriptor_dim:
+            noise = np.array([rng.normal() for _ in range(cfg.descriptor_dim)])
+        try:
+            moved = _old_transport_region(kp.region, h)
+        except (PointAtInfinity, DegenerateRegion, np.linalg.LinAlgError):
+            continue
+        center = moved.center + np.array([jx, jy]) * cfg.jitter_sigma
+        if not (
+            0.0 <= center[0] <= cfg.image_width
+            and 0.0 <= center[1] <= cfg.image_height
+        ):
+            continue
+        desc = None
+        if cfg.descriptor_dim:
+            desc = _old_normalized(kp.descriptor + noise * cfg.descriptor_noise_sigma)
+            planted_descs.append(desc)
+        kps.append(Keypoint(SecondMomentEllipse(center, moved.shape), desc))
+
+    planted = np.array(planted_descs) if planted_descs else np.zeros((0, cfg.descriptor_dim))
+    for _ in range(cfg.n_distractors):
+        region = _old_random_region(rng, cfg)
+        desc = None
+        if cfg.descriptor_dim:
+            desc = _old_distractor_descriptor(rng, cfg.descriptor_dim, planted)
+        kps.append(Keypoint(region, desc))
+    return KeypointSet(image_id, cfg.image_width, cfg.image_height, cfg.descriptor_dim, kps)
+
+
+def old_write_keypoints(kset):
+    out = ["1.0" if kset.descriptor_dim == 0 else str(kset.descriptor_dim)]
+    out.append(str(len(kset.keypoints)))
+    for kp in kset.keypoints:
+        s = kp.region.shape
+        tokens = [
+            repr(float(kp.region.center[0])),
+            repr(float(kp.region.center[1])),
+            repr(float(s[0, 0])),
+            repr(float(s[0, 1])),
+            repr(float(s[1, 1])),
+        ]
+        if kp.descriptor is not None:
+            tokens.extend(repr(float(d)) for d in kp.descriptor)
+        out.append(" ".join(tokens))
+    return "\n".join(out) + "\n"
+
+
+DIFF_HOMOGRAPHIES = {
+    "identity": Homography.identity(),
+    "similarity": Homography(
+        np.array([[0.95, -0.2, 40.0], [0.2, 0.95, -25.0], [0.0, 0.0, 1.0]])
+    ),
+    # w = 1 - 0.002 x crosses zero inside the image: points right of x = 500
+    # land behind the camera and are culled after their draws
+    "projective": Homography(
+        np.array([[1.0, 0.1, 5.0], [0.0, 1.2, -3.0], [-0.002, 0.0005, 1.0]])
+    ),
+    # w = 1e-13 everywhere: every survivor fails transport (PointAtInfinity)
+    "at-infinity": Homography(np.diag([1.0, 1.0, 1e-13])),
+}
+
+
+def _assert_same_sets(got, want):
+    assert write_keypoints(got) == old_write_keypoints(want)
+    assert len(got) == len(want)
+    for g, w in zip(got.keypoints, want.keypoints):
+        assert g.region.center.tobytes() == w.region.center.tobytes()
+        assert g.region.shape.tobytes() == w.region.shape.tobytes()
+        if w.descriptor is None:
+            assert g.descriptor is None
+        else:
+            assert g.descriptor.tobytes() == w.descriptor.tobytes()
+
+
+class TestBlockSynthMatchesScalar:
+    @pytest.mark.parametrize("dim", [0, 2, 3, 16, 128])
+    def test_reference_and_derived_sets(self, dim):
+        n_points = 24 if dim == 128 else 40
+        for seed in (1, 7, 2**64 - 3):
+            for jitter, dropout, distractors in ((0.0, 0.0, 0), (2.5, 0.3, 6), (40.0, 0.9, 3)):
+                cfg = SynthConfig(
+                    seed=seed,
+                    n_points=n_points,
+                    jitter_sigma=jitter,
+                    dropout_rate=dropout,
+                    n_distractors=distractors,
+                    descriptor_dim=dim,
+                    descriptor_noise_sigma=0.3,
+                )
+                ref = generate_reference(cfg)
+                _assert_same_sets(ref, old_generate_reference(cfg))
+                for name, h in DIFF_HOMOGRAPHIES.items():
+                    got = derive_test(ref, h, cfg, image_id=name)
+                    _assert_same_sets(got, old_derive_test(ref, h, cfg, image_id=name))
+
+    def test_best_of_64_distractor_fallback(self):
+        # 2-D unit descriptors: 150 planted directions leave no gap of
+        # 2 * acos(0.9) on the circle, so every candidate is rejected and the
+        # best of DISTRACTOR_TRIES is kept.
+        cfg = SynthConfig(seed=5, n_points=150, n_distractors=5, descriptor_dim=2)
+        ref = generate_reference(cfg)
+        h = Homography.identity()
+        got = derive_test(ref, h, cfg)
+        _assert_same_sets(got, old_derive_test(ref, h, cfg))
+        planted = np.array([kp.descriptor for kp in got.keypoints[:150]])
+        for kp in got.keypoints[150:]:
+            assert float(np.max(planted @ kp.descriptor)) > DISTRACTOR_MAX_COSINE
+
+    @pytest.mark.parametrize("dim", [2, 16])
+    def test_zero_norm_e1_fallback(self, dim):
+        cfg = SynthConfig(
+            seed=43, n_points=20, jitter_sigma=1.0, n_distractors=3, descriptor_dim=dim
+        )
+        ref = generate_reference(cfg)
+        zeroed = KeypointSet(
+            ref.image_id, ref.width, ref.height, ref.descriptor_dim,
+            [Keypoint(kp.region, np.zeros(dim)) if k % 3 == 0 else kp
+             for k, kp in enumerate(ref.keypoints)],
+        )
+        h = Homography.identity()
+        got = derive_test(zeroed, h, cfg)
+        _assert_same_sets(got, old_derive_test(zeroed, h, cfg))
+        assert np.array_equal(got.keypoints[0].descriptor, np.eye(dim)[0])
+
+    def test_writer_matches_scalar_writer(self):
+        # descriptors that are not float64 arrays are written as floats too
+        region = SecondMomentEllipse.circle(3.0, 4.5, 2.0)
+        kset = KeypointSet(
+            "w", 10, 10, 3,
+            [
+                Keypoint(region, np.array([1, -2, 3])),
+                Keypoint(region, np.array([0.1, 1e-300, -0.0], dtype=np.float32)),
+                Keypoint(region, np.array([1 / 3, 2.5e17, -7.0])),
+            ],
+        )
+        assert write_keypoints(kset) == old_write_keypoints(kset)
