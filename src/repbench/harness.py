@@ -71,23 +71,24 @@ class SequenceReport:
     def correlations(self):
         """Per criterion: a CorrelationReport against the true-match series,
         or a string explaining why none is defined."""
-        tm = [float(v) for v in self.series("true_matches")]
-        out = {}
-        for crit in CRITERIA:
-            xs = self.series(crit)
-            if any(v is None for v in xs):
-                out[crit] = "series contains undefined values"
-                continue
-            if not all(p.evaluation.descriptors_available for p in self.pairs):
-                out[crit] = "true-match series unavailable (no descriptors)"
-                continue
-            try:
-                out[crit] = correlate(xs, tm)
-            except InsufficientData:
-                out[crit] = f"needs at least 3 pairs, have {len(xs)}"
-            except DegenerateSeries:
-                out[crit] = "a series has zero variance"
-        return out
+        tm = self.series("true_matches")
+        descriptors = all(p.evaluation.descriptors_available for p in self.pairs)
+        return {crit: correlate_series(self.series(crit), tm, descriptors) for crit in CRITERIA}
+
+
+def correlate_series(xs, tm, descriptors_available):
+    """Correlation of a rate series with the true-match series tm: a
+    CorrelationReport, or a note saying why the cell is undefined."""
+    if any(v is None for v in xs) or any(v is None for v in tm):
+        return "series contains undefined values"
+    if not descriptors_available:
+        return "true-match series unavailable (no descriptors)"
+    try:
+        return correlate(xs, [float(v) for v in tm])
+    except InsufficientData:
+        return f"needs at least 3 pairs, have {len(xs)}"
+    except DegenerateSeries:
+        return "a series has zero variance"
 
 
 def evaluate_sequence(manifest, base_dir, cfg=EvalConfig(), detector="default", workers=1):
@@ -127,7 +128,9 @@ def evaluate_sequence(manifest, base_dir, cfg=EvalConfig(), detector="default", 
 
 
 def format_value(x):
-    """One CSV cell: empty for None, repr for floats, str for ints."""
+    """One CSV cell: text as is, empty for None, repr for floats, str for ints."""
+    if isinstance(x, str):
+        return x
     if x is None:
         return ""
     if isinstance(x, bool):
@@ -135,6 +138,12 @@ def format_value(x):
     if isinstance(x, int):
         return str(x)
     return repr(float(x))
+
+
+def _csv(header, rows):
+    """CSV text: the header line, then one line per row of cell values."""
+    lines = [header] + [",".join(map(format_value, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _dump_json(obj):
@@ -148,24 +157,10 @@ def _correlation_value(value):
 
 
 def sequence_report_json(report):
-    pairs = []
-    for p in report.pairs:
-        e = p.evaluation
-        pairs.append(
-            {
-                "pair": p.pair,
-                "image": p.image_id,
-                "label": p.label,
-                "n_ref": e.n_ref,
-                "n_test": e.n_test,
-                "n_rep": e.n_rep,
-                "true_matches": e.true_matches,
-                "descriptors_available": e.descriptors_available,
-                "eq1": e.eq1,
-                "c1": e.c1,
-                "c2": e.c2,
-            }
-        )
+    pairs = [
+        {"pair": p.pair, "image": p.image_id, "label": p.label, **asdict(p.evaluation)}
+        for p in report.pairs
+    ]
     doc = {
         "schema": SEQUENCE_SCHEMA,
         "dataset": report.dataset,
@@ -185,56 +180,29 @@ def sequence_report_json(report):
     return _dump_json(doc)
 
 
+def _series_row(pair, e):
+    return (pair, e.eq1, e.c1, e.c2, e.true_matches)
+
+
 def sequence_report_csv(report):
-    lines = [SEQUENCE_CSV_HEADER]
-    for p in report.pairs:
-        e = p.evaluation
-        lines.append(
-            ",".join(
-                [
-                    str(p.pair),
-                    format_value(e.eq1),
-                    format_value(e.c1),
-                    format_value(e.c2),
-                    str(e.true_matches),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(SEQUENCE_CSV_HEADER, [_series_row(p.pair, p.evaluation) for p in report.pairs])
 
 
 def pair_report_json(evaluation, cfg, ref_path, test_path, homography_path):
-    e = evaluation
     doc = {
         "schema": PAIR_SCHEMA,
         "ref": ref_path,
         "test": test_path,
         "homography": homography_path,
         "config": asdict(cfg),
-        "n_ref": e.n_ref,
-        "n_test": e.n_test,
-        "n_rep": e.n_rep,
-        "true_matches": e.true_matches,
-        "descriptors_available": e.descriptors_available,
-        "eq1": e.eq1,
-        "c1": e.c1,
-        "c2": e.c2,
+        **asdict(evaluation),
     }
     return _dump_json(doc)
 
 
 def pair_report_csv(evaluation):
-    e = evaluation
-    row = ",".join(
-        [
-            "2",  # a lone pair is (image 1, image 2) by convention
-            format_value(e.eq1),
-            format_value(e.c1),
-            format_value(e.c2),
-            str(e.true_matches),
-        ]
-    )
-    return SEQUENCE_CSV_HEADER + "\n" + row + "\n"
+    # a lone pair is (image 1, image 2) by convention
+    return _csv(SEQUENCE_CSV_HEADER, [_series_row(2, evaluation)])
 
 
 def load_report(path):
@@ -264,6 +232,9 @@ def load_report(path):
         lengths.add(len(series[key]))
     if len(lengths) != 1:
         raise ParseError(f"{path}: series lengths differ")
+    pairs = doc.get("pairs", [])
+    if not isinstance(pairs, list) or not all(isinstance(p, dict) for p in pairs):
+        raise ParseError(f"{path}: pairs must be a list of objects")
     return doc
 
 
@@ -271,28 +242,26 @@ def correlate_reports(reports):
     """Correlation rows (one per report and criterion) plus aggregates.
 
     Each row is a dict with dataset, criterion, r, p, n and an optional note;
-    r and p are None when the cell is undefined (short series, undefined
-    values, zero variance).  Aggregates (mean/std of r and p per criterion
-    over the defined cells) are returned when more than one report is given,
-    else None.
+    r and p are None when the cell is undefined, with the note the sequence
+    report writes (correlate_series).  A report is without descriptors when
+    one of its pairs says descriptors_available false.  Aggregates (mean/std
+    of r and p per criterion over the defined cells) are returned when more
+    than one report is given, else None.
     """
     rows = []
     for doc in reports:
         series = doc["series"]
-        tm = series["true_matches"]
+        descriptors = all(
+            p.get("descriptors_available") is not False for p in doc.get("pairs", [])
+        )
         for crit in CRITERIA:
             xs = series[crit]
             row = {"dataset": doc["dataset"], "criterion": crit, "n": len(xs)}
-            if any(v is None for v in xs) or any(v is None for v in tm):
-                row.update(r=None, p=None, note="series contains undefined values")
+            cell = correlate_series(xs, series["true_matches"], descriptors)
+            if isinstance(cell, str):
+                row.update(r=None, p=None, note=cell)
             else:
-                try:
-                    rep = correlate(xs, [float(v) for v in tm])
-                    row.update(r=rep.r, p=rep.p_value)
-                except InsufficientData:
-                    row.update(r=None, p=None, note="needs at least 3 pairs")
-                except DegenerateSeries:
-                    row.update(r=None, p=None, note="a series has zero variance")
+                row.update(r=cell.r, p=cell.p_value)
             rows.append(row)
 
     aggregates = None
@@ -323,47 +292,13 @@ def correlate_reports(reports):
 
 
 def correlation_table_csv(rows, aggregates):
-    lines = [CORRELATION_CSV_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    row["dataset"],
-                    row["criterion"],
-                    format_value(row["r"]),
-                    format_value(row["p"]),
-                    str(row["n"]),
-                ]
-            )
-        )
+    cells = [(row["dataset"], row["criterion"], row["r"], row["p"], row["n"]) for row in rows]
     if aggregates is not None:
-        for crit in CRITERIA:
-            agg = aggregates[crit]
-            lines.append(
-                ",".join(
-                    [
-                        "mean",
-                        crit,
-                        format_value(agg["mean_r"]),
-                        format_value(agg["mean_p"]),
-                        str(agg["count"]),
-                    ]
-                )
-            )
-        for crit in CRITERIA:
-            agg = aggregates[crit]
-            lines.append(
-                ",".join(
-                    [
-                        "std",
-                        crit,
-                        format_value(agg["std_r"]),
-                        format_value(agg["std_p"]),
-                        str(agg["count"]),
-                    ]
-                )
-            )
-    return "\n".join(lines) + "\n"
+        for stat in ("mean", "std"):
+            for crit in CRITERIA:
+                agg = aggregates[crit]
+                cells.append((stat, crit, agg[f"{stat}_r"], agg[f"{stat}_p"], agg["count"]))
+    return _csv(CORRELATION_CSV_HEADER, cells)
 
 
 def correlation_table_json(rows, aggregates):

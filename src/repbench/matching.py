@@ -2,7 +2,9 @@
 
 The "true match" count of an image pair is the number of descriptor matches
 that also satisfy the geometric repeatability predicate (common part, center
-distance, overlap error) under the known homography.  Matching itself is
+distance, overlap error) under the known homography.  The predicate is not
+evaluated here: verify_matches looks each match up in the pair's candidate
+table, built once by metrics.candidate_table.  Matching itself is
 greedy one-to-one nearest neighbor by default; a Lowe-style ratio test is
 available as an alternative since evaluation protocols differ on this point.
 
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRegion, DescriptorUnavailable, PointAtInfinity
-from .geometry import pairwise_distances, project_point
+from .errors import DescriptorUnavailable
+from .geometry import pairwise_distances
 
 
 @dataclass(frozen=True)
@@ -144,36 +146,8 @@ def match_descriptors(ref, test, method="nn", ratio=0.8):
     raise ValueError(f"unknown matching method {method!r}")
 
 
-def verify_matches(matches, ref, test, h, cfg) -> int:
-    """Count matches that pass the geometric repeatability predicate.
-
-    A match is a true match when both endpoints lie in the common part, the
-    projected reference center falls within cfg.epsilon_px of the test
-    center, and the region overlap error is below cfg.max_overlap_error.
-    """
-    from .metrics import common_part_filter, region_overlap_error
-
-    if not matches:
-        return 0
-    ref_common, test_common = common_part_filter(ref, test, h)
-    ref_ok = set(ref_common.tolist())
-    test_ok = set(test_common.tolist())
-
-    count = 0
-    for m in matches:
-        if m.ref_index not in ref_ok or m.test_index not in test_ok:
-            continue
-        ref_kp = ref.keypoints[m.ref_index]
-        test_kp = test.keypoints[m.test_index]
-        proj = project_point(h, ref_kp.region.center)
-        dx = proj[0] - test_kp.region.center[0]
-        dy = proj[1] - test_kp.region.center[1]
-        if not (dx * dx + dy * dy) ** 0.5 < cfg.epsilon_px:
-            continue
-        try:
-            err = region_overlap_error(ref_kp.region, test_kp.region, h, cfg)
-        except (DegenerateRegion, PointAtInfinity):
-            continue
-        if err < cfg.max_overlap_error:
-            count += 1
-    return count
+def verify_matches(matches, table) -> int:
+    """Count matches that pass the geometric repeatability predicate, that
+    is, whose (ref_index, test_index) is a key of the pair's candidate table
+    (metrics.candidate_table)."""
+    return sum((m.ref_index, m.test_index) in table for m in matches)

@@ -11,6 +11,11 @@ where n_ref and n_test count keypoints inside the common part of the two
 views and n_rep counts one-to-one correspondences under the predicate
 "projected center within epsilon_px AND region overlap error below
 max_overlap_error".
+
+The predicate is evaluated in one place, candidate_table, which scores every
+common-part pair once.  The correspondences are resolved from that table,
+and the true matches (matching.verify_matches) are the descriptor matches
+found in it, so a pair is a true match only if it is a candidate.
 """
 
 from dataclasses import dataclass
@@ -26,6 +31,7 @@ from .geometry import (
     pairwise_distances,
     project_points,
 )
+from .matching import match_descriptors, verify_matches
 
 EQ1_POPULATIONS = ("common", "whole")
 MATCHERS = ("nn", "ratio")
@@ -121,30 +127,26 @@ def region_overlap_error(ref_region, test_region, h, cfg):
     return overlap_error(a, b, step)
 
 
-def find_correspondences(ref, test, h, cfg=EvalConfig()):
-    """One-to-one correspondences under the repeatability predicate.
+def candidate_table(ref, test, h, cfg=EvalConfig()):
+    """The repeatability predicate, evaluated once per pair.
 
-    Candidates are pairs whose test-frame center distance is below
-    cfg.epsilon_px and whose overlap error is below cfg.max_overlap_error;
-    they are resolved greedily in ascending (overlap error, center distance,
-    ref index, test index) order.
+    Returns (ref_idx, test_idx, table): the common-part indices of
+    common_part_filter, and a dict mapping (ref_index, test_index) to
+    (overlap_err, center_distance) for every common-part pair whose
+    test-frame center distance is below cfg.epsilon_px and whose overlap
+    error is below cfg.max_overlap_error.  Pairs whose overlap error raises
+    DegenerateRegion or PointAtInfinity are left out.
     """
-    _, _, corrs = _common_and_correspondences(ref, test, h, cfg)
-    return corrs
-
-
-def _common_and_correspondences(ref, test, h, cfg):
     ref_idx, test_idx = common_part_filter(ref, test, h)
+    table = {}
     if len(ref_idx) == 0 or len(test_idx) == 0:
-        return ref_idx, test_idx, []
+        return ref_idx, test_idx, table
 
     proj, ok = project_points(h, ref.centers()[ref_idx])
     # common-part membership already implies a finite projection
     assert bool(np.all(ok))
     d = pairwise_distances(proj, test.centers()[test_idx])
     cand_i, cand_j = np.nonzero(d < cfg.epsilon_px)
-
-    candidates = []
     for i, j in zip(cand_i.tolist(), cand_j.tolist()):
         ri = int(ref_idx[i])
         tj = int(test_idx[j])
@@ -155,20 +157,30 @@ def _common_and_correspondences(ref, test, h, cfg):
         except (DegenerateRegion, PointAtInfinity):
             continue
         if err < cfg.max_overlap_error:
-            candidates.append((err, float(d[i, j]), ri, tj))
+            table[ri, tj] = (err, float(d[i, j]))
+    return ref_idx, test_idx, table
 
-    candidates.sort()
+
+def _resolve(table):
+    """Greedy one-to-one selection from a candidate table in ascending
+    (overlap error, center distance, ref index, test index) order."""
     used_ref = set()
     used_test = set()
     matched = []
-    for err, dist, ri, tj in candidates:
+    for err, dist, ri, tj in sorted((e, d, ri, tj) for (ri, tj), (e, d) in table.items()):
         if ri in used_ref or tj in used_test:
             continue
         used_ref.add(ri)
         used_test.add(tj)
         matched.append(Correspondence(ri, tj, dist, err))
     matched.sort(key=lambda c: (c.ref_index, c.test_index))
-    return ref_idx, test_idx, matched
+    return matched
+
+
+def find_correspondences(ref, test, h, cfg=EvalConfig()):
+    """One-to-one correspondences under the repeatability predicate: the
+    candidate table resolved greedily (see candidate_table and _resolve)."""
+    return _resolve(candidate_table(ref, test, h, cfg)[2])
 
 
 def eq1_repeatability(n_rep, n_ref, n_test) -> float:
@@ -197,14 +209,15 @@ def evaluate_pair(ref, test, h, cfg=EvalConfig()):
     """Full evaluation of one image pair against ground truth.
 
     All three rates are computed from the same correspondence set.  Rates
-    whose denominator is zero come back as None.  true_matches is filled by
-    descriptor matching when both sets carry descriptors, else 0 with the
-    descriptors_available flag cleared.
+    whose denominator is zero come back as None.  When both sets carry
+    descriptors, true_matches counts the descriptor matches found in the
+    pair's candidate table, else it is 0 with the descriptors_available flag
+    cleared.
     """
-    ref_idx, test_idx, corrs = _common_and_correspondences(ref, test, h, cfg)
+    ref_idx, test_idx, table = candidate_table(ref, test, h, cfg)
     n_ref = len(ref_idx)
     n_test = len(test_idx)
-    n_rep = len(corrs)
+    n_rep = len(_resolve(table))
 
     if cfg.eq1_population == "whole":
         eq1_args = (n_rep, len(ref.keypoints), len(test.keypoints))
@@ -226,12 +239,10 @@ def evaluate_pair(ref, test, h, cfg=EvalConfig()):
     )
     true_matches = 0
     if descriptors_available:
-        from . import matching
-
-        matches = matching.match_descriptors(
+        matches = match_descriptors(
             ref, test, method=cfg.matcher, ratio=cfg.ratio_threshold
         )
-        true_matches = matching.verify_matches(matches, ref, test, h, cfg)
+        true_matches = verify_matches(matches, table)
 
     return PairEvaluation(
         n_ref=n_ref,

@@ -240,6 +240,17 @@ class TestLoadReport:
         with pytest.raises(ParseError):
             load_report(str(p))
 
+    # correlate_reports reads descriptors_available from the pair objects
+    @pytest.mark.parametrize("pairs", [3, [1, 2, 3], {"pair": 2}])
+    def test_pairs_not_a_list_of_objects(self, tmp_path, pairs):
+        p = self.write_valid(tmp_path)
+        doc = json.loads(p.read_text())
+        doc["pairs"] = pairs
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as info:
+            load_report(str(p))
+        assert "pairs" in str(info.value)
+
 
 def report_doc(dataset, c1, tm):
     series = {
@@ -288,10 +299,25 @@ class TestCorrelateReports:
         assert by_ds[("b", "c1")]["r"] is None
         assert by_ds[("b", "c1")]["note"] == "a series has zero variance"
         assert by_ds[("c", "c1")]["note"] == "series contains undefined values"
-        assert by_ds[("d", "c1")]["note"] == "needs at least 3 pairs"
+        assert by_ds[("d", "c1")]["note"] == "needs at least 3 pairs, have 2"
         assert aggregates["c1"]["count"] == 1
         assert aggregates["c1"]["mean_r"] == 1.0
         assert aggregates["c1"]["std_r"] is None
+
+    @pytest.mark.parametrize(
+        "c1, tm, descriptors, note",
+        [
+            ([0.5, None, 0.2], [1, 2, 3], True, "series contains undefined values"),
+            ([0.1, 0.2, 0.3], [0, 0, 0], False, "true-match series unavailable (no descriptors)"),
+            ([0.5, 0.4], [1, 2], True, "needs at least 3 pairs, have 2"),
+            ([0.5, 0.5, 0.5], [1, 2, 3], True, "a series has zero variance"),
+        ],
+    )
+    def test_notes_match_sequence_report(self, c1, tm, descriptors, note):
+        report = make_report(c1, tm, descriptors=descriptors)
+        rows, _ = correlate_reports([json.loads(sequence_report_json(report))])
+        row = next(row for row in rows if row["criterion"] == "c1")
+        assert report.correlations()["c1"] == row["note"] == note
 
     def test_table_csv_layout(self):
         docs = [

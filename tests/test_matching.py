@@ -3,7 +3,13 @@ import pytest
 
 from repbench.errors import DescriptorUnavailable
 from repbench.formats import Keypoint, KeypointSet
-from repbench.geometry import Homography, SecondMomentEllipse
+from repbench.geometry import (
+    Homography,
+    SecondMomentEllipse,
+    pairwise_distances,
+    project_point,
+    project_points,
+)
 from repbench.matching import (
     DescriptorMatch,
     match_descriptors,
@@ -11,7 +17,7 @@ from repbench.matching import (
     ratio_match,
     verify_matches,
 )
-from repbench.metrics import EvalConfig
+from repbench.metrics import EvalConfig, candidate_table, evaluate_pair, region_overlap_error
 
 
 def make_set(points, descriptors, width=400, height=400, radius=2.0):
@@ -198,7 +204,7 @@ class TestVerifyMatches:
         test = make_set(moved, descs, radius=4.0)
         matches = nn_match(ref, test)
         assert len(matches) == 4
-        assert verify_matches(matches, ref, test, h, cfg) == 3
+        assert verify_matches(matches, candidate_table(ref, test, h, cfg)[2]) == 3
 
     def test_overlap_gate(self):
         h = Homography.identity()
@@ -207,7 +213,7 @@ class TestVerifyMatches:
         # same center, very different scale: distance passes, overlap fails
         test = make_set([(50.0, 50.0)], [[1.0, 0.0]], radius=12.0)
         matches = nn_match(ref, test)
-        assert verify_matches(matches, ref, test, h, cfg) == 0
+        assert verify_matches(matches, candidate_table(ref, test, h, cfg)[2]) == 0
 
     def test_outside_common_part_excluded(self):
         h = Homography(np.array([[1, 0, 500], [0, 1, 0], [0, 0, 1]], dtype=float))
@@ -216,7 +222,7 @@ class TestVerifyMatches:
         test = make_set([(50.0, 50.0)], [[1.0, 0.0]])
         # the reference point projects to x=550, off the 400px test image
         matches = nn_match(ref, test)
-        assert verify_matches(matches, ref, test, h, cfg) == 0
+        assert verify_matches(matches, candidate_table(ref, test, h, cfg)[2]) == 0
 
     def test_brute_force_predicate_oracle(self):
         rng = np.random.default_rng(47)
@@ -251,13 +257,13 @@ class TestVerifyMatches:
             )
             if err < cfg.max_overlap_error:
                 expected += 1
-        assert verify_matches(matches, ref, test, h, cfg) == expected
+        assert verify_matches(matches, candidate_table(ref, test, h, cfg)[2]) == expected
         assert 0 < expected <= len(matches)
 
     def test_empty_matches(self):
         ref = make_set([(10.0, 10.0)], [[1.0, 0.0]])
         cfg = EvalConfig()
-        assert verify_matches([], ref, ref, Homography.identity(), cfg) == 0
+        assert verify_matches([], candidate_table(ref, ref, Homography.identity(), cfg)[2]) == 0
 
     def test_count_bounded_by_match_count(self):
         rng = np.random.default_rng(48)
@@ -266,7 +272,7 @@ class TestVerifyMatches:
         ref = random_set(rng, 25, 4)
         test = random_set(rng, 18, 4)
         matches = nn_match(ref, test)
-        tm = verify_matches(matches, ref, test, h, cfg)
+        tm = verify_matches(matches, candidate_table(ref, test, h, cfg)[2])
         assert 0 <= tm <= len(matches) <= 18
 
 
@@ -276,3 +282,50 @@ class TestDescriptorMatchType:
         assert (m.ref_index, m.test_index, m.distance) == (2, 5, 1.25)
         with pytest.raises(AttributeError):
             m.distance = 0.0
+
+
+class TestEpsilonBoundary:
+    """A match whose centre distance is within an ulp of epsilon_px, at a
+    point whose scalar (project_point) and batched (project_points)
+    projections differ in the last bit, so the two centre distances fall on
+    opposite sides of epsilon_px.  The pair is a true match exactly when it
+    is in the candidate table, whose distance is the batched one."""
+
+    H = Homography(np.array([[1.1, 0.05, 3.3], [-0.04, 0.95, 7.1], [2e-4, 1e-4, 1.0]]))
+
+    # one point of each kind: only the scalar distance is below epsilon_px,
+    # or only the batched one is
+    @pytest.mark.parametrize("p, scalar_below", [((132.43, 247.11), True), ((125.8, 163.37), False)])
+    def test_true_match_only_if_candidate(self, p, scalar_below):
+        cfg = EvalConfig()
+        scalar = project_point(self.H, p)
+        batched = project_points(self.H, [p])[0][0]
+        assert not np.array_equal(scalar, batched)
+
+        def distances(x):
+            c = np.array([x, batched[1]])
+            dx, dy = scalar - c
+            return float(pairwise_distances(batched[None], c[None])[0, 0]), (dx * dx + dy * dy) ** 0.5
+
+        # step the test centre's x an ulp at a time from batched + epsilon
+        for s in (0, -1, 1, -2, 2, -3, 3, -4, 4):
+            x = batched[0] + cfg.epsilon_px
+            for _ in range(abs(s)):
+                x = np.nextafter(x, np.copysign(np.inf, s))
+            d_batched, d_scalar = distances(x)
+            if (d_batched < cfg.epsilon_px) != (d_scalar < cfg.epsilon_px):
+                break
+        else:
+            pytest.fail("no centre within 4 ulp splits the two distances")
+        assert (d_scalar < cfg.epsilon_px) == scalar_below
+
+        ref = make_set([p], [[1.0, 0.0]], radius=8.0)
+        test = make_set([(float(x), float(batched[1]))], [[1.0, 0.0]], radius=8.0)
+        # the overlap passes, so the centre distance alone decides
+        err = region_overlap_error(ref.keypoints[0].region, test.keypoints[0].region, self.H, cfg)
+        assert err < cfg.max_overlap_error
+        ev = evaluate_pair(ref, test, self.H, cfg)
+        assert ev.true_matches <= ev.n_rep
+        _, _, table = candidate_table(ref, test, self.H, cfg)
+        assert ev.true_matches == int((0, 0) in table)
+        assert ((0, 0) in table) == (d_batched < cfg.epsilon_px)
