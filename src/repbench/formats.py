@@ -113,7 +113,10 @@ def _as_text(text):
         try:
             return text.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ParseError(f"input is not valid UTF-8 text: {exc}") from None
+            raise ParseError(
+                f"input is not valid UTF-8 text: {exc}",
+                line=text.count(b"\n", 0, exc.start) + 1,
+            ) from None
     return text
 
 
@@ -216,12 +219,19 @@ def write_keypoints(kset):
 
 def parse_homography(text):
     """Read 9 whitespace-separated reals, row-major; any layout tolerated."""
-    tokens = _as_text(text).split()
+    tokens = [
+        (token, lineno)
+        for lineno, line in enumerate(_as_text(text).splitlines(), 1)
+        for token in line.split()
+    ]
     if len(tokens) != 9:
         raise ParseError(f"expected 9 values, got {len(tokens)}")
-    values = [_parse_real(t, None, "matrix entry") for t in tokens]
-    if not all(math.isfinite(v) for v in values):
-        raise ParseError("matrix entries must be finite")
+    values = []
+    for token, lineno in tokens:
+        value = _parse_real(token, lineno, "matrix entry")
+        if not math.isfinite(value):
+            raise ParseError("matrix entries must be finite", line=lineno)
+        values.append(value)
     return Homography(np.array(values).reshape(3, 3))
 
 
@@ -255,7 +265,7 @@ def parse_manifest(text):
     try:
         doc = json.loads(_as_text(text))
     except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc}") from None
+        raise ParseError(f"malformed JSON: {exc}", line=exc.lineno) from None
     if not isinstance(doc, dict):
         raise ManifestError("manifest must be a JSON object")
 

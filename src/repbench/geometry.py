@@ -192,6 +192,22 @@ def pairwise_distances(a, b):
     return np.sqrt(out, out=out)
 
 
+def indexed_distances(a, b, rows, cols):
+    """Distances between a[rows[k]] and b[cols[k]] for each k.
+
+    The same contiguous difference-squared sum as pairwise_distances, so
+    each value has the bits of entry (rows[k], cols[k]) there.  The
+    differences are held about PAIRWISE_BLOCK_ELEMENTS values at a time.
+    """
+    out = np.empty(len(rows))
+    step = max(1, PAIRWISE_BLOCK_ELEMENTS // max(1, a.shape[1]))
+    for k0 in range(0, len(rows), step):
+        diff = a[rows[k0 : k0 + step]] - b[cols[k0 : k0 + step]]
+        np.multiply(diff, diff, out=diff)
+        diff.sum(axis=1, out=out[k0 : k0 + step])
+    return np.sqrt(out, out=out)
+
+
 def homography_jacobian(h, p):
     """Exact 2x2 Jacobian of the projective map at point p.
 

@@ -8,18 +8,25 @@ table, built once by metrics.candidate_table.  Matching itself is
 greedy one-to-one nearest neighbor by default; a Lowe-style ratio test is
 available as an alternative since evaluation protocols differ on this point.
 
-Descriptor distances come from geometry.pairwise_distances, which holds the
-differences a bounded block of rows at a time but uses the same
-difference-squared-sum formula as the whole N x M x D broadcast, so every
-distance, and with it every tie-break, has the same bits.
+Both matchers decide on exact distances, the difference-squared sum of
+geometry.pairwise_distances, but compute few of them.  A GEMM expansion
+|a|^2 + |b|^2 - 2 a.b of every squared distance, with an error bound per row
+and per column (_approx_squared), marks the entries that can still be
+nearest in their row or column; only those are re-scored with the exact
+formula (geometry.indexed_distances).  Every distance that decides a match,
+and every tie-break, keeps the bits of the full N x M x D broadcast, which
+is never built.  nn_match takes mutual nearest neighbours round by round,
+which are exactly the pairs the global greedy takes, and hands what is left
+to the greedy itself once a round stops paying.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DescriptorUnavailable
-from .geometry import pairwise_distances
+from .geometry import indexed_distances, pairwise_distances
 
 
 @dataclass(frozen=True)
@@ -36,38 +43,161 @@ def _descriptor_matrices(ref, test):
         raise DescriptorUnavailable(
             f"descriptor dimensions differ: {ref.descriptor_dim} vs {test.descriptor_dim}"
         )
-    return ref.descriptors(), test.descriptors()
+    a = np.asarray(ref.descriptors(), dtype=float)
+    b = np.asarray(test.descriptors(), dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("descriptor values must be finite")
+    return a, b
 
 
-# nn_match reads the sorted distance order this many entries at a time.
-ORDER_CHUNK = 1 << 16
+# The factor c of the error bound in _approx_squared.
+TOL_FACTOR = 4
+
+# nn_match re-scores entries one by one while they are at most this share
+# of the open entries; beyond it, every open distance is computed in blocks
+# and the plain greedy finishes.
+MAX_RESCORE_SHARE = 1 / 8
+
+# nn_match stops peeling, and the greedy finishes, after a round that
+# matches fewer than this share of the open rows or columns (the fewer).
+MIN_PEEL_SHARE = 1 / 8
 
 
-def _stable_order_prefix(flat, k):
-    """A prefix, at least k long, of np.argsort(flat, kind="stable").
+def _approx_squared(a, b):
+    """GEMM estimates of all squared distances, with error bounds.
 
-    Every entry up to the k-th smallest value is selected, ties included, in
-    index order, so a stable sort of the selection orders it exactly as the
-    full stable sort orders its first entries.
+    Returns approx (N, M) = na[:, None] + nb[None, :] - 2 a @ b.T, where
+    na = (a * a).sum(axis=1) and nb likewise, and the tolerances row_tol
+    (N,) and col_tol (M,).  row_tol[i] is tol(i, j) at the largest nb[j],
+    col_tol[j] is tol(i, j) at the largest na[i], where
+
+        tol(i, j) = c (D + 2) eps (na[i] + nb[j]) + tau,   c = TOL_FACTOR.
+
+    The bound.  Let s be the true squared distance of an entry, s' the exact
+    formula's rounded value, d = sqrt(s') rounded, u = eps / 2 and
+    gamma_k = k u / (1 - k u).  Since s <= 2 (na + nb):
+    - |approx - s| <= gamma_{D+2} 2 (na + nb): Higham's dot-product bound,
+      which holds for any summation order and with or without FMA, plus the
+      three additions (|na| + |nb| + 2 |a|.|b| <= 2 (na + nb));
+    - |s' - s| <= gamma_{D+2} s: one rounding per difference, square and
+      sum;
+    - two values whose square roots round to the same float differ by at
+      most 2 eps s' <= 4 eps (na + nb).
+    The first two plus half the third come to about 2 (D + 3) eps (na + nb)
+    per entry, and c = 4 gives (4 D + 8) eps (na + nb), which leaves room
+    for the rounding of the thresholds themselves.  So if approx[i, j] >
+    approx[i, k] + 2 row_tol[i], then s'[i, j] exceeds s'[i, k] by more than
+    a square-root tie and d[i, j] > d[i, k] strictly: entry j can neither be
+    nearer than k nor tie with it.  The same holds along a column.
+    Below the normal range the relative bounds fail; each product (3 D in
+    approx, D in s') may then lose half a subnormal step 2^-1074, and a
+    square-root tie spans at most two steps, so tau = c (D + 2) 2^-1074
+    covers those losses.  A NaN or infinite estimate never excludes an
+    entry.  The margin decides only how many entries get the exact
+    formula, never which match is made.
     """
-    if k >= flat.size:
-        return np.argsort(flat, kind="stable")
-    t = np.partition(flat, k - 1)[k - 1]
-    idx = np.flatnonzero(flat <= t)
-    return idx[np.argsort(flat[idx], kind="stable")]
+    na = np.einsum("ij,ij->i", a, a)
+    nb = np.einsum("ij,ij->i", b, b)
+    approx = a @ b.T
+    approx *= -2.0
+    approx += na[:, None]
+    approx += nb
+    slack = TOL_FACTOR * (a.shape[1] + 2)
+    kappa = slack * np.finfo(float).eps
+    tau = slack * math.ulp(0.0)
+    return approx, kappa * (na + nb.max()) + tau, kappa * (na.max() + nb) + tau
 
 
-def _stable_order_chunks(flat, k):
-    """np.argsort(flat, kind="stable") in chunks of at most ORDER_CHUNK,
-    sorted only as far as they are read: a prefix of at least k entries,
-    then prefixes four times longer, each resuming where the last ended."""
-    done = 0
-    while done < flat.size:
-        order = _stable_order_prefix(flat, k)
-        for start in range(done, len(order), ORDER_CHUNK):
-            yield order[start : start + ORDER_CHUNK]
-        done = len(order)
-        k *= 4
+def _near_minimum(approx, row_tol, col_tol):
+    """Mask of the entries within 2 tol of their row's or their column's
+    smallest estimate, the only entries that can be nearest there."""
+    far = approx > (approx.min(axis=1) + 2 * row_tol)[:, None]
+    far &= approx > approx.min(axis=0) + 2 * col_tol
+    return np.logical_not(far, out=far)
+
+
+def _first_minimum(group, d):
+    """Index of the first entry with its group's smallest d, for each group.
+
+    group must be sorted, with every label 0 .. G-1 present; within a group
+    the entries come in the order that breaks ties.
+    """
+    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    low = np.minimum.reduceat(d, starts)
+    at_low = np.flatnonzero(d == low[group])
+    return at_low[np.flatnonzero(np.diff(group[at_low], prepend=-1))]
+
+
+def _mutual_nearest(r, c, d):
+    """The entries, listed in row-major order by (row r, column c) with
+    exact distance d, that are first by (d, c) in their row and by (d, r)
+    in their column.  Every row and column 0 .. max must have an entry."""
+    row_best = _first_minimum(r, d)
+    by_col = np.argsort(c, kind="stable")
+    col_best = by_col[_first_minimum(c[by_col], d[by_col])]
+    return row_best[col_best[c[row_best]] == row_best]
+
+
+def _greedy(order, n, m):
+    """The greedy over the entries of an (n, m) matrix listed by row-major
+    index in `order`: each entry whose row and column are both still free is
+    taken, until min(n, m) are.  Returns the positions in `order` taken."""
+    used_row = bytearray(n)
+    used_col = bytearray(m)
+    # numpy views of the flags for the vectorised filter, bytearrays for the loop
+    row_flags = np.frombuffer(used_row, dtype=bool)
+    col_flags = np.frombuffer(used_col, dtype=bool)
+    taken = []
+    step = n + m
+    for start in range(0, len(order), step):
+        rows, cols = np.divmod(order[start : start + step], m)
+        # entries on a row or column taken in an earlier read are out
+        free = np.flatnonzero(~(row_flags[rows] | col_flags[cols]))
+        for k, i, j in zip(free.tolist(), rows[free].tolist(), cols[free].tolist()):
+            if not (used_row[i] or used_col[j]):
+                used_row[i] = used_col[j] = 1
+                taken.append(start + k)
+                if len(taken) == min(n, m):
+                    return taken
+    return taken
+
+
+def _greedy_head(a, b, rows, cols, approx, tol):
+    """The greedy on the open submatrix, read from the head of its exact
+    order: (row-major positions taken, their distances), or None when that
+    head holds more than MAX_RESCORE_SHARE of the entries or does not
+    complete the greedy.
+
+    Let low be the (n + m)-th smallest estimate.  By the bound of
+    _approx_squared, each entry at or below low is strictly nearer, exactly,
+    than every entry whose estimate exceeds low + 2 tol.  So the entries
+    within low + 2 tol that are no farther than the farthest of those lead
+    the exact order, and only they are re-scored and sorted.
+    """
+    n, m = approx.shape
+    flat = approx.ravel()
+    k = min(n + m, flat.size)
+    low = np.partition(flat, k - 1)[k - 1]
+    head = np.flatnonzero(~(flat > low + 2 * tol))
+    if len(head) > MAX_RESCORE_SHARE * flat.size:
+        return None
+    d = indexed_distances(a, b, rows[head // m], cols[head % m])
+    lead = np.flatnonzero(d <= d[~(flat[head] > low)].max())
+    lead = lead[np.argsort(d[lead], kind="stable")]
+    taken = lead[_greedy(head[lead], n, m)]
+    if len(taken) < min(n, m):
+        return None
+    return head[taken], d[taken]
+
+
+def _as_matches(ref_index, test_index, distance):
+    order = np.lexsort((test_index, ref_index))
+    return [
+        DescriptorMatch(i, j, dist)
+        for i, j, dist in zip(
+            ref_index[order].tolist(), test_index[order].tolist(), distance[order].tolist()
+        )
+    ]
 
 
 def nn_match(ref, test):
@@ -76,32 +206,68 @@ def nn_match(ref, test):
     Repeatedly takes the globally smallest remaining descriptor distance;
     exact ties fall to the smallest (ref_index, test_index).  Produces
     min(len(ref), len(test)) matches.
+
+    Ordered by (distance, ref_index, test_index), a pair that is first in
+    both its row and its column is taken by that greedy, and taking all
+    such pairs and removing their rows and columns leaves the greedy of the
+    rest unchanged (Preis, STACS 1999).  Each round takes them on the open
+    rows and columns, using exact distances of the entries near each row's
+    and column's smallest estimate only.  When a round stops paying
+    (MAX_RESCORE_SHARE, MIN_PEEL_SHARE), the greedy finishes what is open.
     """
     a, b = _descriptor_matrices(ref, test)
     if len(a) == 0 or len(b) == 0:
         return []
-    d = pairwise_distances(a, b)
-    n_test = d.shape[1]
-    want = min(d.shape)
-    used_ref = np.zeros(d.shape[0], dtype=bool)
-    used_test = np.zeros(n_test, dtype=bool)
-    matches = []
-    # A stable sort of the row-major flattening breaks ties exactly by
-    # (ref_index, test_index).  The greedy often ends within the first
-    # 2 * want entries, so the order is sorted only as far as it is read.
-    for chunk in _stable_order_chunks(d.ravel(), 2 * want):
-        rows, cols = np.divmod(chunk, n_test)
-        # entries on a row or column matched in an earlier chunk are out
-        free = ~(used_ref[rows] | used_test[cols])
-        for i, j in zip(rows[free].tolist(), cols[free].tolist()):
-            if not (used_ref[i] or used_test[j]):
-                used_ref[i] = used_test[j] = True
-                matches.append(DescriptorMatch(i, j, float(d[i, j])))
-        # want matches use up every row or every column
-        if len(matches) == want:
+    approx, row_tol, col_tol = _approx_squared(a, b)
+    n_test = len(b)
+    rows = np.arange(len(a))
+    cols = np.arange(n_test)
+    # exact distances of last round's entries on rows and columns still
+    # open, by flat index; such an entry is near a minimum again, since
+    # minima over fewer entries only rise
+    known_key = np.empty(0, dtype=np.int64)
+    known = np.empty(0)
+    out_i, out_j, out_d = [], [], []
+    while len(rows) and len(cols):
+        near = _near_minimum(approx, row_tol[rows], col_tol[cols])
+        if np.count_nonzero(near) > MAX_RESCORE_SHARE * near.size:
             break
-    matches.sort(key=lambda m: (m.ref_index, m.test_index))
-    return matches
+        r, c = np.nonzero(near)
+        del near
+        key = rows[r] * n_test + cols[c]
+        d = np.empty(len(key))
+        fresh = np.ones(len(key), dtype=bool)
+        at = np.searchsorted(key, known_key)
+        d[at] = known
+        fresh[at] = False
+        d[fresh] = indexed_distances(a, b, rows[r[fresh]], cols[c[fresh]])
+        won = _mutual_nearest(r, c, d)
+        out_i.append(rows[r[won]])
+        out_j.append(cols[c[won]])
+        out_d.append(d[won])
+        stop = len(won) < MIN_PEEL_SHARE * min(len(rows), len(cols))
+        open_rows = np.ones(len(rows), dtype=bool)
+        open_rows[r[won]] = False
+        open_cols = np.ones(len(cols), dtype=bool)
+        open_cols[c[won]] = False
+        rows, cols = rows[open_rows], cols[open_cols]
+        approx = approx[np.ix_(open_rows, open_cols)]
+        still = open_rows[r] & open_cols[c]
+        known_key, known = key[still], d[still]
+        if stop:
+            break
+    if len(rows) and len(cols):
+        finish = _greedy_head(a, b, rows, cols, approx, row_tol[rows].max())
+        del approx
+        if finish is None:
+            d = pairwise_distances(a[rows], b[cols]).ravel()
+            order = np.argsort(d, kind="stable")
+            flat = order[_greedy(order, len(rows), len(cols))]
+            finish = flat, d[flat]
+        out_i.append(rows[finish[0] // len(cols)])
+        out_j.append(cols[finish[0] % len(cols)])
+        out_d.append(finish[1])
+    return _as_matches(np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_d))
 
 
 def ratio_match(ref, test, ratio=0.8):
@@ -117,13 +283,32 @@ def ratio_match(ref, test, ratio=0.8):
     a, b = _descriptor_matrices(ref, test)
     if len(a) == 0 or len(b) == 0:
         return []
-    d = pairwise_distances(a, b)
-    nearest = d.argmin(axis=1)
-    d1 = np.take_along_axis(d, nearest[:, None], axis=1)[:, 0]
-    if d.shape[1] == 1:
-        keep = np.arange(len(d))
+    approx, row_tol, _ = _approx_squared(a, b)
+    n, m = approx.shape
+    # each row's entries within 2 tol of its second-smallest estimate hold
+    # its nearest and second-nearest exact distances, ties included
+    second = np.full(n, np.inf)
+    if m > 1:
+        every = np.arange(n)
+        k = approx.argmin(axis=1)
+        smallest = approx[every, k]
+        approx[every, k] = np.inf
+        second = approx.min(axis=1)
+        approx[every, k] = smallest
+    far = approx > (second + 2 * row_tol)[:, None]
+    del approx
+    r, c = np.nonzero(np.logical_not(far, out=far))
+    del far
+    d = indexed_distances(a, b, r, c)
+    best = _first_minimum(r, d)
+    nearest = c[best]
+    d1 = d[best]
+    if m == 1:
+        keep = np.arange(n)
     else:
-        keep = np.flatnonzero(d1 < ratio * np.partition(d, 1, axis=1)[:, 1])
+        d[best] = np.inf
+        d2 = np.minimum.reduceat(d, np.flatnonzero(np.diff(r, prepend=-1)))
+        keep = np.flatnonzero(d1 < ratio * d2)
     candidates = sorted(
         zip(d1[keep].tolist(), keep.tolist(), nearest[keep].tolist())
     )

@@ -203,18 +203,23 @@ def _distractor_descriptor(rng, dim, planted):
 
     Keeps the first candidate whose largest cosine against the planted set is
     at most DISTRACTOR_MAX_COSINE; after DISTRACTOR_TRIES candidates the best
-    one seen is used, so the draw count stays bounded and deterministic.
+    one seen is used.  Either way the stream then stands DISTRACTOR_TRIES *
+    dim normals (two uniforms each) past where it started, so where later
+    draws sit in the stream never depends on the descriptors.
     """
+    start = rng.state
     best = None
     best_cos = math.inf
     for _ in range(DISTRACTOR_TRIES):
         cand = _unit_descriptor(rng, dim)
         worst = float(np.max(planted @ cand)) if len(planted) else -1.0
         if worst <= DISTRACTOR_MAX_COSINE:
-            return cand
+            best = cand
+            break
         if worst < best_cos:
             best_cos = worst
             best = cand
+    rng.state = (start + DISTRACTOR_TRIES * 2 * dim * _GOLDEN) & _MASK64
     return best
 
 
@@ -230,7 +235,8 @@ def derive_test(ref, h, cfg, image_id="test"):
     becomes e1 without a draw.  Survivors jittered out of [0, W] x [0, H]
     are culled after their draws.  Finally n_distractors
     random keypoints are appended (same draw order as generate_reference,
-    with rejection-sampled descriptors).
+    with rejection-sampled descriptors); each takes a fixed block of the
+    stream, 5 uniforms and DISTRACTOR_TRIES * descriptor_dim normals.
     """
     rng = SplitMix64(cfg.seed ^ TEST_STREAM_SALT)
     kps = []

@@ -123,6 +123,19 @@ class TestMalformedKeypoints:
             parse_keypoints(text, "img", 100, 100)
         assert fragment in str(info.value)
 
+    @pytest.mark.parametrize("parse", ["keypoints", "homography", "manifest"])
+    def test_invalid_utf8_carries_its_line(self, parse):
+        text = b"1.0\n1\n10 20 0.5 \xff 0.5\n"
+        with pytest.raises(ParseError) as info:
+            if parse == "keypoints":
+                parse_keypoints(text, "img", 100, 100)
+            elif parse == "homography":
+                parse_homography(text)
+            else:
+                parse_manifest(text)
+        assert info.value.line == 3
+        assert info.value.reason.startswith("input is not valid UTF-8 text: ")
+
     def test_bad_descriptor_token_names_token_and_line(self):
         good = "10 20 0.5 0.0 0.5 1 2 3"
         text = f"3\n3\n{good}\n{good}\n10 20 0.5 0.0 0.5 1 2e x3\n"
@@ -158,6 +171,20 @@ class TestHomographyFiles:
             parse_homography("1 2 3 4 x 6 7 8 9")
         with pytest.raises(ParseError):
             parse_homography("1 2 3 4 inf 6 7 8 9")
+
+    @pytest.mark.parametrize(
+        "text,line,reason",
+        [
+            ("1 2 3\n4 x 6\n7 8 9\n", 2, "bad matrix entry 'x'"),
+            ("1 2 3\n4 5 6\n\n7 8 inf\n", 4, "matrix entries must be finite"),
+            ("nan 2 3 4 5 6 7 8 9", 1, "matrix entries must be finite"),
+        ],
+    )
+    def test_entry_errors_carry_their_line(self, text, line, reason):
+        with pytest.raises(ParseError) as info:
+            parse_homography(text)
+        assert info.value.line == line
+        assert info.value.reason == reason
 
     def test_singular_matrix(self):
         with pytest.raises(SingularHomography):
@@ -226,6 +253,13 @@ class TestManifest:
             parse_manifest("{not json")
         with pytest.raises(ManifestError):
             parse_manifest("[1, 2]")
+
+    def test_malformed_json_carries_its_line(self):
+        text = '{\n  "name": "seq",\n  "images": [,]\n}\n'
+        with pytest.raises(ParseError) as info:
+            parse_manifest(text)
+        assert info.value.line == 3
+        assert info.value.reason.startswith("malformed JSON: ")
 
     def test_unknown_homography_lookup(self):
         m = parse_manifest(json.dumps(valid_manifest_doc()))

@@ -126,6 +126,16 @@ class TestNNMatch:
         with pytest.raises(DescriptorUnavailable):
             nn_match(a, b)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("matcher", [nn_match, ratio_match])
+    def test_non_finite_descriptor_rejected(self, bad, matcher):
+        # the matchers' error bound holds for finite values only
+        good = make_set([(10, 10), (20, 20)], [[1.0, 0.0], [0.0, 1.0]])
+        poisoned = make_set([(10, 10), (20, 20)], [[1.0, 0.0], [bad, 1.0]])
+        for ref, test in ((good, poisoned), (poisoned, good)):
+            with pytest.raises(ValueError, match="finite"):
+                matcher(ref, test)
+
 
 class TestRatioMatch:
     def test_unambiguous_accepted(self):

@@ -1,13 +1,15 @@
-"""Differential test of the blocked distance kernel and the prefix-sorted greedy.
+"""Differential test of the distance kernels and the filtered matchers.
 
 `broadcast_distances`, `full_sort_nn` and `row_loop_ratio` are the matchers
 as they were written before the distances were blocked: the whole N x M x D
 difference array, a stable argsort of every distance, and a per-row ratio
 test.  They are kept here as the reference.  `geometry.pairwise_distances`
-must reproduce the distances bit for bit, and `nn_match` / `ratio_match`
-the same match lists, each distance float included.  No tolerance is applied.
+and `geometry.indexed_distances` must reproduce the distances bit for bit,
+and `nn_match` / `ratio_match` the same match lists, each distance float
+included, whichever way nn_match's peeling ends.  No tolerance is applied.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 
 from repbench import geometry, matching
 from repbench.formats import Keypoint, KeypointSet
-from repbench.geometry import SecondMomentEllipse, pairwise_distances
+from repbench.geometry import SecondMomentEllipse, indexed_distances, pairwise_distances
 from repbench.matching import DescriptorMatch, nn_match, ratio_match
 
 REGION = SecondMomentEllipse.circle(10.0, 10.0, 2.0)
@@ -116,7 +118,7 @@ def normal_pair(rng, dim, max_n=30):
 def one_hub_pair(rng, n, m, dim):
     """Reference row 0 is nearest to every test descriptor and each later
     reference row lies farther out, so the greedy takes one match from the
-    first m entries of the order and the sorted prefix has to grow."""
+    first m entries of the order, and a peeling round takes one match."""
     test = rng.normal(0, 1e-3, (m, dim))
     ref = np.zeros((n, dim))
     ref[1:, 0] = 10.0 * np.arange(1, n) + rng.uniform(0, 1, n - 1)
@@ -178,10 +180,174 @@ def test_row_blocks():
         assert_same(rng.normal(size=(n, 128)), rng.normal(size=(m, 128)))
 
 
+# nn_match's ways to end: the default; peeling to the last match; the exact
+# greedy from the start; and one round followed by the greedy from the head
+# of the exact order.
+PATHS = {
+    "default": {},
+    "peel-only": {"MAX_RESCORE_SHARE": math.inf, "MIN_PEEL_SHARE": 0.0},
+    "greedy-only": {"MAX_RESCORE_SHARE": 0.0},
+    "head-greedy": {"MAX_RESCORE_SHARE": 1.0, "MIN_PEEL_SHARE": math.inf},
+}
+
+
+def use_path(monkeypatch, path):
+    for name, value in PATHS[path].items():
+        monkeypatch.setattr(matching, name, value)
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(matching, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(matching, name, counted)
+    return calls
+
+
+def near_tie_pair(rng, dim):
+    """Test descriptors at squared distances 6.25 and 6.25 + 2^-50 (one ulp
+    apart; both square roots round to 2.5) from reference rows, around bases
+    of norm 0, about 1 or about 1e3; at 1e3 the GEMM estimate cannot tell
+    the two apart."""
+    n = int(rng.integers(1, 12))
+    base = rng.normal(0, float(rng.choice([0.0, 1.0, 1e3])), (n, dim))
+    step = np.zeros((2, dim))
+    step[:, 0] = 2.5
+    step[1, 1] = 2.0**-25
+    test = [base[i] + step[k] for i in range(n) for k in rng.permutation(2)]
+    test += list(rng.normal(0, 1e3, (int(rng.integers(0, 5)), dim)))
+    test = np.array(test)[rng.permutation(len(test))]
+    return base, test
+
+
+def test_indexed_distances_bits():
+    rng = np.random.default_rng(3010)
+    for k in range(300):
+        dim = int(rng.choice([1, 2, 3, 5, 8, 9, 17, 128, 200]))
+        a, b = normal_pair(rng, dim, max_n=40)
+        rows = rng.integers(0, len(a), int(rng.integers(0, 200)))
+        cols = rng.integers(0, len(b), len(rows))
+        got = indexed_distances(a, b, rows, cols).tobytes()
+        assert got == pairwise_distances(a, b)[rows, cols].tobytes()
+        assert got == np.sqrt(((a[rows] - b[cols]) ** 2).sum(axis=1)).tobytes()
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_every_nn_path(monkeypatch, path):
+    use_path(monkeypatch, path)
+    rng = np.random.default_rng(3011)
+    for k in range(200):
+        dim = 2 + k % 7
+        family = k % 4
+        if family == 0:
+            assert_same(*normal_pair(rng, dim))
+        elif family == 1:
+            n, m = rng.integers(1, 25, 2)
+            assert_same(rng.integers(0, 3, (n, dim)), rng.integers(0, 3, (m, dim)))
+        elif family == 2:
+            n, m = rng.integers(3, 25, 2)
+            assert_same(*one_hub_pair(rng, n, m, dim))
+        else:
+            row = rng.normal(size=dim)
+            n, m = rng.integers(1, 20, 2)
+            assert_same(np.tile(row, (n, 1)), np.tile(row, (m, 1)))
+
+
+def test_one_hub_takes_several_rounds(monkeypatch):
+    use_path(monkeypatch, "peel-only")
+    rounds = count_calls(monkeypatch, "_near_minimum")
+    rng = np.random.default_rng(3008)
+    for k in range(120):
+        rounds.clear()
+        n = int(rng.integers(3, 30))
+        m = int(rng.integers(3, 30))
+        assert_same(*one_hub_pair(rng, n, m, 2 + k % 7))
+        # one match per round
+        assert len(rounds) >= 2
+
+
+@pytest.mark.parametrize("kind", ["identical", "lattice", "chain"])
+def test_degenerate_inputs_reach_the_greedy(monkeypatch, kind):
+    """One match per peeling round for 1000 rounds, unless the greedy ends it."""
+    n = 1000
+    x = np.arange(n, dtype=float)
+    if kind == "identical":
+        a = b = np.tile(np.random.default_rng(3012).normal(size=4), (n, 1))
+    elif kind == "lattice":
+        # every reference point is 1 from two test points: ties everywhere
+        a, b = (2 * x)[:, None], (2 * x + 1)[:, None]
+    else:
+        # interleaved points whose gaps grow along the line
+        pos = np.cumsum(1 + 1e-3 * np.arange(2 * n))
+        a, b = np.c_[pos[0::2], 0 * x], np.c_[pos[1::2], 0 * x]
+    rounds = count_calls(monkeypatch, "_near_minimum")
+    greedy = count_calls(monkeypatch, "_greedy")
+    assert as_tuples(nn_match(as_set(a), as_set(b))) == as_tuples(full_sort_nn(a, b))
+    assert len(rounds) == 1
+    assert greedy
+
+
+def test_random_detector_scale(monkeypatch):
+    rng = np.random.default_rng(3013)
+    a = rng.normal(size=(2000, 128))
+    b = rng.normal(size=(1994, 128))
+    rounds = count_calls(monkeypatch, "_near_minimum")
+    got = as_tuples(nn_match(as_set(a), as_set(b)))
+    assert len(rounds) >= 2
+    # the reference's distances, a block of rows at a time (test_row_blocks
+    # pins pairwise_distances to the broadcast), not 4 GB at once
+    monkeypatch.setitem(globals(), "broadcast_distances", pairwise_distances)
+    assert got == as_tuples(full_sort_nn(a, b))
+    assert as_tuples(ratio_match(as_set(a), as_set(b), 0.95)) == as_tuples(
+        row_loop_ratio(a, b, 0.95)
+    )
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_tolerance_boundaries(monkeypatch, path):
+    use_path(monkeypatch, path)
+    rng = np.random.default_rng(3014)
+    for k in range(120):
+        dim = 2 + k % 5
+        scale = [1.0, 1e-150, 1e150, 1e-160, 2.0**-600][k % 5]
+        a, b = near_tie_pair(rng, dim)
+        assert_same(a * scale, b * scale, ratio=float(rng.choice([0.5, 0.99])))
+        a, b = normal_pair(rng, dim)
+        assert_same(a * scale, b * scale)
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_worst_case_estimates(monkeypatch, path):
+    """Estimates off by up to 0.99 of their tolerance, anywhere in the range the
+    error bound allows, still give the exact matches: the filters rely on
+    the bound alone.  Integer descriptors put many distances within one
+    tolerance of each other."""
+    use_path(monkeypatch, path)
+    rng = np.random.default_rng(3015)
+
+    def estimates(a, b):
+        diff = a[:, None, :] - b[None, :, :]
+        squared = (diff * diff).sum(axis=2)
+        tol = float(rng.choice([0.5, 2.0, 8.0]))
+        noise = rng.uniform(-0.99, 0.99, squared.shape) * tol
+        return squared + noise, np.full(len(a), tol), np.full(len(b), tol)
+
+    monkeypatch.setattr(matching, "_approx_squared", estimates)
+    for k in range(300):
+        dim = 2 + k % 4
+        n, m = rng.integers(1, 40, 2)
+        a = rng.integers(0, 4, (n, dim))
+        b = rng.integers(0, 4, (m, dim))
+        assert_same(a, b, ratio=float(rng.choice([0.5, 0.8, 0.99])))
+
+
 @pytest.mark.parametrize("size", [1, 7, 50])
 def test_small_blocks_and_chunks(monkeypatch, size):
     monkeypatch.setattr(geometry, "PAIRWISE_BLOCK_ELEMENTS", size)
-    monkeypatch.setattr(matching, "ORDER_CHUNK", size)
     rng = np.random.default_rng(3007 + size)
     for k in range(60):
         dim = 2 + k % 7
@@ -189,25 +355,6 @@ def test_small_blocks_and_chunks(monkeypatch, size):
             assert_same(*normal_pair(rng, dim, max_n=20))
         else:
             assert_same(*one_hub_pair(rng, int(rng.integers(3, 20)), int(rng.integers(3, 20)), dim))
-
-
-def test_growing_prefix(monkeypatch):
-    prefix_calls = []
-    real = matching._stable_order_prefix
-
-    def counted(flat, k):
-        prefix_calls.append(k)
-        return real(flat, k)
-
-    monkeypatch.setattr(matching, "_stable_order_prefix", counted)
-    rng = np.random.default_rng(3008)
-    for k in range(240):
-        prefix_calls.clear()
-        n = int(rng.integers(3, 30))
-        m = int(rng.integers(3, 30))
-        assert_same(*one_hub_pair(rng, n, m, 2 + k % 7))
-        # the prefix grew at least once before the greedy was complete
-        assert len(prefix_calls) >= 2
 
 
 def test_distance_memory_is_bounded():

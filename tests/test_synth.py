@@ -306,6 +306,29 @@ class TestDeriveTest:
             fallback.keypoints[-4].region.center, plain.keypoints[-4].region.center
         )
 
+    def test_distractor_regions_independent_of_descriptors(self):
+        # Negated reference descriptors give negated planted descriptors, so
+        # the rejection sampling accepts other candidates after other numbers
+        # of tries; every distractor still takes the same block of the stream.
+        cfg = SynthConfig(seed=47, n_points=12, n_distractors=30, descriptor_dim=2)
+        ref = generate_reference(cfg)
+        negated = KeypointSet(
+            ref.image_id, ref.width, ref.height, ref.descriptor_dim,
+            [Keypoint(kp.region, -kp.descriptor) for kp in ref.keypoints],
+        )
+        h = Homography.identity()
+        plain = derive_test(ref, h, cfg)
+        flipped = derive_test(negated, h, cfg)
+        assert len(plain) == len(flipped) == 12 + 30
+        for got, want in zip(flipped.keypoints, plain.keypoints):
+            assert got.region.center.tobytes() == want.region.center.tobytes()
+            assert got.region.shape.tobytes() == want.region.shape.tobytes()
+        # the accepted candidates differ, so the test would see a moved region
+        assert any(
+            not np.array_equal(g.descriptor, -w.descriptor)
+            for g, w in zip(flipped.keypoints[12:], plain.keypoints[12:])
+        )
+
 
 # ---------------------------------------------------------------------------
 # Block draws against the scalar generator
@@ -390,14 +413,18 @@ def _old_transport_region(region, h):
 def _old_distractor_descriptor(rng, dim, planted):
     best = None
     best_cos = math.inf
-    for _ in range(DISTRACTOR_TRIES):
+    for tries in range(1, DISTRACTOR_TRIES + 1):
         cand = _old_unit_descriptor(rng, dim)
         worst = float(np.max(planted @ cand)) if len(planted) else -1.0
         if worst <= DISTRACTOR_MAX_COSINE:
-            return cand
+            best = cand
+            break
         if worst < best_cos:
             best_cos = worst
             best = cand
+    # the unused candidates' draws are skipped, one uniform at a time
+    for _ in range((DISTRACTOR_TRIES - tries) * 2 * dim):
+        rng.uniform()
     return best
 
 
