@@ -32,45 +32,66 @@ class Keypoint:
 
 @dataclass(eq=False)
 class KeypointSet:
-    """All regions detected in one image, with optional descriptors."""
+    """All regions detected in one image, with optional descriptors, as
+    three float64 arrays: `centers` (N, 2), `abc` (N, 3), the coefficients
+    of a(x-u)^2 + 2b(x-u)(y-v) + c(y-v)^2 <= 1, and `descriptors` (N, D),
+    with D = 0 when the set has no descriptors.  The arrays are read-only
+    copies, so the checks made on construction keep holding."""
 
     image_id: str
     width: int
     height: int
-    descriptor_dim: int
-    keypoints: list[Keypoint]
+    centers: np.ndarray
+    abc: np.ndarray
+    descriptors: np.ndarray
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image dimensions must be positive")
-        if self.descriptor_dim < 0:
-            raise ValueError("descriptor_dim must be >= 0")
-        for k, kp in enumerate(self.keypoints):
-            if self.descriptor_dim == 0:
-                if kp.descriptor is not None:
-                    raise ValueError(f"keypoint {k} carries a descriptor but D=0")
-            else:
-                if kp.descriptor is None or len(kp.descriptor) != self.descriptor_dim:
-                    raise ValueError(
-                        f"keypoint {k} needs a descriptor of length {self.descriptor_dim}"
-                    )
+        n = len(self.centers)
+        for name, cols in (("centers", 2), ("abc", 3), ("descriptors", None)):
+            array = np.array(getattr(self, name), dtype=float)
+            cols = array.shape[-1] if cols is None else cols
+            if array.shape != (n, cols):
+                raise ValueError(f"{name} must have shape ({n}, {cols}), got {array.shape}")
+            array.flags.writeable = False
+            setattr(self, name, array)
+        finite = (
+            np.isfinite(self.centers).all(axis=1)
+            & np.isfinite(self.abc).all(axis=1)
+            & np.isfinite(self.descriptors).all(axis=1)
+        )
+        a, b, c = self.abc.T
+        with np.errstate(invalid="ignore"):
+            definite = (a > 0.0) & (c > 0.0) & (a * c - b * b > 0.0)
+        bad = np.flatnonzero(~(finite & definite))
+        if len(bad):
+            k = int(bad[0])
+            if not finite[k]:
+                raise ValueError(f"keypoint {k}: values must be finite")
+            raise ValueError(
+                f"keypoint {k}: region not positive definite "
+                f"(a={a[k]:g}, b={b[k]:g}, c={c[k]:g})"
+            )
 
     def __len__(self):
-        return len(self.keypoints)
+        return len(self.centers)
 
-    def centers(self):
-        """(N, 2) array of region centers."""
-        if not self.keypoints:
-            return np.zeros((0, 2))
-        return np.array([kp.region.center for kp in self.keypoints])
+    @property
+    def descriptor_dim(self):
+        return self.descriptors.shape[1]
 
-    def descriptors(self):
-        """(N, D) array of descriptors; None when descriptor_dim == 0."""
-        if self.descriptor_dim == 0:
-            return None
-        if not self.keypoints:
-            return np.zeros((0, self.descriptor_dim))
-        return np.array([kp.descriptor for kp in self.keypoints])
+    def region(self, k):
+        """Region k as a SecondMomentEllipse, built on each call."""
+        return SecondMomentEllipse.from_abc(*self.centers[k].tolist(), *self.abc[k].tolist())
+
+    @property
+    def keypoints(self):
+        """A Keypoint per row, built on each access; descriptor None when D = 0."""
+        return [
+            Keypoint(self.region(k), self.descriptors[k] if self.descriptor_dim else None)
+            for k in range(len(self))
+        ]
 
 
 @dataclass
@@ -165,7 +186,9 @@ def parse_keypoints(text, image_id, width, height):
     count = int(count_value)
 
     expected_tokens = 5 + descriptor_dim
-    keypoints = []
+    # no more rows than lines, so a false count cannot inflate the array
+    data = np.empty((min(count, len(lines) - 2), expected_tokens))
+    found = 0
     for lineno0, line in enumerate(lines[2:], start=3):
         tokens = line.split()
         if not tokens:
@@ -189,31 +212,23 @@ def parse_keypoints(text, image_id, width, height):
                 f"region not positive definite (a={a:g}, b={b:g}, c={c:g})",
                 line=lineno0,
             )
-        descriptor = None
-        if descriptor_dim > 0:
-            descriptor = np.array(values[5:])
-            if not np.isfinite(descriptor).all():
-                raise ParseError("descriptor values must be finite", line=lineno0)
-        keypoints.append(Keypoint(SecondMomentEllipse.from_abc(u, v, a, b, c), descriptor))
+        if not all(map(math.isfinite, values[5:])):
+            raise ParseError("descriptor values must be finite", line=lineno0)
+        if found < len(data):
+            data[found] = values
+        found += 1
 
-    if len(keypoints) != count:
-        raise ParseError(
-            f"declared {count} keypoints but found {len(keypoints)}", line=2
-        )
-    return KeypointSet(image_id, width, height, descriptor_dim, keypoints)
+    if found != count:
+        raise ParseError(f"declared {count} keypoints but found {found}", line=2)
+    return KeypointSet(image_id, width, height, data[:, :2], data[:, 2:5], data[:, 5:])
 
 
 def write_keypoints(kset):
     """Emit the standard format; parse(write(s)) reproduces s bit-for-bit
     (values are printed with full round-trip precision)."""
-    out = ["1.0" if kset.descriptor_dim == 0 else str(kset.descriptor_dim)]
-    out.append(str(len(kset.keypoints)))
-    for kp in kset.keypoints:
-        (a, b), (_, c) = kp.region.shape.tolist()
-        tokens = [*map(repr, kp.region.center.tolist()), repr(a), repr(b), repr(c)]
-        if kp.descriptor is not None:
-            tokens.extend(map(repr, np.asarray(kp.descriptor, dtype=float).tolist()))
-        out.append(" ".join(tokens))
+    out = ["1.0" if kset.descriptor_dim == 0 else str(kset.descriptor_dim), str(len(kset))]
+    rows = np.hstack([kset.centers, kset.abc, kset.descriptors])
+    out.extend(" ".join(map(repr, row)) for row in rows.tolist())
     return "\n".join(out) + "\n"
 
 

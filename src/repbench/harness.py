@@ -24,6 +24,8 @@ from .formats import (
     DatasetManifest,
     ManifestHomography,
     ManifestImage,
+    _as_text,
+    _read,
     load_homography,
     load_keypoints,
     write_homography,
@@ -208,33 +210,32 @@ def pair_report_csv(evaluation):
 def load_report(path):
     """Read and validate a sequence report JSON written by this tool."""
     try:
-        with open(path, "rb") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc.strerror or exc}") from None
+        doc = json.loads(_as_text(_read(path)))
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: malformed JSON: {exc}") from None
+        raise ParseError(f"malformed JSON: {exc}", line=exc.lineno, path=path) from None
+    except ParseError as exc:
+        raise exc.with_path(path) from None
     if not isinstance(doc, dict) or doc.get("schema") != SEQUENCE_SCHEMA:
-        raise ParseError(f"{path}: not a {SEQUENCE_SCHEMA} report")
+        raise ParseError(f"not a {SEQUENCE_SCHEMA} report", path=path)
     for key in ("dataset", "detector", "series"):
         if key not in doc:
-            raise ParseError(f"{path}: missing key {key!r}")
+            raise ParseError(f"missing key {key!r}", path=path)
     series = doc["series"]
     if not isinstance(series, dict):
-        raise ParseError(f"{path}: series must be an object")
+        raise ParseError("series must be an object", path=path)
     lengths = set()
     for key in CRITERIA + ("true_matches",):
         if key not in series or not isinstance(series[key], list):
-            raise ParseError(f"{path}: series.{key} must be a list")
+            raise ParseError(f"series.{key} must be a list", path=path)
         for v in series[key]:
             if v is not None and not isinstance(v, (int, float)):
-                raise ParseError(f"{path}: series.{key} holds a non-number")
+                raise ParseError(f"series.{key} holds a non-number", path=path)
         lengths.add(len(series[key]))
     if len(lengths) != 1:
-        raise ParseError(f"{path}: series lengths differ")
+        raise ParseError("series lengths differ", path=path)
     pairs = doc.get("pairs", [])
     if not isinstance(pairs, list) or not all(isinstance(p, dict) for p in pairs):
-        raise ParseError(f"{path}: pairs must be a list of objects")
+        raise ParseError("pairs must be a list of objects", path=path)
     return doc
 
 
@@ -354,11 +355,7 @@ def summary_table(reports, criterion="c2", thresholds=None):
             best = max(col.values())
             bins = [best / 3.0, 2.0 * best / 3.0] if best > 0 else []
         thresholds_used[ds] = bins if bins else None
-        if bins:
-            rated = bin_scores(col, bins)
-        else:
-            rated = {det: "+" for det in col}
-        for det, rating in rated.items():
+        for det, rating in bin_scores(col, bins).items():
             ratings[(det, ds)] = rating
     return detectors, datasets, cells, ratings, thresholds_used
 

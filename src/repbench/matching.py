@@ -43,11 +43,7 @@ def _descriptor_matrices(ref, test):
         raise DescriptorUnavailable(
             f"descriptor dimensions differ: {ref.descriptor_dim} vs {test.descriptor_dim}"
         )
-    a = np.asarray(ref.descriptors(), dtype=float)
-    b = np.asarray(test.descriptors(), dtype=float)
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("descriptor values must be finite")
-    return a, b
+    return ref.descriptors, test.descriptors
 
 
 # The factor c of the error bound in _approx_squared.
@@ -309,18 +305,10 @@ def ratio_match(ref, test, ratio=0.8):
         d[best] = np.inf
         d2 = np.minimum.reduceat(d, np.flatnonzero(np.diff(r, prepend=-1)))
         keep = np.flatnonzero(d1 < ratio * d2)
-    candidates = sorted(
-        zip(d1[keep].tolist(), keep.tolist(), nearest[keep].tolist())
-    )
-    used_test = set()
-    matches = []
-    for dist, i, j in candidates:
-        if j in used_test:
-            continue
-        used_test.add(j)
-        matches.append(DescriptorMatch(i, j, dist))
-    matches.sort(key=lambda m: (m.ref_index, m.test_index))
-    return matches
+    # rows are unique, so a stable sort by d1 breaks ties by (row, column)
+    by_d1 = keep[np.argsort(d1[keep], kind="stable")]
+    taken = by_d1[_greedy(by_d1 * m + nearest[by_d1], n, m)]
+    return _as_matches(taken, nearest[taken], d1[taken])
 
 
 def match_descriptors(ref, test, method="nn", ratio=0.8):

@@ -92,14 +92,12 @@ def common_part_filter(ref, test, h):
     its center inside the reference bounds.  Boundary-inclusive.  Points whose
     projection blows up (homogeneous weight ~ 0) are excluded, not fatal.
     """
-    ref_idx = _in_view(ref.centers(), h, test.width, test.height)
-    test_idx = _in_view(test.centers(), h.inverse(), ref.width, ref.height)
+    ref_idx = _in_view(ref.centers, h, test.width, test.height)
+    test_idx = _in_view(test.centers, h.inverse(), ref.width, ref.height)
     return ref_idx, test_idx
 
 
 def _in_view(centers, h, width, height):
-    if len(centers) == 0:
-        return np.zeros(0, dtype=int)
     proj, ok = project_points(h, centers)
     with np.errstate(invalid="ignore"):
         inside = (
@@ -138,22 +136,17 @@ def candidate_table(ref, test, h, cfg=EvalConfig()):
     DegenerateRegion or PointAtInfinity are left out.
     """
     ref_idx, test_idx = common_part_filter(ref, test, h)
-    table = {}
-    if len(ref_idx) == 0 or len(test_idx) == 0:
-        return ref_idx, test_idx, table
-
-    proj, ok = project_points(h, ref.centers()[ref_idx])
+    proj, ok = project_points(h, ref.centers[ref_idx])
     # common-part membership already implies a finite projection
     assert bool(np.all(ok))
-    d = pairwise_distances(proj, test.centers()[test_idx])
+    d = pairwise_distances(proj, test.centers[test_idx])
+    table = {}
     cand_i, cand_j = np.nonzero(d < cfg.epsilon_px)
     for i, j in zip(cand_i.tolist(), cand_j.tolist()):
         ri = int(ref_idx[i])
         tj = int(test_idx[j])
         try:
-            err = region_overlap_error(
-                ref.keypoints[ri].region, test.keypoints[tj].region, h, cfg
-            )
+            err = region_overlap_error(ref.region(ri), test.region(tj), h, cfg)
         except (DegenerateRegion, PointAtInfinity):
             continue
         if err < cfg.max_overlap_error:
@@ -220,7 +213,7 @@ def evaluate_pair(ref, test, h, cfg=EvalConfig()):
     n_rep = len(_resolve(table))
 
     if cfg.eq1_population == "whole":
-        eq1_args = (n_rep, len(ref.keypoints), len(test.keypoints))
+        eq1_args = (n_rep, len(ref), len(test))
     else:
         eq1_args = (n_rep, n_ref, n_test)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formats import Keypoint, KeypointSet
+from .formats import KeypointSet
 from .geometry import SecondMomentEllipse, homography_jacobian, project_point
 from .errors import DegenerateRegion, PointAtInfinity
 
@@ -132,7 +132,8 @@ class SynthConfig:
 
 
 def _random_region(rng, cfg):
-    """One random ellipse; draw order cx, cy, r, q, theta.
+    """One random ellipse as its row (cx, cy, a, b, c); draw order cx, cy,
+    r, q, theta.
 
     r is the equivalent radius (the ellipse has the area of a circle of
     radius r), q in [1, MAX_AXIS_RATIO] the axis ratio, theta the major-axis
@@ -150,13 +151,7 @@ def _random_region(rng, cfg):
     d1 = 1.0 / (major * major)
     d2 = 1.0 / (minor * minor)
     co, si = math.cos(theta), math.sin(theta)
-    shape = np.array(
-        [
-            [co * co * d1 + si * si * d2, co * si * (d1 - d2)],
-            [co * si * (d1 - d2), si * si * d1 + co * co * d2],
-        ]
-    )
-    return SecondMomentEllipse(np.array([cx, cy]), shape)
+    return cx, cy, co * co * d1 + si * si * d2, co * si * (d1 - d2), si * si * d1 + co * co * d2
 
 
 def _unit_descriptor(rng, dim):
@@ -181,21 +176,31 @@ def generate_reference(cfg, image_id="ref"):
     normals for the unit-norm descriptor.
     """
     rng = SplitMix64(cfg.seed)
-    kps = []
+    rows = []
+    descs = []
     for _ in range(cfg.n_points):
-        region = _random_region(rng, cfg)
-        desc = _unit_descriptor(rng, cfg.descriptor_dim) if cfg.descriptor_dim else None
-        kps.append(Keypoint(region, desc))
-    return KeypointSet(image_id, cfg.image_width, cfg.image_height, cfg.descriptor_dim, kps)
+        rows.append(_random_region(rng, cfg))
+        if cfg.descriptor_dim:
+            descs.append(_unit_descriptor(rng, cfg.descriptor_dim))
+    return _keypoint_set(image_id, cfg, rows, descs)
 
 
-def _transport_region(region, h):
-    """Image of a reference region under h, linearized at its center."""
-    a = homography_jacobian(h, region.center)
-    a_inv = np.linalg.inv(a)
-    shape = a_inv.T @ region.shape @ a_inv
-    center = project_point(h, region.center)
-    return SecondMomentEllipse(center, 0.5 * (shape + shape.T))
+def _keypoint_set(image_id, cfg, rows, descs):
+    """KeypointSet of region rows (u, v, a, b, c) and their descriptors."""
+    regions = np.array(rows, dtype=float).reshape(len(rows), 5)
+    descriptors = np.array(descs, dtype=float).reshape(len(rows), cfg.descriptor_dim)
+    return KeypointSet(
+        image_id, cfg.image_width, cfg.image_height, regions[:, :2], regions[:, 2:], descriptors
+    )
+
+
+def _transport_region(center, abc, h):
+    """Image under h of the reference region (center, abc), linearized at
+    its center."""
+    a, b, c = abc.tolist()
+    jac_inv = np.linalg.inv(homography_jacobian(h, center))
+    shape = jac_inv.T @ np.array([[a, b], [b, c]]) @ jac_inv
+    return SecondMomentEllipse(project_point(h, center), 0.5 * (shape + shape.T))
 
 
 def _distractor_descriptor(rng, dim, planted):
@@ -239,15 +244,15 @@ def derive_test(ref, h, cfg, image_id="test"):
     stream, 5 uniforms and DISTRACTOR_TRIES * descriptor_dim normals.
     """
     rng = SplitMix64(cfg.seed ^ TEST_STREAM_SALT)
-    kps = []
-    planted_descs = []
-    for kp in ref.keypoints:
+    rows = []
+    descs = []
+    for k in range(len(ref)):
         if rng.uniform() < cfg.dropout_rate:
             continue
         # jitter x, jitter y, then the descriptor noise, in one block
         draws = rng.normals(2 + cfg.descriptor_dim)
         try:
-            moved = _transport_region(kp.region, h)
+            moved = _transport_region(ref.centers[k], ref.abc[k], h)
         except (PointAtInfinity, DegenerateRegion, np.linalg.LinAlgError):
             continue
         center = moved.center + draws[:2] * cfg.jitter_sigma
@@ -256,17 +261,16 @@ def derive_test(ref, h, cfg, image_id="test"):
             and 0.0 <= center[1] <= cfg.image_height
         ):
             continue
-        desc = None
+        (a, b), (_, c) = moved.shape.tolist()
+        rows.append((*center.tolist(), a, b, c))
         if cfg.descriptor_dim:
-            desc = _normalized(kp.descriptor + draws[2:] * cfg.descriptor_noise_sigma)
-            planted_descs.append(desc)
-        kps.append(Keypoint(SecondMomentEllipse(center, moved.shape), desc))
+            descs.append(
+                _normalized(ref.descriptors[k] + draws[2:] * cfg.descriptor_noise_sigma)
+            )
 
-    planted = np.array(planted_descs) if planted_descs else np.zeros((0, cfg.descriptor_dim))
+    planted = np.array(descs).reshape(len(descs), cfg.descriptor_dim)
     for _ in range(cfg.n_distractors):
-        region = _random_region(rng, cfg)
-        desc = None
+        rows.append(_random_region(rng, cfg))
         if cfg.descriptor_dim:
-            desc = _distractor_descriptor(rng, cfg.descriptor_dim, planted)
-        kps.append(Keypoint(region, desc))
-    return KeypointSet(image_id, cfg.image_width, cfg.image_height, cfg.descriptor_dim, kps)
+            descs.append(_distractor_descriptor(rng, cfg.descriptor_dim, planted))
+    return _keypoint_set(image_id, cfg, rows, descs)

@@ -11,7 +11,6 @@ from repbench.errors import (
 )
 from repbench.formats import (
     DatasetManifest,
-    Keypoint,
     KeypointSet,
     ManifestHomography,
     ManifestImage,
@@ -25,20 +24,22 @@ from repbench.formats import (
     write_keypoints,
     write_manifest,
 )
-from repbench.geometry import Homography, SecondMomentEllipse
+from repbench.geometry import Homography
 
 
 def random_keypoint_set(rng, with_descriptors=True):
     n = int(rng.integers(0, 40))
     dim = int(rng.integers(2, 12)) if with_descriptors else 0
-    kps = []
-    for _ in range(n):
+    rows = np.empty((n, 5))
+    descs = np.empty((n, dim))
+    for k in range(n):
         u, v = rng.uniform(0, 640, 2)
         a, c = rng.uniform(0.01, 2.0, 2)
         b = rng.uniform(-1, 1) * np.sqrt(a * c) * 0.9
-        desc = rng.normal(size=dim) if dim else None
-        kps.append(Keypoint(SecondMomentEllipse.from_abc(u, v, a, b, c), desc))
-    return KeypointSet("img", 640, 480, dim, kps)
+        rows[k] = u, v, a, b, c
+        if dim:
+            descs[k] = rng.normal(size=dim)
+    return KeypointSet("img", 640, 480, rows[:, :2], rows[:, 2:], descs)
 
 
 class TestKeypointRoundTrip:
@@ -50,6 +51,11 @@ class TestKeypointRoundTrip:
             parsed = parse_keypoints(text, "img", 640, 480)
             assert parsed.descriptor_dim == original.descriptor_dim
             assert len(parsed) == len(original)
+            for name in ("centers", "abc", "descriptors"):
+                want = getattr(original, name)
+                got = getattr(parsed, name)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
             for kp_in, kp_out in zip(original.keypoints, parsed.keypoints):
                 assert np.array_equal(kp_in.region.center, kp_out.region.center)
                 assert np.array_equal(kp_in.region.shape, kp_out.region.shape)
@@ -86,7 +92,7 @@ class TestKeypointGrammar:
         assert len(s) == 0
 
     def test_empty_set_round_trip(self):
-        s = KeypointSet("img", 10, 10, 0, [])
+        s = KeypointSet("img", 10, 10, np.zeros((0, 2)), np.zeros((0, 3)), np.zeros((0, 0)))
         assert len(parse_keypoints(write_keypoints(s), "img", 10, 10)) == 0
 
 
@@ -103,6 +109,9 @@ MALFORMED_KEYPOINTS = [
     ("1.0\n2.5\n", ParseError, "line 2"),
     ("1.0\n1 1\n", ParseError, "line 2"),
     ("1.0\n2\n10 20 0.5 0.0 0.5\n", ParseError, "line 2"),
+    ("1.0\n0\n10 20 0.5 0.0 0.5\n", ParseError, "declared 0 keypoints but found 1"),
+    # a count far beyond the file's lines is reported, not allocated
+    ("1.0\n1000000000000\n10 20 0.5 0.0 0.5\n", ParseError, "line 2"),
     ("1.0\n1\n10 20 0.5 0.0\n", ParseError, "line 3"),
     ("1.0\n1\n10 20 0.5 0.0 0.5 7\n", ParseError, "line 3"),
     ("1.0\n1\n10 twenty 0.5 0.0 0.5\n", ParseError, "line 3"),
@@ -112,6 +121,8 @@ MALFORMED_KEYPOINTS = [
     ("1.0\n1\n10 20 -1.0 0.0 0.5\n", InvalidRegion, "line 3"),
     ("1.0\n1\n10 20 0.0 0.0 0.5\n", InvalidRegion, "line 3"),
     ("2\n1\n10 20 0.5 0.0 0.5 1 nan\n", ParseError, "line 3"),
+    # a bad region on an earlier line wins over a later non-finite descriptor
+    ("2\n2\n10 20 1.0 2.0 1.0 1 2\n10 20 0.5 0.0 0.5 1 nan\n", InvalidRegion, "line 3"),
     (b"\xff\xfe\x00bad", ParseError, "UTF-8"),
 ]
 
@@ -309,22 +320,85 @@ class TestLoaders:
             load_manifest(str(tmp_path / "missing.json"))
 
 
+def arrays(n=3, dim=0):
+    """centers, abc and descriptors of n valid unit circles at (k, k)."""
+    k = np.arange(n, dtype=float)
+    return np.stack([k, k], axis=1), np.tile([1.0, 0.0, 1.0], (n, 1)), np.zeros((n, dim))
+
+
 class TestKeypointSetValidation:
     def test_descriptor_arity_enforced(self):
-        region = SecondMomentEllipse.from_abc(1, 1, 0.5, 0, 0.5)
+        centers, abc, _ = arrays(1)
+        with pytest.raises(ValueError, match="descriptors"):
+            KeypointSet("img", 10, 10, centers, abc, np.zeros((0, 4)))
+        with pytest.raises(ValueError, match="descriptors"):
+            KeypointSet("img", 10, 10, centers, abc, np.zeros(4))
         with pytest.raises(ValueError):
-            KeypointSet("img", 10, 10, 4, [Keypoint(region, None)])
-        with pytest.raises(ValueError):
-            KeypointSet("img", 10, 10, 0, [Keypoint(region, np.zeros(4))])
-        with pytest.raises(ValueError):
-            KeypointSet("img", 0, 10, 0, [])
+            KeypointSet("img", 0, 10, centers, abc, np.zeros((1, 0)))
 
     def test_centers_and_descriptors_arrays(self):
         rng = np.random.default_rng(24)
         s = random_keypoint_set(rng, with_descriptors=True)
-        assert s.centers().shape == (len(s), 2)
-        if len(s):
-            assert s.descriptors().shape == (len(s), s.descriptor_dim)
-        empty = KeypointSet("img", 10, 10, 0, [])
-        assert empty.centers().shape == (0, 2)
-        assert empty.descriptors() is None
+        assert s.centers.shape == (len(s), 2)
+        assert s.abc.shape == (len(s), 3)
+        assert s.descriptors.shape == (len(s), s.descriptor_dim)
+        for k, kp in enumerate(s.keypoints):
+            assert np.array_equal(kp.region.center, s.centers[k])
+            a, b, c = s.abc[k]
+            assert np.array_equal(kp.region.shape, [[a, b], [b, c]])
+            assert np.array_equal(kp.descriptor, s.descriptors[k])
+        empty = KeypointSet("img", 10, 10, *arrays(0))
+        assert empty.centers.shape == (0, 2)
+        assert empty.descriptors.shape == (0, 0)
+        assert empty.descriptor_dim == 0
+        assert empty.keypoints == []
+
+    @pytest.mark.parametrize(
+        "centers,abc,descriptors,name",
+        [
+            ((3, 3), (3, 3), (3, 0), "centers"),
+            ((3, 2), (2, 3), (3, 0), "abc"),
+            ((3, 2), (3, 2), (3, 0), "abc"),
+            ((3, 2), (3, 3), (2, 4), "descriptors"),
+            ((3, 2), (3, 3), (3,), "descriptors"),
+            ((6,), (3, 3), (3, 0), "centers"),
+        ],
+    )
+    def test_mismatched_shapes(self, centers, abc, descriptors, name):
+        with pytest.raises(ValueError, match=name):
+            KeypointSet("img", 10, 10, np.ones(centers), np.ones(abc), np.ones(descriptors))
+
+    @pytest.mark.parametrize("field,col", [(0, 1), (1, 2), (2, 3)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_its_row(self, field, col, bad):
+        data = list(arrays(4, dim=4))
+        data[field][2, col] = bad
+        with pytest.raises(ValueError, match="^keypoint 2: values must be finite$"):
+            KeypointSet("img", 10, 10, *data)
+
+    @pytest.mark.parametrize("row", [[-1.0, 0.0, 1.0], [1.0, 0.0, 0.0], [1.0, 2.0, 1.0]])
+    def test_non_positive_definite_row_named_by_index(self, row):
+        centers, abc, descriptors = arrays(4)
+        abc[1] = row
+        abc[3, 0] = np.nan  # a later bad row does not hide the first one
+        with pytest.raises(ValueError, match="^keypoint 1: region not positive definite"):
+            KeypointSet("img", 10, 10, centers, abc, descriptors)
+
+    def test_descriptorless_set_is_an_n_by_0_array(self):
+        s = KeypointSet("img", 10, 10, *arrays(3))
+        assert len(s) == 3
+        assert s.descriptors.shape == (3, 0)
+        assert s.descriptor_dim == 0
+        assert all(kp.descriptor is None for kp in s.keypoints)
+        assert write_keypoints(s).startswith("1.0\n3\n")
+        with pytest.raises(AttributeError):
+            s.descriptor_dim = 4
+
+    def test_arrays_are_read_only_copies(self):
+        centers, abc, descriptors = arrays(2, dim=3)
+        s = KeypointSet("img", 10, 10, centers, abc, descriptors)
+        descriptors[0, 0] = np.nan
+        assert np.isfinite(s.descriptors).all()
+        for name in ("centers", "abc", "descriptors"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(s, name)[0, 0] = np.nan

@@ -199,21 +199,35 @@ class TestLoadReport:
         assert doc["series"]["c1"] == [0.5, 0.4, 0.3]
 
     def test_missing_file(self, tmp_path):
+        path = str(tmp_path / "nope.json")
         with pytest.raises(ParseError) as info:
-            load_report(str(tmp_path / "nope.json"))
+            load_report(path)
         assert "nope.json" in str(info.value)
+        assert info.value.path == path
 
     def test_malformed_json(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{")
         with pytest.raises(ParseError):
             load_report(str(p))
+        p.write_text('{\n  "schema": "repbench.sequence/1",\n}\n')
+        with pytest.raises(ParseError) as info:
+            load_report(str(p))
+        assert info.value.line == 3
+        assert info.value.path == str(p)
+        assert str(info.value).startswith(f"{p}: line 3: malformed JSON: ")
+        p.write_bytes(b'{"schema":\n"\xff"}')
+        with pytest.raises(ParseError) as info:
+            load_report(str(p))
+        assert (info.value.line, info.value.path) == (2, str(p))
 
     def test_wrong_schema(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"schema": "other/1"}))
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as info:
             load_report(str(p))
+        assert info.value.path == str(p)
+        assert info.value.line is None
 
     def test_missing_series_key(self, tmp_path):
         p = self.write_valid(tmp_path)
@@ -222,6 +236,7 @@ class TestLoadReport:
         p.write_text(json.dumps(doc))
         with pytest.raises(ParseError) as info:
             load_report(str(p))
+        assert info.value.path == str(p)
         assert "c2" in str(info.value)
 
     def test_non_number_in_series(self, tmp_path):
@@ -229,16 +244,18 @@ class TestLoadReport:
         doc = json.loads(p.read_text())
         doc["series"]["c1"][0] = "high"
         p.write_text(json.dumps(doc))
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as info:
             load_report(str(p))
+        assert info.value.path == str(p)
 
     def test_length_mismatch(self, tmp_path):
         p = self.write_valid(tmp_path)
         doc = json.loads(p.read_text())
         doc["series"]["c1"].append(0.1)
         p.write_text(json.dumps(doc))
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as info:
             load_report(str(p))
+        assert info.value.path == str(p)
 
     # correlate_reports reads descriptors_available from the pair objects
     @pytest.mark.parametrize("pairs", [3, [1, 2, 3], {"pair": 2}])
@@ -249,6 +266,7 @@ class TestLoadReport:
         p.write_text(json.dumps(doc))
         with pytest.raises(ParseError) as info:
             load_report(str(p))
+        assert info.value.path == str(p)
         assert "pairs" in str(info.value)
 
 
@@ -392,6 +410,14 @@ class TestSummaryTable:
         _, _, cells, ratings, _ = summary_table(docs, "c2")
         assert cells[("detA", "ds1")] == 0.6
         assert ratings[("detA", "ds1")] == "+++"
+
+    @pytest.mark.parametrize("thresholds", [None, ()])
+    def test_no_thresholds_rate_every_cell_plus(self, thresholds):
+        # a best mean of 0 leaves no default thresholds
+        docs = [summary_doc("detA", "ds1", [0.0]), summary_doc("detB", "ds1", [0.0, 0.0])]
+        _, _, _, ratings, used = summary_table(docs, "c2", thresholds=thresholds)
+        assert ratings == {("detA", "ds1"): "+", ("detB", "ds1"): "+"}
+        assert used == {"ds1": None}
 
     def test_bad_criterion(self):
         with pytest.raises(ValueError):

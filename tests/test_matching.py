@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from repbench.errors import DescriptorUnavailable
-from repbench.formats import Keypoint, KeypointSet
+from repbench.formats import KeypointSet
 from repbench.geometry import (
     Homography,
-    SecondMomentEllipse,
     pairwise_distances,
     project_point,
     project_points,
@@ -21,12 +20,12 @@ from repbench.metrics import EvalConfig, candidate_table, evaluate_pair, region_
 
 
 def make_set(points, descriptors, width=400, height=400, radius=2.0):
-    dim = 0 if descriptors is None else len(descriptors[0])
-    kps = []
-    for idx, (x, y) in enumerate(points):
-        desc = None if descriptors is None else np.asarray(descriptors[idx], dtype=float)
-        kps.append(Keypoint(SecondMomentEllipse.circle(x, y, radius), desc))
-    return KeypointSet("img", width, height, dim, kps)
+    """Circles of this radius at `points`, with these descriptors (None: D = 0)."""
+    centers = np.asarray(points, dtype=float).reshape(-1, 2)
+    k = 1.0 / (radius * radius)
+    abc = np.tile([k, 0.0, k], (len(centers), 1))
+    descs = np.zeros((len(centers), 0)) if descriptors is None else descriptors
+    return KeypointSet("img", width, height, centers, abc, descs)
 
 
 def random_set(rng, n, dim, width=400, height=400):
@@ -87,7 +86,7 @@ class TestNNMatch:
             ref = random_set(rng, n_ref, 8)
             test = random_set(rng, n_test, 8)
             got = [(m.ref_index, m.test_index, m.distance) for m in nn_match(ref, test)]
-            want = greedy_oracle(ref.descriptors(), test.descriptors())
+            want = greedy_oracle(ref.descriptors, test.descriptors)
             assert got == want
 
     def test_produces_min_count(self):
@@ -104,10 +103,7 @@ class TestNNMatch:
         ref = random_set(rng, 15, 6)
         test = random_set(rng, 15, 6)
         q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-        rot = lambda s: make_set(
-            [tuple(kp.region.center) for kp in s.keypoints],
-            (s.descriptors() @ q.T).tolist(),
-        )
+        rot = lambda s: make_set(s.centers, s.descriptors @ q.T)
         base = [(m.ref_index, m.test_index) for m in nn_match(ref, test)]
         turned = [(m.ref_index, m.test_index) for m in nn_match(rot(ref), rot(test))]
         assert base == turned
@@ -129,12 +125,11 @@ class TestNNMatch:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("matcher", [nn_match, ratio_match])
     def test_non_finite_descriptor_rejected(self, bad, matcher):
-        # the matchers' error bound holds for finite values only
+        # the matchers' error bound holds for finite values only, so a set
+        # that holds a non-finite descriptor cannot be built
         good = make_set([(10, 10), (20, 20)], [[1.0, 0.0], [0.0, 1.0]])
-        poisoned = make_set([(10, 10), (20, 20)], [[1.0, 0.0], [bad, 1.0]])
-        for ref, test in ((good, poisoned), (poisoned, good)):
-            with pytest.raises(ValueError, match="finite"):
-                matcher(ref, test)
+        with pytest.raises(ValueError, match="finite"):
+            matcher(good, make_set([(10, 10), (20, 20)], [[1.0, 0.0], [bad, 1.0]]))
 
 
 class TestRatioMatch:

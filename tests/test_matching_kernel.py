@@ -16,11 +16,13 @@ import numpy as np
 import pytest
 
 from repbench import geometry, matching
-from repbench.formats import Keypoint, KeypointSet
-from repbench.geometry import SecondMomentEllipse, indexed_distances, pairwise_distances
+from repbench.formats import KeypointSet
+from repbench.geometry import indexed_distances, pairwise_distances
 from repbench.matching import DescriptorMatch, nn_match, ratio_match
 
-REGION = SecondMomentEllipse.circle(10.0, 10.0, 2.0)
+# every keypoint of as_set is the circle of radius 2 at (10, 10)
+CENTER = (10.0, 10.0)
+ABC = (0.25, 0.0, 0.25)
 
 
 def broadcast_distances(a, b):
@@ -85,9 +87,8 @@ def row_loop_ratio(a, b, ratio=0.8):
 
 def as_set(descs):
     """A KeypointSet carrying these descriptors; the matchers read only them."""
-    descs = np.asarray(descs, dtype=float)
-    kps = [Keypoint(REGION, row) for row in descs]
-    return KeypointSet("img", 100, 100, descs.shape[1], kps)
+    n = len(descs)
+    return KeypointSet("img", 100, 100, np.tile(CENTER, (n, 1)), np.tile(ABC, (n, 1)), descs)
 
 
 def as_tuples(matches):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repbench.errors import UndefinedMetric
-from repbench.formats import Keypoint, KeypointSet
+from repbench.formats import KeypointSet
 from repbench.geometry import Homography, SecondMomentEllipse
 from repbench.metrics import (
     Correspondence,
@@ -21,12 +21,12 @@ FAST = EvalConfig(normalize_radius=None, grid_step=0.5)
 
 
 def make_set(points, width=400, height=400, radius=4.0, descriptors=None):
-    dim = 0 if descriptors is None else len(descriptors[0])
-    kps = []
-    for idx, (x, y) in enumerate(points):
-        desc = None if descriptors is None else np.asarray(descriptors[idx], dtype=float)
-        kps.append(Keypoint(SecondMomentEllipse.circle(x, y, radius), desc))
-    return KeypointSet("img", width, height, dim, kps)
+    """Circles of radius `radius` (a scalar or one per point) at `points`."""
+    centers = np.asarray(points, dtype=float).reshape(-1, 2)
+    k = 1.0 / np.square(np.broadcast_to(radius, len(centers)))
+    abc = np.stack([k, np.zeros_like(k), k], axis=1)
+    descs = np.zeros((len(centers), 0)) if descriptors is None else descriptors
+    return KeypointSet("img", width, height, centers, abc, descs)
 
 
 def translation(dx, dy):
@@ -128,16 +128,7 @@ class TestFindCorrespondences:
         # with matching scale has lower overlap error and must win even
         # though the other is listed first
         ref = make_set([(100.0, 100.0)], radius=4.0)
-        test = KeypointSet(
-            "img",
-            400,
-            400,
-            0,
-            [
-                Keypoint(SecondMomentEllipse.circle(100.5, 100.0, 7.0), None),
-                Keypoint(SecondMomentEllipse.circle(100.5, 100.0, 4.0), None),
-            ],
-        )
+        test = make_set([(100.5, 100.0), (100.5, 100.0)], radius=[7.0, 4.0])
         corrs = find_correspondences(ref, test, Homography.identity(), FAST)
         assert [(c.ref_index, c.test_index) for c in corrs] == [(0, 1)]
 
@@ -166,7 +157,7 @@ class TestFindCorrespondences:
             test_pts = rng.uniform(30, 370, (n_test, 2))
             # plant some near-correspondences
             k = min(n_ref, n_test) // 2
-            planted = ref.centers()[:k] @ h.m[:2, :2].T + h.m[:2, 2]
+            planted = ref.centers[:k] @ h.m[:2, :2].T + h.m[:2, 2]
             test_pts[:k] = planted + rng.normal(0, 0.4, (k, 2))
             test = make_set(test_pts.tolist(), radius=3.0)
 

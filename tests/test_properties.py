@@ -73,8 +73,9 @@ def permuted(kset, order):
         kset.image_id,
         kset.width,
         kset.height,
-        kset.descriptor_dim,
-        [kset.keypoints[i] for i in order],
+        kset.centers[order],
+        kset.abc[order],
+        kset.descriptors[order],
     )
 
 

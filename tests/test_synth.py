@@ -288,10 +288,9 @@ class TestDeriveTest:
         # that follow.
         cfg = SynthConfig(seed=41, n_points=12, jitter_sigma=0.5, n_distractors=4, descriptor_dim=8)
         ref = generate_reference(cfg)
-        zeroed = KeypointSet(
-            ref.image_id, ref.width, ref.height, ref.descriptor_dim,
-            [Keypoint(ref.keypoints[0].region, np.zeros(8))] + ref.keypoints[1:],
-        )
+        descriptors = ref.descriptors.copy()
+        descriptors[0] = 0.0
+        zeroed = KeypointSet(ref.image_id, ref.width, ref.height, ref.centers, ref.abc, descriptors)
         h = Homography.identity()
         plain = derive_test(ref, h, cfg)
         fallback = derive_test(zeroed, h, cfg)
@@ -313,8 +312,7 @@ class TestDeriveTest:
         cfg = SynthConfig(seed=47, n_points=12, n_distractors=30, descriptor_dim=2)
         ref = generate_reference(cfg)
         negated = KeypointSet(
-            ref.image_id, ref.width, ref.height, ref.descriptor_dim,
-            [Keypoint(kp.region, -kp.descriptor) for kp in ref.keypoints],
+            ref.image_id, ref.width, ref.height, ref.centers, ref.abc, -ref.descriptors
         )
         h = Homography.identity()
         plain = derive_test(ref, h, cfg)
@@ -353,9 +351,23 @@ class TestBlockDraws:
 
 
 # ---------------------------------------------------------------------------
-# Frozen copy of the scalar synth implementation (one Python call per draw);
-# the block-drawing generator must write exactly the same bytes.
+# Frozen copy of the scalar synth implementation (one Python call per draw,
+# one Keypoint object per keypoint); the block-drawing generator must write
+# exactly the same bytes.
 # ---------------------------------------------------------------------------
+
+
+def _old_keypoint_set(image_id, width, height, dim, kps):
+    """The KeypointSet of a list of Keypoint objects."""
+    n = len(kps)
+    return KeypointSet(
+        image_id,
+        width,
+        height,
+        np.array([kp.region.center for kp in kps]).reshape(n, 2),
+        np.array([kp.region.shape.ravel()[[0, 1, 3]] for kp in kps]).reshape(n, 3),
+        np.array([kp.descriptor for kp in kps] if dim else []).reshape(n, dim),
+    )
 
 
 def _old_random_region(rng, cfg):
@@ -399,7 +411,9 @@ def old_generate_reference(cfg, image_id="ref"):
         region = _old_random_region(rng, cfg)
         desc = _old_unit_descriptor(rng, cfg.descriptor_dim) if cfg.descriptor_dim else None
         kps.append(Keypoint(region, desc))
-    return KeypointSet(image_id, cfg.image_width, cfg.image_height, cfg.descriptor_dim, kps)
+    return _old_keypoint_set(
+        image_id, cfg.image_width, cfg.image_height, cfg.descriptor_dim, kps
+    )
 
 
 def _old_transport_region(region, h):
@@ -463,7 +477,9 @@ def old_derive_test(ref, h, cfg, image_id="test"):
         if cfg.descriptor_dim:
             desc = _old_distractor_descriptor(rng, cfg.descriptor_dim, planted)
         kps.append(Keypoint(region, desc))
-    return KeypointSet(image_id, cfg.image_width, cfg.image_height, cfg.descriptor_dim, kps)
+    return _old_keypoint_set(
+        image_id, cfg.image_width, cfg.image_height, cfg.descriptor_dim, kps
+    )
 
 
 def old_write_keypoints(kset):
@@ -551,11 +567,9 @@ class TestBlockSynthMatchesScalar:
             seed=43, n_points=20, jitter_sigma=1.0, n_distractors=3, descriptor_dim=dim
         )
         ref = generate_reference(cfg)
-        zeroed = KeypointSet(
-            ref.image_id, ref.width, ref.height, ref.descriptor_dim,
-            [Keypoint(kp.region, np.zeros(dim)) if k % 3 == 0 else kp
-             for k, kp in enumerate(ref.keypoints)],
-        )
+        descriptors = ref.descriptors.copy()
+        descriptors[::3] = 0.0
+        zeroed = KeypointSet(ref.image_id, ref.width, ref.height, ref.centers, ref.abc, descriptors)
         h = Homography.identity()
         got = derive_test(zeroed, h, cfg)
         _assert_same_sets(got, old_derive_test(zeroed, h, cfg))
@@ -563,13 +577,14 @@ class TestBlockSynthMatchesScalar:
 
     def test_writer_matches_scalar_writer(self):
         # descriptors that are not float64 arrays are written as floats too
-        region = SecondMomentEllipse.circle(3.0, 4.5, 2.0)
         kset = KeypointSet(
-            "w", 10, 10, 3,
+            "w", 10, 10,
+            np.tile([3.0, 4.5], (3, 1)),
+            np.tile([0.25, 0.0, 0.25], (3, 1)),  # the circle of radius 2
             [
-                Keypoint(region, np.array([1, -2, 3])),
-                Keypoint(region, np.array([0.1, 1e-300, -0.0], dtype=np.float32)),
-                Keypoint(region, np.array([1 / 3, 2.5e17, -7.0])),
+                np.array([1, -2, 3]),
+                np.array([0.1, 1e-300, -0.0], dtype=np.float32),
+                np.array([1 / 3, 2.5e17, -7.0]),
             ],
         )
         assert write_keypoints(kset) == old_write_keypoints(kset)
