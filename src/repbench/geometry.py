@@ -8,6 +8,15 @@ regions are carried between the two frames by the local affine linearization
 The overlap error of two regions is estimated on a regular grid of cell
 centers over their joint bounding box; the cells inside each ellipse are
 counted row by row, as one run of columns per row, rather than one by one.
+
+Many pairs are handled in one pass over arrays: map_regions_to_reference
+transports K regions, and overlap_errors lays out the grid of each of K
+pairs and runs the rows of all the grids through one row kernel, a block
+of OVERLAP_BLOCK_ROWS rows at a time.  The one-pair functions
+(map_region_to_reference, overlap_error, overlap_row_counts) are K = 1
+calls into them, with the same bits.  close_pairs finds the point pairs
+closer than a radius with a spatial hash, bucketing one set in cells a
+little wider than the radius, rather than computing all N x M distances.
 """
 
 import math
@@ -24,6 +33,10 @@ MAX_OVERLAP_SAMPLES = 4_000_000
 
 # pairwise_distances holds about this many coordinate differences at a time.
 PAIRWISE_BLOCK_ELEMENTS = 1 << 16
+
+# overlap_errors runs its pairs' grid rows through the row kernel in blocks
+# of this many rows.
+OVERLAP_BLOCK_ROWS = 1 << 13
 
 
 class Homography:
@@ -102,6 +115,11 @@ class SecondMomentEllipse:
     def det(self):
         s = self.shape
         return s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
+
+    @property
+    def abc(self):
+        """(a, b, c) of the region a(x-u)^2 + 2b(x-u)(y-v) + c(y-v)^2 <= 1."""
+        return self.shape[[0, 0, 1], [0, 1, 1]]
 
     @property
     def area(self):
@@ -208,6 +226,57 @@ def indexed_distances(a, b, rows, cols):
     return np.sqrt(out, out=out)
 
 
+def close_pairs(a, b, radius):
+    """Every pair of 2-D points closer than `radius`, without the N x M matrix.
+
+    Returns (i, j, d) in row-major (i, j) order, d = sqrt(dx*dx + dy*dy)
+    < radius for (dx, dy) = a[i] - b[j]: the bits of pairwise_distances(a,
+    b)[i, j].  The points of b are bucketed in square cells a little wider
+    than radius, and each point of a is looked up in the 3 x 3 cells around
+    its own (spatial hashing, Teschner et al., VMV 2003), so only pairs in
+    neighbouring cells get a distance.  Memory is O(N + M + those pairs).
+    """
+    a = np.asarray(a, dtype=float).reshape(-1, 2)
+    b = np.asarray(b, dtype=float).reshape(-1, 2)
+    if len(a) == 0 or len(b) == 0:
+        none = np.empty(0, dtype=np.int64)
+        return none, none, np.empty(0)
+    # A pair closer than radius differs by less than radius * (1 + 4 eps) in
+    # each coordinate, and x / cell rounds by at most eps |x| / cell, so
+    # cells wider than radius by those amounts put such a pair at most one
+    # cell apart on each axis.  Wider cells are never wrong, only slower:
+    # a's cells span at most 2**26 per axis, so cell keys fit in int64.
+    lo, hi = a.min(axis=0), a.max(axis=0)
+    cell = max(radius * (1.0 + 2.0**-20) + float(np.abs(a).max()) * 2.0**-40,
+               float((hi - lo).max()) * 2.0**-26)
+    cells_a = np.floor(a / cell)
+    cells_b = np.floor(b / cell)
+    first = cells_a.min(axis=0) - 1.0
+    last = cells_a.max(axis=0) + 1.0
+    # a point of b outside the cells probed for a is never close
+    near = np.flatnonzero(((cells_b >= first) & (cells_b <= last)).all(axis=1))
+    side = int(last[1] - first[1]) + 1
+
+    def keys(cells):
+        column, row = (cells - first).astype(np.int64).T
+        return column * side + row
+
+    by_key = near[np.argsort(keys(cells_b[near]), kind="stable")]
+    sorted_keys = keys(cells_b[by_key])
+    probes = keys(cells_a)[:, None] + (np.arange(-1, 2)[:, None] * side + np.arange(-1, 2)).ravel()
+    start = np.searchsorted(sorted_keys, probes, "left").ravel()
+    count = np.searchsorted(sorted_keys, probes, "right").ravel() - start
+    i = np.repeat(np.arange(len(a)), count.reshape(len(a), 9).sum(axis=1))
+    run = np.repeat(start - (np.cumsum(count) - count), count)
+    j = by_key[run + np.arange(len(run))]
+    dx = a[i, 0] - b[j, 0]
+    dy = a[i, 1] - b[j, 1]
+    d = np.sqrt(dx * dx + dy * dy)
+    close = np.flatnonzero(d < radius)
+    close = close[np.lexsort((j[close], i[close]))]
+    return i[close], j[close], d[close]
+
+
 def homography_jacobian(h, p):
     """Exact 2x2 Jacobian of the projective map at point p.
 
@@ -235,18 +304,65 @@ def map_region_to_reference(h, ref_center, test_region):
 
     The shape matrix is transported by the quadratic form A^T mu A with
     A = homography_jacobian(h, ref_center); the center is mapped projectively
-    through the inverse homography.  Exact when h is affine.
+    through the inverse homography.  Exact when h is affine.  One pair of
+    `map_regions_to_reference`.
     """
-    a = homography_jacobian(h, ref_center)
-    shape = a.T @ test_region.shape @ a
-    center = project_point(h.inverse(), test_region.center)
+    centers, abc, at_infinity = map_regions_to_reference(
+        h, np.asarray(ref_center, dtype=float)[None], test_region.center[None],
+        test_region.abc[None],
+    )
+    x, y = float(ref_center[0]), float(ref_center[1])
+    if at_infinity[0]:
+        raise PointAtInfinity(f"point ({x:g}, {y:g}) or its test region's center maps to infinity")
     try:
-        return SecondMomentEllipse(center, 0.5 * (shape + shape.T))
+        return SecondMomentEllipse.from_abc(*centers[0].tolist(), *abc[0].tolist())
     except DegenerateRegion as exc:
-        raise DegenerateRegion(
-            f"Jacobian at ({float(ref_center[0]):g}, {float(ref_center[1]):g}) "
-            f"degenerates the region: {exc}"
-        ) from exc
+        raise DegenerateRegion(f"Jacobian at ({x:g}, {y:g}) degenerates the region: {exc}") from exc
+
+
+def map_regions_to_reference(h, ref_centers, test_centers, test_abc):
+    """map_region_to_reference of K regions at once, with the same bits.
+
+    Test region k has center test_centers[k] and coefficients test_abc[k]
+    = (a, b, c); it is transported around ref_centers[k].  Returns
+    (centers, abc, at_infinity): the (K, 2) centers and (K, 3) coefficients
+    of the regions in the reference frame, and the mask of the pairs for
+    which map_region_to_reference raises PointAtInfinity, whose values are
+    meaningless.  The values are not checked further.  The Jacobian and
+    the projection are homography_jacobian's and project_point's
+    expressions element by element, and the transport is a stacked matmul,
+    which has the per-pair `@`'s kernel and bits.
+    """
+    (x, y), (tx, ty) = ref_centers.T, test_centers.T
+    m, mi = h.m, h.inverse().m
+    with np.errstate(all="ignore"):
+        # homography_jacobian(h, ref center)
+        u = m[0, 0] * x + m[0, 1] * y + m[0, 2]
+        v = m[1, 0] * x + m[1, 1] * y + m[1, 2]
+        w = m[2, 0] * x + m[2, 1] * y + m[2, 2]
+        w2 = w * w
+        jac = np.stack(
+            [(m[0, 0] * w - u * m[2, 0]) / w2, (m[0, 1] * w - u * m[2, 1]) / w2,
+             (m[1, 0] * w - v * m[2, 0]) / w2, (m[1, 1] * w - v * m[2, 1]) / w2],
+            axis=1,
+        ).reshape(-1, 2, 2)
+        # project_point(h^-1, test center)
+        wi = mi[2, 0] * tx + mi[2, 1] * ty + mi[2, 2]
+        centers = np.stack(
+            [(mi[0, 0] * tx + mi[0, 1] * ty + mi[0, 2]) / wi,
+             (mi[1, 0] * tx + mi[1, 1] * ty + mi[1, 2]) / wi],
+            axis=1,
+        )
+        # A^T mu A, made symmetric as 0.5 * (shape + shape.T)
+        t = np.matmul(np.matmul(jac.transpose(0, 2, 1), test_abc[:, [0, 1, 1, 2]].reshape(-1, 2, 2)),
+                      jac)
+        abc = np.stack(
+            [0.5 * (t[:, 0, 0] + t[:, 0, 0]), 0.5 * (t[:, 0, 1] + t[:, 1, 0]),
+             0.5 * (t[:, 1, 1] + t[:, 1, 1])],
+            axis=1,
+        )
+    at_infinity = (np.abs(w) < PROJECTIVE_EPS) | (np.abs(wi) < PROJECTIVE_EPS)
+    return centers, abc, at_infinity
 
 
 def normalize_pair(ref, test, target_radius):
@@ -274,16 +390,11 @@ def overlap_error(e1, e2, grid_step):
     symmetric in its arguments.  The pitch is clamped so that each region is
     guaranteed at least one sample and the total sample count stays below
     MAX_OVERLAP_SAMPLES.  The cell centers are counted row by row (see
-    `overlap_row_counts`).  Result clamped to [0, 1].
+    `overlap_row_counts`).  Result clamped to [0, 1].  One pair of
+    `overlap_errors`.
     """
-    n, both = overlap_row_counts(e1, e2, grid_step)
-    inter = int(both.sum())
-    union = int(n.sum()) - inter
-    if union == 0:
-        # Only reachable when the sample cap forced a pitch coarser than the
-        # smaller region; such pairs are effectively disjoint at this scale.
-        return 0.0 if np.array_equal(e1.center, e2.center) else 1.0
-    return min(1.0, max(0.0, 1.0 - inter / union))
+    return float(overlap_errors(e1.center[None], e1.abc[None], e2.center[None], e2.abc[None],
+                                grid_step)[0])
 
 
 def overlap_row_counts(e1, e2, grid_step):
@@ -296,67 +407,180 @@ def overlap_row_counts(e1, e2, grid_step):
     those cells form one run of columns between the two roots of that
     quadratic in dx, so the roots give the ends of the run and only the cell
     nearest each root is put to the test above.  Cost is O(rows), and the
-    counts equal those of testing every cell.
+    counts equal those of testing every cell.  One pair of the row kernel
+    that `overlap_errors` runs over many.
     """
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
+    per_pair, ny = _grid_constants(
+        np.stack([e1.center, e2.center])[:, None], np.stack([e1.abc, e2.abc])[:, None], grid_step
+    )
+    return _row_counts(np.repeat(per_pair, ny, axis=1), np.arange(ny[0]))
 
-    w1, h1 = e1.half_extents()
-    w2, h2 = e2.half_extents()
-    (x1, y1), (x2, y2) = e1.center.tolist(), e2.center.tolist()
-    xmin = min(x1 - w1, x2 - w2)
-    xmax = max(x1 + w1, x2 + w2)
-    ymin = min(y1 - h1, y2 - h2)
-    ymax = max(y1 + h1, y2 + h2)
+
+def overlap_errors(centers1, abc1, centers2, abc2, grid_step):
+    """overlap_error of K region pairs, as a (K,) array of the same bits.
+
+    Region k of each side has center centers[k] and shape coefficients
+    abc[k] = (a, b, c) of a(x-u)^2 + 2b(x-u)(y-v) + c(y-v)^2 <= 1;
+    grid_step is one pitch or one per pair.  Each pair gets the grid
+    overlap_error lays out, and the rows of all the grids, concatenated,
+    go through one row kernel (overlap_row_counts) OVERLAP_BLOCK_ROWS rows
+    at a time, so memory stays O(K + OVERLAP_BLOCK_ROWS) however many rows
+    there are.  Raises what overlap_error raises for the first pair that
+    cannot be scored.
+    """
+    per_pair, ny = _grid_constants(np.stack([centers1, centers2]), np.stack([abc1, abc2]),
+                                   grid_step)
+    ends = np.cumsum(ny)
+    starts = ends - ny
+    rows = int(ends[-1]) if len(ends) else 0
+    inter = np.zeros(len(ny))
+    total = np.zeros(len(ny))
+    for g0 in range(0, rows, OVERLAP_BLOCK_ROWS):
+        g1 = min(g0 + OVERLAP_BLOCK_ROWS, rows)
+        # the pairs with rows in [g0, g1), and how many each has there
+        k0, k1 = np.searchsorted(ends, g0, "right"), np.searchsorted(starts, g1)
+        count = np.minimum(ends[k0:k1], g1) - np.maximum(starts[k0:k1], g0)
+        n, both = _row_counts(np.repeat(per_pair[:, k0:k1], count, axis=1),
+                              np.arange(g0, g1) - np.repeat(starts[k0:k1], count))
+        at = np.cumsum(count) - count
+        # The counts are integers well below 2**53, so these sums and the
+        # ratio below round as overlap_error's Python integers did.
+        inter[k0:k1] += np.add.reduceat(both, at)
+        total[k0:k1] += np.add.reduceat(n[0] + n[1], at)
+    union = total - inter
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = np.minimum(1.0, np.maximum(0.0, 1.0 - inter / union))
+    # Only reachable when the sample cap forced a pitch coarser than the
+    # smaller region; such pairs are effectively disjoint at this scale.
+    disjoint = np.where((centers1 == centers2).all(axis=1), 0.0, 1.0)
+    return np.where(union == 0, disjoint, err)
+
+
+def minor_semiaxes(abc):
+    """SecondMomentEllipse.semiaxes()[1] of each row (a, b, c), same bits.
+
+    Raises what semiaxes raises (ValueError or ZeroDivisionError) when the
+    smaller eigenvalue of a region rounds to zero or below, which takes an
+    axis ratio of about 1e8.
+    """
+    a, b, c = abc.T
+    # math.hypot, not np.hypot: the two differ in the last bit on some inputs
+    half_spread = np.fromiter(map(math.hypot, (0.5 * (a - c)).tolist(), b.tolist()), float,
+                              len(a))
+    mid = 0.5 * (a + c)
+    lo = mid - half_spread
+    bad = np.flatnonzero(lo <= 0.0)
+    if len(bad):
+        if lo[bad[0]] < 0.0:
+            raise ValueError("math domain error")
+        raise ZeroDivisionError("float division by zero")
+    return 1.0 / np.sqrt(mid + half_spread)
+
+
+def _grid_constants(centers, abc, grid_step):
+    """The overlap_error grid of each pair, as the row kernel's constants.
+
+    centers (2, K, 2) and abc (2, K, 3) hold the first and second region of
+    each pair.  Returns (per_pair, ny): the (23, K) constants that
+    _row_counts reads, and the number of grid rows of each pair.
+    """
+    if np.any(np.asarray(grid_step) <= 0):
+        raise ValueError("grid_step must be positive")
+    (cx, cy), (a, b, c) = np.moveaxis(centers, 2, 0), np.moveaxis(abc, 2, 0)
+    det = a * c - b * b
+    # half_extents of each region
+    half_w, half_h = np.sqrt(c / det), np.sqrt(a / det)
+    xmin = np.minimum(*(cx - half_w))
+    width = np.maximum(*(cx + half_w)) - xmin
+    ymin = np.minimum(*(cy - half_h))
+    height = np.maximum(*(cy + half_h)) - ymin
 
     # A disk of radius r always contains a cell center once the pitch is <= r,
     # so clamping at the smaller minor semiaxis keeps both counts nonzero.
-    minor = min(e1.semiaxes()[1], e2.semiaxes()[1])
-    step = min(grid_step, minor)
-    nx = math.ceil((xmax - xmin) / step)
-    ny = math.ceil((ymax - ymin) / step)
-    while nx * ny > MAX_OVERLAP_SAMPLES:
-        step *= math.sqrt(nx * ny / MAX_OVERLAP_SAMPLES) * 1.0001
-        nx = math.ceil((xmax - xmin) / step)
-        ny = math.ceil((ymax - ymin) / step)
+    step = np.minimum(grid_step, np.minimum(minor_semiaxes(abc[0]), minor_semiaxes(abc[1])))
+    nx = np.ceil(width / step)
+    ny = np.ceil(height / step)
+    if not (np.isfinite(nx).all() and np.isfinite(ny).all()):
+        raise OverflowError("cannot convert float infinity to integer")
+    # nx * ny rounds, but never across the cap; the few grids over it are
+    # coarsened in Python integers, as overlap_error always did.
+    for k in np.flatnonzero(nx * ny > MAX_OVERLAP_SAMPLES).tolist():
+        s, w, h = float(step[k]), float(width[k]), float(height[k])
+        nxk, nyk = math.ceil(w / s), math.ceil(h / s)
+        while nxk * nyk > MAX_OVERLAP_SAMPLES:
+            s *= math.sqrt(nxk * nyk / MAX_OVERLAP_SAMPLES) * 1.0001
+            nxk, nyk = math.ceil(w / s), math.ceil(h / s)
+        step[k], ny[k] = s, nyk
 
-    # Row j, column k has its center at (xmin + (k + 0.5) * step,
+    # Row j of a grid, column k has its center at (xmin + (k + 0.5) * step,
     # ymin + (j + 0.5) * step); an ellipse covers columns lo <= k < end of
-    # row j.  The arrays below are indexed [lo of e1, lo of e2, end of e1,
-    # end of e2][row], one root each.  The cell nearest the root is m at lo
-    # and m - 1 at end, its center column m + half_cell in both cases; the
-    # run ends at m if that cell passes the inside test, else one column
-    # inward (s is the outward direction).
-    per_ellipse = []
-    for e in (e1, e2):
-        (cx, cy), ((a, b), (_, c)) = e.center.tolist(), e.shape.tolist()
-        a_step = a * step
-        per_ellipse.append(
-            [cx, -cy, a, c, 2.0 * b, b / a_step, 1.0 / (a_step * step),
-             (a * c - b * b) / (a_step * a_step), (cx - xmin) / step]
-        )
-    slots = np.array(
-        [
-            p[:-1] + [p[-1] - half_cell, s, half_cell]
-            for s, half_cell in ((-1.0, 0.5), (1.0, -0.5))
-            for p in per_ellipse
-        ]
+    # row j.  The cell nearest a root is m at the low end and m - 1 at the
+    # end, its center column m + half in both cases; the run ends at m if
+    # that cell passes the inside test, else one column inward.  x0 - half
+    # is kept for each end, indexed [end, ellipse] like m.
+    a_step = a * step
+    if np.any((a_step == 0.0) | (a_step * step == 0.0) | (a_step * a_step == 0.0)):
+        raise ZeroDivisionError("float division by zero")
+    x0 = (cx - xmin) / step
+    per_pair = np.concatenate(
+        [cx, cy, a, c, 2.0 * b, b / a_step, 1.0 / (a_step * step),
+         (a * c - b * b) / (a_step * a_step), x0 - 0.5, x0 + 0.5, [xmin, ymin, step]]
     )
-    cx, _, a, c, b2, b_col, a0, d0, x0, s, half_cell = (
-        slots.T.repeat(ny, axis=1).reshape(-1, 4, ny)
-    )
-    # (-cy) + y is y - cy exactly, so dy is the offset every-cell sampling uses.
-    dy = np.add.outer(slots[:, 1], ymin + np.arange(0.5, ny) * step)
+    return per_pair, ny.astype(np.int64)
+
+
+_HALF = np.array([0.5, -0.5])[:, None, None]
+
+
+def _row_counts(rows, j):
+    """The row kernel: (n, both) of overlap_row_counts for R grid rows,
+    row j[r] of the grid whose _grid_constants are rows[:, r]."""
+    cx, cy, a, c, b2, b_col, a0, d0, *x0 = rows[:20].reshape(10, 2, -1)
+    xmin, ymin, step = rows[20:]
+    # Explicit out= arguments keep numpy from eliding temporaries, which is
+    # far slower on arrays this large; each value is the expression in the
+    # comment above it, operation for operation.
+    # dy = (ymin + (j + 0.5) * step) - cy; y - cy has the bits of (-cy) + y,
+    # the offset every-cell sampling uses.
+    dy = j + 0.5
+    dy *= step
+    dy += ymin
+    dy = dy - cy
     # Roots at dx = (-b*dy -+ sqrt(a - det*dy^2)) / a, in columns
-    # x0 - b_col*dy + s*sqrt(a0 - d0*dy^2); a row the ellipse misses gets an
+    # x0 - b_col*dy -+ sqrt(a0 - d0*dy^2); a row the ellipse misses gets an
     # empty run at its chord midpoint.  Rounding moves a root by far less
     # than half a column, which leaves the cell nearest it the only one in
     # doubt.
-    disc = np.maximum(a0 - d0 * (dy * dy), 0.0)
-    m = np.rint(x0 - b_col * dy + s * np.sqrt(disc))
-    dx = (xmin + (m + half_cell) * step) - cx
-    q = (a * dx * dx) + (c * dy * dy) + b2 * (dy * dx)
-    lo, end = (m - s * (q > 1.0)).reshape(2, 2, ny)
+    # root = sqrt(max(a0 - d0 * (dy * dy), 0))
+    root = np.multiply(dy, dy)
+    root *= d0
+    np.subtract(a0, root, out=root)
+    np.maximum(root, 0.0, out=root)
+    np.sqrt(root, out=root)
+    # m = rint(x0 - b_col * dy + s * root), s = -1 at the low end, +1 at the end
+    m = np.subtract(x0, b_col * dy)
+    m[0] -= root
+    m[1] += root
+    np.rint(m, out=m)
+    # dx = (xmin + (m + half) * step) - cx
+    dx = np.add(m, _HALF)
+    dx *= step
+    dx += xmin
+    dx -= cx
+    # q = (a * dx * dx) + (c * dy * dy) + b2 * (dy * dx)
+    q = np.multiply(a, dx)
+    q *= dx
+    cdy = np.multiply(c, dy)
+    cdy *= dy
+    q += cdy
+    dx *= dy
+    dx *= b2
+    q += dx
+    # lo, end = m - s * (q > 1)
+    outside = q > 1.0
+    lo, end = m
+    lo += outside[0]
+    end -= outside[1]
 
     n = np.maximum(end - lo, 0)
     both = np.maximum(np.minimum(end[0], end[1]) - np.maximum(lo[0], lo[1]), 0)

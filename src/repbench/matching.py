@@ -51,7 +51,9 @@ TOL_FACTOR = 4
 
 # nn_match re-scores entries one by one while they are at most this share
 # of the open entries; beyond it, every open distance is computed in blocks
-# and the plain greedy finishes.
+# and the plain greedy finishes.  ratio_match likewise computes every
+# distance when more than this share of all entries is near a row's second
+# smallest estimate.
 MAX_RESCORE_SHARE = 1 / 8
 
 # nn_match stops peeling, and the greedy finishes, after a round that
@@ -293,18 +295,26 @@ def ratio_match(ref, test, ratio=0.8):
         approx[every, k] = smallest
     far = approx > (second + 2 * row_tol)[:, None]
     del approx
-    r, c = np.nonzero(np.logical_not(far, out=far))
-    del far
-    d = indexed_distances(a, b, r, c)
-    best = _first_minimum(r, d)
-    nearest = c[best]
-    d1 = d[best]
-    if m == 1:
-        keep = np.arange(n)
+    if far.size - np.count_nonzero(far) > MAX_RESCORE_SHARE * far.size:
+        # most entries are near: every distance, in blocks, is cheaper than
+        # gathering them one by one, and has the same bits
+        del far
+        d = pairwise_distances(a, b)
+        every = np.arange(n)
+        nearest = d.argmin(axis=1)
+        d1 = d[every, nearest]
+        d[every, nearest] = np.inf
+        d2 = d.min(axis=1)
     else:
+        r, c = np.nonzero(np.logical_not(far, out=far))
+        del far
+        d = indexed_distances(a, b, r, c)
+        best = _first_minimum(r, d)
+        nearest = c[best]
+        d1 = d[best]
         d[best] = np.inf
         d2 = np.minimum.reduceat(d, np.flatnonzero(np.diff(r, prepend=-1)))
-        keep = np.flatnonzero(d1 < ratio * d2)
+    keep = np.arange(n) if m == 1 else np.flatnonzero(d1 < ratio * d2)
     # rows are unique, so a stable sort by d1 breaks ties by (row, column)
     by_d1 = keep[np.argsort(d1[keep], kind="stable")]
     taken = by_d1[_greedy(by_d1 * m + nearest[by_d1], n, m)]

@@ -16,6 +16,13 @@ The predicate is evaluated in one place, candidate_table, which scores every
 common-part pair once.  The correspondences are resolved from that table,
 and the true matches (matching.verify_matches) are the descriptor matches
 found in it, so a pair is a true match only if it is a candidate.
+
+candidate_table finds the pairs within epsilon_px with a spatial hash of
+the test centers (geometry.close_pairs), never the N x M distance matrix,
+and scores all of them in one pass over arrays (_overlap_errors): the
+transport into the reference frame, the rescaling, the grid pitch and the
+overlap grids, in the operation order of the one-pair
+region_overlap_error, so every table entry has its bits.
 """
 
 from dataclasses import dataclass
@@ -24,11 +31,10 @@ import numpy as np
 
 from .errors import DegenerateRegion, PointAtInfinity, UndefinedMetric
 from .geometry import (
-    default_grid_step,
-    map_region_to_reference,
-    normalize_pair,
-    overlap_error,
-    pairwise_distances,
+    close_pairs,
+    map_regions_to_reference,
+    minor_semiaxes,
+    overlap_errors,
     project_points,
 )
 from .matching import match_descriptors, verify_matches
@@ -115,14 +121,67 @@ def region_overlap_error(ref_region, test_region, h, cfg):
 
     The test region is transported by the Jacobian quadratic form around the
     reference center, then both regions are optionally rescaled so the
-    reference one matches cfg.normalize_radius before sampling.
+    reference one matches cfg.normalize_radius before sampling.  Raises
+    PointAtInfinity or DegenerateRegion when the pair cannot be scored.  One
+    pair of `_overlap_errors`.
     """
-    mapped = map_region_to_reference(h, ref_region.center, test_region)
-    a, b = ref_region, mapped
+    err, at_infinity = _overlap_errors(
+        ref_region.center[None], ref_region.abc[None],
+        test_region.center[None], test_region.abc[None], h, cfg,
+    )
+    if at_infinity[0]:
+        raise PointAtInfinity(
+            f"reference center ({ref_region.center[0]:g}, {ref_region.center[1]:g}) or test "
+            f"center ({test_region.center[0]:g}, {test_region.center[1]:g}) maps to infinity"
+        )
+    if np.isnan(err[0]):
+        raise DegenerateRegion("transported or rescaled region is not positive definite")
+    return float(err[0])
+
+
+def _overlap_errors(ref_centers, ref_abc, test_centers, test_abc, h, cfg):
+    """region_overlap_error of K candidate pairs, in one pass over arrays.
+
+    The regions are given as (K, 2) centers and (K, 3) coefficients (a, b,
+    c).  Returns (err, at_infinity): err[k] has the bits of
+    region_overlap_error for pair k, or is NaN where that raises
+    PointAtInfinity (at_infinity[k] set) or DegenerateRegion.  Each step
+    is the per-pair code's, in its operation order: the transport
+    (geometry.map_regions_to_reference), normalize_pair, default_grid_step
+    and the overlap grid (geometry.overlap_errors).  A region that turns
+    non-finite raises ValueError, as SecondMomentEllipse does.
+    """
+    center, test_abc, at_infinity = map_regions_to_reference(h, ref_centers, test_centers,
+                                                             test_abc)
+    scored = _valid_regions(~at_infinity, center, test_abc)
     if cfg.normalize_radius is not None:
-        a, b = normalize_pair(a, b, cfg.normalize_radius)
-    step = cfg.grid_step if cfg.grid_step is not None else default_grid_step(a, b)
-    return overlap_error(a, b, step)
+        a, b, c = ref_abc.T
+        r = cfg.normalize_radius
+        with np.errstate(all="ignore"):
+            s2 = 1.0 / (r * r * np.sqrt(a * c - b * b))
+            ref_abc = ref_abc * s2[:, None]
+            test_abc = test_abc * s2[:, None]
+        scored = _valid_regions(scored, ref_centers, ref_abc)
+        scored = _valid_regions(scored, center, test_abc)
+    keep = np.flatnonzero(scored)
+    ref_abc, test_abc = ref_abc[keep], test_abc[keep]
+    step = cfg.grid_step
+    if step is None:
+        step = np.minimum(0.1, np.minimum(minor_semiaxes(ref_abc), minor_semiaxes(test_abc)) / 100.0)
+    err = np.full(len(scored), np.nan)
+    err[keep] = overlap_errors(ref_centers[keep], ref_abc, center[keep], test_abc, step)
+    return err, at_infinity
+
+
+def _valid_regions(scored, centers, abc):
+    """`scored` less the regions that SecondMomentEllipse would reject as
+    not positive definite; raises ValueError, as it does, when a scored
+    region is not finite."""
+    finite = np.isfinite(centers).all(axis=1) & np.isfinite(abc).all(axis=1)
+    if not finite[scored].all():
+        raise ValueError("ellipse center and shape must be finite")
+    a, b, c = abc.T
+    return scored & (a > 0.0) & (c > 0.0) & (a * c - b * b > 0.0)
 
 
 def candidate_table(ref, test, h, cfg=EvalConfig()):
@@ -132,25 +191,29 @@ def candidate_table(ref, test, h, cfg=EvalConfig()):
     common_part_filter, and a dict mapping (ref_index, test_index) to
     (overlap_err, center_distance) for every common-part pair whose
     test-frame center distance is below cfg.epsilon_px and whose overlap
-    error is below cfg.max_overlap_error.  Pairs whose overlap error raises
-    DegenerateRegion or PointAtInfinity are left out.
+    error is below cfg.max_overlap_error, in row-major (ref, test) order.
+    Pairs whose overlap error raises DegenerateRegion or PointAtInfinity
+    are left out.
+
+    The pairs within epsilon come from a spatial hash of the test centers
+    (geometry.close_pairs), with the distance bits of the N x M matrix it
+    replaces, and all of them are scored in one pass over arrays
+    (_overlap_errors), a block of grid rows at a time.
     """
     ref_idx, test_idx = common_part_filter(ref, test, h)
     proj, ok = project_points(h, ref.centers[ref_idx])
     # common-part membership already implies a finite projection
     assert bool(np.all(ok))
-    d = pairwise_distances(proj, test.centers[test_idx])
-    table = {}
-    cand_i, cand_j = np.nonzero(d < cfg.epsilon_px)
-    for i, j in zip(cand_i.tolist(), cand_j.tolist()):
-        ri = int(ref_idx[i])
-        tj = int(test_idx[j])
-        try:
-            err = region_overlap_error(ref.region(ri), test.region(tj), h, cfg)
-        except (DegenerateRegion, PointAtInfinity):
-            continue
-        if err < cfg.max_overlap_error:
-            table[ri, tj] = (err, float(d[i, j]))
+    i, j, dist = close_pairs(proj, test.centers[test_idx], cfg.epsilon_px)
+    ri, tj = ref_idx[i], test_idx[j]
+    err, _ = _overlap_errors(ref.centers[ri], ref.abc[ri], test.centers[tj], test.abc[tj], h, cfg)
+    keep = np.flatnonzero(err < cfg.max_overlap_error)
+    table = dict(
+        zip(
+            zip(ri[keep].tolist(), tj[keep].tolist()),
+            zip(err[keep].tolist(), dist[keep].tolist()),
+        )
+    )
     return ref_idx, test_idx, table
 
 

@@ -271,25 +271,43 @@ def test_one_hub_takes_several_rounds(monkeypatch):
         assert len(rounds) >= 2
 
 
+def degenerate_pair(kind, n=1000):
+    x = np.arange(n, dtype=float)
+    if kind == "identical":
+        a = np.tile(np.random.default_rng(3012).normal(size=4), (n, 1))
+        return a, a
+    if kind == "lattice":
+        # every reference point is 1 from two test points: ties everywhere
+        return (2 * x)[:, None], (2 * x + 1)[:, None]
+    # interleaved points whose gaps grow along the line
+    pos = np.cumsum(1 + 1e-3 * np.arange(2 * n))
+    return np.c_[pos[0::2], 0 * x], np.c_[pos[1::2], 0 * x]
+
+
 @pytest.mark.parametrize("kind", ["identical", "lattice", "chain"])
 def test_degenerate_inputs_reach_the_greedy(monkeypatch, kind):
     """One match per peeling round for 1000 rounds, unless the greedy ends it."""
-    n = 1000
-    x = np.arange(n, dtype=float)
-    if kind == "identical":
-        a = b = np.tile(np.random.default_rng(3012).normal(size=4), (n, 1))
-    elif kind == "lattice":
-        # every reference point is 1 from two test points: ties everywhere
-        a, b = (2 * x)[:, None], (2 * x + 1)[:, None]
-    else:
-        # interleaved points whose gaps grow along the line
-        pos = np.cumsum(1 + 1e-3 * np.arange(2 * n))
-        a, b = np.c_[pos[0::2], 0 * x], np.c_[pos[1::2], 0 * x]
+    a, b = degenerate_pair(kind)
     rounds = count_calls(monkeypatch, "_near_minimum")
     greedy = count_calls(monkeypatch, "_greedy")
     assert as_tuples(nn_match(as_set(a), as_set(b))) == as_tuples(full_sort_nn(a, b))
     assert len(rounds) == 1
     assert greedy
+
+
+@pytest.mark.parametrize("ending", ["dense", "filtered"])
+@pytest.mark.parametrize("kind", ["identical", "lattice", "chain"])
+def test_degenerate_inputs_ratio_endings(monkeypatch, kind, ending):
+    """ratio_match on the degenerate families, made to take every distance
+    in blocks (dense) or to gather the near entries one by one (filtered)."""
+    monkeypatch.setattr(matching, "MAX_RESCORE_SHARE", 0.0 if ending == "dense" else math.inf)
+    dense = count_calls(monkeypatch, "pairwise_distances")
+    gathered = count_calls(monkeypatch, "indexed_distances")
+    a, b = degenerate_pair(kind)
+    for ratio in (0.5, 0.99):
+        got = as_tuples(ratio_match(as_set(a), as_set(b), ratio))
+        assert got == as_tuples(row_loop_ratio(a, b, ratio))
+    assert (len(dense), len(gathered)) == ((2, 0) if ending == "dense" else (0, 2))
 
 
 def test_random_detector_scale(monkeypatch):
