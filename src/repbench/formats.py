@@ -62,7 +62,8 @@ class KeypointSet:
             & np.isfinite(self.descriptors).all(axis=1)
         )
         a, b, c = self.abc.T
-        with np.errstate(invalid="ignore"):
+        # a * c may overflow to inf, which passes, as a Python float's did
+        with np.errstate(invalid="ignore", over="ignore"):
             definite = (a > 0.0) & (c > 0.0) & (a * c - b * b > 0.0)
         bad = np.flatnonzero(~(finite & definite))
         if len(bad):

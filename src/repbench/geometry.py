@@ -9,10 +9,11 @@ The overlap error of two regions is estimated on a regular grid of cell
 centers over their joint bounding box; the cells inside each ellipse are
 counted row by row, as one run of columns per row, rather than one by one.
 
-Many pairs are handled in one pass over arrays: map_regions_to_reference
-transports K regions, and overlap_errors lays out the grid of each of K
-pairs and runs the rows of all the grids through one row kernel, a block
-of OVERLAP_BLOCK_ROWS rows at a time.  The one-pair functions
+Many pairs are handled in one pass over arrays: homography_jacobians
+linearises the map at K points, map_regions_to_reference transports K
+regions (through transport_shapes), and overlap_errors lays out the grid
+of each of K pairs and runs the rows of all the grids through one row
+kernel, a block of OVERLAP_BLOCK_ROWS rows at a time.  The one-pair functions
 (map_region_to_reference, overlap_error, overlap_row_counts) are K = 1
 calls into them, with the same bits.  close_pairs finds the point pairs
 closer than a radius with a spatial hash, bucketing one set in cells a
@@ -131,11 +132,19 @@ class SecondMomentEllipse:
         return self.det ** -0.25
 
     def semiaxes(self):
-        """(major, minor) semiaxis lengths in pixels."""
+        """(major, minor) semiaxis lengths in pixels.
+
+        Raises DegenerateRegion for a needle, whose smaller eigenvalue
+        rounds to zero or below, which takes an axis ratio of about 1e8.
+        """
         (a, b), (_, c) = self.shape.tolist()
         half_spread = math.hypot(0.5 * (a - c), b)
         lo = 0.5 * (a + c) - half_spread
         hi = 0.5 * (a + c) + half_spread
+        if lo <= 0.0:
+            raise DegenerateRegion(
+                f"smaller eigenvalue rounds to {lo:g} (a={a:g}, b={b:g}, c={c:g})"
+            )
         return 1.0 / math.sqrt(lo), 1.0 / math.sqrt(hi)
 
     def half_extents(self):
@@ -205,7 +214,9 @@ def pairwise_distances(a, b):
     for i0 in range(0, n, rows):
         block = buf[: min(rows, n - i0)]
         np.subtract(a[i0 : i0 + rows, None, :], b[None], out=block)
-        np.multiply(block, block, out=block)
+        # far-apart points overflow to an infinite distance, as intended
+        with np.errstate(over="ignore"):
+            np.multiply(block, block, out=block)
         block.sum(axis=2, out=out[i0 : i0 + rows])
     return np.sqrt(out, out=out)
 
@@ -290,13 +301,39 @@ def homography_jacobian(h, p):
     w = m[2, 0] * x + m[2, 1] * y + m[2, 2]
     if abs(w) < PROJECTIVE_EPS:
         raise PointAtInfinity(f"point ({x:g}, {y:g}) maps to infinity")
-    w2 = w * w
-    return np.array(
-        [
-            [(m[0, 0] * w - u * m[2, 0]) / w2, (m[0, 1] * w - u * m[2, 1]) / w2],
-            [(m[1, 0] * w - v * m[2, 0]) / w2, (m[1, 1] * w - v * m[2, 1]) / w2],
-        ]
-    )
+    # w * w may overflow, which rounds the Jacobian towards 0
+    with np.errstate(all="ignore"):
+        w2 = w * w
+        return np.array(
+            [
+                [(m[0, 0] * w - u * m[2, 0]) / w2, (m[0, 1] * w - u * m[2, 1]) / w2],
+                [(m[1, 0] * w - v * m[2, 0]) / w2, (m[1, 1] * w - v * m[2, 1]) / w2],
+            ]
+        )
+
+
+def homography_jacobians(h, points):
+    """homography_jacobian and project_point at each row of points (K, 2).
+
+    Returns (jac, projected, at_infinity): the (K, 2, 2) Jacobians and (K,
+    2) images of the points, with the bits of the one-point functions, and
+    the mask of the points for which those raise PointAtInfinity, whose
+    values are meaningless.  The expressions are theirs, element by element.
+    """
+    x, y = points.T
+    m = h.m
+    with np.errstate(all="ignore"):
+        u = m[0, 0] * x + m[0, 1] * y + m[0, 2]
+        v = m[1, 0] * x + m[1, 1] * y + m[1, 2]
+        w = m[2, 0] * x + m[2, 1] * y + m[2, 2]
+        w2 = w * w
+        jac = np.stack(
+            [(m[0, 0] * w - u * m[2, 0]) / w2, (m[0, 1] * w - u * m[2, 1]) / w2,
+             (m[1, 0] * w - v * m[2, 0]) / w2, (m[1, 1] * w - v * m[2, 1]) / w2],
+            axis=1,
+        ).reshape(-1, 2, 2)
+        projected = np.stack([u / w, v / w], axis=1)
+    return jac, projected, np.abs(w) < PROJECTIVE_EPS
 
 
 def map_region_to_reference(h, ref_center, test_region):
@@ -333,19 +370,10 @@ def map_regions_to_reference(h, ref_centers, test_centers, test_abc):
     expressions element by element, and the transport is a stacked matmul,
     which has the per-pair `@`'s kernel and bits.
     """
-    (x, y), (tx, ty) = ref_centers.T, test_centers.T
-    m, mi = h.m, h.inverse().m
+    jac, _, ref_at_infinity = homography_jacobians(h, ref_centers)
+    tx, ty = test_centers.T
+    mi = h.inverse().m
     with np.errstate(all="ignore"):
-        # homography_jacobian(h, ref center)
-        u = m[0, 0] * x + m[0, 1] * y + m[0, 2]
-        v = m[1, 0] * x + m[1, 1] * y + m[1, 2]
-        w = m[2, 0] * x + m[2, 1] * y + m[2, 2]
-        w2 = w * w
-        jac = np.stack(
-            [(m[0, 0] * w - u * m[2, 0]) / w2, (m[0, 1] * w - u * m[2, 1]) / w2,
-             (m[1, 0] * w - v * m[2, 0]) / w2, (m[1, 1] * w - v * m[2, 1]) / w2],
-            axis=1,
-        ).reshape(-1, 2, 2)
         # project_point(h^-1, test center)
         wi = mi[2, 0] * tx + mi[2, 1] * ty + mi[2, 2]
         centers = np.stack(
@@ -353,16 +381,24 @@ def map_regions_to_reference(h, ref_centers, test_centers, test_abc):
              (mi[1, 0] * tx + mi[1, 1] * ty + mi[1, 2]) / wi],
             axis=1,
         )
-        # A^T mu A, made symmetric as 0.5 * (shape + shape.T)
-        t = np.matmul(np.matmul(jac.transpose(0, 2, 1), test_abc[:, [0, 1, 1, 2]].reshape(-1, 2, 2)),
-                      jac)
-        abc = np.stack(
+    at_infinity = ref_at_infinity | (np.abs(wi) < PROJECTIVE_EPS)
+    return centers, transport_shapes(jac, test_abc), at_infinity
+
+
+def transport_shapes(a, abc):
+    """Shape coefficients of the regions abc (K, 3) under the linear maps
+    a (K, 2, 2): (a, b, c) of 0.5 * (S + S^T), S = A^T mu A.
+
+    S is a stacked matmul, which has the kernel and the bits of each
+    region's `A.T @ mu @ A`; the values are not checked.
+    """
+    with np.errstate(all="ignore"):
+        t = np.matmul(np.matmul(a.transpose(0, 2, 1), abc[:, [0, 1, 1, 2]].reshape(-1, 2, 2)), a)
+        return np.stack(
             [0.5 * (t[:, 0, 0] + t[:, 0, 0]), 0.5 * (t[:, 0, 1] + t[:, 1, 0]),
              0.5 * (t[:, 1, 1] + t[:, 1, 1])],
             axis=1,
         )
-    at_infinity = (np.abs(w) < PROJECTIVE_EPS) | (np.abs(wi) < PROJECTIVE_EPS)
-    return centers, abc, at_infinity
 
 
 def normalize_pair(ref, test, target_radius):
@@ -459,22 +495,15 @@ def overlap_errors(centers1, abc1, centers2, abc2, grid_step):
 def minor_semiaxes(abc):
     """SecondMomentEllipse.semiaxes()[1] of each row (a, b, c), same bits.
 
-    Raises what semiaxes raises (ValueError or ZeroDivisionError) when the
-    smaller eigenvalue of a region rounds to zero or below, which takes an
-    axis ratio of about 1e8.
+    NaN where semiaxes raises DegenerateRegion: a needle, whose smaller
+    eigenvalue rounds to zero or below.
     """
     a, b, c = abc.T
     # math.hypot, not np.hypot: the two differ in the last bit on some inputs
     half_spread = np.fromiter(map(math.hypot, (0.5 * (a - c)).tolist(), b.tolist()), float,
                               len(a))
     mid = 0.5 * (a + c)
-    lo = mid - half_spread
-    bad = np.flatnonzero(lo <= 0.0)
-    if len(bad):
-        if lo[bad[0]] < 0.0:
-            raise ValueError("math domain error")
-        raise ZeroDivisionError("float division by zero")
-    return 1.0 / np.sqrt(mid + half_spread)
+    return np.where(mid - half_spread > 0.0, 1.0 / np.sqrt(mid + half_spread), np.nan)
 
 
 def _grid_constants(centers, abc, grid_step):
@@ -497,7 +526,10 @@ def _grid_constants(centers, abc, grid_step):
 
     # A disk of radius r always contains a cell center once the pitch is <= r,
     # so clamping at the smaller minor semiaxis keeps both counts nonzero.
-    step = np.minimum(grid_step, np.minimum(minor_semiaxes(abc[0]), minor_semiaxes(abc[1])))
+    minor = np.minimum(minor_semiaxes(abc[0]), minor_semiaxes(abc[1]))
+    if np.isnan(minor).any():
+        raise DegenerateRegion("a needle region has no minor semiaxis")
+    step = np.minimum(grid_step, minor)
     nx = np.ceil(width / step)
     ny = np.ceil(height / step)
     if not (np.isfinite(nx).all() and np.isfinite(ny).all()):

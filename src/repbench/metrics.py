@@ -145,11 +145,12 @@ def _overlap_errors(ref_centers, ref_abc, test_centers, test_abc, h, cfg):
     The regions are given as (K, 2) centers and (K, 3) coefficients (a, b,
     c).  Returns (err, at_infinity): err[k] has the bits of
     region_overlap_error for pair k, or is NaN where that raises
-    PointAtInfinity (at_infinity[k] set) or DegenerateRegion.  Each step
-    is the per-pair code's, in its operation order: the transport
-    (geometry.map_regions_to_reference), normalize_pair, default_grid_step
-    and the overlap grid (geometry.overlap_errors).  A region that turns
-    non-finite raises ValueError, as SecondMomentEllipse does.
+    PointAtInfinity (at_infinity[k] set) or DegenerateRegion, needles
+    included.  Each step is the per-pair code's, in its operation order:
+    the transport (geometry.map_regions_to_reference), normalize_pair,
+    default_grid_step and the overlap grid (geometry.overlap_errors).  A
+    region that turns non-finite raises ValueError, as SecondMomentEllipse
+    does.
     """
     center, test_abc, at_infinity = map_regions_to_reference(h, ref_centers, test_centers,
                                                              test_abc)
@@ -164,10 +165,14 @@ def _overlap_errors(ref_centers, ref_abc, test_centers, test_abc, h, cfg):
         scored = _valid_regions(scored, ref_centers, ref_abc)
         scored = _valid_regions(scored, center, test_abc)
     keep = np.flatnonzero(scored)
+    # a needle has no minor semiaxis (NaN): DegenerateRegion
+    minor = np.minimum(minor_semiaxes(ref_abc[keep]), minor_semiaxes(test_abc[keep]))
+    sized = ~np.isnan(minor)
+    keep, minor = keep[sized], minor[sized]
     ref_abc, test_abc = ref_abc[keep], test_abc[keep]
     step = cfg.grid_step
     if step is None:
-        step = np.minimum(0.1, np.minimum(minor_semiaxes(ref_abc), minor_semiaxes(test_abc)) / 100.0)
+        step = np.minimum(0.1, minor / 100.0)
     err = np.full(len(scored), np.nan)
     err[keep] = overlap_errors(ref_centers[keep], ref_abc, center[keep], test_abc, step)
     return err, at_infinity

@@ -240,14 +240,14 @@ def test_projective_maps_drop_degenerate_regions():
     assert dropped > 0
 
 
-def test_elongated_regions_raise_as_the_reference(monkeypatch):
+def test_elongated_regions_dropped_as_the_reference(monkeypatch):
     """Regions with axis ratios near 1e8, whose smaller eigenvalue rounds to
-    zero or below in semiaxes: the reference raises, and so must the
-    table, with the same error type.  A low sample cap keeps the grids of
-    the needles that do get scored small."""
+    zero or below in semiaxes: the reference drops them as DegenerateRegion,
+    and so must the table.  A low sample cap keeps the grids of the needles
+    that do get scored small."""
     monkeypatch.setattr(geometry, "MAX_OVERLAP_SAMPLES", 20_000)
     rng = np.random.default_rng(4102)
-    raised = 0
+    dropped = 0
     for k in range(20):
         n = 12
         centers = rng.uniform(100, 700, (n, 2))
@@ -259,8 +259,19 @@ def test_elongated_regions_raise_as_the_reference(monkeypatch):
         ref = keypoint_set(centers[: len(abc)], circles(len(abc), 3.0))
         test = keypoint_set(centers[: len(abc)], abc)
         cfg = [EvalConfig(), EvalConfig(normalize_radius=None, grid_step=0.5)][k % 2]
-        raised += assert_same_table(ref, test, Homography.identity(), cfg) is None
-    assert raised > 0
+        dropped += assert_same_table(ref, test, Homography.identity(), cfg)
+    assert dropped > 0
+
+
+def test_needle_is_degenerate_in_the_one_pair_functions():
+    needle = SecondMomentEllipse.from_abc(100.0, 100.0, 1e9, 0.5, 1e-9)
+    circle = SecondMomentEllipse.circle(100.0, 100.0, 3.0)
+    assert np.isnan(minor_semiaxes(needle.abc[None])[0])
+    for call in (needle.semiaxes, lambda: default_grid_step(circle, needle),
+                 lambda: geometry.overlap_error(circle, needle, 0.5),
+                 lambda: region_overlap_error(circle, needle, Homography.identity(), EvalConfig())):
+        with pytest.raises(DegenerateRegion):
+            call()
 
 
 def test_non_finite_transported_region_raises():

@@ -6,7 +6,13 @@ import pytest
 
 from repbench.cli import main
 from repbench.errors import ParseError
-from repbench.formats import load_manifest, parse_keypoints, write_homography
+from repbench.formats import (
+    KeypointSet,
+    load_manifest,
+    parse_keypoints,
+    write_homography,
+    write_keypoints,
+)
 from repbench.geometry import Homography
 from repbench.harness import (
     CORRELATION_CSV_HEADER,
@@ -663,6 +669,26 @@ class TestCli:
         for stem in stems[1:]:
             assert (stem.parent / (stem.name + ".json")).read_bytes() == ref_json
             assert (stem.parent / (stem.name + ".csv")).read_bytes() == ref_csv
+
+    @pytest.mark.parametrize("flags", [[], CLI_METRIC_FLAGS])
+    def test_needle_region_dropped_exit_0(self, tmp_path, capsys, flags):
+        # a = 1e9, b = 0.5, c = 1e-9 is positive definite, but its smaller
+        # eigenvalue rounds to zero: the candidate it forms is dropped as
+        # degenerate instead of failing the pair.  Under the identity the
+        # transport leaves the needle as it is.
+        hpath = tmp_path / "H.txt"
+        hpath.write_text(write_homography(Homography.identity()))
+        out, manifest = self.synth(tmp_path, capsys, extra=["--homography", str(hpath)] * 3)
+        path = out / "img2.kpts"
+        test = parse_keypoints(path.read_text(), "img2", 400, 300)
+        abc = test.abc.copy()
+        abc[0] = (1e9, 0.5, 1e-9)
+        path.write_text(write_keypoints(
+            KeypointSet("img2", 400, 300, test.centers, abc, test.descriptors)
+        ))
+        code = main(["sequence", "--manifest", manifest, "--out", str(tmp_path / "rep"), *flags])
+        assert code == 0, capsys.readouterr().err
+        assert (tmp_path / "rep.csv").read_text().count("\n") == 4
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         code = main(

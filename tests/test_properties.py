@@ -1,7 +1,8 @@
 """Property tests of documented contracts, over drawn synthetic data:
 evaluation results do not depend on keypoint order, sequence reports are
-byte-identical for any worker count, and a homography whose horizon crosses
-the reference image neither raises nor gives a rate outside [0, 1]."""
+byte-identical for any worker count, a homography whose horizon crosses
+the reference image neither raises nor gives a rate outside [0, 1], and
+the multi-start draw kernel gives the scalar generator's stream."""
 
 import math
 import tempfile
@@ -15,7 +16,14 @@ from repbench.formats import KeypointSet, load_manifest
 from repbench.geometry import Homography
 from repbench.harness import evaluate_sequence, sequence_report_csv, sequence_report_json, synth_sequence
 from repbench.metrics import EvalConfig, evaluate_pair
-from repbench.synth import SynthConfig, derive_test, generate_reference
+from repbench.synth import (
+    SplitMix64,
+    SynthConfig,
+    derive_test,
+    generate_reference,
+    normal_blocks,
+    uniform_blocks,
+)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 WIDTH, HEIGHT = 240, 180
@@ -150,3 +158,23 @@ def test_horizon_inside_the_image(
     for rate in (ev.eq1, ev.c1, ev.c2):
         assert rate is None or 0.0 <= rate <= 1.0
     assert 0 <= ev.true_matches <= min(len(ref), len(test))
+
+
+@PROPERTY
+@given(
+    # the second range starts the streams just below 2**64, so the state
+    # wraps on the first draw
+    starts=st.lists(st.integers(0, 2**64 - 1) | st.integers(2**64 - 2**12, 2**64 - 1),
+                    max_size=4),
+    n=st.integers(0, 300),
+)
+def test_block_draws_equal_scalar_draws(starts, n):
+    uniforms, normals = uniform_blocks(starts, n), normal_blocks(starts, n)
+    assert uniforms.shape == normals.shape == (len(starts), n)
+    for row, start in enumerate(starts):
+        for block, draw in ((uniforms, SplitMix64.uniform), (normals, SplitMix64.normal)):
+            rng = SplitMix64(start)
+            assert block[row].tobytes() == np.array([draw(rng) for _ in range(n)]).tobytes()
+        rng = SplitMix64(start)
+        assert rng.uniforms(n).tobytes() == uniforms[row].tobytes()
+        assert rng.state == (start + n * 0x9E3779B97F4A7C15) % 2**64

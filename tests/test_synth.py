@@ -1,16 +1,28 @@
+import contextlib
+import functools
+import hashlib
+import io
 import math
 
 import numpy as np
 import pytest
 
+from repbench.cli import main as cli_main
 from repbench.errors import DegenerateRegion, PointAtInfinity
-from repbench.formats import Keypoint, KeypointSet, write_keypoints
+from repbench.formats import (
+    Keypoint,
+    KeypointSet,
+    parse_keypoints,
+    write_homography,
+    write_keypoints,
+)
 from repbench.geometry import (
     Homography,
     SecondMomentEllipse,
     homography_jacobian,
     project_point,
 )
+from repbench.harness import default_sequence_homography, synth_sequence
 from repbench.metrics import EvalConfig, evaluate_pair
 from repbench.synth import (
     MAX_AXIS_RATIO,
@@ -575,6 +587,92 @@ class TestBlockSynthMatchesScalar:
         _assert_same_sets(got, old_derive_test(zeroed, h, cfg))
         assert np.array_equal(got.keypoints[0].descriptor, np.eye(dim)[0])
 
+    @pytest.mark.parametrize("dropout", [0.0, 0.99])
+    @pytest.mark.parametrize("dim", [0, 5])
+    def test_dropout_extremes(self, dropout, dim):
+        cfg = SynthConfig(seed=53, n_points=300, jitter_sigma=1.0, dropout_rate=dropout,
+                          n_distractors=4, descriptor_dim=dim, descriptor_noise_sigma=0.2)
+        ref = generate_reference(cfg)
+        for name, h in DIFF_HOMOGRAPHIES.items():
+            _assert_same_sets(derive_test(ref, h, cfg, name), old_derive_test(ref, h, cfg, name))
+
+    @pytest.mark.parametrize("dim", [0, 3])
+    def test_no_points(self, dim):
+        cfg = SynthConfig(seed=59, n_points=0, n_distractors=3, descriptor_dim=dim)
+        ref = generate_reference(cfg)
+        _assert_same_sets(ref, old_generate_reference(cfg))
+        got = derive_test(ref, DIFF_HOMOGRAPHIES["similarity"], cfg)
+        _assert_same_sets(got, old_derive_test(ref, DIFF_HOMOGRAPHIES["similarity"], cfg))
+        assert len(got) == 3
+
+    def test_point_at_infinity_among_others(self):
+        # half the points on the horizon w = 0 of the projective map, where
+        # the per-point transport raises PointAtInfinity
+        cfg = SynthConfig(seed=61, n_points=60, jitter_sigma=0.5, dropout_rate=0.2,
+                          n_distractors=2, descriptor_dim=4)
+        ref = generate_reference(cfg)
+        h = DIFF_HOMOGRAPHIES["projective"]
+        y = ref.centers[::2, 1]
+        centers = ref.centers.copy()
+        centers[::2, 0] = (1.0 + 0.0005 * y) / 0.002
+        ref = KeypointSet(ref.image_id, 1600, 640, centers, ref.abc, ref.descriptors)
+        at_infinity = 0
+        for c in centers:
+            try:
+                homography_jacobian(h, c)
+            except PointAtInfinity:
+                at_infinity += 1
+        assert at_infinity > 10
+        _assert_same_sets(derive_test(ref, h, cfg), old_derive_test(ref, h, cfg))
+
+    def test_singular_jacobians_among_others(self):
+        # w = 1e151 x + 1e154: right of x = 340, w * w overflows, the
+        # Jacobian rounds to a singular matrix and np.linalg.inv raises
+        # LinAlgError, so the stacked inverse falls back to one at a time
+        cfg = SynthConfig(seed=67, n_points=80, jitter_sigma=0.5, dropout_rate=0.1,
+                          n_distractors=2, descriptor_dim=4)
+        ref = generate_reference(cfg)
+        h = Homography(np.array([[1e153, 0.0, 0.0], [0.0, 1e153, 0.0], [1e151, 0.0, 1e154]]))
+        singular = 0
+        for c in ref.centers:
+            try:
+                np.linalg.inv(homography_jacobian(h, c))
+            except np.linalg.LinAlgError:
+                singular += 1
+        assert 0 < singular < len(ref)
+        got = derive_test(ref, h, cfg)
+        _assert_same_sets(got, old_derive_test(ref, h, cfg))
+        assert 2 < len(got) < len(ref) - singular // 2
+
+    def test_non_finite_transport_raises(self):
+        # the map halves lengths, so the transported shape is 4e308: inf
+        cfg = SynthConfig(seed=71, n_points=20, descriptor_dim=0)
+        ref = generate_reference(cfg)
+        abc = ref.abc.copy()
+        abc[7] = (1e308, 0.0, 1e308)
+        ref = KeypointSet(ref.image_id, ref.width, ref.height, ref.centers, abc, ref.descriptors)
+        h = Homography(np.diag([0.5, 0.5, 1.0]))
+        for impl in (derive_test, old_derive_test):
+            with pytest.raises(ValueError, match="finite"):
+                impl(ref, h, cfg)
+
+    def test_culling_at_the_image_edges(self):
+        # without jitter the identity keeps every center: those on the edges
+        # stay, those one step outside are culled
+        w, hgt = 800.0, 640.0
+        below = np.nextafter(0.0, -1.0)
+        above_w, above_h = np.nextafter(w, 2 * w), np.nextafter(hgt, 2 * hgt)
+        centers = np.array([
+            [0.0, 5.0], [w, 5.0], [5.0, 0.0], [5.0, hgt], [0.0, 0.0], [w, hgt],
+            [below, 5.0], [above_w, 5.0], [5.0, below], [5.0, above_h], [-0.0, -0.0],
+        ])
+        cfg = SynthConfig(seed=73, n_points=len(centers), descriptor_dim=3)
+        ref = generate_reference(cfg)
+        ref = KeypointSet(ref.image_id, w, hgt, centers, ref.abc, ref.descriptors)
+        got = derive_test(ref, Homography.identity(), cfg)
+        _assert_same_sets(got, old_derive_test(ref, Homography.identity(), cfg))
+        assert len(got) == 7
+
     def test_writer_matches_scalar_writer(self):
         # descriptors that are not float64 arrays are written as floats too
         kset = KeypointSet(
@@ -588,3 +686,216 @@ class TestBlockSynthMatchesScalar:
             ],
         )
         assert write_keypoints(kset) == old_write_keypoints(kset)
+
+
+# ---------------------------------------------------------------------------
+# Dataset bytes pinned by digest: every file that harness.synth_sequence and
+# `repbench synth --homography ...` write, for the benchmark's workloads and
+# for the generator's edge paths.
+# ---------------------------------------------------------------------------
+
+
+def _projective_ramp(k, tilt):
+    """The built-in similarity of pair k followed by a projective tilt whose
+    bottom row is [tilt[0] k, tilt[1] k, 1]."""
+    p = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [tilt[0] * k, tilt[1] * k, 1.0]])
+    return Homography(p) @ default_sequence_homography(k, 800, 640)
+
+
+def _synth_with_homographies(out, name, seed, n_points, jitter, jitter_end, dim, tilt):
+    """`repbench synth` with one homography file per derived image."""
+    h_args = []
+    for k in range(1, 6):
+        path = out.parent / f"{name}-H_{k}.txt"
+        path.write_text(write_homography(_projective_ramp(k, tilt)))
+        h_args += ["--homography", str(path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main(
+            ["synth", "--out-dir", str(out), "--name", name, "--seed", str(seed), "--images", "6",
+             "--n-points", str(n_points), "--dims", "800x640", "--jitter", str(jitter),
+             "--jitter-end", str(jitter_end), "--dropout", "0.1", "--descriptor-dim", str(dim),
+             "--descriptor-noise", "0.05", *h_args]
+        )
+    assert code == 0
+
+
+def _synth_sequence(out, name, images=6, **kwargs):
+    cfg = SynthConfig(**{"image_width": 800, "image_height": 640, "dropout_rate": 0.1,
+                         "descriptor_noise_sigma": 0.05, **kwargs})
+    synth_sequence(str(out), name, cfg, images=images)
+
+
+DATASET_CASES = {
+    # the benchmark's descriptor-m400 and ramp-projective settings
+    **{
+        f"descriptor-m400-seed{seed}": functools.partial(
+            _synth_sequence, name="descriptor-m400", seed=seed, n_points=400, jitter_sigma=6.0,
+            descriptor_dim=128,
+        )
+        for seed in (7, 1009)
+    },
+    **{
+        f"ramp-projective-seed{seed}": functools.partial(
+            _synth_with_homographies, name="ramp-projective", seed=seed, n_points=80,
+            jitter=0.25, jitter_end=3.0, dim=16, tilt=(1e-4, 0.5e-4),
+        )
+        for seed in (7, 1009)
+    },
+    "no-descriptors": functools.partial(
+        _synth_sequence, name="d0", seed=7, n_points=300, jitter_sigma=0.5, descriptor_dim=0
+    ),
+    "dropout-0.9": functools.partial(
+        _synth_sequence, name="drop", seed=7, n_points=300, jitter_sigma=0.5,
+        dropout_rate=0.9, descriptor_dim=16,
+    ),
+    # 2-D descriptors: the planted directions leave no gap for a distractor,
+    # so every distractor falls back to the best of DISTRACTOR_TRIES
+    "best-of-64-distractors": functools.partial(
+        _synth_sequence, name="distract", images=3, seed=5, n_points=150, jitter_sigma=0.5,
+        n_distractors=50, descriptor_dim=2,
+    ),
+    # the horizon w = 0 lies at x = 2000 / k: inside the image from k = 3 on
+    "horizon-in-view": functools.partial(
+        _synth_with_homographies, name="horizon", seed=7, n_points=300, jitter=0.5,
+        jitter_end=2.0, dim=8, tilt=(-5e-4, 0.0),
+    ),
+}
+
+DATASET_DIGESTS = {
+    "best-of-64-distractors": """
+        f83abdb6886d3cebbde0a437da3abc8f83b75cab7a6e97dd2f457085ae5393c4  H_1_2.txt
+        f461855eeca0aa634699369bd9e6b5e8a1baad2724856f1aa1d7941bac25144c  H_1_3.txt
+        caa2aeeef6539ceddde67502ec9e07cef8c5e33e718e4d97f79e6fc4ed13a220  img1.kpts
+        bbba25485b9b03fa4bcc56abcae6ec077e5b4e63d34755e5f7e4b7d9a067306d  img2.kpts
+        df33764dd002fedb653d5ad5399699270ba1d9a65e574fd2428542d499e97d7f  img3.kpts
+        c4272778decfc70e27c8f433cd59841fe0fa8f46ee4eddc639f4244f83a4d162  manifest.json
+    """,
+    "descriptor-m400-seed1009": """
+        f83abdb6886d3cebbde0a437da3abc8f83b75cab7a6e97dd2f457085ae5393c4  H_1_2.txt
+        f461855eeca0aa634699369bd9e6b5e8a1baad2724856f1aa1d7941bac25144c  H_1_3.txt
+        a23889cd6085ccaa04d8514ac835c1812cc2988809150298e030a5ba169dc241  H_1_4.txt
+        d069e740416e62cf065518922624c5c912ac012d2d19685fb07df4a4ca153881  H_1_5.txt
+        ac086bf70eae1ec4c8677380090d6d00978ecdac6dfec79d0abb45a86a480a0f  H_1_6.txt
+        f55ab42045dcd56715cd02a977fa6f3eb1423a5a3c93c3bdae0581b503797316  img1.kpts
+        416087bb593a4c1a871737f5bdb22cc1896f01229de3adfb911e5bbe885dad1a  img2.kpts
+        cc85c1bb24269a57d87c741f7a36bf931e12f23570cfb0f0a11af4fb63208335  img3.kpts
+        2eaa499f9339d00c1bccd5de4bcd59c6cb005fd6ffddd4bd0e99dda609e51d79  img4.kpts
+        31c250551df149cbcbe68a6294ba14e97dc695e138a26b86c3dde11b8682a866  img5.kpts
+        f506c9b1f13fe2bca72ef79a60eada1b63b2600b1e7e755846fd1200e05d212c  img6.kpts
+        4edb0262a5097bf2ebcc8b18e77960fb4db66985081ab162b235179dec277357  manifest.json
+    """,
+    "descriptor-m400-seed7": """
+        f83abdb6886d3cebbde0a437da3abc8f83b75cab7a6e97dd2f457085ae5393c4  H_1_2.txt
+        f461855eeca0aa634699369bd9e6b5e8a1baad2724856f1aa1d7941bac25144c  H_1_3.txt
+        a23889cd6085ccaa04d8514ac835c1812cc2988809150298e030a5ba169dc241  H_1_4.txt
+        d069e740416e62cf065518922624c5c912ac012d2d19685fb07df4a4ca153881  H_1_5.txt
+        ac086bf70eae1ec4c8677380090d6d00978ecdac6dfec79d0abb45a86a480a0f  H_1_6.txt
+        bf716e3de6d1ce89748b099101a902ea64fe2e2302893860faf76cf8d9f06633  img1.kpts
+        486d8b66fe4f4f7e52bfffdbedf92f58d23a7ba85d91f870f3d20144393bf7e0  img2.kpts
+        581163dba3c318fffebabf8590609e063bd118e21c4a93481758e75fb6284cb5  img3.kpts
+        8d1827bb7b66be73c25bbf8af94a9a8248ef84a13437808b9cda338f8905347d  img4.kpts
+        b9bc49e7ea2d3dfd90e821374c54501d8354017eea17e831d245f3b3713ee119  img5.kpts
+        77ae2716b9a7db5c7c34b155090c4d41f6f6f267bda6d2e32088ee8dc891e80c  img6.kpts
+        4edb0262a5097bf2ebcc8b18e77960fb4db66985081ab162b235179dec277357  manifest.json
+    """,
+    "dropout-0.9": """
+        f83abdb6886d3cebbde0a437da3abc8f83b75cab7a6e97dd2f457085ae5393c4  H_1_2.txt
+        f461855eeca0aa634699369bd9e6b5e8a1baad2724856f1aa1d7941bac25144c  H_1_3.txt
+        a23889cd6085ccaa04d8514ac835c1812cc2988809150298e030a5ba169dc241  H_1_4.txt
+        d069e740416e62cf065518922624c5c912ac012d2d19685fb07df4a4ca153881  H_1_5.txt
+        ac086bf70eae1ec4c8677380090d6d00978ecdac6dfec79d0abb45a86a480a0f  H_1_6.txt
+        88004e0bd74326da5805c9c75b5edf0b8999a4f546a6a03fc251e0e0f8cdd611  img1.kpts
+        9ef76c2d674ba69842913ec86b92f5b93ae6017a8031b204752eab3c3778c66e  img2.kpts
+        5baacd4907d74317c5c0fae2f37a4f15c8bce7a481f70b18b01a857743f02b31  img3.kpts
+        51fc521ed20a7448089b7f1ee71499b511bebd86b7afc2e90f60bba73f8530f9  img4.kpts
+        4bca19db69d0d8618fff7cdbbf752f5807aacaa46c17bc2f7b8e11fbf7f56942  img5.kpts
+        fafae377e4e8f97a9190add2904c963b6281a547f8713a29d42a47a3535e1db4  img6.kpts
+        eb0efb5ff0db69c56ec93da26af880ad3a91a5e0d18889a5a0aa741d842b3d53  manifest.json
+    """,
+    "horizon-in-view": """
+        53b02e11a50ef0c50c6ff75afa7f02656c52e3b11b0e128aa1e50e986f1fd452  H_1_2.txt
+        7b1f4a021413b0e6b2514cc5b65babfab13d4062ec064700bd552ea1e0f2d9be  H_1_3.txt
+        ffbb209f8f7e1804676e8b24d80b3503971f412bf6fea9b7e737d38cb30a738c  H_1_4.txt
+        5836bf67b1479d3bab37cb17855994206c9cac4e48ebd8d0e04a8942478f5620  H_1_5.txt
+        19177ec241a1c558e2fd4d5364f9194a833fb1ea640d1352cd5e4a056fa16517  H_1_6.txt
+        006b94a4eb60bb2b7b3dbfb9cb82cae04897201dced3694d7d26ff654f81c857  img1.kpts
+        616451a55c671824fdd3aec2a391a7b5bd5831fc5582392872297a6d513a96bc  img2.kpts
+        e987739d20e72bdc3ddc4600cd1f63f8c7e84b767f6e71d2328dae5da6ab1f01  img3.kpts
+        bd8f998e0b3a7932d541fcb0d32da1f8be7d8e65c0d1ce84a2a53146be5c8ca2  img4.kpts
+        0ecb8186c190c5eb1e3ad33d99d3eed16231f92df29d8b9ee4ee4038a1020dd3  img5.kpts
+        1d73dea26e464fa7015d8fd9c981f12bc637c12926e3aeb555c9b7e72b441df8  img6.kpts
+        e894556f1e517f3adf5bcde14a4e973016f25413c99dd2d928f444a94efa2ef2  manifest.json
+    """,
+    "no-descriptors": """
+        f83abdb6886d3cebbde0a437da3abc8f83b75cab7a6e97dd2f457085ae5393c4  H_1_2.txt
+        f461855eeca0aa634699369bd9e6b5e8a1baad2724856f1aa1d7941bac25144c  H_1_3.txt
+        a23889cd6085ccaa04d8514ac835c1812cc2988809150298e030a5ba169dc241  H_1_4.txt
+        d069e740416e62cf065518922624c5c912ac012d2d19685fb07df4a4ca153881  H_1_5.txt
+        ac086bf70eae1ec4c8677380090d6d00978ecdac6dfec79d0abb45a86a480a0f  H_1_6.txt
+        fefa4f4e763433e1147638690a95a5f785d922ffb009be2d244729be45b3036a  img1.kpts
+        ddef50cf03a331ca66c84b87e296986e37edc88ceb1747c53026dee7d89cc3ce  img2.kpts
+        97f2fe1c4a3b037f8466083e27913da13bb95189644135cef61d668df946d94e  img3.kpts
+        98306327e7e7351769ab8f018d43f427798eb0414e3f54d6af0176572667ffdd  img4.kpts
+        07089a7081f7749a3ea86e7553fab65af7185c4d9d38e2b80bd09a46061f1319  img5.kpts
+        f65e841b2d445a89d592ed234046ea73c7e42f77a76c9ed8f7f7408130118c24  img6.kpts
+        5951af2057b227d39632769f83cb86d2320759a8517b0c585f9314151a66b816  manifest.json
+    """,
+    "ramp-projective-seed1009": """
+        04c6862ef588a91a7e037b1a110bc021a360ecfcdce56a127b8b9a9db6a2c3eb  H_1_2.txt
+        44dde6fe3eeed447a2335733fa006c895e40aa1a9e7a5e88443a6f1877bd74a1  H_1_3.txt
+        995a83327debf3365e3938ac85eee818bc5d802c3e4eff5b6a6998b5275d3072  H_1_4.txt
+        70bf4693d94e7345d360a09006a5b1ca4f646a694817130582e68b57c5262660  H_1_5.txt
+        d733174faf419cf59908a59791911b8ea1a8eec70c4c3e1618f67d374866afe2  H_1_6.txt
+        227c8034ba1e92b5c53f7542bd712415782eb2d135983675779be634f219141c  img1.kpts
+        7be8ab913827c62a3da386de57428f117e44178379d39647269af8f15e090668  img2.kpts
+        7b3e30fc5df80790e3790349f7b5c6d13717cf342e8c76f502f6b5823044225a  img3.kpts
+        81f2ff42493a7825d7ad8d4dd4991c9a02e6707fbcf5d7bf8641a98c028eb169  img4.kpts
+        5444236b57b419f08c0e25d565cd2edfa7d61af9b775944fa48d5194279b4e02  img5.kpts
+        6e3b4d238c7c3620a62d0efd7186ed700646a257ecd77b5dbcec785660065e40  img6.kpts
+        9b1f070dde7ee33cfbed653468feb2d62e7c7b4d564865188bfffe6130857b07  manifest.json
+    """,
+    "ramp-projective-seed7": """
+        04c6862ef588a91a7e037b1a110bc021a360ecfcdce56a127b8b9a9db6a2c3eb  H_1_2.txt
+        44dde6fe3eeed447a2335733fa006c895e40aa1a9e7a5e88443a6f1877bd74a1  H_1_3.txt
+        995a83327debf3365e3938ac85eee818bc5d802c3e4eff5b6a6998b5275d3072  H_1_4.txt
+        70bf4693d94e7345d360a09006a5b1ca4f646a694817130582e68b57c5262660  H_1_5.txt
+        d733174faf419cf59908a59791911b8ea1a8eec70c4c3e1618f67d374866afe2  H_1_6.txt
+        f8e8aa639e22a0af31faf5a98c7327337f5e166355415ec83960a8ed4e6a1145  img1.kpts
+        cb701e77f83e541365d1ea25dfdc97569b428a370818c4dbde19fa472a8efd69  img2.kpts
+        7ad65d4a135f200e4dd0e0a5c69c9f74bd795718c705c31f7f3137ebdaef3cc3  img3.kpts
+        9dfe5f28eb7225990e8261db9874463cb934b7141ee15efcc2863775ab8a8439  img4.kpts
+        3c453cb5d9d3fa560ac2a60a459506127d4602b0ed80ca19d35132b5f3519965  img5.kpts
+        3823613f1e9b8281c17854de63ddbe7648d652a2aa44274dccab1deae176a5be  img6.kpts
+        9b1f070dde7ee33cfbed653468feb2d62e7c7b4d564865188bfffe6130857b07  manifest.json
+    """,
+}
+
+
+def _tree_digests(out):
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.iterdir())
+    }
+
+
+@pytest.mark.parametrize("case", sorted(DATASET_CASES))
+def test_dataset_bytes_pinned(case, tmp_path):
+    out = tmp_path / "data"
+    DATASET_CASES[case](out)
+    want = dict(line.split()[::-1] for line in DATASET_DIGESTS[case].strip().splitlines())
+    assert _tree_digests(out) == want
+
+
+def test_pinned_distractors_fall_back_to_best_of_64(tmp_path):
+    out = tmp_path / "data"
+    DATASET_CASES["best-of-64-distractors"](out)
+    test = parse_keypoints((out / "img2.kpts").read_text(), "img2", 800, 640)
+    planted, distractors = test.descriptors[:-50], test.descriptors[-50:]
+    assert (np.max(distractors @ planted.T, axis=1) > DISTRACTOR_MAX_COSINE).all()
+
+
+def test_pinned_horizon_enters_the_image():
+    for k in range(1, 6):
+        h = _projective_ramp(k, (-5e-4, 0.0))
+        w = h.m[2, 0] * np.array([0.0, 800.0]) + h.m[2, 2]
+        assert (w[0] > 0.0 > w[1]) == (k >= 3)
