@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidRegion, ManifestError, ParseError
-from .geometry import Homography, SecondMomentEllipse
+from .errors import InvalidRegion, ManifestError, ParseError, SingularHomography
+from .geometry import Homography, SecondMomentEllipse, positive_definite
 
 
 @dataclass(eq=False)
@@ -64,7 +64,7 @@ class KeypointSet:
         a, b, c = self.abc.T
         # a * c may overflow to inf, which passes, as a Python float's did
         with np.errstate(invalid="ignore", over="ignore"):
-            definite = (a > 0.0) & (c > 0.0) & (a * c - b * b > 0.0)
+            definite = positive_definite(a, b, c)
         bad = np.flatnonzero(~(finite & definite))
         if len(bad):
             k = int(bad[0])
@@ -208,7 +208,7 @@ def parse_keypoints(text, image_id, width, height):
             raise InvalidRegion("keypoint center must be finite", line=lineno0)
         if not all(math.isfinite(x) for x in (a, b, c)):
             raise InvalidRegion("region coefficients must be finite", line=lineno0)
-        if not (a > 0.0 and c > 0.0 and a * c - b * b > 0.0):
+        if not positive_definite(a, b, c):
             raise InvalidRegion(
                 f"region not positive definite (a={a:g}, b={b:g}, c={c:g})",
                 line=lineno0,
@@ -373,6 +373,8 @@ def load_homography(path):
         return parse_homography(text)
     except ParseError as exc:
         raise exc.with_path(path) from None
+    except SingularHomography as exc:
+        raise SingularHomography(f"{path}: {exc}") from None
 
 
 def load_manifest(path):

@@ -9,15 +9,20 @@ The overlap error of two regions is estimated on a regular grid of cell
 centers over their joint bounding box; the cells inside each ellipse are
 counted row by row, as one run of columns per row, rather than one by one.
 
-Many pairs are handled in one pass over arrays: homography_jacobians
-linearises the map at K points, map_regions_to_reference transports K
-regions (through transport_shapes), and overlap_errors lays out the grid
-of each of K pairs and runs the rows of all the grids through one row
-kernel, a block of OVERLAP_BLOCK_ROWS rows at a time.  The one-pair functions
-(map_region_to_reference, overlap_error, overlap_row_counts) are K = 1
-calls into them, with the same bits.  close_pairs finds the point pairs
-closer than a radius with a spatial hash, bucketing one set in cells a
-little wider than the radius, rather than computing all N x M distances.
+Every point is projected by one formula, m (x, y, 1) element by element
+(_homogeneous), never by a matmul, so no BLAS build sets its bits, and one
+rule (positive_definite) decides which shapes are ellipses.  Many points
+and pairs are handled in one pass over arrays: project_points projects K
+points, homography_jacobians linearises the map at K points,
+map_regions_to_reference transports K regions (through transport_shapes),
+and overlap_errors lays out the grid of each of K pairs and runs the rows
+of all the grids through one row kernel, a block of OVERLAP_BLOCK_ROWS rows
+at a time.  The one-point and one-pair functions (project_point,
+homography_jacobian, map_region_to_reference, overlap_error,
+overlap_row_counts) are K = 1 calls into them, with the same bits.
+close_pairs finds the point pairs closer than a radius with a spatial
+hash, bucketing one set in cells a little wider than the radius, rather
+than computing all N x M distances.
 """
 
 import math
@@ -38,6 +43,12 @@ PAIRWISE_BLOCK_ELEMENTS = 1 << 16
 # overlap_errors runs its pairs' grid rows through the row kernel in blocks
 # of this many rows.
 OVERLAP_BLOCK_ROWS = 1 << 13
+
+
+def positive_definite(a, b, c):
+    """Whether a(x-u)^2 + 2b(x-u)(y-v) + c(y-v)^2 <= 1 is an ellipse, of
+    floats or arrays: a > 0, c > 0, a c - b^2 > 0.  The caller holds any errstate."""
+    return (a > 0.0) & (c > 0.0) & (a * c - b * b > 0.0)
 
 
 class Homography:
@@ -93,7 +104,7 @@ class SecondMomentEllipse:
             raise ValueError("ellipse center and shape must be finite")
         if abs(b_low - b) > 1e-9 * max(1.0, abs(b)):
             raise ValueError("shape matrix must be symmetric")
-        if not (a > 0.0 and c > 0.0 and a * c - b * b > 0.0):
+        if not positive_definite(a, b, c):
             raise DegenerateRegion(
                 f"shape matrix not positive definite (a={a:g}, b={b:g}, c={c:g})"
             )
@@ -168,16 +179,12 @@ class SecondMomentEllipse:
 def project_point(h, p):
     """Map a point through a homography, dividing out the homogeneous weight.
 
-    Raises PointAtInfinity when |w| < PROJECTIVE_EPS.
+    Raises PointAtInfinity when |w| < PROJECTIVE_EPS.  One point of project_points.
     """
-    x, y = float(p[0]), float(p[1])
-    m = h.m
-    w = m[2, 0] * x + m[2, 1] * y + m[2, 2]
-    if abs(w) < PROJECTIVE_EPS:
-        raise PointAtInfinity(f"point ({x:g}, {y:g}) maps to infinity")
-    u = m[0, 0] * x + m[0, 1] * y + m[0, 2]
-    v = m[1, 0] * x + m[1, 1] * y + m[1, 2]
-    return np.array([u / w, v / w])
+    out, ok = project_points(h, p)
+    if not ok[0]:
+        raise PointAtInfinity(f"point ({float(p[0]):g}, {float(p[1]):g}) maps to infinity")
+    return out[0]
 
 
 def project_points(h, pts):
@@ -187,12 +194,23 @@ def project_points(h, pts):
     weight falls below PROJECTIVE_EPS are masked out instead of raising.
     """
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-    hom = pts @ h.m[:, :2].T + h.m[:, 2]
-    w = hom[:, 2]
-    ok = np.abs(w) >= PROJECTIVE_EPS
-    out = np.full_like(pts, np.nan)
-    out[ok] = hom[ok, :2] / w[ok, None]
+    with np.errstate(all="ignore"):
+        u, v, w = _homogeneous(h.m, pts)
+        ok = np.abs(w) >= PROJECTIVE_EPS
+        out = np.stack([u / w, v / w], axis=1)
+    out[~ok] = np.nan
     return out, ok
+
+
+def _homogeneous(m, points):
+    """(u, v, w) = m (x, y, 1) at each row (x, y) of points (K, 2): every
+    projection's one formula, element by element, so no BLAS kernel sets its
+    bits.  The caller holds the errstate."""
+    x, y = points.T
+    u = m[0, 0] * x + m[0, 1] * y + m[0, 2]
+    v = m[1, 0] * x + m[1, 1] * y + m[1, 2]
+    w = m[2, 0] * x + m[2, 1] * y + m[2, 2]
+    return u, v, w
 
 
 def pairwise_distances(a, b):
@@ -291,41 +309,26 @@ def close_pairs(a, b, radius):
 def homography_jacobian(h, p):
     """Exact 2x2 Jacobian of the projective map at point p.
 
-    For the rational map (u/w, v/w) the partials are
-    d(u/w)/dx = (u_x * w - u * w_x) / w^2 and so on.
+    For the rational map (u/w, v/w) the partials are d(u/w)/dx = (u_x * w -
+    u * w_x) / w^2 and so on.  One point of homography_jacobians.
     """
-    x, y = float(p[0]), float(p[1])
-    m = h.m
-    u = m[0, 0] * x + m[0, 1] * y + m[0, 2]
-    v = m[1, 0] * x + m[1, 1] * y + m[1, 2]
-    w = m[2, 0] * x + m[2, 1] * y + m[2, 2]
-    if abs(w) < PROJECTIVE_EPS:
-        raise PointAtInfinity(f"point ({x:g}, {y:g}) maps to infinity")
-    # w * w may overflow, which rounds the Jacobian towards 0
-    with np.errstate(all="ignore"):
-        w2 = w * w
-        return np.array(
-            [
-                [(m[0, 0] * w - u * m[2, 0]) / w2, (m[0, 1] * w - u * m[2, 1]) / w2],
-                [(m[1, 0] * w - v * m[2, 0]) / w2, (m[1, 1] * w - v * m[2, 1]) / w2],
-            ]
-        )
+    jac, _, at_infinity = homography_jacobians(h, np.asarray(p, dtype=float).reshape(1, 2))
+    if at_infinity[0]:
+        raise PointAtInfinity(f"point ({float(p[0]):g}, {float(p[1]):g}) maps to infinity")
+    return jac[0]
 
 
 def homography_jacobians(h, points):
     """homography_jacobian and project_point at each row of points (K, 2).
 
     Returns (jac, projected, at_infinity): the (K, 2, 2) Jacobians and (K,
-    2) images of the points, with the bits of the one-point functions, and
-    the mask of the points for which those raise PointAtInfinity, whose
-    values are meaningless.  The expressions are theirs, element by element.
+    2) images of the points, and the mask of the points that map to
+    infinity, whose values are meaningless.
     """
-    x, y = points.T
     m = h.m
+    # w * w may overflow, which rounds the Jacobian towards 0
     with np.errstate(all="ignore"):
-        u = m[0, 0] * x + m[0, 1] * y + m[0, 2]
-        v = m[1, 0] * x + m[1, 1] * y + m[1, 2]
-        w = m[2, 0] * x + m[2, 1] * y + m[2, 2]
+        u, v, w = _homogeneous(m, points)
         w2 = w * w
         jac = np.stack(
             [(m[0, 0] * w - u * m[2, 0]) / w2, (m[0, 1] * w - u * m[2, 1]) / w2,
@@ -365,24 +368,12 @@ def map_regions_to_reference(h, ref_centers, test_centers, test_abc):
     (centers, abc, at_infinity): the (K, 2) centers and (K, 3) coefficients
     of the regions in the reference frame, and the mask of the pairs for
     which map_region_to_reference raises PointAtInfinity, whose values are
-    meaningless.  The values are not checked further.  The Jacobian and
-    the projection are homography_jacobian's and project_point's
-    expressions element by element, and the transport is a stacked matmul,
-    which has the per-pair `@`'s kernel and bits.
+    meaningless.  The values are not checked further.  The transport is a
+    stacked matmul, which has the per-pair `@`'s kernel and bits.
     """
     jac, _, ref_at_infinity = homography_jacobians(h, ref_centers)
-    tx, ty = test_centers.T
-    mi = h.inverse().m
-    with np.errstate(all="ignore"):
-        # project_point(h^-1, test center)
-        wi = mi[2, 0] * tx + mi[2, 1] * ty + mi[2, 2]
-        centers = np.stack(
-            [(mi[0, 0] * tx + mi[0, 1] * ty + mi[0, 2]) / wi,
-             (mi[1, 0] * tx + mi[1, 1] * ty + mi[1, 2]) / wi],
-            axis=1,
-        )
-    at_infinity = ref_at_infinity | (np.abs(wi) < PROJECTIVE_EPS)
-    return centers, transport_shapes(jac, test_abc), at_infinity
+    centers, finite = project_points(h.inverse(), test_centers)
+    return centers, transport_shapes(jac, test_abc), ref_at_infinity | ~finite
 
 
 def transport_shapes(a, abc):

@@ -17,12 +17,15 @@ common-part pair once.  The correspondences are resolved from that table,
 and the true matches (matching.verify_matches) are the descriptor matches
 found in it, so a pair is a true match only if it is a candidate.
 
-candidate_table finds the pairs within epsilon_px with a spatial hash of
-the test centers (geometry.close_pairs), never the N x M distance matrix,
-and scores all of them in one pass over arrays (_overlap_errors): the
-transport into the reference frame, the rescaling, the grid pitch and the
-overlap grids, in the operation order of the one-pair
-region_overlap_error, so every table entry has its bits.
+candidate_table projects the reference centers with
+geometry.project_points, the one projection formula, so the common part
+and the center distances do not depend on the BLAS build.  It finds the
+pairs within epsilon_px with a spatial hash of the test centers
+(geometry.close_pairs), never the N x M distance matrix, and scores all of
+them in one pass over arrays (_overlap_errors): the transport into the
+reference frame, the rescaling, the grid pitch and the overlap grids, in
+the operation order of the one-pair region_overlap_error, so every table
+entry has its bits.
 """
 
 from dataclasses import dataclass
@@ -35,6 +38,7 @@ from .geometry import (
     map_regions_to_reference,
     minor_semiaxes,
     overlap_errors,
+    positive_definite,
     project_points,
 )
 from .matching import match_descriptors, verify_matches
@@ -54,14 +58,15 @@ class EvalConfig:
     ratio_threshold: float = 0.8
 
     def __post_init__(self):
-        if self.epsilon_px <= 0:
-            raise ValueError("epsilon_px must be positive")
+        # NaN fails every range check: a comparison with NaN is false
+        if not 0.0 < self.epsilon_px < np.inf:
+            raise ValueError("epsilon_px must be positive and finite")
         if not 0.0 < self.max_overlap_error < 1.0:
             raise ValueError("max_overlap_error must lie in (0, 1)")
-        if self.normalize_radius is not None and self.normalize_radius <= 0:
-            raise ValueError("normalize_radius must be positive or None")
-        if self.grid_step is not None and self.grid_step <= 0:
-            raise ValueError("grid_step must be positive or None")
+        if self.normalize_radius is not None and not 0.0 < self.normalize_radius < np.inf:
+            raise ValueError("normalize_radius must be positive and finite, or None")
+        if self.grid_step is not None and not 0.0 < self.grid_step < np.inf:
+            raise ValueError("grid_step must be positive and finite, or None")
         if self.eq1_population not in EQ1_POPULATIONS:
             raise ValueError(f"eq1_population must be one of {EQ1_POPULATIONS}")
         if self.matcher not in MATCHERS:
@@ -186,7 +191,7 @@ def _valid_regions(scored, centers, abc):
     if not finite[scored].all():
         raise ValueError("ellipse center and shape must be finite")
     a, b, c = abc.T
-    return scored & (a > 0.0) & (c > 0.0) & (a * c - b * b > 0.0)
+    return scored & positive_definite(a, b, c)
 
 
 def candidate_table(ref, test, h, cfg=EvalConfig()):

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .formats import KeypointSet
-from .geometry import homography_jacobians, transport_shapes
+from .geometry import homography_jacobians, positive_definite, transport_shapes
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -147,19 +147,20 @@ class SynthConfig:
             raise ValueError("n_points must be >= 0")
         if self.image_width <= 0 or self.image_height <= 0:
             raise ValueError("image dimensions must be positive")
+        # NaN fails every range check: a comparison with NaN is false
         lo, hi = self.scale_range
-        if not 0.0 < lo <= hi:
-            raise ValueError("scale_range must satisfy 0 < min <= max")
-        if self.jitter_sigma < 0:
-            raise ValueError("jitter_sigma must be >= 0")
+        if not 0.0 < lo <= hi < math.inf:
+            raise ValueError("scale_range must satisfy 0 < min <= max < inf")
+        if not 0.0 <= self.jitter_sigma < math.inf:
+            raise ValueError("jitter_sigma must be finite and >= 0")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
         if self.n_distractors < 0:
             raise ValueError("n_distractors must be >= 0")
         if self.descriptor_dim < 0:
             raise ValueError("descriptor_dim must be >= 0")
-        if self.descriptor_noise_sigma < 0:
-            raise ValueError("descriptor_noise_sigma must be >= 0")
+        if not 0.0 <= self.descriptor_noise_sigma < math.inf:
+            raise ValueError("descriptor_noise_sigma must be finite and >= 0")
 
 
 def _regions(u, cfg):
@@ -247,7 +248,7 @@ def _transport(h, centers, abc):
         raise ValueError("ellipse center and shape must be finite")
     a, b, c = abc.T
     with np.errstate(over="ignore"):
-        definite = (a > 0.0) & (c > 0.0) & (a * c - b * b > 0.0)
+        definite = positive_definite(a, b, c)
     return kept[definite], centers[definite], abc[definite]
 
 

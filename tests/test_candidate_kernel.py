@@ -3,9 +3,11 @@
 `oracle_candidate_table` is candidate_table as it was written before the
 centre search was hashed and the candidates were scored in one pass: the
 dense N x M centre-distance matrix, then one `oracle_region_overlap_error`
-call per pair within epsilon, built from frozen copies of the per-pair
-transport (`oracle_map_region_to_reference`) and row kernel
-(`oracle_overlap_error`) and from geometry's per-region helpers.  It is
+call per pair within epsilon, built from frozen copies of the scalar
+projection and Jacobian (`oracle_project_point`,
+`oracle_homography_jacobian`), the per-pair transport
+(`oracle_map_region_to_reference`) and row kernel (`oracle_overlap_error`)
+and from geometry's per-region helpers.  It is
 kept here as the reference: `metrics.candidate_table` must give the same
 keys in the same order and the same bits of every overlap error and
 centre distance, and raise the same error where the reference raises.
@@ -28,12 +30,11 @@ from repbench.geometry import (
     SecondMomentEllipse,
     close_pairs,
     default_grid_step,
-    homography_jacobian,
+    homography_jacobians,
     map_regions_to_reference,
     minor_semiaxes,
     normalize_pair,
     pairwise_distances,
-    project_point,
     project_points,
 )
 from repbench.metrics import EvalConfig, candidate_table, common_part_filter, region_overlap_error
@@ -91,10 +92,43 @@ def oracle_overlap_error(e1, e2, grid_step):
     return min(1.0, max(0.0, 1.0 - inter / union))
 
 
+def oracle_project_point(h, p):
+    """project_point as it was written before it became a call of
+    project_points: one point, numpy scalars."""
+    x, y = float(p[0]), float(p[1])
+    m = h.m
+    w = m[2, 0] * x + m[2, 1] * y + m[2, 2]
+    if abs(w) < geometry.PROJECTIVE_EPS:
+        raise PointAtInfinity(f"point ({x:g}, {y:g}) maps to infinity")
+    u = m[0, 0] * x + m[0, 1] * y + m[0, 2]
+    v = m[1, 0] * x + m[1, 1] * y + m[1, 2]
+    return np.array([u / w, v / w])
+
+
+def oracle_homography_jacobian(h, p):
+    """homography_jacobian as it was written before it became a call of
+    homography_jacobians."""
+    x, y = float(p[0]), float(p[1])
+    m = h.m
+    u = m[0, 0] * x + m[0, 1] * y + m[0, 2]
+    v = m[1, 0] * x + m[1, 1] * y + m[1, 2]
+    w = m[2, 0] * x + m[2, 1] * y + m[2, 2]
+    if abs(w) < geometry.PROJECTIVE_EPS:
+        raise PointAtInfinity(f"point ({x:g}, {y:g}) maps to infinity")
+    with np.errstate(all="ignore"):
+        w2 = w * w
+        return np.array(
+            [
+                [(m[0, 0] * w - u * m[2, 0]) / w2, (m[0, 1] * w - u * m[2, 1]) / w2],
+                [(m[1, 0] * w - v * m[2, 0]) / w2, (m[1, 1] * w - v * m[2, 1]) / w2],
+            ]
+        )
+
+
 def oracle_map_region_to_reference(h, ref_center, test_region):
-    a = homography_jacobian(h, ref_center)
+    a = oracle_homography_jacobian(h, ref_center)
     shape = a.T @ test_region.shape @ a
-    center = project_point(h.inverse(), test_region.center)
+    center = oracle_project_point(h.inverse(), test_region.center)
     return SecondMomentEllipse(center, 0.5 * (shape + shape.T))
 
 
@@ -111,8 +145,7 @@ def oracle_candidate_table(ref, test, h, cfg):
     """(ref_idx, test_idx, table, dropped): candidate_table's result and the
     number of candidates left out as DegenerateRegion or PointAtInfinity."""
     ref_idx, test_idx = common_part_filter(ref, test, h)
-    proj, ok = project_points(h, ref.centers[ref_idx])
-    assert bool(np.all(ok))
+    proj = np.array([oracle_project_point(h, p) for p in ref.centers[ref_idx]]).reshape(-1, 2)
     d = pairwise_distances(proj, test.centers[test_idx])
     table = {}
     dropped = 0
@@ -366,6 +399,41 @@ def test_transport_bits():
             assert centers[i].tobytes() == want.center.tobytes()
             assert abc[i].tobytes() == want.abc.tobytes()
     assert flagged > 0
+
+
+def test_projection_bits():
+    """project_points, and homography_jacobians' projection and Jacobian,
+    give the frozen scalar functions' bits on every row, and mask exactly
+    the rows those raise PointAtInfinity for: strongly projective maps, and
+    points on, within ulps of and near their horizon w = 0."""
+    rng = np.random.default_rng(4111)
+    flagged = near = 0
+    for k in range(200):
+        m = strong_projective(rng).m
+        m[2, :2] *= 10.0 ** (k % 3)  # perspective terms of about 1e-3 to 1e-1
+        h = Homography(m)
+        pts = rng.uniform(-500, 1500, (60, 2))
+        # |w| = |m[2, 0] dx| for an x offset dx from the horizon
+        y = rng.uniform(-500, 1500, 30)
+        dx = rng.choice([0.0, 1e-11, 1e-10, 1e-9, 1e-8, 1e-3, 1.0], 30) * rng.choice([-1, 1], 30)
+        pts[:30] = np.c_[-(m[2, 1] * y + m[2, 2]) / m[2, 0] + dx, y]
+        out, ok = project_points(h, pts)
+        jac, projected, at_infinity = homography_jacobians(h, pts)
+        for i, p in enumerate(pts):
+            try:
+                want = oracle_project_point(h, p)
+            except PointAtInfinity:
+                flagged += 1
+                assert not ok[i] and at_infinity[i] and np.isnan(out[i]).all()
+                with pytest.raises(PointAtInfinity):
+                    geometry.project_point(h, p)
+                continue
+            near += i < 30
+            assert ok[i] and not at_infinity[i]
+            assert out[i].tobytes() == projected[i].tobytes() == want.tobytes()
+            assert geometry.project_point(h, p).tobytes() == want.tobytes()
+            assert jac[i].tobytes() == oracle_homography_jacobian(h, p).tobytes()
+    assert flagged > 0 and near > 0
 
 
 def test_minor_semiaxes_bits():

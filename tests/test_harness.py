@@ -789,6 +789,39 @@ class TestCli:
         assert code == 2
         assert "repbench: error:" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [(["synth", "--jitter", "nan"], "jitter_sigma"),
+         (["synth", "--descriptor-noise", "inf"], "descriptor_noise_sigma"),
+         (["synth", "--scale-range", "2:inf"], "scale_range"),
+         (["sequence", "--manifest", "m.json", "--grid-step", "nan"], "grid_step"),
+         (["sequence", "--manifest", "m.json", "--eps", "nan"], "epsilon_px"),
+         (["sequence", "--manifest", "m.json", "--normalize-radius", "inf"], "normalize_radius")],
+    )
+    def test_non_finite_value_exit_2(self, tmp_path, capsys, argv, field):
+        code = main([*argv, "--out-dir" if argv[0] == "synth" else "--out", str(tmp_path / "x")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"repbench: error: {field} must" in captured.err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "synth"])
+    def test_singular_homography_exit_2_names_file(self, tmp_path, capsys, command):
+        hpath = tmp_path / "H.txt"
+        hpath.write_text("1 0 0\n0 1 0\n0 0 0\n")
+        kpts = tmp_path / "a.kpts"
+        kpts.write_text("1.0\n1\n10 10 0.5 0.0 0.5\n")
+        if command == "eval":
+            argv = ["eval", "--ref", str(kpts), "--test", str(kpts), "--ref-dims", "100x100",
+                    "--test-dims", "100x100"]
+        else:
+            argv = ["synth", "--out-dir", str(tmp_path / "x"), "--images", "2"]
+        code = main([*argv, "--homography", str(hpath)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"repbench: error: {hpath}: " in captured.err
+        assert "determinant" in captured.err
+
     def test_homography_count_mismatch_exit_2(self, tmp_path, capsys):
         hpath = tmp_path / "H.txt"
         hpath.write_text("1 0 0 0 1 0 0 0 1")

@@ -290,47 +290,33 @@ class TestDescriptorMatchType:
 
 
 class TestEpsilonBoundary:
-    """A match whose centre distance is within an ulp of epsilon_px, at a
-    point whose scalar (project_point) and batched (project_points)
-    projections differ in the last bit, so the two centre distances fall on
-    opposite sides of epsilon_px.  The pair is a true match exactly when it
-    is in the candidate table, whose distance is the batched one."""
+    """A match whose centre distance is within ulps of epsilon_px.  There is
+    one projection (project_point is a call of project_points), so there is
+    one centre distance: as the test centre steps an ulp at a time across
+    projection + epsilon_px, the pair is a true match exactly when it is in
+    the candidate table, exactly when that distance is below epsilon_px."""
 
     H = Homography(np.array([[1.1, 0.05, 3.3], [-0.04, 0.95, 7.1], [2e-4, 1e-4, 1.0]]))
 
-    # one point of each kind: only the scalar distance is below epsilon_px,
-    # or only the batched one is
-    @pytest.mark.parametrize("p, scalar_below", [((132.43, 247.11), True), ((125.8, 163.37), False)])
-    def test_true_match_only_if_candidate(self, p, scalar_below):
+    @pytest.mark.parametrize("p", [(132.43, 247.11), (125.8, 163.37)])
+    def test_true_match_only_if_candidate(self, p):
         cfg = EvalConfig()
-        scalar = project_point(self.H, p)
-        batched = project_points(self.H, [p])[0][0]
-        assert not np.array_equal(scalar, batched)
-
-        def distances(x):
-            c = np.array([x, batched[1]])
-            dx, dy = scalar - c
-            return float(pairwise_distances(batched[None], c[None])[0, 0]), (dx * dx + dy * dy) ** 0.5
-
-        # step the test centre's x an ulp at a time from batched + epsilon
-        for s in (0, -1, 1, -2, 2, -3, 3, -4, 4):
-            x = batched[0] + cfg.epsilon_px
+        proj = project_point(self.H, p)
+        assert proj.tobytes() == project_points(self.H, [p])[0][0].tobytes()
+        ref = make_set([p], [[1.0, 0.0]], radius=8.0)
+        below = set()
+        for s in range(-4, 5):
+            x = proj[0] + cfg.epsilon_px
             for _ in range(abs(s)):
                 x = np.nextafter(x, np.copysign(np.inf, s))
-            d_batched, d_scalar = distances(x)
-            if (d_batched < cfg.epsilon_px) != (d_scalar < cfg.epsilon_px):
-                break
-        else:
-            pytest.fail("no centre within 4 ulp splits the two distances")
-        assert (d_scalar < cfg.epsilon_px) == scalar_below
-
-        ref = make_set([p], [[1.0, 0.0]], radius=8.0)
-        test = make_set([(float(x), float(batched[1]))], [[1.0, 0.0]], radius=8.0)
-        # the overlap passes, so the centre distance alone decides
-        err = region_overlap_error(ref.keypoints[0].region, test.keypoints[0].region, self.H, cfg)
-        assert err < cfg.max_overlap_error
-        ev = evaluate_pair(ref, test, self.H, cfg)
-        assert ev.true_matches <= ev.n_rep
-        _, _, table = candidate_table(ref, test, self.H, cfg)
-        assert ev.true_matches == int((0, 0) in table)
-        assert ((0, 0) in table) == (d_batched < cfg.epsilon_px)
+            centre = np.array([x, proj[1]])
+            d = float(pairwise_distances(proj[None], centre[None])[0, 0])
+            test = make_set([centre], [[1.0, 0.0]], radius=8.0)
+            # the overlap passes, so the centre distance alone decides
+            err = region_overlap_error(ref.region(0), test.region(0), self.H, cfg)
+            assert err < cfg.max_overlap_error
+            ev = evaluate_pair(ref, test, self.H, cfg)
+            _, _, table = candidate_table(ref, test, self.H, cfg)
+            assert ev.true_matches == int((0, 0) in table) == int(d < cfg.epsilon_px)
+            below.add(d < cfg.epsilon_px)
+        assert below == {True, False}

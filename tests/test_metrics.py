@@ -369,6 +369,12 @@ class TestEvalConfig:
         with pytest.raises(ValueError):
             EvalConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["epsilon_px", "normalize_radius", "grid_step"])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            EvalConfig(**{field: value})
+
     def test_frozen(self):
         cfg = EvalConfig()
         with pytest.raises(AttributeError):

@@ -117,6 +117,17 @@ class TestSynthConfig:
         with pytest.raises(ValueError):
             SynthConfig(seed=1, **kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("scale_range", (2.0, math.nan)), ("scale_range", (2.0, math.inf)),
+         ("scale_range", (math.nan, 6.0)), ("jitter_sigma", math.nan),
+         ("jitter_sigma", math.inf), ("descriptor_noise_sigma", math.nan),
+         ("descriptor_noise_sigma", math.inf)],
+    )
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SynthConfig(seed=1, **{field: value})
+
 
 class TestGenerateReference:
     def test_deterministic(self):
