@@ -43,11 +43,8 @@ from .formats import (
 from .geometry import (
     Homography,
     SecondMomentEllipse,
-    homography_jacobian,
-    map_region_to_reference,
     normalize_pair,
     overlap_error,
-    project_point,
     project_points,
 )
 from .harness import (
@@ -123,11 +120,9 @@ __all__ = [
     "evaluate_sequence",
     "find_correspondences",
     "generate_reference",
-    "homography_jacobian",
     "load_homography",
     "load_keypoints",
     "load_manifest",
-    "map_region_to_reference",
     "match_descriptors",
     "nn_match",
     "normalize_pair",
@@ -137,7 +132,6 @@ __all__ = [
     "parse_keypoints",
     "parse_manifest",
     "pearson_r",
-    "project_point",
     "project_points",
     "ratio_match",
     "summarize",

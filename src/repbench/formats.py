@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidRegion, ManifestError, ParseError, SingularHomography
-from .geometry import Homography, SecondMomentEllipse, positive_definite
+from .geometry import Homography, SecondMomentEllipse, region_checks
 
 
 @dataclass(eq=False)
@@ -56,23 +56,16 @@ class KeypointSet:
                 raise ValueError(f"{name} must have shape ({n}, {cols}), got {array.shape}")
             array.flags.writeable = False
             setattr(self, name, array)
-        finite = (
-            np.isfinite(self.centers).all(axis=1)
-            & np.isfinite(self.abc).all(axis=1)
-            & np.isfinite(self.descriptors).all(axis=1)
-        )
-        a, b, c = self.abc.T
-        # a * c may overflow to inf, which passes, as a Python float's did
-        with np.errstate(invalid="ignore", over="ignore"):
-            definite = positive_definite(a, b, c)
+        center_ok, abc_ok, definite = region_checks(self.centers, self.abc)
+        finite = center_ok & abc_ok & np.isfinite(self.descriptors).all(axis=1)
         bad = np.flatnonzero(~(finite & definite))
         if len(bad):
             k = int(bad[0])
             if not finite[k]:
                 raise ValueError(f"keypoint {k}: values must be finite")
+            a, b, c = self.abc[k].tolist()
             raise ValueError(
-                f"keypoint {k}: region not positive definite "
-                f"(a={a[k]:g}, b={b[k]:g}, c={c[k]:g})"
+                f"keypoint {k}: region not positive definite (a={a:g}, b={b:g}, c={c:g})"
             )
 
     def __len__(self):
@@ -151,7 +144,13 @@ def _parse_real(token, lineno, what="value"):
 
 
 def parse_keypoints(text, image_id, width, height):
-    """Parse detector output in the standard affine-region format."""
+    """Parse detector output in the standard affine-region format.
+
+    The rows are read up to the first that is not 5 + D reals and then
+    checked together (geometry.region_checks).  An error names the line of
+    the first bad row; a row that is not 5 + D reals, and a count that does
+    not match, are reported only once the rows before them pass.
+    """
     lines = _as_text(text).splitlines()
     if not lines or not lines[0].split():
         raise ParseError("missing descriptor-dimension header", line=1)
@@ -187,41 +186,48 @@ def parse_keypoints(text, image_id, width, height):
     count = int(count_value)
 
     expected_tokens = 5 + descriptor_dim
-    # no more rows than lines, so a false count cannot inflate the array
-    data = np.empty((min(count, len(lines) - 2), expected_tokens))
-    found = 0
-    for lineno0, line in enumerate(lines[2:], start=3):
-        tokens = line.split()
-        if not tokens:
-            continue  # tolerate blank lines
-        if len(tokens) != expected_tokens:
-            raise ParseError(
-                f"expected {expected_tokens} tokens, got {len(tokens)}", line=lineno0
-            )
-        try:
-            values = list(map(float, tokens))
-        except ValueError:
-            # re-parse token by token to name the bad one
-            values = [_parse_real(t, lineno0) for t in tokens]
-        u, v, a, b, c = values[:5]
-        if not all(math.isfinite(x) for x in (u, v)):
-            raise InvalidRegion("keypoint center must be finite", line=lineno0)
-        if not all(math.isfinite(x) for x in (a, b, c)):
-            raise InvalidRegion("region coefficients must be finite", line=lineno0)
-        if not positive_definite(a, b, c):
-            raise InvalidRegion(
-                f"region not positive definite (a={a:g}, b={b:g}, c={c:g})",
-                line=lineno0,
-            )
-        if not all(map(math.isfinite, values[5:])):
-            raise ParseError("descriptor values must be finite", line=lineno0)
-        if found < len(data):
-            data[found] = values
-        found += 1
+    rows, linenos, token_error = [], [], None
+    try:
+        for lineno, line in enumerate(lines[2:], start=3):
+            tokens = line.split()
+            if not tokens:
+                continue  # tolerate blank lines
+            if len(tokens) != expected_tokens:
+                raise ParseError(
+                    f"expected {expected_tokens} tokens, got {len(tokens)}", line=lineno
+                )
+            try:
+                rows.append(list(map(float, tokens)))
+            except ValueError:
+                # re-parse token by token to name the bad one
+                rows.append([_parse_real(t, lineno) for t in tokens])
+            linenos.append(lineno)
+    except ParseError as exc:
+        token_error = exc  # raised once the rows before it pass their checks
 
-    if found != count:
-        raise ParseError(f"declared {count} keypoints but found {found}", line=2)
-    return KeypointSet(image_id, width, height, data[:, :2], data[:, 2:5], data[:, 5:])
+    data = np.array(rows, dtype=float).reshape(len(rows), expected_tokens)
+    centers, abc, descriptors = data[:, :2], data[:, 2:5], data[:, 5:]
+    center_ok, abc_ok, definite = region_checks(centers, abc)
+    descriptors_ok = np.isfinite(descriptors).all(axis=1)
+    bad = np.flatnonzero(~(center_ok & abc_ok & definite & descriptors_ok))
+    if len(bad):
+        k = int(bad[0])
+        lineno = linenos[k]
+        if not center_ok[k]:
+            raise InvalidRegion("keypoint center must be finite", line=lineno)
+        if not abc_ok[k]:
+            raise InvalidRegion("region coefficients must be finite", line=lineno)
+        if not definite[k]:
+            a, b, c = abc[k].tolist()
+            raise InvalidRegion(
+                f"region not positive definite (a={a:g}, b={b:g}, c={c:g})", line=lineno
+            )
+        raise ParseError("descriptor values must be finite", line=lineno)
+    if token_error is not None:
+        raise token_error
+    if len(data) != count:
+        raise ParseError(f"declared {count} keypoints but found {len(data)}", line=2)
+    return KeypointSet(image_id, width, height, centers, abc, descriptors)
 
 
 def write_keypoints(kset):

@@ -10,16 +10,16 @@ centers over their joint bounding box; the cells inside each ellipse are
 counted row by row, as one run of columns per row, rather than one by one.
 
 Every point is projected by one formula, m (x, y, 1) element by element
-(_homogeneous), never by a matmul, so no BLAS build sets its bits, and one
-rule (positive_definite) decides which shapes are ellipses.  Many points
-and pairs are handled in one pass over arrays: project_points projects K
-points, homography_jacobians linearises the map at K points,
+(_homogeneous), never by a matmul, so no BLAS build sets its bits; one rule
+(positive_definite) decides which shapes are ellipses, and one check
+(region_checks) decides which rows (u, v, a, b, c) are regions.  Many
+points and pairs are handled in one pass over arrays: project_points
+projects K points, homography_jacobians linearises the map at K points,
 map_regions_to_reference transports K regions (through transport_shapes),
 and overlap_errors lays out the grid of each of K pairs and runs the rows
 of all the grids through one row kernel, a block of OVERLAP_BLOCK_ROWS rows
-at a time.  The one-point and one-pair functions (project_point,
-homography_jacobian, map_region_to_reference, overlap_error,
-overlap_row_counts) are K = 1 calls into them, with the same bits.
+at a time.  The one-pair functions (overlap_error, overlap_row_counts) are
+K = 1 calls into them, with the same bits.
 close_pairs finds the point pairs closer than a radius with a spatial
 hash, bucketing one set in cells a little wider than the radius, rather
 than computing all N x M distances.
@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateRegion, PointAtInfinity, SingularHomography
+from .errors import DegenerateRegion, SingularHomography
 
 # |w| below this in a projective division means the point is at infinity.
 PROJECTIVE_EPS = 1e-12
@@ -49,6 +49,20 @@ def positive_definite(a, b, c):
     """Whether a(x-u)^2 + 2b(x-u)(y-v) + c(y-v)^2 <= 1 is an ellipse, of
     floats or arrays: a > 0, c > 0, a c - b^2 > 0.  The caller holds any errstate."""
     return (a > 0.0) & (c > 0.0) & (a * c - b * b > 0.0)
+
+
+def region_checks(centers, abc):
+    """Which rows of centers (N, 2) and abc (N, 3) are regions
+    a(x-u)^2 + 2b(x-u)(y-v) + c(y-v)^2 <= 1: the (N,) masks of finite
+    centers, of finite coefficients, and of positive-definite coefficients.
+
+    A row whose product a c overflows to inf passes, as it does in Python
+    floats, and a row with a NaN is not positive definite; neither warns.
+    """
+    a, b, c = abc.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (np.isfinite(centers).all(axis=1), np.isfinite(abc).all(axis=1),
+                positive_definite(a, b, c))
 
 
 class Homography:
@@ -176,17 +190,6 @@ class SecondMomentEllipse:
         )
 
 
-def project_point(h, p):
-    """Map a point through a homography, dividing out the homogeneous weight.
-
-    Raises PointAtInfinity when |w| < PROJECTIVE_EPS.  One point of project_points.
-    """
-    out, ok = project_points(h, p)
-    if not ok[0]:
-        raise PointAtInfinity(f"point ({float(p[0]):g}, {float(p[1]):g}) maps to infinity")
-    return out[0]
-
-
 def project_points(h, pts):
     """Vectorized projection of an (N, 2) array.
 
@@ -306,20 +309,10 @@ def close_pairs(a, b, radius):
     return i[close], j[close], d[close]
 
 
-def homography_jacobian(h, p):
-    """Exact 2x2 Jacobian of the projective map at point p.
-
-    For the rational map (u/w, v/w) the partials are d(u/w)/dx = (u_x * w -
-    u * w_x) / w^2 and so on.  One point of homography_jacobians.
-    """
-    jac, _, at_infinity = homography_jacobians(h, np.asarray(p, dtype=float).reshape(1, 2))
-    if at_infinity[0]:
-        raise PointAtInfinity(f"point ({float(p[0]):g}, {float(p[1]):g}) maps to infinity")
-    return jac[0]
-
-
 def homography_jacobians(h, points):
-    """homography_jacobian and project_point at each row of points (K, 2).
+    """The exact Jacobian and the image of the projective map at each row of
+    points (K, 2).  For the rational map (u/w, v/w) the partials are
+    d(u/w)/dx = (u_x * w - u * w_x) / w^2 and so on.
 
     Returns (jac, projected, at_infinity): the (K, 2, 2) Jacobians and (K,
     2) images of the points, and the mask of the points that map to
@@ -339,37 +332,19 @@ def homography_jacobians(h, points):
     return jac, projected, np.abs(w) < PROJECTIVE_EPS
 
 
-def map_region_to_reference(h, ref_center, test_region):
-    """Carry a test-frame region into the reference frame.
-
-    The shape matrix is transported by the quadratic form A^T mu A with
-    A = homography_jacobian(h, ref_center); the center is mapped projectively
-    through the inverse homography.  Exact when h is affine.  One pair of
-    `map_regions_to_reference`.
-    """
-    centers, abc, at_infinity = map_regions_to_reference(
-        h, np.asarray(ref_center, dtype=float)[None], test_region.center[None],
-        test_region.abc[None],
-    )
-    x, y = float(ref_center[0]), float(ref_center[1])
-    if at_infinity[0]:
-        raise PointAtInfinity(f"point ({x:g}, {y:g}) or its test region's center maps to infinity")
-    try:
-        return SecondMomentEllipse.from_abc(*centers[0].tolist(), *abc[0].tolist())
-    except DegenerateRegion as exc:
-        raise DegenerateRegion(f"Jacobian at ({x:g}, {y:g}) degenerates the region: {exc}") from exc
-
-
 def map_regions_to_reference(h, ref_centers, test_centers, test_abc):
-    """map_region_to_reference of K regions at once, with the same bits.
+    """Carry K test-frame regions into the reference frame.
 
     Test region k has center test_centers[k] and coefficients test_abc[k]
-    = (a, b, c); it is transported around ref_centers[k].  Returns
-    (centers, abc, at_infinity): the (K, 2) centers and (K, 3) coefficients
-    of the regions in the reference frame, and the mask of the pairs for
-    which map_region_to_reference raises PointAtInfinity, whose values are
-    meaningless.  The values are not checked further.  The transport is a
-    stacked matmul, which has the per-pair `@`'s kernel and bits.
+    = (a, b, c).  Its shape matrix mu is transported by the quadratic form
+    A^T mu A, A the Jacobian of h at ref_centers[k]; its center is mapped
+    projectively through the inverse homography.  Exact when h is affine.
+    Returns (centers, abc, at_infinity): the (K, 2) centers and (K, 3)
+    coefficients of the regions in the reference frame, and the mask of the
+    pairs where ref_centers[k] or test_centers[k] maps to infinity, whose
+    values are meaningless.  The values are not checked further.  The
+    transport is a stacked matmul, which has the per-pair `@`'s kernel and
+    bits.
     """
     jac, _, ref_at_infinity = homography_jacobians(h, ref_centers)
     centers, finite = project_points(h.inverse(), test_centers)
@@ -497,12 +472,15 @@ def minor_semiaxes(abc):
     return np.where(mid - half_spread > 0.0, 1.0 / np.sqrt(mid + half_spread), np.nan)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _grid_constants(centers, abc, grid_step):
     """The overlap_error grid of each pair, as the row kernel's constants.
 
     centers (2, K, 2) and abc (2, K, 3) hold the first and second region of
     each pair.  Returns (per_pair, ny): the (23, K) constants that
-    _row_counts reads, and the number of grid rows of each pair.
+    _row_counts reads, and the number of grid rows of each pair.  A region
+    whose a c overflows, one under about 1e-77 px across, gives no warning
+    here; its pair's overlap error comes out as 1 or NaN.
     """
     if np.any(np.asarray(grid_step) <= 0):
         raise ValueError("grid_step must be positive")

@@ -313,10 +313,12 @@ def summary_table(reports, criterion="c2", thresholds=None):
     """Mean criterion score per (detector, dataset), with ratings.
 
     Detectors and datasets keep first-appearance order.  When thresholds is
-    None each dataset is binned at (1/3, 2/3) of its best mean score; explicit
-    thresholds apply everywhere.  Cells with no defined values stay None.
-    Returns (detectors, datasets, cells, ratings, thresholds_used) where
-    cells and ratings map (detector, dataset) to score / rating string.
+    None each dataset is binned at (1/3, 2/3) of its best mean score, or
+    not at all when that best is not positive, which rates every cell "+";
+    explicit thresholds apply everywhere.  Cells with no defined values
+    stay None.  Returns (detectors, datasets, cells, ratings,
+    thresholds_used) where cells and ratings map (detector, dataset) to
+    score / rating string.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}")
@@ -361,13 +363,9 @@ def summary_table(reports, criterion="c2", thresholds=None):
 
 
 def summary_table_csv(detectors, datasets, cells, ratings):
-    lines = [",".join(["detector"] + datasets)]
-    for det in detectors:
-        row = [det]
-        for ds in datasets:
-            row.append(ratings.get((det, ds), MISSING_CELL))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    rows = [[det] + [ratings.get((det, ds), MISSING_CELL) for ds in datasets]
+            for det in detectors]
+    return _csv(",".join(["detector"] + datasets), rows)
 
 
 def summary_table_json(criterion, detectors, datasets, cells, ratings, thresholds_used):

@@ -38,8 +38,8 @@ from .geometry import (
     map_regions_to_reference,
     minor_semiaxes,
     overlap_errors,
-    positive_definite,
     project_points,
+    region_checks,
 )
 from .matching import match_descriptors, verify_matches
 
@@ -154,8 +154,7 @@ def _overlap_errors(ref_centers, ref_abc, test_centers, test_abc, h, cfg):
     included.  Each step is the per-pair code's, in its operation order:
     the transport (geometry.map_regions_to_reference), normalize_pair,
     default_grid_step and the overlap grid (geometry.overlap_errors).  A
-    region that turns non-finite raises ValueError, as SecondMomentEllipse
-    does.
+    region that turns non-finite raises ValueError (_valid_regions).
     """
     center, test_abc, at_infinity = map_regions_to_reference(h, ref_centers, test_centers,
                                                              test_abc)
@@ -184,14 +183,12 @@ def _overlap_errors(ref_centers, ref_abc, test_centers, test_abc, h, cfg):
 
 
 def _valid_regions(scored, centers, abc):
-    """`scored` less the regions that SecondMomentEllipse would reject as
-    not positive definite; raises ValueError, as it does, when a scored
-    region is not finite."""
-    finite = np.isfinite(centers).all(axis=1) & np.isfinite(abc).all(axis=1)
-    if not finite[scored].all():
+    """`scored` less the regions that are not positive definite; raises
+    ValueError when a scored region is not finite (geometry.region_checks)."""
+    center_ok, abc_ok, definite = region_checks(centers, abc)
+    if not (center_ok & abc_ok)[scored].all():
         raise ValueError("ellipse center and shape must be finite")
-    a, b, c = abc.T
-    return scored & positive_definite(a, b, c)
+    return scored & definite
 
 
 def candidate_table(ref, test, h, cfg=EvalConfig()):

@@ -134,47 +134,35 @@ def correlate(xs, ys) -> CorrelationReport:
     return CorrelationReport(r, p_value_two_tailed(r, len(x)), len(x))
 
 
-def summarize(values, population=False):
-    """(mean, std) of a list of reals.
-
-    Sample standard deviation (n - 1) by default; `population` switches to the
-    n denominator.  A single value has no sample std, so that case returns
-    (mean, None) unless population is set.
-    """
+def summarize(values):
+    """(mean, sample std) of a list of reals; the std of a single value is
+    None, since a sample std needs two."""
     v = np.asarray(values, dtype=float).ravel()
     if len(v) == 0:
         raise InsufficientData("cannot summarize an empty list")
     mean = float(v.mean())
-    if population:
-        return mean, float(v.std(ddof=0))
     if len(v) == 1:
         return mean, None
     return mean, float(v.std(ddof=1))
 
 
-def bin_scores(mean_scores, bins=None):
+def bin_scores(mean_scores, bins):
     """Rate each score by the number of thresholds it clears.
 
     `bins` is a strictly ascending list of thresholds in (0, 1); the rating is
     1 + the count of thresholds strictly below the score, rendered as that
-    many '+' characters.  When bins is None the thresholds default to 1/3 and
-    2/3 of the best score, so the top scorer always earns "+++"; if the best
-    score is not positive every entry rates "+".
+    many '+' characters, so with no thresholds every entry rates "+".
     """
     if not mean_scores:
         raise InsufficientData("no scores to rate")
     scores = {key: float(v) for key, v in mean_scores.items()}
     if any(not math.isfinite(v) for v in scores.values()):
         raise ValueError("scores must be finite")
-    if bins is None:
-        best = max(scores.values())
-        bins = [best / 3.0, 2.0 * best / 3.0] if best > 0.0 else []
-    else:
-        bins = [float(b) for b in bins]
-        if any(not 0.0 < b < 1.0 for b in bins):
-            raise ValueError("thresholds must lie strictly inside (0, 1)")
-        if any(b2 <= b1 for b1, b2 in zip(bins, bins[1:])):
-            raise ValueError("thresholds must be strictly ascending")
+    bins = [float(b) for b in bins]
+    if any(not 0.0 < b < 1.0 for b in bins):
+        raise ValueError("thresholds must lie strictly inside (0, 1)")
+    if any(b2 <= b1 for b1, b2 in zip(bins, bins[1:])):
+        raise ValueError("thresholds must be strictly ascending")
     return {
         key: "+" * (1 + sum(1 for b in bins if b < score))
         for key, score in scores.items()

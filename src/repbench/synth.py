@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .formats import KeypointSet
-from .geometry import homography_jacobians, positive_definite, transport_shapes
+from .geometry import homography_jacobians, region_checks, transport_shapes
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -227,7 +227,7 @@ def _transport(h, centers, abc):
     image, and those images.  A region has none when its center maps to
     infinity (PointAtInfinity), np.linalg.inv rejects its J (LinAlgError)
     or its image is not positive definite (DegenerateRegion).  Raises
-    ValueError, as SecondMomentEllipse does, when an image is not finite.
+    ValueError when an image is not finite (geometry.region_checks).
     """
     jac, centers, at_infinity = homography_jacobians(h, centers)
     kept = np.flatnonzero(~at_infinity)
@@ -244,11 +244,9 @@ def _transport(h, centers, abc):
                 invertible[k] = False
         kept, inv = kept[invertible], inv[invertible]
     centers, abc = centers[kept], transport_shapes(inv, abc[kept])
-    if not (np.isfinite(centers).all() and np.isfinite(abc).all()):
+    center_ok, abc_ok, definite = region_checks(centers, abc)
+    if not (center_ok & abc_ok).all():
         raise ValueError("ellipse center and shape must be finite")
-    a, b, c = abc.T
-    with np.errstate(over="ignore"):
-        definite = positive_definite(a, b, c)
     return kept[definite], centers[definite], abc[definite]
 
 

@@ -87,6 +87,11 @@ class TestKeypointGrammar:
         text = "1.0\n2\n\n10 20 0.5 0.0 0.5\n\n30 40 0.5 0.0 0.5\n\n"
         assert len(parse_keypoints(text, "img", 100, 100)) == 2
 
+    def test_blank_lines_reserve_no_rows(self):
+        # a wide header over many blank lines must not size a row per line
+        s = parse_keypoints("1000000000\n0\n" + "\n" * 100_000, "img", 10, 10)
+        assert len(s) == 0 and s.descriptor_dim == 1_000_000_000
+
     def test_bytes_input(self):
         s = parse_keypoints(b"1.0\n0\n", "img", 10, 10)
         assert len(s) == 0
@@ -123,6 +128,12 @@ MALFORMED_KEYPOINTS = [
     ("2\n1\n10 20 0.5 0.0 0.5 1 nan\n", ParseError, "line 3"),
     # a bad region on an earlier line wins over a later non-finite descriptor
     ("2\n2\n10 20 1.0 2.0 1.0 1 2\n10 20 0.5 0.0 0.5 1 nan\n", InvalidRegion, "line 3"),
+    # the rows before a malformed row are checked first
+    ("2\n2\n10 20 1.0 2.0 1.0 1 nan\n10 x 0.5 0.0 0.5 1 2\n", InvalidRegion, "line 3"),
+    # rows past the declared count are checked before the count mismatch
+    ("1.0\n1\n10 20 0.5 0 0.5\n10 20 -1 0 0.5\n", InvalidRegion, "line 4"),
+    # blank lines keep the numbering
+    ("1.0\n3\n10 20 0.5 0 0.5\n\n10 20 0.5 0 nan\n", InvalidRegion, "line 5"),
     (b"\xff\xfe\x00bad", ParseError, "UTF-8"),
 ]
 

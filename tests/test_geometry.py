@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from repbench.errors import DegenerateRegion, PointAtInfinity, SingularHomography
+from repbench.errors import DegenerateRegion, SingularHomography
 from repbench.geometry import (
     Homography,
     SecondMomentEllipse,
     default_grid_step,
-    homography_jacobian,
-    map_region_to_reference,
+    homography_jacobians,
+    map_regions_to_reference,
     normalize_pair,
     overlap_error,
-    project_point,
     project_points,
 )
 
@@ -37,6 +36,22 @@ def random_ellipse(rng, span=20.0):
     rot = np.array([[c, -s], [s, c]])
     shape = rot @ np.diag(1.0 / a**2) @ rot.T
     return SecondMomentEllipse(center, 0.5 * (shape + shape.T))
+
+
+def project(h, pts):
+    """project_points of finite images only: the projected (K, 2) array."""
+    out, ok = project_points(h, pts)
+    assert ok.all()
+    return out
+
+
+def map_region(h, ref_center, test_region):
+    """map_regions_to_reference of one region, as a SecondMomentEllipse."""
+    centers, abc, at_infinity = map_regions_to_reference(
+        h, np.reshape(ref_center, (1, 2)), test_region.center[None], test_region.abc[None]
+    )
+    assert not at_infinity[0]
+    return SecondMomentEllipse.from_abc(*centers[0], *abc[0])
 
 
 def boundary_points(e, n=256):
@@ -69,37 +84,43 @@ class TestHomography:
         rng = np.random.default_rng(3)
         for _ in range(20):
             h = random_homography(rng)
-            p = rng.uniform(-5, 5, 2)
-            back = project_point(h.inverse(), project_point(h, p))
+            p = rng.uniform(-5, 5, (20, 2))
+            back = project(h.inverse(), project(h, p))
             assert np.allclose(back, p, atol=1e-9)
 
     def test_compose(self):
         rng = np.random.default_rng(4)
         h1, h2 = random_homography(rng), random_homography(rng)
         p = np.array([1.7, -2.2])
-        direct = project_point(h1 @ h2, p)
-        chained = project_point(h1, project_point(h2, p))
+        direct = project(h1 @ h2, p)
+        chained = project(h1, project(h2, p))
         assert np.allclose(direct, chained, atol=1e-9)
 
 
 class TestProjection:
     def test_affine_map_known_values(self):
         h = Homography(np.array([[2.0, 0, 3], [0, 0.5, -1], [0, 0, 1]]))
-        assert np.allclose(project_point(h, (1, 4)), (5.0, 1.0))
+        assert np.allclose(project(h, (1, 4)), [(5.0, 1.0)])
 
     def test_point_at_infinity(self):
         h = Homography(np.array([[1.0, 0, 0], [0, 1, 0], [-1, 0, 1]]))
-        with pytest.raises(PointAtInfinity):
-            project_point(h, (1.0, 0.0))
+        out, ok = project_points(h, (1.0, 0.0))
+        assert not ok[0] and np.isnan(out[0]).all()
+        _, _, at_infinity = homography_jacobians(h, np.array([(1.0, 0.0)]))
+        assert at_infinity[0]
 
     def test_vectorized_matches_scalar(self):
+        # each row has the bits of projecting that point alone, in Python floats
         rng = np.random.default_rng(5)
         h = random_homography(rng)
         pts = rng.uniform(-20, 20, (40, 2))
-        out, ok = project_points(h, pts)
-        assert ok.all()
-        for p, q in zip(pts, out):
-            assert np.allclose(project_point(h, p), q, atol=0)
+        out = project(h, pts)
+        m = h.m.tolist()
+        for (x, y), q in zip(pts.tolist(), out.tolist()):
+            w = m[2][0] * x + m[2][1] * y + m[2][2]
+            assert q == [(m[0][0] * x + m[0][1] * y + m[0][2]) / w,
+                         (m[1][0] * x + m[1][1] * y + m[1][2]) / w]
+            assert project(h, (x, y)).tolist() == [q]
 
     def test_vectorized_masks_infinity(self):
         h = Homography(np.array([[1.0, 0, 0], [0, 1, 0], [-1, 0, 1]]))
@@ -113,22 +134,19 @@ class TestJacobian:
         eps = 1e-6
         for _ in range(50):
             h = random_homography(rng)
-            p = rng.uniform(-10, 10, 2)
-            try:
-                jac = homography_jacobian(h, p)
-            except PointAtInfinity:
+            p = rng.uniform(-10, 10, (1, 2))
+            jac, _, at_infinity = homography_jacobians(h, p)
+            if at_infinity[0]:
                 continue
             fd = np.zeros((2, 2))
             for k, d in enumerate([(eps, 0.0), (0.0, eps)]):
-                hi = project_point(h, p + d)
-                lo = project_point(h, p - d)
-                fd[:, k] = (hi - lo) / (2 * eps)
-            assert np.allclose(jac, fd, atol=1e-6), (jac, fd)
+                fd[:, k] = (project(h, p + d)[0] - project(h, p - d)[0]) / (2 * eps)
+            assert np.allclose(jac[0], fd, atol=1e-6), (jac[0], fd)
 
     def test_affine_jacobian_is_linear_part(self):
         h = Homography(np.array([[2.0, 1.0, 5], [0.5, 3.0, -2], [0, 0, 1]]))
-        jac = homography_jacobian(h, (123.0, -45.0))
-        assert np.array_equal(jac, np.array([[2.0, 1.0], [0.5, 3.0]]))
+        jac, _, _ = homography_jacobians(h, np.array([(123.0, -45.0)]))
+        assert np.array_equal(jac[0], np.array([[2.0, 1.0], [0.5, 3.0]]))
 
 
 class TestEllipse:
@@ -180,11 +198,10 @@ class TestRegionTransport:
         for _ in range(30):
             h = random_homography(rng, projective=False)
             test_region = random_ellipse(rng, span=5.0)
-            ref_center = project_point(h.inverse(), test_region.center)
-            mapped = map_region_to_reference(h, ref_center, test_region)
+            ref_center = project(h.inverse(), test_region.center)
+            mapped = map_region(h, ref_center, test_region)
             # boundary points of the test region land on the mapped boundary
-            for p in boundary_points(test_region, 64):
-                q = project_point(h.inverse(), p) - mapped.center
+            for q in project(h.inverse(), boundary_points(test_region, 64)) - mapped.center:
                 val = q @ mapped.shape @ q
                 assert math.isclose(val, 1.0, rel_tol=1e-10, abs_tol=1e-10)
 
@@ -194,15 +211,14 @@ class TestRegionTransport:
             np.array([[1.1, 0.05, 3.0], [-0.04, 0.95, 1.0], [1e-5, -2e-5, 1.0]])
         )
         test_region = SecondMomentEllipse.from_abc(210.0, 190.0, 0.04, 0.005, 0.06)
-        ref_center = project_point(h.inverse(), test_region.center)
-        mapped = map_region_to_reference(h, ref_center, test_region)
-        for p in boundary_points(test_region, 32):
-            q = project_point(h.inverse(), p) - mapped.center
+        ref_center = project(h.inverse(), test_region.center)
+        mapped = map_region(h, ref_center, test_region)
+        for q in project(h.inverse(), boundary_points(test_region, 32)) - mapped.center:
             assert abs(q @ mapped.shape @ q - 1.0) < 1e-2
 
     def test_identity_transport_returns_same_region(self):
         e = random_ellipse(np.random.default_rng(11))
-        mapped = map_region_to_reference(Homography.identity(), e.center, e)
+        mapped = map_region(Homography.identity(), e.center, e)
         assert np.allclose(mapped.center, e.center, atol=1e-12)
         assert np.allclose(mapped.shape, e.shape, atol=1e-12)
 

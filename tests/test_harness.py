@@ -372,13 +372,16 @@ class TestSummaryTable:
         docs = [
             summary_doc("detA", "ds1", [0.9, 0.9, 0.9]),
             summary_doc("detB", "ds1", [0.2, 0.2, 0.2]),
+            summary_doc("detC", "ds1", [0.45]),
         ]
         detectors, datasets, cells, ratings, used = summary_table(docs, "c2")
-        assert detectors == ["detA", "detB"]
+        assert detectors == ["detA", "detB", "detC"]
         assert datasets == ["ds1"]
         assert abs(cells[("detA", "ds1")] - 0.9) < 1e-12
+        # best 0.9 puts the thresholds at 0.3 and 0.6
         assert ratings[("detA", "ds1")] == "+++"
         assert ratings[("detB", "ds1")] == "+"
+        assert ratings[("detC", "ds1")] == "++"
         assert used["ds1"] == [0.3, 0.6]
 
     def test_explicit_thresholds(self):

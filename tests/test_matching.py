@@ -6,7 +6,6 @@ from repbench.formats import KeypointSet
 from repbench.geometry import (
     Homography,
     pairwise_distances,
-    project_point,
     project_points,
 )
 from repbench.matching import (
@@ -242,7 +241,6 @@ class TestVerifyMatches:
         test = make_set(moved.tolist(), (descs + rng.normal(0, 0.05, descs.shape)).tolist(), radius=3.0)
         matches = nn_match(ref, test)
 
-        from repbench.geometry import project_point
         from repbench.metrics import common_part_filter, region_overlap_error
 
         ref_ok, test_ok = common_part_filter(ref, test, h)
@@ -250,7 +248,7 @@ class TestVerifyMatches:
         for m in matches:
             if m.ref_index not in ref_ok or m.test_index not in test_ok:
                 continue
-            p = project_point(h, ref.keypoints[m.ref_index].region.center)
+            p = project_points(h, ref.centers[m.ref_index])[0][0]
             q = test.keypoints[m.test_index].region.center
             if not np.hypot(p[0] - q[0], p[1] - q[1]) < cfg.epsilon_px:
                 continue
@@ -291,18 +289,17 @@ class TestDescriptorMatchType:
 
 class TestEpsilonBoundary:
     """A match whose centre distance is within ulps of epsilon_px.  There is
-    one projection (project_point is a call of project_points), so there is
-    one centre distance: as the test centre steps an ulp at a time across
-    projection + epsilon_px, the pair is a true match exactly when it is in
-    the candidate table, exactly when that distance is below epsilon_px."""
+    one projection (project_points), so there is one centre distance: as the
+    test centre steps an ulp at a time across projection + epsilon_px, the
+    pair is a true match exactly when it is in the candidate table, exactly
+    when that distance is below epsilon_px."""
 
     H = Homography(np.array([[1.1, 0.05, 3.3], [-0.04, 0.95, 7.1], [2e-4, 1e-4, 1.0]]))
 
     @pytest.mark.parametrize("p", [(132.43, 247.11), (125.8, 163.37)])
     def test_true_match_only_if_candidate(self, p):
         cfg = EvalConfig()
-        proj = project_point(self.H, p)
-        assert proj.tobytes() == project_points(self.H, [p])[0][0].tobytes()
+        proj = project_points(self.H, p)[0][0]
         ref = make_set([p], [[1.0, 0.0]], radius=8.0)
         below = set()
         for s in range(-4, 5):

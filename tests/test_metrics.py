@@ -3,11 +3,12 @@ import pytest
 
 from repbench.errors import UndefinedMetric
 from repbench.formats import KeypointSet
-from repbench.geometry import Homography, SecondMomentEllipse
+from repbench.geometry import Homography, SecondMomentEllipse, project_points
 from repbench.metrics import (
     Correspondence,
     EvalConfig,
     PairEvaluation,
+    candidate_table,
     common_part_filter,
     criterion1,
     criterion2,
@@ -97,6 +98,19 @@ class TestRegionOverlapError:
         err = region_overlap_error(ref_region, test_region, h, FAST)
         assert err < 0.01
 
+    @pytest.mark.parametrize("cfg", [EvalConfig(), FAST], ids=["default", "raw-grid-0.5"])
+    def test_overflowing_region_scored_without_warning(self, cfg):
+        # a c = 1e400 overflows to inf: the test region is still positive
+        # definite, and it is scored without a RuntimeWarning, which the
+        # pytest configuration turns into an error; at a radius of 1e-100
+        # px it repeats nothing
+        ref = make_set([(50.0, 50.0)], radius=10.0)
+        test = KeypointSet("img", 400, 400, [[50.0, 50.0]], [[1e200, 0.0, 1e200]],
+                           np.zeros((1, 0)))
+        ref_idx, test_idx, table = candidate_table(ref, test, Homography.identity(), cfg)
+        assert ref_idx.tolist() == test_idx.tolist() == [0]
+        assert table == {}
+
 
 class TestFindCorrespondences:
     def test_identity_pairs_everything(self):
@@ -164,11 +178,9 @@ class TestFindCorrespondences:
             got = find_correspondences(ref, test, h, FAST)
 
             ref_idx, test_idx = common_part_filter(ref, test, h)
-            from repbench.geometry import project_point
-
             cands = []
             for ri in ref_idx.tolist():
-                p = project_point(h, ref.keypoints[ri].region.center)
+                p = project_points(h, ref.centers[ri])[0][0]
                 for tj in test_idx.tolist():
                     q = test.keypoints[tj].region.center
                     dist = float(np.hypot(p[0] - q[0], p[1] - q[1]))
