@@ -13,7 +13,7 @@ import sys
 from . import harness
 from .errors import ManifestError, ParseError, SingularHomography
 from .formats import load_homography, load_keypoints, load_manifest
-from .metrics import EvalConfig, evaluate_pair
+from .metrics import EQ1_POPULATIONS, MATCHERS, EvalConfig, evaluate_pair
 from .synth import SynthConfig
 
 EXIT_OK = 0
@@ -47,43 +47,49 @@ def _parse_scale_range(text):
 
 
 def _add_metric_flags(p):
-    p.add_argument("--eps", type=float, default=1.5, help="max center distance in px (default 1.5)")
+    default = EvalConfig()
+    p.add_argument(
+        "--eps",
+        type=float,
+        default=default.epsilon_px,
+        help="max center distance in px (default %(default)s)",
+    )
     p.add_argument(
         "--max-overlap-error",
         type=float,
-        default=0.40,
-        help="max region overlap error (default 0.4)",
+        default=default.max_overlap_error,
+        help="max region overlap error (default %(default)s)",
     )
     p.add_argument(
         "--normalize-radius",
-        default="30",
+        default=str(default.normalize_radius),
         help="normalize the reference region to this equivalent radius before "
-        "the overlap test, or 'off' (default 30)",
+        "the overlap test, or 'off' (default %(default)s)",
     )
     p.add_argument(
         "--grid-step",
         type=float,
-        default=None,
+        default=default.grid_step,
         help="overlap sampling pitch in px (default: adaptive)",
     )
     p.add_argument(
         "--eq1-population",
-        choices=("common", "whole"),
-        default="common",
+        choices=EQ1_POPULATIONS,
+        default=default.eq1_population,
         help="count the original-definition denominator over the common part "
-        "or the whole images (default common)",
+        "or the whole images (default %(default)s)",
     )
     p.add_argument(
         "--matcher",
-        choices=("nn", "ratio"),
-        default="nn",
-        help="descriptor matching strategy for true matches (default nn)",
+        choices=MATCHERS,
+        default=default.matcher,
+        help="descriptor matching strategy for true matches (default %(default)s)",
     )
     p.add_argument(
         "--ratio",
         type=float,
-        default=0.8,
-        help="Lowe ratio threshold for --matcher ratio (default 0.8)",
+        default=default.ratio_threshold,
+        help="Lowe ratio threshold for --matcher ratio (default %(default)s)",
     )
 
 
@@ -246,7 +252,7 @@ def build_parser():
 
     p = sub.add_parser("summary", help="rank detectors per dataset")
     p.add_argument("--reports", nargs="+", required=True, help="sequence report JSONs")
-    p.add_argument("--criterion", choices=("eq1", "c1", "c2"), default="c2")
+    p.add_argument("--criterion", choices=harness.CRITERIA, default="c2")
     p.add_argument(
         "--thresholds",
         type=float,

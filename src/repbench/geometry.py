@@ -79,7 +79,10 @@ class Homography:
             raise ValueError(f"homography must be 3x3, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("homography entries must be finite")
-        if np.linalg.det(m) == 0.0:
+        # a determinant that overflows is inf, not 0: the matrix is kept
+        with np.errstate(over="ignore"):
+            singular = np.linalg.det(m) == 0.0
+        if singular:
             raise SingularHomography("matrix has zero determinant")
         self.m = m
         self._inverse = None

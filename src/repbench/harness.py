@@ -13,6 +13,7 @@ byte on every number.  Undefined values are empty CSV fields and JSON nulls.
 """
 
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -98,8 +99,10 @@ def evaluate_sequence(manifest, base_dir, cfg=EvalConfig(), detector="default", 
 
     File paths in the manifest resolve relative to base_dir.  Pair
     evaluations may run on a thread pool; aggregation is in manifest order
-    regardless, so the report does not depend on workers.
+    regardless, so the report does not depend on workers (at least 1).
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     ref_entry = manifest.images[0]
     ref = load_keypoints(
         os.path.join(base_dir, ref_entry.keypoints),
@@ -230,6 +233,9 @@ def load_report(path):
         for v in series[key]:
             if v is not None and not isinstance(v, (int, float)):
                 raise ParseError(f"series.{key} holds a non-number", path=path)
+            # json.loads reads NaN and Infinity, which reports never hold
+            if v is not None and not math.isfinite(v):
+                raise ParseError(f"series.{key} holds a non-finite number", path=path)
         lengths.add(len(series[key]))
     if len(lengths) != 1:
         raise ParseError("series lengths differ", path=path)

@@ -16,8 +16,10 @@ nearest in their row or column; only those are re-scored with the exact
 formula (geometry.indexed_distances).  Every distance that decides a match,
 and every tie-break, keeps the bits of the full N x M x D broadcast, which
 is never built.  nn_match takes mutual nearest neighbours round by round,
-which are exactly the pairs the global greedy takes, and hands what is left
-to the greedy itself once a round stops paying.
+which are exactly the pairs the global greedy takes.  Once a round stops
+paying, it computes every distance still open in blocks
+(geometry.pairwise_distances) and the plain greedy finishes; only the
+rounds read the estimates.
 """
 
 import math
@@ -49,9 +51,10 @@ def _descriptor_matrices(ref, test):
 # The factor c of the error bound in _approx_squared.
 TOL_FACTOR = 4
 
-# nn_match re-scores entries one by one while they are at most this share
-# of the open entries; beyond it, every open distance is computed in blocks
-# and the plain greedy finishes.  ratio_match likewise computes every
+# A peeling round of nn_match re-scores its near entries one by one only
+# while they are at most this share of the open entries; beyond it, the
+# rounds stop, every open distance is computed in blocks and the plain
+# greedy finishes.  ratio_match likewise computes every
 # distance when more than this share of all entries is near a row's second
 # smallest estimate.
 MAX_RESCORE_SHARE = 1 / 8
@@ -160,34 +163,6 @@ def _greedy(order, n, m):
     return taken
 
 
-def _greedy_head(a, b, rows, cols, approx, tol):
-    """The greedy on the open submatrix, read from the head of its exact
-    order: (row-major positions taken, their distances), or None when that
-    head holds more than MAX_RESCORE_SHARE of the entries or does not
-    complete the greedy.
-
-    Let low be the (n + m)-th smallest estimate.  By the bound of
-    _approx_squared, each entry at or below low is strictly nearer, exactly,
-    than every entry whose estimate exceeds low + 2 tol.  So the entries
-    within low + 2 tol that are no farther than the farthest of those lead
-    the exact order, and only they are re-scored and sorted.
-    """
-    n, m = approx.shape
-    flat = approx.ravel()
-    k = min(n + m, flat.size)
-    low = np.partition(flat, k - 1)[k - 1]
-    head = np.flatnonzero(~(flat > low + 2 * tol))
-    if len(head) > MAX_RESCORE_SHARE * flat.size:
-        return None
-    d = indexed_distances(a, b, rows[head // m], cols[head % m])
-    lead = np.flatnonzero(d <= d[~(flat[head] > low)].max())
-    lead = lead[np.argsort(d[lead], kind="stable")]
-    taken = lead[_greedy(head[lead], n, m)]
-    if len(taken) < min(n, m):
-        return None
-    return head[taken], d[taken]
-
-
 def _as_matches(ref_index, test_index, distance):
     order = np.lexsort((test_index, ref_index))
     return [
@@ -211,20 +186,16 @@ def nn_match(ref, test):
     rest unchanged (Preis, STACS 1999).  Each round takes them on the open
     rows and columns, using exact distances of the entries near each row's
     and column's smallest estimate only.  When a round stops paying
-    (MAX_RESCORE_SHARE, MIN_PEEL_SHARE), the greedy finishes what is open.
+    (MAX_RESCORE_SHARE, MIN_PEEL_SHARE), every distance between the open
+    rows and columns is computed in blocks, sorted stably and handed to the
+    greedy, which finishes.
     """
     a, b = _descriptor_matrices(ref, test)
     if len(a) == 0 or len(b) == 0:
         return []
     approx, row_tol, col_tol = _approx_squared(a, b)
-    n_test = len(b)
     rows = np.arange(len(a))
-    cols = np.arange(n_test)
-    # exact distances of last round's entries on rows and columns still
-    # open, by flat index; such an entry is near a minimum again, since
-    # minima over fewer entries only rise
-    known_key = np.empty(0, dtype=np.int64)
-    known = np.empty(0)
+    cols = np.arange(len(b))
     out_i, out_j, out_d = [], [], []
     while len(rows) and len(cols):
         near = _near_minimum(approx, row_tol[rows], col_tol[cols])
@@ -232,39 +203,27 @@ def nn_match(ref, test):
             break
         r, c = np.nonzero(near)
         del near
-        key = rows[r] * n_test + cols[c]
-        d = np.empty(len(key))
-        fresh = np.ones(len(key), dtype=bool)
-        at = np.searchsorted(key, known_key)
-        d[at] = known
-        fresh[at] = False
-        d[fresh] = indexed_distances(a, b, rows[r[fresh]], cols[c[fresh]])
+        d = indexed_distances(a, b, rows[r], cols[c])
         won = _mutual_nearest(r, c, d)
         out_i.append(rows[r[won]])
         out_j.append(cols[c[won]])
         out_d.append(d[won])
-        stop = len(won) < MIN_PEEL_SHARE * min(len(rows), len(cols))
         open_rows = np.ones(len(rows), dtype=bool)
         open_rows[r[won]] = False
         open_cols = np.ones(len(cols), dtype=bool)
         open_cols[c[won]] = False
         rows, cols = rows[open_rows], cols[open_cols]
-        approx = approx[np.ix_(open_rows, open_cols)]
-        still = open_rows[r] & open_cols[c]
-        known_key, known = key[still], d[still]
-        if stop:
+        if len(won) < MIN_PEEL_SHARE * min(len(open_rows), len(open_cols)):
             break
+        approx = approx[np.ix_(open_rows, open_cols)]
+    del approx
     if len(rows) and len(cols):
-        finish = _greedy_head(a, b, rows, cols, approx, row_tol[rows].max())
-        del approx
-        if finish is None:
-            d = pairwise_distances(a[rows], b[cols]).ravel()
-            order = np.argsort(d, kind="stable")
-            flat = order[_greedy(order, len(rows), len(cols))]
-            finish = flat, d[flat]
-        out_i.append(rows[finish[0] // len(cols)])
-        out_j.append(cols[finish[0] % len(cols)])
-        out_d.append(finish[1])
+        d = pairwise_distances(a[rows], b[cols]).ravel()
+        order = np.argsort(d, kind="stable")
+        flat = order[_greedy(order, len(rows), len(cols))]
+        out_i.append(rows[flat // len(cols)])
+        out_j.append(cols[flat % len(cols)])
+        out_d.append(d[flat])
     return _as_matches(np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_d))
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,13 @@ class TestHomography:
         inv = h.inverse()
         assert h.inverse() is inv
         assert np.array_equal(inv.m, np.linalg.inv(h.m))
+
+    def test_overflowing_determinant_accepted_without_warning(self):
+        m = 1e150 * np.eye(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = Homography(m)
+        assert np.array_equal(h.m, m)
 
     def test_rejects_bad_shape_and_nonfinite(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,11 @@
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-from repbench.cli import main
+from repbench.cli import _config_from_args, build_parser, main
 from repbench.errors import ParseError
 from repbench.formats import (
     KeypointSet,
@@ -94,6 +95,13 @@ class TestEvaluateSequence:
         pooled = evaluate_sequence(manifest, str(base), FAST, workers=4)
         assert sequence_report_json(solo) == sequence_report_json(pooled)
         assert sequence_report_csv(solo) == sequence_report_csv(pooled)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, tmp_path, workers):
+        base, manifest_path, _ = write_dataset(tmp_path)
+        manifest = load_manifest(manifest_path)
+        with pytest.raises(ValueError, match="workers"):
+            evaluate_sequence(manifest, str(base), FAST, workers=workers)
 
     def test_series_key_errors(self):
         report = make_report([0.5], [3])
@@ -253,6 +261,19 @@ class TestLoadReport:
         with pytest.raises(ParseError) as info:
             load_report(str(p))
         assert info.value.path == str(p)
+
+    # json.dumps writes these as NaN, Infinity and -Infinity, which
+    # json.loads reads back but reports never hold
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_in_series(self, tmp_path, value):
+        p = self.write_valid(tmp_path)
+        doc = json.loads(p.read_text())
+        doc["series"]["c1"][1] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as info:
+            load_report(str(p))
+        assert info.value.path == str(p)
+        assert "series.c1" in str(info.value)
 
     def test_length_mismatch(self, tmp_path):
         p = self.write_valid(tmp_path)
@@ -734,6 +755,37 @@ class TestCli:
         assert code == 2
         assert "bad.kpts" in captured.err
         assert "line 1" in captured.err
+
+    def test_metric_flag_defaults_are_eval_config_defaults(self):
+        args = build_parser().parse_args(
+            ["eval", "--ref", "a", "--test", "b", "--homography", "h",
+             "--ref-dims", "1x1", "--test-dims", "1x1"]
+        )
+        assert _config_from_args(args) == EvalConfig()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, workers):
+        _, manifest = self.synth(tmp_path, capsys)
+        stem = tmp_path / "rep"
+        code = main(["sequence", "--manifest", manifest, "--out", str(stem),
+                     "--workers", workers])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "repbench: error: workers must be at least 1" in captured.err
+        assert not (tmp_path / "rep.json").exists()
+
+    @pytest.mark.parametrize("command", ["correlate", "summary"])
+    def test_non_finite_report_exit_2_names_file(self, tmp_path, capsys, command):
+        doc = json.loads(sequence_report_json(make_report([0.5, 0.4, 0.3], [5, 4, 3])))
+        doc["series"]["c1"][1] = math.nan
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        flag = "--report" if command == "correlate" else "--reports"
+        code = main([command, flag, str(path), "--out", str(tmp_path / "out.csv")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"repbench: error: {path}: series.c1 holds a non-finite number" in captured.err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as info:

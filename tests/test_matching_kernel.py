@@ -181,14 +181,12 @@ def test_row_blocks():
         assert_same(rng.normal(size=(n, 128)), rng.normal(size=(m, 128)))
 
 
-# nn_match's ways to end: the default; peeling to the last match; the exact
-# greedy from the start; and one round followed by the greedy from the head
-# of the exact order.
+# nn_match's ways to end: the default; peeling to the last match; and the
+# dense greedy from the start.
 PATHS = {
     "default": {},
     "peel-only": {"MAX_RESCORE_SHARE": math.inf, "MIN_PEEL_SHARE": 0.0},
     "greedy-only": {"MAX_RESCORE_SHARE": 0.0},
-    "head-greedy": {"MAX_RESCORE_SHARE": 1.0, "MIN_PEEL_SHARE": math.inf},
 }
 
 
@@ -286,13 +284,16 @@ def degenerate_pair(kind, n=1000):
 
 @pytest.mark.parametrize("kind", ["identical", "lattice", "chain"])
 def test_degenerate_inputs_reach_the_greedy(monkeypatch, kind):
-    """One match per peeling round for 1000 rounds, unless the greedy ends it."""
+    """One match per peeling round for 1000 rounds, unless the greedy ends
+    it, on every open distance computed in blocks."""
     a, b = degenerate_pair(kind)
     rounds = count_calls(monkeypatch, "_near_minimum")
     greedy = count_calls(monkeypatch, "_greedy")
+    dense = count_calls(monkeypatch, "pairwise_distances")
     assert as_tuples(nn_match(as_set(a), as_set(b))) == as_tuples(full_sort_nn(a, b))
     assert len(rounds) == 1
     assert greedy
+    assert len(dense) == 1
 
 
 @pytest.mark.parametrize("ending", ["dense", "filtered"])
