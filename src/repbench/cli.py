@@ -11,7 +11,7 @@ import os
 import sys
 
 from . import harness
-from .errors import ManifestError, ParseError, SingularHomography
+from .errors import ParseError, SingularHomography
 from .formats import load_homography, load_keypoints, load_manifest
 from .metrics import EQ1_POPULATIONS, MATCHERS, EvalConfig, evaluate_pair
 from .synth import SynthConfig
@@ -300,7 +300,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ManifestError, SingularHomography, ValueError, OSError) as exc:
+    except (ParseError, SingularHomography, ValueError, OSError) as exc:
         sys.stderr.write(f"repbench: error: {exc}\n")
         return EXIT_INPUT
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the repbench modules."""
+"""Exception types shared across the repbench modules.  An error in the
+content of an input file is a ParseError, so the loader can put the file's
+path on it."""
 
 
 class RepbenchError(Exception):
@@ -14,7 +16,8 @@ class DegenerateRegion(RepbenchError):
 
 
 class SingularHomography(RepbenchError):
-    """A 3x3 matrix with zero determinant cannot act as a homography."""
+    """A 3x3 matrix whose determinant at unit scale is zero cannot act as a
+    homography."""
 
 
 class ParseError(RepbenchError):
@@ -45,7 +48,7 @@ class InvalidRegion(ParseError):
     """A parsed keypoint region violates positive definiteness or finiteness."""
 
 
-class ManifestError(RepbenchError):
+class ManifestError(ParseError):
     """A dataset manifest is structurally valid JSON but violates the schema."""
 
 

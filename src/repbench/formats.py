@@ -9,9 +9,12 @@ usual detector tools:
     then N lines of "u v a b c" followed by D descriptor values, where the
     region is a(x-u)^2 + 2b(x-u)(y-v) + c(y-v)^2 = 1
 
-Homography files hold 9 whitespace-separated reals, row-major.  Manifests are
-JSON; see parse_manifest.  All parsers operate on in-memory text and either
-return a valid value or raise a structured error carrying a line number.
+Homography files hold 9 whitespace-separated reals, row-major.  Manifests
+and sequence reports are JSON; see parse_manifest and parse_report.  All
+parsers operate on in-memory text and either return a valid value or raise
+a structured error carrying a line number.  One rule (_first_bad_row) names
+a bad keypoint row for the parser and KeypointSet alike, and one loader
+(_load) reads every file and puts its path on the error.
 """
 
 import json
@@ -22,6 +25,9 @@ import numpy as np
 
 from .errors import InvalidRegion, ManifestError, ParseError, SingularHomography
 from .geometry import Homography, SecondMomentEllipse, region_checks
+
+SEQUENCE_SCHEMA = "repbench.sequence/1"
+CRITERIA = ("eq1", "c1", "c2")
 
 
 @dataclass(eq=False)
@@ -56,17 +62,10 @@ class KeypointSet:
                 raise ValueError(f"{name} must have shape ({n}, {cols}), got {array.shape}")
             array.flags.writeable = False
             setattr(self, name, array)
-        center_ok, abc_ok, definite = region_checks(self.centers, self.abc)
-        finite = center_ok & abc_ok & np.isfinite(self.descriptors).all(axis=1)
-        bad = np.flatnonzero(~(finite & definite))
-        if len(bad):
-            k = int(bad[0])
-            if not finite[k]:
-                raise ValueError(f"keypoint {k}: values must be finite")
-            a, b, c = self.abc[k].tolist()
-            raise ValueError(
-                f"keypoint {k}: region not positive definite (a={a:g}, b={b:g}, c={c:g})"
-            )
+        bad = _first_bad_row(self.centers, self.abc, self.descriptors)
+        if bad is not None:
+            k, _, reason = bad
+            raise ValueError(f"keypoint {k}: {reason}")
 
     def __len__(self):
         return len(self.centers)
@@ -143,11 +142,41 @@ def _parse_real(token, lineno, what="value"):
     return value
 
 
+def _first_bad_row(centers, abc, descriptors):
+    """The first row of centers (N, 2), abc (N, 3) and descriptors (N, D)
+    that is not a valid keypoint, as (index, error class, reason), or None.
+
+    Within a row the center is checked first, then the coefficients, then
+    positive definiteness (geometry.region_checks), then the descriptors.
+    """
+    center_ok, abc_ok, definite = region_checks(centers, abc)
+    descriptors_ok = np.isfinite(descriptors).all(axis=1)
+    bad = np.flatnonzero(~(center_ok & abc_ok & definite & descriptors_ok))
+    if not len(bad):
+        return None
+    k = int(bad[0])
+    if not center_ok[k]:
+        return k, InvalidRegion, "keypoint center must be finite"
+    if not abc_ok[k]:
+        return k, InvalidRegion, "region coefficients must be finite"
+    if not definite[k]:
+        a, b, c = abc[k].tolist()
+        return k, InvalidRegion, f"region not positive definite (a={a:g}, b={b:g}, c={c:g})"
+    return k, ParseError, "descriptor values must be finite"
+
+
+def _parse_json(text):
+    try:
+        return json.loads(_as_text(text))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed JSON: {exc}", line=exc.lineno) from None
+
+
 def parse_keypoints(text, image_id, width, height):
     """Parse detector output in the standard affine-region format.
 
     The rows are read up to the first that is not 5 + D reals and then
-    checked together (geometry.region_checks).  An error names the line of
+    checked together (_first_bad_row).  An error names the line of
     the first bad row; a row that is not 5 + D reals, and a count that does
     not match, are reported only once the rows before them pass.
     """
@@ -207,22 +236,10 @@ def parse_keypoints(text, image_id, width, height):
 
     data = np.array(rows, dtype=float).reshape(len(rows), expected_tokens)
     centers, abc, descriptors = data[:, :2], data[:, 2:5], data[:, 5:]
-    center_ok, abc_ok, definite = region_checks(centers, abc)
-    descriptors_ok = np.isfinite(descriptors).all(axis=1)
-    bad = np.flatnonzero(~(center_ok & abc_ok & definite & descriptors_ok))
-    if len(bad):
-        k = int(bad[0])
-        lineno = linenos[k]
-        if not center_ok[k]:
-            raise InvalidRegion("keypoint center must be finite", line=lineno)
-        if not abc_ok[k]:
-            raise InvalidRegion("region coefficients must be finite", line=lineno)
-        if not definite[k]:
-            a, b, c = abc[k].tolist()
-            raise InvalidRegion(
-                f"region not positive definite (a={a:g}, b={b:g}, c={c:g})", line=lineno
-            )
-        raise ParseError("descriptor values must be finite", line=lineno)
+    bad = _first_bad_row(centers, abc, descriptors)
+    if bad is not None:
+        k, error, reason = bad
+        raise error(reason, line=linenos[k])
     if token_error is not None:
         raise token_error
     if len(data) != count:
@@ -284,10 +301,7 @@ def parse_manifest(text):
     The first image is the sequence reference; a homography must map it to
     every other image.
     """
-    try:
-        doc = json.loads(_as_text(text))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc}", line=exc.lineno) from None
+    doc = _parse_json(text)
     if not isinstance(doc, dict):
         raise ManifestError("manifest must be a JSON object")
 
@@ -356,6 +370,37 @@ def write_manifest(manifest):
     return json.dumps(doc, indent=2) + "\n"
 
 
+def parse_report(text):
+    """The JSON document of a sequence report written by
+    harness.sequence_report_json, with the series and pairs checked."""
+    doc = _parse_json(text)
+    if not isinstance(doc, dict) or doc.get("schema") != SEQUENCE_SCHEMA:
+        raise ParseError(f"not a {SEQUENCE_SCHEMA} report")
+    for key in ("dataset", "detector", "series"):
+        if key not in doc:
+            raise ParseError(f"missing key {key!r}")
+    series = doc["series"]
+    if not isinstance(series, dict):
+        raise ParseError("series must be an object")
+    lengths = set()
+    for key in CRITERIA + ("true_matches",):
+        if key not in series or not isinstance(series[key], list):
+            raise ParseError(f"series.{key} must be a list")
+        for v in series[key]:
+            if v is not None and not isinstance(v, (int, float)):
+                raise ParseError(f"series.{key} holds a non-number")
+            # json.loads reads NaN and Infinity, which reports never hold
+            if v is not None and not math.isfinite(v):
+                raise ParseError(f"series.{key} holds a non-finite number")
+        lengths.add(len(series[key]))
+    if len(lengths) != 1:
+        raise ParseError("series lengths differ")
+    pairs = doc.get("pairs", [])
+    if not isinstance(pairs, list) or not all(isinstance(p, dict) for p in pairs):
+        raise ParseError("pairs must be a list of objects")
+    return doc
+
+
 def _read(path):
     try:
         with open(path, "rb") as f:
@@ -364,30 +409,25 @@ def _read(path):
         raise ParseError(exc.strerror or str(exc), path=path) from None
 
 
-def load_keypoints(path, image_id, width, height):
-    """Read and parse a keypoint file, prefixing errors with the path."""
+def _load(path, parse, *args):
+    """parse(bytes of file path, *args), with every input error naming the
+    file: a ParseError gains its path, a SingularHomography a path prefix."""
     text = _read(path)
     try:
-        return parse_keypoints(text, image_id, width, height)
-    except ParseError as exc:
-        raise exc.with_path(path) from None
-
-
-def load_homography(path):
-    text = _read(path)
-    try:
-        return parse_homography(text)
+        return parse(text, *args)
     except ParseError as exc:
         raise exc.with_path(path) from None
     except SingularHomography as exc:
         raise SingularHomography(f"{path}: {exc}") from None
 
 
+def load_keypoints(path, image_id, width, height):
+    return _load(path, parse_keypoints, image_id, width, height)
+
+
+def load_homography(path):
+    return _load(path, parse_homography)
+
+
 def load_manifest(path):
-    text = _read(path)
-    try:
-        return parse_manifest(text)
-    except ParseError as exc:
-        raise exc.with_path(path) from None
-    except ManifestError as exc:
-        raise ManifestError(f"{path}: {exc}") from None
+    return _load(path, parse_manifest)

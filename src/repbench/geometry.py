@@ -79,10 +79,11 @@ class Homography:
             raise ValueError(f"homography must be 3x3, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ValueError("homography entries must be finite")
-        # a determinant that overflows is inf, not 0: the matrix is kept
-        with np.errstate(over="ignore"):
-            singular = np.linalg.det(m) == 0.0
-        if singular:
+        # homographies are defined up to scale: the determinant is taken with
+        # the largest entry scaled to 1, so k * m is judged as m is for any
+        # k != 0, and no product overflows
+        scale = np.abs(m).max()
+        if scale == 0.0 or np.linalg.det(m / scale) == 0.0:
             raise SingularHomography("matrix has zero determinant")
         self.m = m
         self._inverse = None

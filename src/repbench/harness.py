@@ -5,7 +5,9 @@ A sequence report holds the per-pair evaluations of (reference, i) pairs for
 i = 2..M, the derived metric series, and (when computable) the correlation of
 each repeatability series against the true-match series.  Reports serialize
 to JSON (full) and CSV (the plot series, header `pair,eq1,c1,c2,true_matches`).
-Correlation tables use the header `dataset,criterion,r,p,n`.
+Correlation tables use the header `dataset,criterion,r,p,n`.  load_report
+reads a sequence report back through the loader in formats, which checks it
+with formats.parse_report and names the file in every error.
 
 All numeric values are rendered with repr(float) in the CSV and by the json
 module (which uses the same repr) in JSON, so the two formats agree byte for
@@ -20,15 +22,17 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateSeries, InsufficientData, ParseError
+from .errors import DegenerateSeries, InsufficientData
 from .formats import (
+    CRITERIA,
+    SEQUENCE_SCHEMA,
     DatasetManifest,
     ManifestHomography,
     ManifestImage,
-    _as_text,
-    _read,
+    _load,
     load_homography,
     load_keypoints,
+    parse_report,
     write_homography,
     write_keypoints,
     write_manifest,
@@ -38,12 +42,10 @@ from .metrics import EvalConfig, evaluate_pair
 from .stats import bin_scores, correlate, summarize
 from .synth import derive_test, generate_reference
 
-SEQUENCE_SCHEMA = "repbench.sequence/1"
 PAIR_SCHEMA = "repbench.pair/1"
 CORRELATE_SCHEMA = "repbench.correlate/1"
 SUMMARY_SCHEMA = "repbench.summary/1"
 
-CRITERIA = ("eq1", "c1", "c2")
 SEQUENCE_CSV_HEADER = "pair,eq1,c1,c2,true_matches"
 CORRELATION_CSV_HEADER = "dataset,criterion,r,p,n"
 MISSING_CELL = "—"
@@ -212,37 +214,7 @@ def pair_report_csv(evaluation):
 
 def load_report(path):
     """Read and validate a sequence report JSON written by this tool."""
-    try:
-        doc = json.loads(_as_text(_read(path)))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc}", line=exc.lineno, path=path) from None
-    except ParseError as exc:
-        raise exc.with_path(path) from None
-    if not isinstance(doc, dict) or doc.get("schema") != SEQUENCE_SCHEMA:
-        raise ParseError(f"not a {SEQUENCE_SCHEMA} report", path=path)
-    for key in ("dataset", "detector", "series"):
-        if key not in doc:
-            raise ParseError(f"missing key {key!r}", path=path)
-    series = doc["series"]
-    if not isinstance(series, dict):
-        raise ParseError("series must be an object", path=path)
-    lengths = set()
-    for key in CRITERIA + ("true_matches",):
-        if key not in series or not isinstance(series[key], list):
-            raise ParseError(f"series.{key} must be a list", path=path)
-        for v in series[key]:
-            if v is not None and not isinstance(v, (int, float)):
-                raise ParseError(f"series.{key} holds a non-number", path=path)
-            # json.loads reads NaN and Infinity, which reports never hold
-            if v is not None and not math.isfinite(v):
-                raise ParseError(f"series.{key} holds a non-finite number", path=path)
-        lengths.add(len(series[key]))
-    if len(lengths) != 1:
-        raise ParseError("series lengths differ", path=path)
-    pairs = doc.get("pairs", [])
-    if not isinstance(pairs, list) or not all(isinstance(p, dict) for p in pairs):
-        raise ParseError("pairs must be a list of objects", path=path)
-    return doc
+    return _load(path, parse_report)
 
 
 def correlate_reports(reports):
@@ -277,17 +249,8 @@ def correlate_reports(reports):
         for crit in CRITERIA:
             rs = [row["r"] for row in rows if row["criterion"] == crit and row["r"] is not None]
             ps = [row["p"] for row in rows if row["criterion"] == crit and row["p"] is not None]
-            if not rs:
-                aggregates[crit] = {
-                    "mean_r": None,
-                    "std_r": None,
-                    "mean_p": None,
-                    "std_p": None,
-                    "count": 0,
-                }
-                continue
-            mean_r, std_r = summarize(rs)
-            mean_p, std_p = summarize(ps)
+            mean_r, std_r = summarize(rs) if rs else (None, None)
+            mean_p, std_p = summarize(ps) if ps else (None, None)
             aggregates[crit] = {
                 "mean_r": mean_r,
                 "std_r": std_r,
@@ -429,6 +392,9 @@ def synth_sequence(
     """
     if images < 2:
         raise ValueError("a sequence needs at least 2 images")
+    # NaN fails the range check, as in SynthConfig
+    if jitter_end is not None and not 0.0 <= jitter_end < math.inf:
+        raise ValueError("jitter_end must be finite and >= 0")
     if homographies is not None and len(homographies) != images - 1:
         raise ValueError(
             f"need {images - 1} homographies for {images} images, got {len(homographies)}"

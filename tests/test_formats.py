@@ -11,6 +11,7 @@ from repbench.errors import (
 )
 from repbench.formats import (
     DatasetManifest,
+    _first_bad_row,
     KeypointSet,
     ManifestHomography,
     ManifestImage,
@@ -25,6 +26,7 @@ from repbench.formats import (
     write_manifest,
 )
 from repbench.geometry import Homography
+from repbench.harness import load_report
 
 
 def random_keypoint_set(rng, with_descriptors=True):
@@ -330,6 +332,28 @@ class TestLoaders:
         with pytest.raises(ParseError):
             load_manifest(str(tmp_path / "missing.json"))
 
+    # every loader reads through one path: each input error names the file
+    @pytest.mark.parametrize(
+        "load, malformed",
+        [
+            (lambda p: load_keypoints(p, "img", 10, 10), b"oops\n0\n"),
+            (load_homography, b"1 0 0\n0 1 0\n"),
+            (load_manifest, b"[1, 2]\n"),
+            (load_report, b'{"schema": "other/1"}\n'),
+        ],
+        ids=["keypoints", "homography", "manifest", "report"],
+    )
+    @pytest.mark.parametrize("case", ["missing", "not-utf8", "malformed"])
+    def test_every_loader_names_the_file(self, tmp_path, load, malformed, case):
+        path = str(tmp_path / "input")
+        if case != "missing":
+            with open(path, "wb") as fh:
+                fh.write(b"\xff\n" if case == "not-utf8" else malformed)
+        with pytest.raises(ParseError) as info:
+            load(path)
+        assert info.value.path == path
+        assert str(info.value).startswith(f"{path}: ")
+
 
 def arrays(n=3, dim=0):
     """centers, abc and descriptors of n valid unit circles at (k, k)."""
@@ -384,8 +408,25 @@ class TestKeypointSetValidation:
     def test_non_finite_value_names_its_row(self, field, col, bad):
         data = list(arrays(4, dim=4))
         data[field][2, col] = bad
-        with pytest.raises(ValueError, match="^keypoint 2: values must be finite$"):
+        reason = ("keypoint center must be finite", "region coefficients must be finite",
+                  "descriptor values must be finite")[field]
+        with pytest.raises(ValueError, match=f"^keypoint 2: {reason}$"):
             KeypointSet("img", 10, 10, *data)
+
+    def test_parser_and_constructor_name_the_same_fault(self):
+        # not positive definite and a NaN descriptor: the region comes first
+        centers, abc, descriptors = arrays(3, dim=2)
+        abc[1] = [1.0, 2.0, 1.0]
+        descriptors[1, 0] = np.nan
+        reason = "region not positive definite (a=1, b=2, c=1)"
+        assert _first_bad_row(centers, abc, descriptors) == (1, InvalidRegion, reason)
+        with pytest.raises(ValueError) as info:
+            KeypointSet("img", 10, 10, centers, abc, descriptors)
+        assert str(info.value) == f"keypoint 1: {reason}"
+        text = "2\n3\n0 0 1 0 1 0 0\n1 1 1 2 1 nan 0\n2 2 1 0 1 0 0\n"
+        with pytest.raises(InvalidRegion) as info:
+            parse_keypoints(text, "img", 10, 10)
+        assert str(info.value) == f"line 4: {reason}"
 
     @pytest.mark.parametrize("row", [[-1.0, 0.0, 1.0], [1.0, 0.0, 0.0], [1.0, 2.0, 1.0]])
     def test_non_positive_definite_row_named_by_index(self, row):

@@ -82,6 +82,18 @@ class TestHomography:
             h = Homography(m)
         assert np.array_equal(h.m, m)
 
+    # homographies are defined up to scale, and so is the singularity test:
+    # at the extremes det(k m) under- or overflows although m is regular
+    @pytest.mark.parametrize("k", [1e-150, 1e-120, 1.0, 1e150])
+    def test_singularity_does_not_depend_on_scale(self, k):
+        m = random_homography(np.random.default_rng(5)).m
+        for regular in (np.eye(3), m):
+            h = Homography(k * regular)
+            assert np.array_equal(h.m, k * regular)
+            assert np.array_equal(h.inverse().m, np.linalg.inv(k * regular))
+        with pytest.raises(SingularHomography):
+            Homography(k * np.array([[1.0, 0, 0], [0, 1, 0], [1, 1, 0]]))
+
     def test_rejects_bad_shape_and_nonfinite(self):
         with pytest.raises(ValueError):
             Homography(np.eye(2))

@@ -525,6 +525,9 @@ class TestSynthSequence:
             synth_sequence(str(tmp_path / "x"), "x", cfg, images=1)
         with pytest.raises(ValueError):
             synth_sequence(str(tmp_path / "x"), "x", cfg, images=3, homographies=[Homography.identity()])
+        with pytest.raises(ValueError, match="jitter_end"):
+            synth_sequence(str(tmp_path / "x"), "x", cfg, images=3, jitter_end=math.nan)
+        assert not (tmp_path / "x").exists()
 
 
 CLI_METRIC_FLAGS = ["--normalize-radius", "off", "--grid-step", "0.5"]
@@ -876,6 +879,34 @@ class TestCli:
         assert code == 2
         assert f"repbench: error: {hpath}: " in captured.err
         assert "determinant" in captured.err
+
+    # regular, though det(m) or det(m^-1) underflows to 0; the rates stay
+    # undefined (exit 3), because every weight w = k or 1/k lies below
+    # geometry.PROJECTIVE_EPS on one side, so no point is in view there
+    @pytest.mark.parametrize("k", ["1e-120", "1e150"])
+    def test_scaled_identity_homography_accepted(self, tmp_path, capsys, k):
+        hpath = tmp_path / "H.txt"
+        hpath.write_text(f"{k} 0 0\n0 {k} 0\n0 0 {k}\n")
+        kpts = tmp_path / "a.kpts"
+        kpts.write_text("1.0\n1\n10 10 0.5 0.0 0.5\n")
+        code = main(["eval", "--ref", str(kpts), "--test", str(kpts), "--ref-dims", "100x100",
+                     "--test-dims", "100x100", "--homography", str(hpath)])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert code == 3
+        assert captured.out.startswith("pair,eq1,c1,c2,true_matches\n")
+
+    # the ramp's end is checked before the first file is written
+    @pytest.mark.parametrize("images, end", [("4", "-1"), ("2", "nan"), ("4", "inf")])
+    def test_bad_jitter_end_exit_2_writes_nothing(self, tmp_path, capsys, images, end):
+        out = tmp_path / "x"
+        out.mkdir()
+        code = main(["synth", "--out-dir", str(out), "--images", images, "--n-points", "5",
+                     "--jitter-end", end])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "repbench: error: jitter_end must be finite and >= 0" in captured.err
+        assert list(out.iterdir()) == []
 
     def test_homography_count_mismatch_exit_2(self, tmp_path, capsys):
         hpath = tmp_path / "H.txt"
