@@ -175,10 +175,12 @@ def _parse_json(text):
 def parse_keypoints(text, image_id, width, height):
     """Parse detector output in the standard affine-region format.
 
-    The rows are read up to the first that is not 5 + D reals and then
-    checked together (_first_bad_row).  An error names the line of
-    the first bad row; a row that is not 5 + D reals, and a count that does
-    not match, are reported only once the rows before them pass.
+    The body is read in one C pass (np.loadtxt, whose float conversion is
+    the correctly rounded one float() uses), and its result is taken when
+    it holds the declared count of 5 + D reals per row and every row is a
+    valid keypoint.  Any other body goes to the per-line reader
+    (_read_rows), which names the faulty line and accepts whatever float()
+    accepts.
     """
     lines = _as_text(text).splitlines()
     if not lines or not lines[0].split():
@@ -214,10 +216,35 @@ def parse_keypoints(text, image_id, width, height):
         raise ParseError(f"keypoint count must be a non-negative integer", line=2)
     count = int(count_value)
 
-    expected_tokens = 5 + descriptor_dim
+    body, expected_tokens = lines[2:], 5 + descriptor_dim
+    data = None
+    # loadtxt warns on a body with no data; "#" is a value here, not a comment
+    if count and any(map(str.split, body)):
+        try:
+            data = np.loadtxt(body, dtype=float, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if (
+        data is None
+        or data.shape != (count, expected_tokens)
+        or _first_bad_row(data[:, :2], data[:, 2:5], data[:, 5:]) is not None
+    ):
+        data = _read_rows(body, count, expected_tokens)
+    return KeypointSet(image_id, width, height, data[:, :2], data[:, 2:5], data[:, 5:])
+
+
+def _read_rows(body, count, expected_tokens):
+    """The keypoint rows of body (the lines after the count line) as one
+    (count, expected_tokens) array, read line by line with float().
+
+    The rows are read up to the first that is not expected_tokens reals and
+    then checked together (_first_bad_row).  An error names the line of the
+    first bad row; a row that is not expected_tokens reals, and a count that
+    does not match, are reported only once the rows before them pass.
+    """
     rows, linenos, token_error = [], [], None
     try:
-        for lineno, line in enumerate(lines[2:], start=3):
+        for lineno, line in enumerate(body, start=3):
             tokens = line.split()
             if not tokens:
                 continue  # tolerate blank lines
@@ -244,7 +271,7 @@ def parse_keypoints(text, image_id, width, height):
         raise token_error
     if len(data) != count:
         raise ParseError(f"declared {count} keypoints but found {len(data)}", line=2)
-    return KeypointSet(image_id, width, height, centers, abc, descriptors)
+    return data
 
 
 def write_keypoints(kset):

@@ -117,10 +117,14 @@ MALFORMED_KEYPOINTS = [
     ("1.0\n1 1\n", ParseError, "line 2"),
     ("1.0\n2\n10 20 0.5 0.0 0.5\n", ParseError, "line 2"),
     ("1.0\n0\n10 20 0.5 0.0 0.5\n", ParseError, "declared 0 keypoints but found 1"),
+    # a positive count over a body of blank lines (np.loadtxt would warn)
+    ("3\n2\n\n\n", ParseError, "declared 2 keypoints but found 0"),
     # a count far beyond the file's lines is reported, not allocated
     ("1.0\n1000000000000\n10 20 0.5 0.0 0.5\n", ParseError, "line 2"),
     ("1.0\n1\n10 20 0.5 0.0\n", ParseError, "line 3"),
     ("1.0\n1\n10 20 0.5 0.0 0.5 7\n", ParseError, "line 3"),
+    # "#" is a value, not a comment
+    ("1.0\n1\n10 20 0.5 0.0 0.5 #\n", ParseError, "line 3"),
     ("1.0\n1\n10 twenty 0.5 0.0 0.5\n", ParseError, "line 3"),
     ("1.0\n1\nnan 20 0.5 0.0 0.5\n", InvalidRegion, "line 3"),
     ("1.0\n1\n10 20 inf 0.0 0.5\n", InvalidRegion, "line 3"),

@@ -2,7 +2,8 @@
 evaluation results do not depend on keypoint order, sequence reports are
 byte-identical for any worker count, a homography whose horizon crosses
 the reference image neither raises nor gives a rate outside [0, 1], and
-the multi-start draw kernel gives the scalar generator's stream."""
+the multi-start draw kernel gives the scalar generator's stream, and the
+keypoint parser's C pass reads what the per-line reader reads."""
 
 import math
 import tempfile
@@ -11,8 +12,8 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repbench.errors import SingularHomography
-from repbench.formats import KeypointSet, load_manifest
+from repbench.errors import ParseError, SingularHomography
+from repbench.formats import KeypointSet, _read_rows, load_manifest, parse_keypoints
 from repbench.geometry import Homography
 from repbench.harness import evaluate_sequence, sequence_report_csv, sequence_report_json, synth_sequence
 from repbench.metrics import EvalConfig, evaluate_pair
@@ -178,3 +179,65 @@ def test_block_draws_equal_scalar_draws(starts, n):
         rng = SplitMix64(start)
         assert rng.uniforms(n).tobytes() == uniforms[row].tobytes()
         assert rng.state == (start + n * 0x9E3779B97F4A7C15) % 2**64
+
+
+# tokens that only float() reads (1_0, full-width digits), that neither
+# reads (#, x), and values that are not finite, overflow or underflow
+ODD_TOKENS = ["1_0", "１２", "#", "x", "inf", "-inf", "nan", "-nan", "1e500", "1e-400"]
+# str.split separates on all of these (numpy 2's np.loadtxt does too)
+SEPARATORS = [" ", "  ", "\t", "\xa0", "\x1f"]
+BLANK_LINES = ["", " ", "\t", "\xa0", "\x1f"]
+
+
+@st.composite
+def keypoint_file(draw):
+    """A keypoint file as (text, declared count, D): rows of a valid region
+    and D finite values, each possibly given an odd token, one token too
+    many or too few, an odd separator or a blank line after it, under a
+    count that may be off by one, with LF or CRLF line ends."""
+    dim = draw(st.sampled_from([0, 2, 5]))
+    finite = st.floats(-1e3, 1e3)
+    lines = [draw(st.sampled_from(BLANK_LINES))] if draw(st.booleans()) else []
+    n_rows = draw(st.integers(0, 5))
+    for _ in range(n_rows):
+        a, c = draw(st.floats(0.01, 10)), draw(st.floats(0.01, 10))
+        b = draw(st.floats(-0.99, 0.99)) * math.sqrt(a * c)
+        tokens = [repr(v) for v in [draw(finite), draw(finite), a, b, c]]
+        tokens += [repr(draw(finite)) for _ in range(dim)]
+        edit = draw(st.sampled_from(["none"] * 6 + ["odd", "extra", "short"]))
+        if edit == "odd":
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(ODD_TOKENS))
+        elif edit == "extra":
+            tokens.append(draw(st.sampled_from(ODD_TOKENS + ["1.0"])))
+        elif edit == "short":
+            tokens.pop()
+        lines.append(draw(st.sampled_from(SEPARATORS)).join(tokens))
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(draw(st.sampled_from(BLANK_LINES)))
+    count = max(0, n_rows + draw(st.sampled_from([0, 0, 0, 0, -1, 1])))
+    header = ["1.0" if dim == 0 else str(dim), str(count)]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(header + lines) + newline, count, dim
+
+
+def read_outcome(read):
+    """The array read() returns as (shape, bytes), or the error it raises as
+    (class, line, message)."""
+    try:
+        data = read()
+    except ParseError as exc:
+        return type(exc), exc.line, str(exc)
+    return data.shape, data.tobytes()
+
+
+@settings(PROPERTY, max_examples=400)
+@given(case=keypoint_file())
+def test_c_pass_reads_what_the_per_line_reader_reads(case):
+    text, count, dim = case
+
+    def parsed():
+        s = parse_keypoints(text, "img", 100, 100)
+        return np.hstack([s.centers, s.abc, s.descriptors])
+
+    per_line = read_outcome(lambda: _read_rows(text.splitlines()[2:], count, 5 + dim))
+    assert read_outcome(parsed) == per_line
