@@ -11,7 +11,7 @@ import os
 import sys
 
 from . import harness
-from .errors import ParseError, SingularHomography
+from .errors import ParseError
 from .formats import load_homography, load_keypoints, load_manifest
 from .metrics import EQ1_POPULATIONS, MATCHERS, EvalConfig, evaluate_pair
 from .synth import SynthConfig
@@ -192,14 +192,7 @@ def cmd_synth(args):
         descriptor_dim=args.descriptor_dim,
         descriptor_noise_sigma=args.descriptor_noise,
     )
-    homographies = None
-    if args.homography:
-        if len(args.homography) != args.images - 1:
-            raise ValueError(
-                f"--homography given {len(args.homography)} times, "
-                f"need {args.images - 1} for {args.images} images"
-            )
-        homographies = [load_homography(p) for p in args.homography]
+    homographies = [load_homography(p) for p in args.homography] if args.homography else None
     manifest_path = harness.synth_sequence(
         args.out_dir,
         args.name,
@@ -300,7 +293,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, SingularHomography, ValueError, OSError) as exc:
+    except (ParseError, ValueError, OSError) as exc:
         sys.stderr.write(f"repbench: error: {exc}\n")
         return EXIT_INPUT
 

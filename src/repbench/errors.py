@@ -15,11 +15,6 @@ class DegenerateRegion(RepbenchError):
     """A region transport produced a shape matrix that is not positive definite."""
 
 
-class SingularHomography(RepbenchError):
-    """A 3x3 matrix whose determinant at unit scale is zero cannot act as a
-    homography."""
-
-
 class ParseError(RepbenchError):
     """Malformed input text.
 
@@ -50,6 +45,11 @@ class InvalidRegion(ParseError):
 
 class ManifestError(ParseError):
     """A dataset manifest is structurally valid JSON but violates the schema."""
+
+
+class SingularHomography(ParseError):
+    """A 3x3 matrix whose determinant at unit scale is zero cannot act as a
+    homography."""
 
 
 class UndefinedMetric(RepbenchError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidRegion, ManifestError, ParseError, SingularHomography
+from .errors import InvalidRegion, ManifestError, ParseError
 from .geometry import Homography, SecondMomentEllipse, region_checks
 
 SEQUENCE_SCHEMA = "repbench.sequence/1"
@@ -183,15 +183,8 @@ def parse_keypoints(text, image_id, width, height):
     accepts.
     """
     lines = _as_text(text).splitlines()
-    if not lines or not lines[0].split():
-        raise ParseError("missing descriptor-dimension header", line=1)
-
-    header = lines[0].split()
-    if len(header) != 1:
-        raise ParseError(
-            f"expected 1 token on the dimension line, got {len(header)}", line=1
-        )
-    dim_value = _parse_real(header[0], 1, "descriptor dimension")
+    dim_value = _header_real(lines, 1, "descriptor-dimension header", "dimension",
+                             "descriptor dimension")
     if not math.isfinite(dim_value):
         raise ParseError("descriptor dimension must be finite", line=1)
     if dim_value <= 1.0:
@@ -204,14 +197,7 @@ def parse_keypoints(text, image_id, width, height):
             line=1,
         )
 
-    if len(lines) < 2 or not lines[1].split():
-        raise ParseError("missing keypoint count", line=2)
-    count_tokens = lines[1].split()
-    if len(count_tokens) != 1:
-        raise ParseError(
-            f"expected 1 token on the count line, got {len(count_tokens)}", line=2
-        )
-    count_value = _parse_real(count_tokens[0], 2, "keypoint count")
+    count_value = _header_real(lines, 2, "keypoint count", "count", "keypoint count")
     if not math.isfinite(count_value) or count_value != int(count_value) or count_value < 0:
         raise ParseError(f"keypoint count must be a non-negative integer", line=2)
     count = int(count_value)
@@ -231,6 +217,18 @@ def parse_keypoints(text, image_id, width, height):
     ):
         data = _read_rows(body, count, expected_tokens)
     return KeypointSet(image_id, width, height, data[:, :2], data[:, 2:5], data[:, 5:])
+
+
+def _header_real(lines, lineno, missing, name, what):
+    """The one real on header line lineno (1-based) of lines: "missing
+    {missing}" when the line is absent or blank, and an error naming the
+    line when it holds more than one token or the token is not a real."""
+    tokens = lines[lineno - 1].split() if len(lines) >= lineno else []
+    if not tokens:
+        raise ParseError(f"missing {missing}", line=lineno)
+    if len(tokens) != 1:
+        raise ParseError(f"expected 1 token on the {name} line, got {len(tokens)}", line=lineno)
+    return _parse_real(tokens[0], lineno, what)
 
 
 def _read_rows(body, count, expected_tokens):
@@ -276,7 +274,10 @@ def _read_rows(body, count, expected_tokens):
 
 def write_keypoints(kset):
     """Emit the standard format; parse(write(s)) reproduces s bit-for-bit
-    (values are printed with full round-trip precision)."""
+    (values are printed with full round-trip precision).  A set with D = 1
+    cannot be written: a dimension header of 1 means "no descriptors"."""
+    if kset.descriptor_dim == 1:
+        raise ValueError("a keypoint file cannot hold 1-D descriptors")
     out = ["1.0" if kset.descriptor_dim == 0 else str(kset.descriptor_dim), str(len(kset))]
     rows = np.hstack([kset.centers, kset.abc, kset.descriptors])
     out.extend(" ".join(map(repr, row)) for row in rows.tolist())
@@ -437,15 +438,13 @@ def _read(path):
 
 
 def _load(path, parse, *args):
-    """parse(bytes of file path, *args), with every input error naming the
-    file: a ParseError gains its path, a SingularHomography a path prefix."""
+    """parse(bytes of file path, *args), with every input error (a
+    ParseError) naming the file."""
     text = _read(path)
     try:
         return parse(text, *args)
     except ParseError as exc:
         raise exc.with_path(path) from None
-    except SingularHomography as exc:
-        raise SingularHomography(f"{path}: {exc}") from None
 
 
 def load_keypoints(path, image_id, width, height):

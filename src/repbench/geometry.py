@@ -11,8 +11,9 @@ counted row by row, as one run of columns per row, rather than one by one.
 
 Every point is projected by one formula, m (x, y, 1) element by element
 (_homogeneous), never by a matmul, so no BLAS build sets its bits; one rule
-(positive_definite) decides which shapes are ellipses, and one check
-(region_checks) decides which rows (u, v, a, b, c) are regions.  Many
+(positive_definite) decides which shapes are ellipses, one check
+(region_checks) which rows (u, v, a, b, c) are regions, and one rule
+(computed_regions) which computed regions are scored.  Many
 points and pairs are handled in one pass over arrays: project_points
 projects K points, homography_jacobians linearises the map at K points,
 map_regions_to_reference transports K regions (through transport_shapes),
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import DegenerateRegion, SingularHomography
 
-# |w| below this in a projective division means the point is at infinity.
+# |w| below this times max|m| puts a point at infinity (_homogeneous).
 PROJECTIVE_EPS = 1e-12
 
 # overlap_error never evaluates more than this many grid samples per pair.
@@ -63,6 +64,16 @@ def region_checks(centers, abc):
     with np.errstate(over="ignore", invalid="ignore"):
         return (np.isfinite(centers).all(axis=1), np.isfinite(abc).all(axis=1),
                 positive_definite(a, b, c))
+
+
+def computed_regions(scored, centers, abc):
+    """`scored` (N,) less the rows of centers (N, 2) and abc (N, 3) that are
+    not positive definite: the rule for regions computed from valid ones.
+    Raises ValueError when a scored row is not finite (region_checks)."""
+    center_ok, abc_ok, definite = region_checks(centers, abc)
+    if not (center_ok & abc_ok)[scored].all():
+        raise ValueError("ellipse center and shape must be finite")
+    return scored & definite
 
 
 class Homography:
@@ -197,27 +208,28 @@ class SecondMomentEllipse:
 def project_points(h, pts):
     """Vectorized projection of an (N, 2) array.
 
-    Returns (projected (N, 2) array, finite mask).  Rows whose homogeneous
-    weight falls below PROJECTIVE_EPS are masked out instead of raising.
+    Returns (projected (N, 2) array, finite mask).  Rows that map to
+    infinity (_homogeneous) are masked out instead of raising.
     """
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
     with np.errstate(all="ignore"):
-        u, v, w = _homogeneous(h.m, pts)
-        ok = np.abs(w) >= PROJECTIVE_EPS
+        u, v, w, ok = _homogeneous(h.m, pts)
         out = np.stack([u / w, v / w], axis=1)
     out[~ok] = np.nan
     return out, ok
 
 
 def _homogeneous(m, points):
-    """(u, v, w) = m (x, y, 1) at each row (x, y) of points (K, 2): every
-    projection's one formula, element by element, so no BLAS kernel sets its
-    bits.  The caller holds the errstate."""
+    """(u, v, w) = m (x, y, 1) at each row (x, y) of points (K, 2), and the
+    mask of the rows in view: every projection's one formula, element by
+    element, so no BLAS kernel sets its bits.  A row is at infinity when
+    |w| < PROJECTIVE_EPS * max|m| or w is NaN, a test that does not depend
+    on the scale of m.  The caller holds the errstate."""
     x, y = points.T
     u = m[0, 0] * x + m[0, 1] * y + m[0, 2]
     v = m[1, 0] * x + m[1, 1] * y + m[1, 2]
     w = m[2, 0] * x + m[2, 1] * y + m[2, 2]
-    return u, v, w
+    return u, v, w, np.abs(w) >= PROJECTIVE_EPS * np.abs(m).max()
 
 
 def pairwise_distances(a, b):
@@ -325,7 +337,7 @@ def homography_jacobians(h, points):
     m = h.m
     # w * w may overflow, which rounds the Jacobian towards 0
     with np.errstate(all="ignore"):
-        u, v, w = _homogeneous(m, points)
+        u, v, w, in_view = _homogeneous(m, points)
         w2 = w * w
         jac = np.stack(
             [(m[0, 0] * w - u * m[2, 0]) / w2, (m[0, 1] * w - u * m[2, 1]) / w2,
@@ -333,7 +345,7 @@ def homography_jacobians(h, points):
             axis=1,
         ).reshape(-1, 2, 2)
         projected = np.stack([u / w, v / w], axis=1)
-    return jac, projected, np.abs(w) < PROJECTIVE_EPS
+    return jac, projected, ~in_view
 
 
 def map_regions_to_reference(h, ref_centers, test_centers, test_abc):

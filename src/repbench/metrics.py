@@ -35,11 +35,11 @@ import numpy as np
 from .errors import DegenerateRegion, PointAtInfinity, UndefinedMetric
 from .geometry import (
     close_pairs,
+    computed_regions,
     map_regions_to_reference,
     minor_semiaxes,
     overlap_errors,
     project_points,
-    region_checks,
 )
 from .matching import match_descriptors, verify_matches
 
@@ -154,11 +154,11 @@ def _overlap_errors(ref_centers, ref_abc, test_centers, test_abc, h, cfg):
     included.  Each step is the per-pair code's, in its operation order:
     the transport (geometry.map_regions_to_reference), normalize_pair,
     default_grid_step and the overlap grid (geometry.overlap_errors).  A
-    region that turns non-finite raises ValueError (_valid_regions).
+    region that turns non-finite raises ValueError (geometry.computed_regions).
     """
     center, test_abc, at_infinity = map_regions_to_reference(h, ref_centers, test_centers,
                                                              test_abc)
-    scored = _valid_regions(~at_infinity, center, test_abc)
+    scored = computed_regions(~at_infinity, center, test_abc)
     if cfg.normalize_radius is not None:
         a, b, c = ref_abc.T
         r = cfg.normalize_radius
@@ -166,8 +166,8 @@ def _overlap_errors(ref_centers, ref_abc, test_centers, test_abc, h, cfg):
             s2 = 1.0 / (r * r * np.sqrt(a * c - b * b))
             ref_abc = ref_abc * s2[:, None]
             test_abc = test_abc * s2[:, None]
-        scored = _valid_regions(scored, ref_centers, ref_abc)
-        scored = _valid_regions(scored, center, test_abc)
+        scored = computed_regions(scored, ref_centers, ref_abc)
+        scored = computed_regions(scored, center, test_abc)
     keep = np.flatnonzero(scored)
     # a needle has no minor semiaxis (NaN): DegenerateRegion
     minor = np.minimum(minor_semiaxes(ref_abc[keep]), minor_semiaxes(test_abc[keep]))
@@ -180,15 +180,6 @@ def _overlap_errors(ref_centers, ref_abc, test_centers, test_abc, h, cfg):
     err = np.full(len(scored), np.nan)
     err[keep] = overlap_errors(ref_centers[keep], ref_abc, center[keep], test_abc, step)
     return err, at_infinity
-
-
-def _valid_regions(scored, centers, abc):
-    """`scored` less the regions that are not positive definite; raises
-    ValueError when a scored region is not finite (geometry.region_checks)."""
-    center_ok, abc_ok, definite = region_checks(centers, abc)
-    if not (center_ok & abc_ok)[scored].all():
-        raise ValueError("ellipse center and shape must be finite")
-    return scored & definite
 
 
 def candidate_table(ref, test, h, cfg=EvalConfig()):

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .formats import KeypointSet
-from .geometry import homography_jacobians, region_checks, transport_shapes
+from .geometry import computed_regions, homography_jacobians, transport_shapes
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -157,8 +157,9 @@ class SynthConfig:
             raise ValueError("dropout_rate must lie in [0, 1)")
         if self.n_distractors < 0:
             raise ValueError("n_distractors must be >= 0")
-        if self.descriptor_dim < 0:
-            raise ValueError("descriptor_dim must be >= 0")
+        # a keypoint file reads a dimension header of 1 as "no descriptors"
+        if self.descriptor_dim < 0 or self.descriptor_dim == 1:
+            raise ValueError("descriptor_dim must be 0 or >= 2")
         if not 0.0 <= self.descriptor_noise_sigma < math.inf:
             raise ValueError("descriptor_noise_sigma must be finite and >= 0")
 
@@ -227,7 +228,7 @@ def _transport(h, centers, abc):
     image, and those images.  A region has none when its center maps to
     infinity (PointAtInfinity), np.linalg.inv rejects its J (LinAlgError)
     or its image is not positive definite (DegenerateRegion).  Raises
-    ValueError when an image is not finite (geometry.region_checks).
+    ValueError when an image is not finite (geometry.computed_regions).
     """
     jac, centers, at_infinity = homography_jacobians(h, centers)
     kept = np.flatnonzero(~at_infinity)
@@ -244,9 +245,7 @@ def _transport(h, centers, abc):
                 invertible[k] = False
         kept, inv = kept[invertible], inv[invertible]
     centers, abc = centers[kept], transport_shapes(inv, abc[kept])
-    center_ok, abc_ok, definite = region_checks(centers, abc)
-    if not (center_ok & abc_ok).all():
-        raise ValueError("ellipse center and shape must be finite")
+    definite = computed_regions(np.ones(len(kept), dtype=bool), centers, abc)
     return kept[definite], centers[definite], abc[definite]
 
 

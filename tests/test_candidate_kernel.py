@@ -94,11 +94,12 @@ def oracle_overlap_error(e1, e2, grid_step):
 
 def oracle_project_point(h, p):
     """The one-point projection as it was written before project_points
-    took its place: one point, numpy scalars."""
+    took its place: one point, numpy scalars; its infinity test is scaled
+    by max|m|, as geometry._homogeneous's is."""
     x, y = float(p[0]), float(p[1])
     m = h.m
     w = m[2, 0] * x + m[2, 1] * y + m[2, 2]
-    if abs(w) < geometry.PROJECTIVE_EPS:
+    if abs(w) < geometry.PROJECTIVE_EPS * np.abs(m).max():
         raise PointAtInfinity(f"point ({x:g}, {y:g}) maps to infinity")
     u = m[0, 0] * x + m[0, 1] * y + m[0, 2]
     v = m[1, 0] * x + m[1, 1] * y + m[1, 2]
@@ -107,13 +108,13 @@ def oracle_project_point(h, p):
 
 def oracle_homography_jacobian(h, p):
     """The one-point Jacobian as it was written before homography_jacobians
-    took its place."""
+    took its place, with the infinity test scaled by max|m|."""
     x, y = float(p[0]), float(p[1])
     m = h.m
     u = m[0, 0] * x + m[0, 1] * y + m[0, 2]
     v = m[1, 0] * x + m[1, 1] * y + m[1, 2]
     w = m[2, 0] * x + m[2, 1] * y + m[2, 2]
-    if abs(w) < geometry.PROJECTIVE_EPS:
+    if abs(w) < geometry.PROJECTIVE_EPS * np.abs(m).max():
         raise PointAtInfinity(f"point ({x:g}, {y:g}) maps to infinity")
     with np.errstate(all="ignore"):
         w2 = w * w

@@ -64,6 +64,12 @@ class TestKeypointRoundTrip:
                 if original.descriptor_dim:
                     assert np.array_equal(kp_in.descriptor, kp_out.descriptor)
 
+    # a dimension header of 1 would read back as "no descriptors"
+    def test_one_dimensional_descriptors_cannot_be_written(self):
+        kset = KeypointSet("img", 640, 480, [[1.0, 2.0]], [[1.0, 0.0, 1.0]], [[0.5]])
+        with pytest.raises(ValueError, match="1-D descriptors"):
+            write_keypoints(kset)
+
     def test_write_then_write_is_stable(self):
         rng = np.random.default_rng(22)
         s = random_keypoint_set(rng)
@@ -272,6 +278,19 @@ class TestManifest:
             parse_manifest(json.dumps(doc))
         assert "b" in str(info.value)
 
+    def test_keypoints_path_must_be_a_string(self):
+        doc = valid_manifest_doc()
+        doc["images"][1]["keypoints"] = 7
+        with pytest.raises(ManifestError, match="images\\[1\\]: key 'keypoints' must be str"):
+            parse_manifest(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["width", "height"])
+    def test_dimensions_must_be_positive(self, key):
+        doc = valid_manifest_doc()
+        doc["images"][0][key] = 0
+        with pytest.raises(ManifestError, match="images\\[0\\]: dimensions must be positive"):
+            parse_manifest(json.dumps(doc))
+
     def test_no_images(self):
         with pytest.raises(ManifestError):
             parse_manifest(json.dumps({"name": "x", "images": []}))
@@ -320,6 +339,15 @@ class TestLoaders:
             load_keypoints(str(p), "img", 100, 100)
         assert info.value.line == 3
         assert str(info.value).count("line 3") == 1
+
+    # a singular matrix is a ParseError, so it carries its path as a field
+    def test_load_singular_homography_keeps_error_type(self, tmp_path):
+        p = tmp_path / "H.txt"
+        p.write_text("1 0 0\n0 1 0\n1 1 0\n")
+        with pytest.raises(SingularHomography) as info:
+            load_homography(str(p))
+        assert (info.value.path, info.value.reason) == (str(p), "matrix has zero determinant")
+        assert str(info.value) == f"{p}: matrix has zero determinant"
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ParseError) as info:

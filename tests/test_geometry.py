@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -147,6 +148,17 @@ class TestProjection:
         out, ok = project_points(h, [(1.0, 0.0), (0.5, 0.0)])
         assert not ok[0] and ok[1]
 
+    # |w| is compared with PROJECTIVE_EPS * max|m|, so k * H puts the same
+    # points at infinity as H: here the horizon x = 1 and w = 1e-13 beside it
+    @pytest.mark.parametrize("k", [1e-120, 1e-13, 1.0, 1e150])
+    def test_at_infinity_does_not_depend_on_scale(self, k):
+        h = Homography(k * np.array([[1.0, 0, 0], [0, 1, 0], [-1, 0, 1]]))
+        pts = np.array([(1.0, 0.0), (1.0 - 1e-13, 0.0), (1.0 - 1e-11, 0.0), (0.5, 7.0)])
+        _, ok = project_points(h, pts)
+        _, _, at_infinity = homography_jacobians(h, pts)
+        assert ok.tolist() == [False, False, True, True]
+        assert at_infinity.tolist() == [True, True, False, False]
+
 
 class TestJacobian:
     def test_matches_finite_differences(self):
@@ -176,6 +188,22 @@ class TestEllipse:
         assert np.allclose(e.center, (3, 4))
         assert math.isclose(e.area, math.pi * 4.0, rel_tol=1e-12)
         assert math.isclose(e.equivalent_radius, 2.0, rel_tol=1e-12)
+
+    @pytest.mark.parametrize(
+        "center, shape, message",
+        [((0.0, 0.0, 0.0), np.eye(2), "center must have shape (2,)"),
+         ((0.0, 0.0), np.eye(3), "shape matrix must be 2x2"),
+         ((0.0, math.nan), np.eye(2), "ellipse center and shape must be finite"),
+         ((0.0, 0.0), [[1.0, 0.5], [0.0, 1.0]], "shape matrix must be symmetric")],
+    )
+    def test_rejects_malformed_center_and_shape(self, center, shape, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SecondMomentEllipse(center, shape)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0])
+    def test_circle_rejects_non_positive_radius(self, radius):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            SecondMomentEllipse.circle(0.0, 0.0, radius)
 
     def test_rejects_non_positive_definite(self):
         with pytest.raises(DegenerateRegion):

@@ -243,6 +243,24 @@ class TestLoadReport:
         assert info.value.path == str(p)
         assert info.value.line is None
 
+    def test_missing_dataset(self, tmp_path):
+        p = self.write_valid(tmp_path)
+        doc = json.loads(p.read_text())
+        del doc["dataset"]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as info:
+            load_report(str(p))
+        assert (info.value.reason, info.value.path) == ("missing key 'dataset'", str(p))
+
+    def test_series_must_be_an_object(self, tmp_path):
+        p = self.write_valid(tmp_path)
+        doc = json.loads(p.read_text())
+        doc["series"] = [doc["series"]]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as info:
+            load_report(str(p))
+        assert (info.value.reason, info.value.path) == ("series must be an object", str(p))
+
     def test_missing_series_key(self, tmp_path):
         p = self.write_valid(tmp_path)
         doc = json.loads(p.read_text())
@@ -847,6 +865,53 @@ class TestCli:
         assert code == 2
         assert "repbench: error:" in captured.err
 
+    def test_zero_dims_exit_2(self, tmp_path, capsys):
+        kpts = tmp_path / "a.kpts"
+        kpts.write_text("1.0\n1\n10 10 0.5 0.0 0.5\n")
+        hpath = tmp_path / "H.txt"
+        hpath.write_text("1 0 0 0 1 0 0 0 1")
+        code = main(["eval", "--ref", str(kpts), "--test", str(kpts), "--homography", str(hpath),
+                     "--ref-dims", "0x480", "--test-dims", "640x480"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "repbench: error: dimensions must be positive\n"
+        assert captured.out == ""
+
+    def test_bad_scale_range_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["synth", "--out-dir", str(out), "--scale-range", "2-6"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "repbench: error: scale range must look like 2:6, got '2-6'" in captured.err
+        assert not out.exists()
+
+    # a dimension header of 1 reads back as "no descriptors", so D = 1 is
+    # refused before any file is written
+    def test_descriptor_dim_1_exit_2_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        out.mkdir()
+        code = main(["synth", "--out-dir", str(out), "--n-points", "20",
+                     "--descriptor-dim", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "repbench: error: descriptor_dim must be 0 or >= 2" in captured.err
+        assert list(out.iterdir()) == []
+
+    # a criterion with no defined value leaves the dataset unrated
+    def test_summary_of_all_null_series_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(summary_doc("detA", "ds1", [None, None])))
+        code = main(["summary", "--reports", str(path), "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 3
+        doc = json.loads(captured.out)
+        assert doc["thresholds"] == {"ds1": None}
+        assert doc["rows"][0]["cells"] == {"ds1": {"score": None, "rating": None}}
+        code = main(["summary", "--reports", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == f"detector,ds1\ndetA,{MISSING_CELL}\n"
+
     @pytest.mark.parametrize(
         "argv, field",
         [(["synth", "--jitter", "nan"], "jitter_sigma"),
@@ -880,9 +945,8 @@ class TestCli:
         assert f"repbench: error: {hpath}: " in captured.err
         assert "determinant" in captured.err
 
-    # regular, though det(m) or det(m^-1) underflows to 0; the rates stay
-    # undefined (exit 3), because every weight w = k or 1/k lies below
-    # geometry.PROJECTIVE_EPS on one side, so no point is in view there
+    # regular, though det(m) or det(m^-1) underflows to 0, and the point at
+    # infinity test is relative to max|m|, so k * I gives the identity's row
     @pytest.mark.parametrize("k", ["1e-120", "1e150"])
     def test_scaled_identity_homography_accepted(self, tmp_path, capsys, k):
         hpath = tmp_path / "H.txt"
@@ -893,8 +957,8 @@ class TestCli:
                      "--test-dims", "100x100", "--homography", str(hpath)])
         captured = capsys.readouterr()
         assert captured.err == ""
-        assert code == 3
-        assert captured.out.startswith("pair,eq1,c1,c2,true_matches\n")
+        assert code == 0
+        assert captured.out == "pair,eq1,c1,c2,true_matches\n2,1.0,1.0,1.0,0\n"
 
     # the ramp's end is checked before the first file is written
     @pytest.mark.parametrize("images, end", [("4", "-1"), ("2", "nan"), ("4", "inf")])

@@ -107,6 +107,7 @@ class TestSynthConfig:
             {"n_distractors": -1},
             {"descriptor_dim": -1},
             {"descriptor_noise_sigma": -1.0},
+            {"descriptor_dim": 1},
         ],
     )
     def test_validation(self, kwargs):
@@ -150,7 +151,8 @@ class TestGenerateReference:
                 image_width=int(rng.integers(100, 1000)),
                 image_height=int(rng.integers(100, 1000)),
                 scale_range=tuple(np.sort(rng.uniform(1.0, 8.0, 2))),
-                descriptor_dim=int(rng.integers(0, 9)),
+                # a keypoint file cannot hold D = 1
+                descriptor_dim=int(rng.choice([0, 2, 3, 4, 5, 6, 7, 8])),
             )
             s = generate_reference(cfg)
             assert len(s) == 12
