@@ -74,17 +74,13 @@ class KeypointSet:
     def descriptor_dim(self):
         return self.descriptors.shape[1]
 
-    def region(self, k):
-        """Region k as a SecondMomentEllipse, built on each call."""
-        return SecondMomentEllipse.from_abc(*self.centers[k].tolist(), *self.abc[k].tolist())
-
     @property
     def keypoints(self):
         """A Keypoint per row, built on each access; descriptor None when D = 0."""
-        return [
-            Keypoint(self.region(k), self.descriptors[k] if self.descriptor_dim else None)
-            for k in range(len(self))
-        ]
+        rows = zip(self.centers.tolist(), self.abc.tolist(), self.descriptors)
+        return [Keypoint(SecondMomentEllipse.from_abc(*center, *abc),
+                         descriptor if self.descriptor_dim else None)
+                for center, abc, descriptor in rows]
 
 
 @dataclass
@@ -306,16 +302,18 @@ def write_homography(h):
     return "\n".join(" ".join(repr(float(v)) for v in row) for row in h.m) + "\n"
 
 
+def _is_a(value, kind):
+    """isinstance for a JSON value: true and false (bool) are not numbers."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _require(obj, key, kind, where):
     if not isinstance(obj, dict) or key not in obj:
         raise ManifestError(f"{where}: missing key {key!r}")
     value = obj[key]
-    if kind is int:
-        # bool is an int subclass; JSON integers only
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ManifestError(f"{where}: key {key!r} must be an integer")
-    elif not isinstance(value, kind):
-        raise ManifestError(f"{where}: key {key!r} must be {kind.__name__}")
+    if not _is_a(value, kind):
+        what = "an integer" if kind is int else kind.__name__
+        raise ManifestError(f"{where}: key {key!r} must be {what}")
     return value
 
 
@@ -404,18 +402,19 @@ def parse_report(text):
     doc = _parse_json(text)
     if not isinstance(doc, dict) or doc.get("schema") != SEQUENCE_SCHEMA:
         raise ParseError(f"not a {SEQUENCE_SCHEMA} report")
-    for key in ("dataset", "detector", "series"):
+    for key, kind, what in (("dataset", str, "a string"), ("detector", str, "a string"),
+                            ("series", dict, "an object")):
         if key not in doc:
             raise ParseError(f"missing key {key!r}")
+        if not _is_a(doc[key], kind):
+            raise ParseError(f"{key} must be {what}")
     series = doc["series"]
-    if not isinstance(series, dict):
-        raise ParseError("series must be an object")
     lengths = set()
     for key in CRITERIA + ("true_matches",):
         if key not in series or not isinstance(series[key], list):
             raise ParseError(f"series.{key} must be a list")
         for v in series[key]:
-            if v is not None and not isinstance(v, (int, float)):
+            if v is not None and not _is_a(v, (int, float)):
                 raise ParseError(f"series.{key} holds a non-number")
             # json.loads reads NaN and Infinity, which reports never hold
             if v is not None and not math.isfinite(v):

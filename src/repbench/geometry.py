@@ -10,17 +10,18 @@ centers over their joint bounding box; the cells inside each ellipse are
 counted row by row, as one run of columns per row, rather than one by one.
 
 Every point is projected by one formula, m (x, y, 1) element by element
-(_homogeneous), never by a matmul, so no BLAS build sets its bits; one rule
-(positive_definite) decides which shapes are ellipses, one check
-(region_checks) which rows (u, v, a, b, c) are regions, and one rule
-(computed_regions) which computed regions are scored.  Many
-points and pairs are handled in one pass over arrays: project_points
-projects K points, homography_jacobians linearises the map at K points,
+(_homogeneous), never by a matmul, so no BLAS build sets its bits; one check
+(region_checks) decides which rows (u, v, a, b, c) are regions, one rule
+(computed_regions) which computed regions are scored, and semiaxes and
+half_extents are the one copy of each ellipse formula.  Many points and
+pairs are handled in one pass over arrays: project_points projects K
+points, homography_jacobians linearises the map at K points,
 map_regions_to_reference transports K regions (through transport_shapes),
 and overlap_errors lays out the grid of each of K pairs and runs the rows
 of all the grids through one row kernel, a block of OVERLAP_BLOCK_ROWS rows
-at a time.  The one-pair functions (overlap_error, overlap_row_counts) are
-K = 1 calls into them, with the same bits.
+at a time.  SecondMomentEllipse and overlap_error, one region and one pair,
+are K = 1 calls of these rules, with the same bits; they stay because the
+benchmark's tracer (bench/tracing.py) wraps and calls them.
 close_pairs finds the point pairs closer than a radius with a spatial
 hash, bucketing one set in cells a little wider than the radius, rather
 than computing all N x M distances.
@@ -46,16 +47,11 @@ PAIRWISE_BLOCK_ELEMENTS = 1 << 16
 OVERLAP_BLOCK_ROWS = 1 << 13
 
 
-def positive_definite(a, b, c):
-    """Whether a(x-u)^2 + 2b(x-u)(y-v) + c(y-v)^2 <= 1 is an ellipse, of
-    floats or arrays: a > 0, c > 0, a c - b^2 > 0.  The caller holds any errstate."""
-    return (a > 0.0) & (c > 0.0) & (a * c - b * b > 0.0)
-
-
 def region_checks(centers, abc):
     """Which rows of centers (N, 2) and abc (N, 3) are regions
     a(x-u)^2 + 2b(x-u)(y-v) + c(y-v)^2 <= 1: the (N,) masks of finite
-    centers, of finite coefficients, and of positive-definite coefficients.
+    centers, of finite coefficients, and of positive-definite coefficients
+    (a > 0, c > 0, a c - b^2 > 0).
 
     A row whose product a c overflows to inf passes, as it does in Python
     floats, and a row with a NaN is not positive definite; neither warns.
@@ -63,7 +59,7 @@ def region_checks(centers, abc):
     a, b, c = abc.T
     with np.errstate(over="ignore", invalid="ignore"):
         return (np.isfinite(centers).all(axis=1), np.isfinite(abc).all(axis=1),
-                positive_definite(a, b, c))
+                (a > 0.0) & (c > 0.0) & (a * c - b * b > 0.0))
 
 
 def computed_regions(scored, centers, abc):
@@ -129,11 +125,13 @@ class SecondMomentEllipse:
         if shape.shape != (2, 2):
             raise ValueError(f"shape matrix must be 2x2, got {shape.shape}")
         (a, b), (b_low, c) = shape.tolist()
-        if not all(map(math.isfinite, (*center.tolist(), a, b, b_low, c))):
+        center_ok, abc_ok, definite = region_checks(center[None], np.array([[a, b, c]]))
+        # the row is (u, v, a, b, c); b_low is the one entry outside it
+        if not (center_ok[0] and abc_ok[0] and math.isfinite(b_low)):
             raise ValueError("ellipse center and shape must be finite")
         if abs(b_low - b) > 1e-9 * max(1.0, abs(b)):
             raise ValueError("shape matrix must be symmetric")
-        if not positive_definite(a, b, c):
+        if not definite[0]:
             raise DegenerateRegion(
                 f"shape matrix not positive definite (a={a:g}, b={b:g}, c={c:g})"
             )
@@ -153,49 +151,21 @@ class SecondMomentEllipse:
         return cls((u, v), [[k, 0.0], [0.0, k]])
 
     @property
-    def det(self):
-        s = self.shape
-        return s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
-
-    @property
     def abc(self):
         """(a, b, c) of the region a(x-u)^2 + 2b(x-u)(y-v) + c(y-v)^2 <= 1."""
         return self.shape[[0, 0, 1], [0, 1, 1]]
 
-    @property
-    def area(self):
-        return math.pi / math.sqrt(self.det)
-
-    @property
-    def equivalent_radius(self):
-        """Radius of the circle with the same area."""
-        return self.det ** -0.25
-
     def semiaxes(self):
-        """(major, minor) semiaxis lengths in pixels.
-
-        Raises DegenerateRegion for a needle, whose smaller eigenvalue
-        rounds to zero or below, which takes an axis ratio of about 1e8.
-        """
-        (a, b), (_, c) = self.shape.tolist()
-        half_spread = math.hypot(0.5 * (a - c), b)
-        lo = 0.5 * (a + c) - half_spread
-        hi = 0.5 * (a + c) + half_spread
-        if lo <= 0.0:
-            raise DegenerateRegion(
-                f"smaller eigenvalue rounds to {lo:g} (a={a:g}, b={b:g}, c={c:g})"
-            )
-        return 1.0 / math.sqrt(lo), 1.0 / math.sqrt(hi)
+        """(major, minor) of semiaxes; raises DegenerateRegion for a needle."""
+        (major,), (minor,) = semiaxes(self.abc[None])
+        if math.isnan(minor):
+            raise DegenerateRegion(f"needle {self!r}: smaller eigenvalue rounds to 0 or below")
+        return float(major), float(minor)
 
     def half_extents(self):
-        """Half-widths of the axis-aligned bounding box (support along x and y)."""
-        (a, b), (_, c) = self.shape.tolist()
-        det = a * c - b * b
-        return math.sqrt(c / det), math.sqrt(a / det)
-
-    def scaled(self, factor):
-        """Shape matrix multiplied by `factor` (region scales by 1/sqrt(factor))."""
-        return SecondMomentEllipse(self.center, self.shape * factor)
+        """(along x, along y) of half_extents."""
+        (half_w,), (half_h,) = half_extents(self.abc[None])
+        return float(half_w), float(half_h)
 
     def __repr__(self):
         a, b, c = self.shape[0, 0], self.shape[0, 1], self.shape[1, 1]
@@ -358,9 +328,7 @@ def map_regions_to_reference(h, ref_centers, test_centers, test_abc):
     Returns (centers, abc, at_infinity): the (K, 2) centers and (K, 3)
     coefficients of the regions in the reference frame, and the mask of the
     pairs where ref_centers[k] or test_centers[k] maps to infinity, whose
-    values are meaningless.  The values are not checked further.  The
-    transport is a stacked matmul, which has the per-pair `@`'s kernel and
-    bits.
+    values are meaningless.  The values are not checked further.
     """
     jac, _, ref_at_infinity = homography_jacobians(h, ref_centers)
     centers, finite = project_points(h.inverse(), test_centers)
@@ -383,68 +351,27 @@ def transport_shapes(a, abc):
         )
 
 
-def normalize_pair(ref, test, target_radius):
-    """Rescale both shape matrices by the one factor that gives the reference
-    region the area of a circle of radius `target_radius`.  Centers unchanged.
-    """
-    if target_radius <= 0:
-        raise ValueError("target_radius must be positive")
-    # area(s^2 * mu_ref) = pi * target_radius^2  =>  s^2 = 1 / (r^2 sqrt(det))
-    s2 = 1.0 / (target_radius * target_radius * math.sqrt(ref.det))
-    return ref.scaled(s2), test.scaled(s2)
-
-
-def default_grid_step(e1, e2):
-    """Default overlap sampling pitch: min(0.1 px, smallest minor semiaxis / 100)."""
-    minor = min(e1.semiaxes()[1], e2.semiaxes()[1])
-    return min(0.1, minor / 100.0)
-
-
 def overlap_error(e1, e2, grid_step):
-    """1 - |e1 n e2| / |e1 u e2| with areas estimated on a shared regular grid.
-
-    The grid covers the joint bounding box of the two ellipses at pitch
-    `grid_step` and samples cell centers, so the estimate is deterministic and
-    symmetric in its arguments.  The pitch is clamped so that each region is
-    guaranteed at least one sample and the total sample count stays below
-    MAX_OVERLAP_SAMPLES.  The cell centers are counted row by row (see
-    `overlap_row_counts`).  Result clamped to [0, 1].  One pair of
-    `overlap_errors`.
-    """
+    """overlap_errors of the one pair of SecondMomentEllipse e1, e2."""
     return float(overlap_errors(e1.center[None], e1.abc[None], e2.center[None], e2.abc[None],
                                 grid_step)[0])
 
 
-def overlap_row_counts(e1, e2, grid_step):
-    """Per-row cell counts of the overlap_error grid.
-
-    Returns (n, both): n[0] and n[1] count the cell centers inside e1 and e2
-    in each row, both those inside the two.  A cell center is inside an
-    ellipse when (a*dx*dx) + (c*dy*dy) + (2*b)*(dy*dx) <= 1 in floating
-    point, (dx, dy) being its offset from the ellipse center.  In each row
-    those cells form one run of columns between the two roots of that
-    quadratic in dx, so the roots give the ends of the run and only the cell
-    nearest each root is put to the test above.  Cost is O(rows), and the
-    counts equal those of testing every cell.  One pair of the row kernel
-    that `overlap_errors` runs over many.
-    """
-    per_pair, ny = _grid_constants(
-        np.stack([e1.center, e2.center])[:, None], np.stack([e1.abc, e2.abc])[:, None], grid_step
-    )
-    return _row_counts(np.repeat(per_pair, ny, axis=1), np.arange(ny[0]))
-
-
 def overlap_errors(centers1, abc1, centers2, abc2, grid_step):
-    """overlap_error of K region pairs, as a (K,) array of the same bits.
+    """1 - |e1 n e2| / |e1 u e2| of K region pairs, as a (K,) array, with
+    the areas estimated on a regular grid per pair.
 
     Region k of each side has center centers[k] and shape coefficients
     abc[k] = (a, b, c) of a(x-u)^2 + 2b(x-u)(y-v) + c(y-v)^2 <= 1;
-    grid_step is one pitch or one per pair.  Each pair gets the grid
-    overlap_error lays out, and the rows of all the grids, concatenated,
-    go through one row kernel (overlap_row_counts) OVERLAP_BLOCK_ROWS rows
-    at a time, so memory stays O(K + OVERLAP_BLOCK_ROWS) however many rows
-    there are.  Raises what overlap_error raises for the first pair that
-    cannot be scored.
+    grid_step is one pitch or one per pair.  A pair's grid covers the joint
+    bounding box of its two ellipses and samples cell centers, so the
+    estimate is deterministic and symmetric in the two.  The pitch is
+    clamped so that each region gets at least one sample and the sample
+    count stays below MAX_OVERLAP_SAMPLES (_grid_constants).  The rows of
+    all the grids, concatenated, go through one row kernel (_row_counts)
+    OVERLAP_BLOCK_ROWS rows at a time, so memory stays O(K +
+    OVERLAP_BLOCK_ROWS) however many rows there are.  Errors are clamped to
+    [0, 1].  Raises for the first pair that cannot be scored.
     """
     per_pair, ny = _grid_constants(np.stack([centers1, centers2]), np.stack([abc1, abc2]),
                                    grid_step)
@@ -474,18 +401,30 @@ def overlap_errors(centers1, abc1, centers2, abc2, grid_step):
     return np.where(union == 0, disjoint, err)
 
 
-def minor_semiaxes(abc):
-    """SecondMomentEllipse.semiaxes()[1] of each row (a, b, c), same bits.
+@np.errstate(all="ignore")
+def semiaxes(abc):
+    """(major, minor) semiaxis lengths in pixels of each row (a, b, c) of
+    abc (K, 3), 1 / sqrt of the eigenvalues of [[a, b], [b, c]].
 
-    NaN where semiaxes raises DegenerateRegion: a needle, whose smaller
-    eigenvalue rounds to zero or below.
+    Both are NaN for a needle, whose smaller eigenvalue rounds to zero or
+    below, which takes an axis ratio of about 1e8.
     """
     a, b, c = abc.T
     # math.hypot, not np.hypot: the two differ in the last bit on some inputs
     half_spread = np.fromiter(map(math.hypot, (0.5 * (a - c)).tolist(), b.tolist()), float,
                               len(a))
-    mid = 0.5 * (a + c)
-    return np.where(mid - half_spread > 0.0, 1.0 / np.sqrt(mid + half_spread), np.nan)
+    lo, hi = 0.5 * (a + c) - half_spread, 0.5 * (a + c) + half_spread
+    return np.where(lo > 0.0, [1.0 / np.sqrt(lo), 1.0 / np.sqrt(hi)], np.nan)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def half_extents(abc):
+    """Half-widths (along x, along y) of the axis-aligned bounding box of
+    each region (a, b, c) in the last axis of abc: sqrt(c / det) and
+    sqrt(a / det), det = a c - b^2.  An a c that overflows does not warn."""
+    a, b, c = np.moveaxis(abc, -1, 0)
+    det = a * c - b * b
+    return np.sqrt(c / det), np.sqrt(a / det)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -501,9 +440,7 @@ def _grid_constants(centers, abc, grid_step):
     if np.any(np.asarray(grid_step) <= 0):
         raise ValueError("grid_step must be positive")
     (cx, cy), (a, b, c) = np.moveaxis(centers, 2, 0), np.moveaxis(abc, 2, 0)
-    det = a * c - b * b
-    # half_extents of each region
-    half_w, half_h = np.sqrt(c / det), np.sqrt(a / det)
+    half_w, half_h = half_extents(abc)
     xmin = np.minimum(*(cx - half_w))
     width = np.maximum(*(cx + half_w)) - xmin
     ymin = np.minimum(*(cy - half_h))
@@ -511,7 +448,7 @@ def _grid_constants(centers, abc, grid_step):
 
     # A disk of radius r always contains a cell center once the pitch is <= r,
     # so clamping at the smaller minor semiaxis keeps both counts nonzero.
-    minor = np.minimum(minor_semiaxes(abc[0]), minor_semiaxes(abc[1]))
+    minor = np.minimum(semiaxes(abc[0])[1], semiaxes(abc[1])[1])
     if np.isnan(minor).any():
         raise DegenerateRegion("a needle region has no minor semiaxis")
     step = np.minimum(grid_step, minor)
@@ -550,8 +487,18 @@ _HALF = np.array([0.5, -0.5])[:, None, None]
 
 
 def _row_counts(rows, j):
-    """The row kernel: (n, both) of overlap_row_counts for R grid rows,
-    row j[r] of the grid whose _grid_constants are rows[:, r]."""
+    """The row kernel: (n, both) for R grid rows, row j[r] of the grid
+    whose _grid_constants are rows[:, r].
+
+    n[0] and n[1] count the cell centers of each row inside the first and
+    second ellipse, both those inside the two.  A cell center is inside an
+    ellipse when (a*dx*dx) + (c*dy*dy) + (2*b)*(dy*dx) <= 1 in floating
+    point, (dx, dy) being its offset from the ellipse center.  In each row
+    those cells form one run of columns between the two roots of that
+    quadratic in dx, so the roots give the ends of the run and only the cell
+    nearest each root is put to the test above.  Cost is O(1) per row, and
+    the counts equal those of testing every cell.
+    """
     cx, cy, a, c, b2, b_col, a0, d0, *x0 = rows[:20].reshape(10, 2, -1)
     xmin, ymin, step = rows[20:]
     # Explicit out= arguments keep numpy from eliding temporaries, which is

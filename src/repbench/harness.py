@@ -39,7 +39,7 @@ from .formats import (
 )
 from .geometry import Homography
 from .metrics import EvalConfig, evaluate_pair
-from .stats import bin_scores, correlate, summarize
+from .stats import bin_scores, check_thresholds, correlate, summarize
 from .synth import derive_test, generate_reference
 
 PAIR_SCHEMA = "repbench.pair/1"
@@ -284,13 +284,15 @@ def summary_table(reports, criterion="c2", thresholds=None):
     Detectors and datasets keep first-appearance order.  When thresholds is
     None each dataset is binned at (1/3, 2/3) of its best mean score, or
     not at all when that best is not positive, which rates every cell "+";
-    explicit thresholds apply everywhere.  Cells with no defined values
-    stay None.  Returns (detectors, datasets, cells, ratings,
-    thresholds_used) where cells and ratings map (detector, dataset) to
-    score / rating string.
+    explicit thresholds apply everywhere and are checked before any cell
+    is (stats.check_thresholds).  Cells with no defined values stay None.
+    Returns (detectors, datasets, cells, ratings, thresholds_used) where
+    cells and ratings map (detector, dataset) to score / rating string.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}")
+    if thresholds is not None:
+        thresholds = check_thresholds(thresholds)
     detectors = []
     datasets = []
     values = {}

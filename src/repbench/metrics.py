@@ -23,9 +23,9 @@ and the center distances do not depend on the BLAS build.  It finds the
 pairs within epsilon_px with a spatial hash of the test centers
 (geometry.close_pairs), never the N x M distance matrix, and scores all of
 them in one pass over arrays (_overlap_errors): the transport into the
-reference frame, the rescaling, the grid pitch and the overlap grids, in
-the operation order of the one-pair region_overlap_error, so every table
-entry has its bits.
+reference frame, the rescaling, the grid pitch and the overlap grids.  The
+one-pair region_overlap_error is a K = 1 call of it, with the same bits; it
+stays because the benchmark's tracer (bench/tracing.py) wraps it.
 """
 
 from dataclasses import dataclass
@@ -37,9 +37,9 @@ from .geometry import (
     close_pairs,
     computed_regions,
     map_regions_to_reference,
-    minor_semiaxes,
     overlap_errors,
     project_points,
+    semiaxes,
 )
 from .matching import match_descriptors, verify_matches
 
@@ -122,14 +122,8 @@ def _in_view(centers, h, width, height):
 
 
 def region_overlap_error(ref_region, test_region, h, cfg):
-    """Overlap error of a candidate pair in the reference frame.
-
-    The test region is transported by the Jacobian quadratic form around the
-    reference center, then both regions are optionally rescaled so the
-    reference one matches cfg.normalize_radius before sampling.  Raises
-    PointAtInfinity or DegenerateRegion when the pair cannot be scored.  One
-    pair of `_overlap_errors`.
-    """
+    """_overlap_errors of one candidate pair of SecondMomentEllipse.  Raises
+    PointAtInfinity or DegenerateRegion when the pair cannot be scored."""
     err, at_infinity = _overlap_errors(
         ref_region.center[None], ref_region.abc[None],
         test_region.center[None], test_region.abc[None], h, cfg,
@@ -145,16 +139,20 @@ def region_overlap_error(ref_region, test_region, h, cfg):
 
 
 def _overlap_errors(ref_centers, ref_abc, test_centers, test_abc, h, cfg):
-    """region_overlap_error of K candidate pairs, in one pass over arrays.
+    """Overlap errors of K candidate pairs in the reference frame, in one
+    pass over arrays.
 
     The regions are given as (K, 2) centers and (K, 3) coefficients (a, b,
-    c).  Returns (err, at_infinity): err[k] has the bits of
-    region_overlap_error for pair k, or is NaN where that raises
-    PointAtInfinity (at_infinity[k] set) or DegenerateRegion, needles
-    included.  Each step is the per-pair code's, in its operation order:
-    the transport (geometry.map_regions_to_reference), normalize_pair,
-    default_grid_step and the overlap grid (geometry.overlap_errors).  A
-    region that turns non-finite raises ValueError (geometry.computed_regions).
+    c).  Returns (err, at_infinity): err[k] is NaN where pair k cannot be
+    scored, a point at infinity (at_infinity[k] set) or a region that is
+    not positive definite, needles included.  The steps: the transport of
+    the test region by the Jacobian quadratic form around the reference
+    center (geometry.map_regions_to_reference); with cfg.normalize_radius,
+    both regions rescaled by the one factor that gives the reference region
+    the area of a circle of that radius; the default pitch min(0.1, smaller
+    minor semiaxis / 100) (geometry.semiaxes); and the overlap grid
+    (geometry.overlap_errors).  A region that turns non-finite raises
+    ValueError (geometry.computed_regions).
     """
     center, test_abc, at_infinity = map_regions_to_reference(h, ref_centers, test_centers,
                                                              test_abc)
@@ -168,17 +166,13 @@ def _overlap_errors(ref_centers, ref_abc, test_centers, test_abc, h, cfg):
             test_abc = test_abc * s2[:, None]
         scored = computed_regions(scored, ref_centers, ref_abc)
         scored = computed_regions(scored, center, test_abc)
-    keep = np.flatnonzero(scored)
     # a needle has no minor semiaxis (NaN): DegenerateRegion
-    minor = np.minimum(minor_semiaxes(ref_abc[keep]), minor_semiaxes(test_abc[keep]))
-    sized = ~np.isnan(minor)
-    keep, minor = keep[sized], minor[sized]
-    ref_abc, test_abc = ref_abc[keep], test_abc[keep]
-    step = cfg.grid_step
-    if step is None:
-        step = np.minimum(0.1, minor / 100.0)
+    minor = np.minimum(semiaxes(ref_abc)[1], semiaxes(test_abc)[1])
+    keep = np.flatnonzero(scored & ~np.isnan(minor))
+    step = np.minimum(0.1, minor[keep] / 100.0) if cfg.grid_step is None else cfg.grid_step
     err = np.full(len(scored), np.nan)
-    err[keep] = overlap_errors(ref_centers[keep], ref_abc, center[keep], test_abc, step)
+    err[keep] = overlap_errors(ref_centers[keep], ref_abc[keep], center[keep], test_abc[keep],
+                               step)
     return err, at_infinity
 
 

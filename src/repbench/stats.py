@@ -146,6 +146,16 @@ def summarize(values):
     return mean, float(v.std(ddof=1))
 
 
+def check_thresholds(bins):
+    """`bins` as a list of floats; ValueError unless strictly ascending in (0, 1)."""
+    bins = [float(b) for b in bins]
+    if any(not 0.0 < b < 1.0 for b in bins):
+        raise ValueError("thresholds must lie strictly inside (0, 1)")
+    if any(b2 <= b1 for b1, b2 in zip(bins, bins[1:])):
+        raise ValueError("thresholds must be strictly ascending")
+    return bins
+
+
 def bin_scores(mean_scores, bins):
     """Rate each score by the number of thresholds it clears.
 
@@ -158,11 +168,7 @@ def bin_scores(mean_scores, bins):
     scores = {key: float(v) for key, v in mean_scores.items()}
     if any(not math.isfinite(v) for v in scores.values()):
         raise ValueError("scores must be finite")
-    bins = [float(b) for b in bins]
-    if any(not 0.0 < b < 1.0 for b in bins):
-        raise ValueError("thresholds must lie strictly inside (0, 1)")
-    if any(b2 <= b1 for b1, b2 in zip(bins, bins[1:])):
-        raise ValueError("thresholds must be strictly ascending")
+    bins = check_thresholds(bins)
     return {
         key: "+" * (1 + sum(1 for b in bins if b < score))
         for key, score in scores.items()

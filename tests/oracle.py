@@ -1,0 +1,217 @@
+"""Frozen scalar references for the array kernels of repbench.geometry and
+repbench.metrics: the per-region and per-pair code as it was written before
+the pipeline moved to arrays of rows.  Nothing here calls
+SecondMomentEllipse's semiaxes() or half_extents(), which are K = 1 calls of
+the kernels under test."""
+
+import math
+
+import numpy as np
+
+from repbench import geometry
+from repbench.errors import DegenerateRegion, PointAtInfinity
+from repbench.geometry import SecondMomentEllipse, pairwise_distances
+from repbench.metrics import common_part_filter
+
+
+def semiaxes(e):
+    """(major, minor) semiaxis lengths of region e, in Python floats.
+
+    Raises DegenerateRegion for a needle, whose smaller eigenvalue rounds
+    to zero or below.
+    """
+    (a, b), (_, c) = e.shape.tolist()
+    half_spread = math.hypot(0.5 * (a - c), b)
+    lo = 0.5 * (a + c) - half_spread
+    hi = 0.5 * (a + c) + half_spread
+    if lo <= 0.0:
+        raise DegenerateRegion(
+            f"smaller eigenvalue rounds to {lo:g} (a={a:g}, b={b:g}, c={c:g})"
+        )
+    return 1.0 / math.sqrt(lo), 1.0 / math.sqrt(hi)
+
+
+def half_extents(e):
+    """Half-widths of the axis-aligned bounding box of region e."""
+    (a, b), (_, c) = e.shape.tolist()
+    det = a * c - b * b
+    return math.sqrt(c / det), math.sqrt(a / det)
+
+
+def normalize_pair(ref, test, target_radius):
+    """Both shape matrices rescaled by the one factor that gives the
+    reference region the area of a circle of radius `target_radius`."""
+    if target_radius <= 0:
+        raise ValueError("target_radius must be positive")
+    (a, b), (_, c) = ref.shape.tolist()
+    # area(s^2 * mu_ref) = pi * target_radius^2  =>  s^2 = 1 / (r^2 sqrt(det))
+    s2 = 1.0 / (target_radius * target_radius * math.sqrt(a * c - b * b))
+    return (SecondMomentEllipse(ref.center, ref.shape * s2),
+            SecondMomentEllipse(test.center, test.shape * s2))
+
+
+def default_grid_step(e1, e2):
+    """Default overlap sampling pitch: min(0.1 px, smallest minor semiaxis / 100)."""
+    minor = min(semiaxes(e1)[1], semiaxes(e2)[1])
+    return min(0.1, minor / 100.0)
+
+
+def grid(e1, e2, grid_step):
+    """The overlap grid of a pair: (xmin, ymin, step, nx, ny).
+
+    It covers the joint bounding box; the pitch is clamped to the smaller
+    minor semiaxis, then coarsened until nx * ny is at most
+    geometry.MAX_OVERLAP_SAMPLES.
+    """
+    if grid_step <= 0:
+        raise ValueError("grid_step must be positive")
+    w1, h1 = half_extents(e1)
+    w2, h2 = half_extents(e2)
+    (x1, y1), (x2, y2) = e1.center.tolist(), e2.center.tolist()
+    xmin = min(x1 - w1, x2 - w2)
+    xmax = max(x1 + w1, x2 + w2)
+    ymin = min(y1 - h1, y2 - h2)
+    ymax = max(y1 + h1, y2 + h2)
+    step = min(grid_step, semiaxes(e1)[1], semiaxes(e2)[1])
+    nx = math.ceil((xmax - xmin) / step)
+    ny = math.ceil((ymax - ymin) / step)
+    while nx * ny > geometry.MAX_OVERLAP_SAMPLES:
+        step *= math.sqrt(nx * ny / geometry.MAX_OVERLAP_SAMPLES) * 1.0001
+        nx = math.ceil((xmax - xmin) / step)
+        ny = math.ceil((ymax - ymin) / step)
+    return xmin, ymin, step, nx, ny
+
+
+def _error(inter, union, e1, e2):
+    if union == 0:
+        return 0.0 if np.array_equal(e1.center, e2.center) else 1.0
+    return min(1.0, max(0.0, 1.0 - inter / union))
+
+
+def dense_row_counts(e1, e2, grid_step):
+    """Per-row (in e1, in e2, in both) counts and the overlap error, by
+    testing every cell center of the grid."""
+    xmin, ymin, step, nx, ny = grid(e1, e2, grid_step)
+    xs = xmin + (np.arange(nx) + 0.5) * step
+    ys = ymin + (np.arange(ny) + 0.5) * step
+
+    def inside(e):
+        a, b, c = e.shape[0, 0], e.shape[0, 1], e.shape[1, 1]
+        dx = xs - e.center[0]
+        dy = ys - e.center[1]
+        q = (a * dx * dx)[None, :] + (c * dy * dy)[:, None] + 2.0 * b * np.outer(dy, dx)
+        return q <= 1.0
+
+    in1 = inside(e1)
+    in2 = inside(e2)
+    rows = (in1.sum(axis=1), in2.sum(axis=1), (in1 & in2).sum(axis=1))
+    inter = int(np.count_nonzero(in1 & in2))
+    union = int(np.count_nonzero(in1)) + int(np.count_nonzero(in2)) - inter
+    return rows, _error(inter, union, e1, e2)
+
+
+def oracle_overlap_error(e1, e2, grid_step):
+    """overlap_error with the per-pair row kernel it had before batching."""
+    xmin, ymin, step, _, ny = grid(e1, e2, grid_step)
+    per_ellipse = []
+    for e in (e1, e2):
+        (cx, cy), ((a, b), (_, c)) = e.center.tolist(), e.shape.tolist()
+        a_step = a * step
+        per_ellipse.append(
+            [cx, -cy, a, c, 2.0 * b, b / a_step, 1.0 / (a_step * step),
+             (a * c - b * b) / (a_step * a_step), (cx - xmin) / step]
+        )
+    slots = np.array(
+        [
+            p[:-1] + [p[-1] - half_cell, s, half_cell]
+            for s, half_cell in ((-1.0, 0.5), (1.0, -0.5))
+            for p in per_ellipse
+        ]
+    )
+    cx, _, a, c, b2, b_col, a0, d0, x0, s, half_cell = (
+        slots.T.repeat(ny, axis=1).reshape(-1, 4, ny)
+    )
+    dy = np.add.outer(slots[:, 1], ymin + np.arange(0.5, ny) * step)
+    disc = np.maximum(a0 - d0 * (dy * dy), 0.0)
+    m = np.rint(x0 - b_col * dy + s * np.sqrt(disc))
+    dx = (xmin + (m + half_cell) * step) - cx
+    q = (a * dx * dx) + (c * dy * dy) + b2 * (dy * dx)
+    lo, end = (m - s * (q > 1.0)).reshape(2, 2, ny)
+    n = np.maximum(end - lo, 0)
+    both = np.maximum(np.minimum(end[0], end[1]) - np.maximum(lo[0], lo[1]), 0)
+    inter = int(both.sum())
+    return _error(inter, int(n.sum()) - inter, e1, e2)
+
+
+def oracle_project_point(h, p):
+    """The one-point projection as it was written before project_points
+    took its place: one point, numpy scalars; its infinity test is scaled
+    by max|m|, as geometry._homogeneous's is."""
+    x, y = float(p[0]), float(p[1])
+    m = h.m
+    w = m[2, 0] * x + m[2, 1] * y + m[2, 2]
+    if abs(w) < geometry.PROJECTIVE_EPS * np.abs(m).max():
+        raise PointAtInfinity(f"point ({x:g}, {y:g}) maps to infinity")
+    u = m[0, 0] * x + m[0, 1] * y + m[0, 2]
+    v = m[1, 0] * x + m[1, 1] * y + m[1, 2]
+    return np.array([u / w, v / w])
+
+
+def oracle_homography_jacobian(h, p):
+    """The one-point Jacobian as it was written before homography_jacobians
+    took its place, with the infinity test scaled by max|m|."""
+    x, y = float(p[0]), float(p[1])
+    m = h.m
+    u = m[0, 0] * x + m[0, 1] * y + m[0, 2]
+    v = m[1, 0] * x + m[1, 1] * y + m[1, 2]
+    w = m[2, 0] * x + m[2, 1] * y + m[2, 2]
+    if abs(w) < geometry.PROJECTIVE_EPS * np.abs(m).max():
+        raise PointAtInfinity(f"point ({x:g}, {y:g}) maps to infinity")
+    with np.errstate(all="ignore"):
+        w2 = w * w
+        return np.array(
+            [
+                [(m[0, 0] * w - u * m[2, 0]) / w2, (m[0, 1] * w - u * m[2, 1]) / w2],
+                [(m[1, 0] * w - v * m[2, 0]) / w2, (m[1, 1] * w - v * m[2, 1]) / w2],
+            ]
+        )
+
+
+def oracle_map_region_to_reference(h, ref_center, test_region):
+    a = oracle_homography_jacobian(h, ref_center)
+    shape = a.T @ test_region.shape @ a
+    center = oracle_project_point(h.inverse(), test_region.center)
+    return SecondMomentEllipse(center, 0.5 * (shape + shape.T))
+
+
+def oracle_region_overlap_error(ref_region, test_region, h, cfg):
+    mapped = oracle_map_region_to_reference(h, ref_region.center, test_region)
+    a, b = ref_region, mapped
+    if cfg.normalize_radius is not None:
+        a, b = normalize_pair(a, b, cfg.normalize_radius)
+    step = cfg.grid_step if cfg.grid_step is not None else default_grid_step(a, b)
+    return oracle_overlap_error(a, b, step)
+
+
+def oracle_candidate_table(ref, test, h, cfg):
+    """(ref_idx, test_idx, table, dropped): candidate_table's result and the
+    number of candidates left out as DegenerateRegion or PointAtInfinity."""
+    ref_idx, test_idx = common_part_filter(ref, test, h)
+    proj = np.array([oracle_project_point(h, p) for p in ref.centers[ref_idx]]).reshape(-1, 2)
+    d = pairwise_distances(proj, test.centers[test_idx])
+    table = {}
+    dropped = 0
+    cand_i, cand_j = np.nonzero(d < cfg.epsilon_px)
+    for i, j in zip(cand_i.tolist(), cand_j.tolist()):
+        ri = int(ref_idx[i])
+        tj = int(test_idx[j])
+        try:
+            ref_region = SecondMomentEllipse.from_abc(*ref.centers[ri], *ref.abc[ri])
+            test_region = SecondMomentEllipse.from_abc(*test.centers[tj], *test.abc[tj])
+            err = oracle_region_overlap_error(ref_region, test_region, h, cfg)
+        except (DegenerateRegion, PointAtInfinity):
+            dropped += 1
+            continue
+        if err < cfg.max_overlap_error:
+            table[ri, tj] = (err, float(d[i, j]))
+    return ref_idx, test_idx, table, dropped

@@ -1,19 +1,17 @@
 """Differential test of the batched candidate scorer and the spatial hash.
 
-`oracle_candidate_table` is candidate_table as it was written before the
-centre search was hashed and the candidates were scored in one pass: the
-dense N x M centre-distance matrix, then one `oracle_region_overlap_error`
-call per pair within epsilon, built from frozen copies of the scalar
-projection and Jacobian (`oracle_project_point`,
-`oracle_homography_jacobian`), the per-pair transport
-(`oracle_map_region_to_reference`) and row kernel (`oracle_overlap_error`)
-and from geometry's per-region helpers.  It is
-kept here as the reference: `metrics.candidate_table` must give the same
-keys in the same order and the same bits of every overlap error and
-centre distance, and raise the same error where the reference raises.
-An overlap error moves only when a grid cell changes sides, so the
-transported regions and the minor semiaxes, which set the grid, are
-compared bit for bit on their own.  No tolerance is applied.
+`oracle.oracle_candidate_table` is candidate_table as it was written before
+the centre search was hashed and the candidates were scored in one pass:
+the dense N x M centre-distance matrix, then one
+`oracle_region_overlap_error` call per pair within epsilon, built from the
+frozen scalar projection, Jacobian, transport, rescaling, pitch, grid and
+row kernel of tests/oracle.py.  `metrics.candidate_table` must give the
+same keys in the same order and the same bits of every overlap error and
+centre distance, and raise the same error where the reference raises.  An
+overlap error moves only when a grid cell changes sides, so the projected
+points, the transported regions, and the semiaxes and bounding boxes that
+set the grid are compared bit for bit on their own.  No tolerance is
+applied.
 """
 
 import math
@@ -29,139 +27,23 @@ from repbench.geometry import (
     Homography,
     SecondMomentEllipse,
     close_pairs,
-    default_grid_step,
+    half_extents,
     homography_jacobians,
     map_regions_to_reference,
-    minor_semiaxes,
-    normalize_pair,
     pairwise_distances,
     project_points,
+    semiaxes,
 )
-from repbench.metrics import EvalConfig, candidate_table, common_part_filter, region_overlap_error
+from repbench.metrics import EvalConfig, candidate_table, region_overlap_error
 
-
-def oracle_overlap_error(e1, e2, grid_step):
-    """overlap_error with the per-pair row kernel it had before batching."""
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
-    w1, h1 = e1.half_extents()
-    w2, h2 = e2.half_extents()
-    (x1, y1), (x2, y2) = e1.center.tolist(), e2.center.tolist()
-    xmin = min(x1 - w1, x2 - w2)
-    xmax = max(x1 + w1, x2 + w2)
-    ymin = min(y1 - h1, y2 - h2)
-    ymax = max(y1 + h1, y2 + h2)
-    minor = min(e1.semiaxes()[1], e2.semiaxes()[1])
-    step = min(grid_step, minor)
-    nx = math.ceil((xmax - xmin) / step)
-    ny = math.ceil((ymax - ymin) / step)
-    while nx * ny > geometry.MAX_OVERLAP_SAMPLES:
-        step *= math.sqrt(nx * ny / geometry.MAX_OVERLAP_SAMPLES) * 1.0001
-        nx = math.ceil((xmax - xmin) / step)
-        ny = math.ceil((ymax - ymin) / step)
-    per_ellipse = []
-    for e in (e1, e2):
-        (cx, cy), ((a, b), (_, c)) = e.center.tolist(), e.shape.tolist()
-        a_step = a * step
-        per_ellipse.append(
-            [cx, -cy, a, c, 2.0 * b, b / a_step, 1.0 / (a_step * step),
-             (a * c - b * b) / (a_step * a_step), (cx - xmin) / step]
-        )
-    slots = np.array(
-        [
-            p[:-1] + [p[-1] - half_cell, s, half_cell]
-            for s, half_cell in ((-1.0, 0.5), (1.0, -0.5))
-            for p in per_ellipse
-        ]
-    )
-    cx, _, a, c, b2, b_col, a0, d0, x0, s, half_cell = (
-        slots.T.repeat(ny, axis=1).reshape(-1, 4, ny)
-    )
-    dy = np.add.outer(slots[:, 1], ymin + np.arange(0.5, ny) * step)
-    disc = np.maximum(a0 - d0 * (dy * dy), 0.0)
-    m = np.rint(x0 - b_col * dy + s * np.sqrt(disc))
-    dx = (xmin + (m + half_cell) * step) - cx
-    q = (a * dx * dx) + (c * dy * dy) + b2 * (dy * dx)
-    lo, end = (m - s * (q > 1.0)).reshape(2, 2, ny)
-    n = np.maximum(end - lo, 0)
-    both = np.maximum(np.minimum(end[0], end[1]) - np.maximum(lo[0], lo[1]), 0)
-    inter = int(both.sum())
-    union = int(n.sum()) - inter
-    if union == 0:
-        return 0.0 if np.array_equal(e1.center, e2.center) else 1.0
-    return min(1.0, max(0.0, 1.0 - inter / union))
-
-
-def oracle_project_point(h, p):
-    """The one-point projection as it was written before project_points
-    took its place: one point, numpy scalars; its infinity test is scaled
-    by max|m|, as geometry._homogeneous's is."""
-    x, y = float(p[0]), float(p[1])
-    m = h.m
-    w = m[2, 0] * x + m[2, 1] * y + m[2, 2]
-    if abs(w) < geometry.PROJECTIVE_EPS * np.abs(m).max():
-        raise PointAtInfinity(f"point ({x:g}, {y:g}) maps to infinity")
-    u = m[0, 0] * x + m[0, 1] * y + m[0, 2]
-    v = m[1, 0] * x + m[1, 1] * y + m[1, 2]
-    return np.array([u / w, v / w])
-
-
-def oracle_homography_jacobian(h, p):
-    """The one-point Jacobian as it was written before homography_jacobians
-    took its place, with the infinity test scaled by max|m|."""
-    x, y = float(p[0]), float(p[1])
-    m = h.m
-    u = m[0, 0] * x + m[0, 1] * y + m[0, 2]
-    v = m[1, 0] * x + m[1, 1] * y + m[1, 2]
-    w = m[2, 0] * x + m[2, 1] * y + m[2, 2]
-    if abs(w) < geometry.PROJECTIVE_EPS * np.abs(m).max():
-        raise PointAtInfinity(f"point ({x:g}, {y:g}) maps to infinity")
-    with np.errstate(all="ignore"):
-        w2 = w * w
-        return np.array(
-            [
-                [(m[0, 0] * w - u * m[2, 0]) / w2, (m[0, 1] * w - u * m[2, 1]) / w2],
-                [(m[1, 0] * w - v * m[2, 0]) / w2, (m[1, 1] * w - v * m[2, 1]) / w2],
-            ]
-        )
-
-
-def oracle_map_region_to_reference(h, ref_center, test_region):
-    a = oracle_homography_jacobian(h, ref_center)
-    shape = a.T @ test_region.shape @ a
-    center = oracle_project_point(h.inverse(), test_region.center)
-    return SecondMomentEllipse(center, 0.5 * (shape + shape.T))
-
-
-def oracle_region_overlap_error(ref_region, test_region, h, cfg):
-    mapped = oracle_map_region_to_reference(h, ref_region.center, test_region)
-    a, b = ref_region, mapped
-    if cfg.normalize_radius is not None:
-        a, b = normalize_pair(a, b, cfg.normalize_radius)
-    step = cfg.grid_step if cfg.grid_step is not None else default_grid_step(a, b)
-    return oracle_overlap_error(a, b, step)
-
-
-def oracle_candidate_table(ref, test, h, cfg):
-    """(ref_idx, test_idx, table, dropped): candidate_table's result and the
-    number of candidates left out as DegenerateRegion or PointAtInfinity."""
-    ref_idx, test_idx = common_part_filter(ref, test, h)
-    proj = np.array([oracle_project_point(h, p) for p in ref.centers[ref_idx]]).reshape(-1, 2)
-    d = pairwise_distances(proj, test.centers[test_idx])
-    table = {}
-    dropped = 0
-    cand_i, cand_j = np.nonzero(d < cfg.epsilon_px)
-    for i, j in zip(cand_i.tolist(), cand_j.tolist()):
-        ri = int(ref_idx[i])
-        tj = int(test_idx[j])
-        try:
-            err = oracle_region_overlap_error(ref.region(ri), test.region(tj), h, cfg)
-        except (DegenerateRegion, PointAtInfinity):
-            dropped += 1
-            continue
-        if err < cfg.max_overlap_error:
-            table[ri, tj] = (err, float(d[i, j]))
-    return ref_idx, test_idx, table, dropped
+import oracle
+from oracle import (
+    oracle_candidate_table,
+    oracle_homography_jacobian,
+    oracle_map_region_to_reference,
+    oracle_project_point,
+    oracle_region_overlap_error,
+)
 
 
 def hexed(table):
@@ -300,8 +182,8 @@ def test_elongated_regions_dropped_as_the_reference(monkeypatch):
 def test_needle_is_degenerate_in_the_one_pair_functions():
     needle = SecondMomentEllipse.from_abc(100.0, 100.0, 1e9, 0.5, 1e-9)
     circle = SecondMomentEllipse.circle(100.0, 100.0, 3.0)
-    assert np.isnan(minor_semiaxes(needle.abc[None])[0])
-    for call in (needle.semiaxes, lambda: default_grid_step(circle, needle),
+    assert np.isnan(semiaxes(needle.abc[None])).all()
+    for call in (needle.semiaxes, lambda: oracle.semiaxes(needle),
                  lambda: geometry.overlap_error(circle, needle, 0.5),
                  lambda: region_overlap_error(circle, needle, Homography.identity(), EvalConfig())):
         with pytest.raises(DegenerateRegion):
@@ -434,7 +316,10 @@ def test_projection_bits():
     assert flagged > 0 and near > 0
 
 
-def test_minor_semiaxes_bits():
+def test_semiaxes_and_half_extents_bits():
+    """semiaxes and half_extents, and the methods that are K = 1 calls of
+    them, give the frozen scalar formulas' bits on every row; needles, with
+    axis ratios near 1e8, are NaN where the scalar semiaxes raises."""
     rng = np.random.default_rng(4110)
     theta = rng.uniform(0, math.pi, 50_000)
     major = 10.0 ** rng.uniform(-2, 3, len(theta))
@@ -442,9 +327,25 @@ def test_minor_semiaxes_bits():
     co, si = np.cos(theta), np.sin(theta)
     abc = np.c_[co**2 / major**2 + si**2 / minor**2, co * si * (1 / major**2 - 1 / minor**2),
                 si**2 / major**2 + co**2 / minor**2]
+    a = 10.0 ** rng.uniform(6, 9, 2_000)
+    abc = np.r_[abc, np.c_[a, rng.choice([0.0, 0.5, -0.5, 0.9], len(a)), 1.0 / a]]
     abc = abc[abc[:, 0] * abc[:, 2] - abc[:, 1] ** 2 > 0.0]
-    want = [SecondMomentEllipse.from_abc(0.0, 0.0, *row).semiaxes()[1] for row in abc.tolist()]
-    assert minor_semiaxes(abc).tobytes() == np.array(want).tobytes()
+    got_axes = np.transpose(semiaxes(abc))
+    got_box = np.transpose(half_extents(abc))
+    needles = 0
+    for row, axes, box in zip(abc.tolist(), got_axes.tolist(), got_box.tolist()):
+        e = SecondMomentEllipse.from_abc(0.0, 0.0, *row)
+        assert box == [*oracle.half_extents(e)] == [*e.half_extents()]
+        try:
+            want = oracle.semiaxes(e)
+        except DegenerateRegion:
+            needles += 1
+            assert np.isnan(axes).all()
+            with pytest.raises(DegenerateRegion):
+                e.semiaxes()
+            continue
+        assert axes == [*want] == [*e.semiaxes()]
+    assert 0 < needles < 2_000
 
 
 @pytest.mark.parametrize("rows", [1, 7])

@@ -9,13 +9,14 @@ from repbench.errors import DegenerateRegion, SingularHomography
 from repbench.geometry import (
     Homography,
     SecondMomentEllipse,
-    default_grid_step,
     homography_jacobians,
     map_regions_to_reference,
-    normalize_pair,
     overlap_error,
     project_points,
 )
+from repbench.metrics import EvalConfig, region_overlap_error
+
+from oracle import default_grid_step, normalize_pair
 
 
 def random_homography(rng, projective=True):
@@ -186,8 +187,9 @@ class TestEllipse:
         e = SecondMomentEllipse.from_abc(3.0, 4.0, 0.25, 0.0, 0.25)
         # a circle of radius 2
         assert np.allclose(e.center, (3, 4))
-        assert math.isclose(e.area, math.pi * 4.0, rel_tol=1e-12)
-        assert math.isclose(e.equivalent_radius, 2.0, rel_tol=1e-12)
+        assert e.abc.tolist() == [0.25, 0.0, 0.25]
+        assert e.semiaxes() == (2.0, 2.0)
+        assert e.half_extents() == (2.0, 2.0)
 
     @pytest.mark.parametrize(
         "center, shape, message",
@@ -232,12 +234,6 @@ class TestEllipse:
             # the bound is attained
             assert np.max(np.abs(pts[:, 0])) > wx * 0.999
             assert np.max(np.abs(pts[:, 1])) > wy * 0.999
-
-    def test_scaled_changes_area(self):
-        e = random_ellipse(np.random.default_rng(9))
-        s = e.scaled(4.0)
-        assert math.isclose(s.equivalent_radius, e.equivalent_radius / 2.0, rel_tol=1e-12)
-        assert np.array_equal(s.center, e.center)
 
 
 class TestRegionTransport:
@@ -328,13 +324,26 @@ class TestOverlapError:
         assert overlap_error(e1, e2, 0.001) == 1.0
 
 
+def equivalent_radius(e):
+    """Radius of the circle with the area of region e."""
+    (a, b), (_, c) = e.shape.tolist()
+    return (a * c - b * b) ** -0.25
+
+
+def scaled(e, factor):
+    """Region e with its shape matrix multiplied by `factor`."""
+    return SecondMomentEllipse(e.center, e.shape * factor)
+
+
+# normalize_pair and default_grid_step are the oracle's scalar copies of the
+# rescaling and pitch that metrics._overlap_errors applies to arrays
 class TestNormalizePair:
     def test_reference_reaches_target_radius(self):
         rng = np.random.default_rng(15)
         for _ in range(20):
             ref, test = random_ellipse(rng), random_ellipse(rng)
             nref, ntest = normalize_pair(ref, test, 30.0)
-            assert math.isclose(nref.equivalent_radius, 30.0, rel_tol=1e-12)
+            assert math.isclose(equivalent_radius(nref), 30.0, rel_tol=1e-12)
             assert np.array_equal(nref.center, ref.center)
             assert np.array_equal(ntest.center, test.center)
 
@@ -342,8 +351,8 @@ class TestNormalizePair:
         rng = np.random.default_rng(16)
         ref, test = random_ellipse(rng), random_ellipse(rng)
         nref, ntest = normalize_pair(ref, test, 30.0)
-        before = test.equivalent_radius / ref.equivalent_radius
-        after = ntest.equivalent_radius / nref.equivalent_radius
+        before = equivalent_radius(test) / equivalent_radius(ref)
+        after = equivalent_radius(ntest) / equivalent_radius(nref)
         assert math.isclose(before, after, rel_tol=1e-12)
 
     def test_normalized_overlap_ignores_detection_scale(self):
@@ -351,8 +360,8 @@ class TestNormalizePair:
         # fixed) normalizes to bit-identical shapes, hence identical error
         ref = SecondMomentEllipse.circle(0, 0, 4.0)
         test = SecondMomentEllipse.from_abc(1.0, -0.5, 0.05, 0.01, 0.08)
-        small_ref = ref.scaled(4.0)  # halves the radius
-        small_test = test.scaled(4.0)
+        small_ref = scaled(ref, 4.0)  # halves the radius
+        small_test = scaled(test, 4.0)
         a1, b1 = normalize_pair(ref, test, 30.0)
         a2, b2 = normalize_pair(small_ref, small_test, 30.0)
         assert np.array_equal(a1.shape, a2.shape)
@@ -370,3 +379,17 @@ def test_default_grid_step_bounds():
     big = SecondMomentEllipse.circle(0, 0, 50.0)
     assert default_grid_step(big, big) == 0.1
     assert default_grid_step(small, big) == pytest.approx(0.005)
+
+
+# With normalisation on, a power-of-two factor on both shape matrices scales
+# the transported shape and the rescaling factor exactly: the error keeps its bits.
+@pytest.mark.parametrize("factor", [4.0, 2.0**-10, 2.0**20])
+def test_normalized_region_overlap_error_ignores_detection_scale(factor):
+    rng = np.random.default_rng(17)
+    h = Homography(np.array([[1.1, 0.05, 3.0], [-0.04, 0.95, 1.0], [1e-5, -2e-5, 1.0]]))
+    for _ in range(10):
+        ref, test = random_ellipse(rng, span=2.0), random_ellipse(rng, span=1.0)
+        test = SecondMomentEllipse(project(h, ref.center)[0] + test.center, test.shape)
+        want = region_overlap_error(ref, test, h, EvalConfig())
+        assert 0.0 < want < 1.0
+        assert region_overlap_error(scaled(ref, factor), scaled(test, factor), h, EvalConfig()) == want

@@ -293,6 +293,25 @@ class TestLoadReport:
         assert info.value.path == str(p)
         assert "series.c1" in str(info.value)
 
+    # a list or object would fail as a dict key downstream, and JSON true
+    # and false are not numbers, though bool is an int subclass
+    @pytest.mark.parametrize(
+        "key, value, reason",
+        [("dataset", [], "dataset must be a string"), ("dataset", 3, "dataset must be a string"),
+         ("detector", {"name": "x"}, "detector must be a string"),
+         ("detector", True, "detector must be a string"),
+         ("true_matches", [True, False, True], "series.true_matches holds a non-number"),
+         ("c1", [0.5, False, 0.3], "series.c1 holds a non-number")],
+    )
+    def test_field_of_the_wrong_type(self, tmp_path, key, value, reason):
+        p = self.write_valid(tmp_path)
+        doc = json.loads(p.read_text())
+        (doc["series"] if key in doc["series"] else doc)[key] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as info:
+            load_report(str(p))
+        assert (info.value.reason, info.value.path) == (reason, str(p))
+
     def test_length_mismatch(self, tmp_path):
         p = self.write_valid(tmp_path)
         doc = json.loads(p.read_text())
@@ -911,6 +930,32 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == f"detector,ds1\ndetA,{MISSING_CELL}\n"
+
+    # explicit thresholds are checked before any cell is binned, so an
+    # all-null report does not skip the check
+    @pytest.mark.parametrize("values", [[None, None], [0.4, 0.5]])
+    @pytest.mark.parametrize("thresholds", [["5"], ["0.6", "0.3"]])
+    def test_summary_bad_thresholds_exit_2(self, tmp_path, capsys, values, thresholds):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(summary_doc("detA", "ds1", values)))
+        code = main(["summary", "--reports", str(path), "--thresholds", *thresholds])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "repbench: error: thresholds must" in captured.err
+
+    @pytest.mark.parametrize("command", ["correlate", "summary"])
+    def test_report_with_non_string_dataset_exit_2_names_file(self, tmp_path, capsys, command):
+        path = tmp_path / "r.json"
+        doc = summary_doc("detA", "ds1", [0.4, 0.5, 0.6])
+        doc["dataset"] = []
+        path.write_text(json.dumps(doc))
+        flag = "--report" if command == "correlate" else "--reports"
+        code = main([command, flag, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"repbench: error: {path}: dataset must be a string" in captured.err
 
     @pytest.mark.parametrize(
         "argv, field",

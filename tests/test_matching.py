@@ -310,7 +310,8 @@ class TestEpsilonBoundary:
             d = float(pairwise_distances(proj[None], centre[None])[0, 0])
             test = make_set([centre], [[1.0, 0.0]], radius=8.0)
             # the overlap passes, so the centre distance alone decides
-            err = region_overlap_error(ref.region(0), test.region(0), self.H, cfg)
+            regions = [s.keypoints[0].region for s in (ref, test)]
+            err = region_overlap_error(*regions, self.H, cfg)
             assert err < cfg.max_overlap_error
             ev = evaluate_pair(ref, test, self.H, cfg)
             _, _, table = candidate_table(ref, test, self.H, cfg)

@@ -1,10 +1,11 @@
 """Differential test of the row-interval overlap kernel.
 
-`dense_row_counts` is the estimator that tests every cell center of the
-overlap grid against both quadratic forms.  It is kept here as the reference:
-`geometry.overlap_row_counts` must give the same per-row counts, and
-`geometry.overlap_error` the same value, bit for bit, on every pair below.
-No tolerance is applied; a boundary cell settled differently fails the test.
+`oracle.dense_row_counts` is the estimator that tests every cell center of
+the overlap grid against both quadratic forms.  The row kernel
+(`geometry._grid_constants` and `geometry._row_counts`, called on one pair)
+must give the same per-row counts, and `geometry.overlap_error` the same
+value, bit for bit, on every pair below.  No tolerance is applied; a
+boundary cell settled differently fails the test.
 """
 
 import math
@@ -13,59 +14,21 @@ import numpy as np
 import pytest
 
 from repbench import geometry
-from repbench.geometry import (
-    SecondMomentEllipse,
-    default_grid_step,
-    normalize_pair,
-    overlap_error,
-    overlap_row_counts,
-)
+from repbench.geometry import SecondMomentEllipse, overlap_error
+
+from oracle import default_grid_step, dense_row_counts, half_extents, normalize_pair
 
 RAW_STEPS = (0.05, 0.25, 0.5, 1.0, 1.5)
 
 
-def dense_row_counts(e1, e2, grid_step):
-    """Per-row (in e1, in e2, in both) counts and the overlap error, by
-    testing every cell center of the grid."""
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
-
-    w1, h1 = e1.half_extents()
-    w2, h2 = e2.half_extents()
-    xmin = min(e1.center[0] - w1, e2.center[0] - w2)
-    xmax = max(e1.center[0] + w1, e2.center[0] + w2)
-    ymin = min(e1.center[1] - h1, e2.center[1] - h2)
-    ymax = max(e1.center[1] + h1, e2.center[1] + h2)
-
-    minor = min(e1.semiaxes()[1], e2.semiaxes()[1])
-    step = min(grid_step, minor)
-    nx = math.ceil((xmax - xmin) / step)
-    ny = math.ceil((ymax - ymin) / step)
-    while nx * ny > geometry.MAX_OVERLAP_SAMPLES:
-        step *= math.sqrt(nx * ny / geometry.MAX_OVERLAP_SAMPLES) * 1.0001
-        nx = math.ceil((xmax - xmin) / step)
-        ny = math.ceil((ymax - ymin) / step)
-
-    xs = xmin + (np.arange(nx) + 0.5) * step
-    ys = ymin + (np.arange(ny) + 0.5) * step
-
-    def inside(e):
-        a, b, c = e.shape[0, 0], e.shape[0, 1], e.shape[1, 1]
-        dx = xs - e.center[0]
-        dy = ys - e.center[1]
-        q = (a * dx * dx)[None, :] + (c * dy * dy)[:, None] + 2.0 * b * np.outer(dy, dx)
-        return q <= 1.0
-
-    in1 = inside(e1)
-    in2 = inside(e2)
-    rows = (in1.sum(axis=1), in2.sum(axis=1), (in1 & in2).sum(axis=1))
-    inter = int(np.count_nonzero(in1 & in2))
-    union = int(np.count_nonzero(in1)) + int(np.count_nonzero(in2)) - inter
-    if union == 0:
-        err = 0.0 if np.array_equal(e1.center, e2.center) else 1.0
-    else:
-        err = min(1.0, max(0.0, 1.0 - inter / union))
-    return rows, err
+def row_counts(e1, e2, grid_step):
+    """(n, both) of the row kernel over every row of the pair's grid: n[0]
+    and n[1] count the cell centers inside e1 and e2 per row, both those
+    inside the two."""
+    per_pair, ny = geometry._grid_constants(
+        np.stack([e1.center, e2.center])[:, None], np.stack([e1.abc, e2.abc])[:, None], grid_step
+    )
+    return geometry._row_counts(np.repeat(per_pair, ny, axis=1), np.arange(ny[0]))
 
 
 def ellipse(center, radius, ratio, theta):
@@ -138,7 +101,7 @@ def tangent_pairs(rng, count):
     for i in range(count):
         step = float(rng.choice((0.1, 0.25, 0.3, 0.5, 0.7, 1.0, 1.5)))
         outer = SecondMomentEllipse.circle(*rng.uniform(-20.0, 20.0, 2), rng.uniform(8.0, 15.0))
-        radius = outer.half_extents()[0]
+        radius = half_extents(outer)[0]
         cells = radius / step
         j, k = rng.integers(int(0.6 * cells), int(1.4 * cells), 2)
         cell = outer.center - radius + (np.array([k, j]) + 0.5) * step
@@ -149,7 +112,7 @@ def tangent_pairs(rng, count):
         shape = ellipse((0.0, 0.0), rng.uniform(0.5, 2.0), rng.uniform(1.0, 3.0),
                         rng.uniform(0.0, math.pi)).shape
         if i % 3 == 1:
-            h = SecondMomentEllipse((0.0, 0.0), shape).half_extents()[1]
+            h = half_extents(SecondMomentEllipse((0.0, 0.0), shape))[1]
             offset = np.array([0.0, h if rng.uniform() < 0.5 else -h])
         else:
             vals, vecs = np.linalg.eigh(shape)
@@ -168,7 +131,7 @@ def mismatches(pairs):
     for e1, e2, step in pairs:
         count += 1
         (r1, r2, rb), err = dense_row_counts(e1, e2, step)
-        n, both = overlap_row_counts(e1, e2, step)
+        n, both = row_counts(e1, e2, step)
         same_rows = (
             np.array_equal(n[0], r1) and np.array_equal(n[1], r2) and np.array_equal(both, rb)
         )

@@ -29,7 +29,7 @@ from repbench.synth import (
     derive_test,
     generate_reference,
 )
-from test_candidate_kernel import oracle_homography_jacobian, oracle_project_point
+from oracle import oracle_homography_jacobian, oracle_project_point
 
 FAST = EvalConfig(normalize_radius=None, grid_step=0.5)
 
@@ -166,7 +166,8 @@ class TestGenerateReference:
                 q = major / minor
                 assert lo - 1e-9 <= r <= hi + 1e-9
                 assert 1.0 - 1e-9 <= q <= MAX_AXIS_RATIO + 1e-9
-                assert abs(kp.region.equivalent_radius - r) < 1e-9
+                (a, b), (b_low, c) = kp.region.shape.tolist()
+                assert abs((a * c - b * b_low) ** -0.25 - r) < 1e-9
 
     def test_unit_descriptors(self):
         s = generate_reference(SynthConfig(seed=3, n_points=30, descriptor_dim=16))
