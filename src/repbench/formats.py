@@ -325,7 +325,8 @@ def parse_manifest(text):
                               optional "label"}, ...],
                   "homographies": [{"from", "to", "path"}, ...]}
     The first image is the sequence reference; a homography must map it to
-    every other image.
+    every other image.  A label is a string, or null or absent for none;
+    "homographies" is a list, and may be left out for a single image.
     """
     doc = _parse_json(text)
     if not isinstance(doc, dict):
@@ -346,6 +347,8 @@ def parse_manifest(text):
             keypoints=_require(entry, "keypoints", str, where),
             label=entry.get("label"),
         )
+        if img.label is not None and not _is_a(img.label, str):
+            raise ManifestError(f"{where}: key 'label' must be str")
         if img.width <= 0 or img.height <= 0:
             raise ManifestError(f"{where}: dimensions must be positive")
         if img.id in seen:
@@ -353,8 +356,11 @@ def parse_manifest(text):
         seen.add(img.id)
         images.append(img)
 
+    raw_homographies = doc.get("homographies", [])
+    if not isinstance(raw_homographies, list):
+        raise ManifestError("manifest: key 'homographies' must be list")
     homographies = []
-    for i, entry in enumerate(doc.get("homographies", [])):
+    for i, entry in enumerate(raw_homographies):
         where = f"homographies[{i}]"
         homographies.append(
             ManifestHomography(
@@ -398,7 +404,9 @@ def write_manifest(manifest):
 
 def parse_report(text):
     """The JSON document of a sequence report written by
-    harness.sequence_report_json, with the series and pairs checked."""
+    harness.sequence_report_json, with the series and pairs checked: each
+    series value is null, a rate in [0, 1], or for true_matches an integer
+    count in [0, 2**53)."""
     doc = _parse_json(text)
     if not isinstance(doc, dict) or doc.get("schema") != SEQUENCE_SCHEMA:
         raise ParseError(f"not a {SEQUENCE_SCHEMA} report")
@@ -414,11 +422,19 @@ def parse_report(text):
         if key not in series or not isinstance(series[key], list):
             raise ParseError(f"series.{key} must be a list")
         for v in series[key]:
-            if v is not None and not _is_a(v, (int, float)):
+            if v is None:
+                continue
+            if not _is_a(v, (int, float)):
                 raise ParseError(f"series.{key} holds a non-number")
             # json.loads reads NaN and Infinity, which reports never hold
-            if v is not None and not math.isfinite(v):
+            if isinstance(v, float) and not math.isfinite(v):
                 raise ParseError(f"series.{key} holds a non-finite number")
+            # a count must stay exact as a float, which the statistics use
+            if key == "true_matches" and not (_is_a(v, int) and 0 <= v < 2**53):
+                raise ParseError("series.true_matches holds a value that is not "
+                                 "an integer in [0, 2**53)")
+            if key != "true_matches" and not 0.0 <= v <= 1.0:
+                raise ParseError(f"series.{key} holds a rate outside [0, 1]")
         lengths.add(len(series[key]))
     if len(lengths) != 1:
         raise ParseError("series lengths differ")

@@ -7,6 +7,8 @@ evaluated here: verify_matches looks each match up in the pair's candidate
 table, built once by metrics.candidate_table.  Matching itself is
 greedy one-to-one nearest neighbor by default; a Lowe-style ratio test is
 available as an alternative since evaluation protocols differ on this point.
+_greedy is the one greedy one-to-one rule of the package: both matchers
+finish with it, and metrics resolves the correspondences with it.
 
 Both matchers decide on exact distances, the difference-squared sum of
 geometry.pairwise_distances, but compute few of them.  A GEMM expansion
@@ -149,7 +151,7 @@ def _greedy(order, n, m):
     row_flags = np.frombuffer(used_row, dtype=bool)
     col_flags = np.frombuffer(used_col, dtype=bool)
     taken = []
-    step = n + m
+    step = max(1, n + m)
     for start in range(0, len(order), step):
         rows, cols = np.divmod(order[start : start + step], m)
         # entries on a row or column taken in an earlier read are out
@@ -290,6 +292,7 @@ def match_descriptors(ref, test, method="nn", ratio=0.8):
 
 def verify_matches(matches, table) -> int:
     """Count matches that pass the geometric repeatability predicate, that
-    is, whose (ref_index, test_index) is a key of the pair's candidate table
-    (metrics.candidate_table)."""
-    return sum((m.ref_index, m.test_index) in table for m in matches)
+    is, whose (ref_index, test_index) is an entry (ri, tj) of the pair's
+    candidate table (metrics.candidate_table)."""
+    candidates = set(zip(table[0].tolist(), table[1].tolist()))
+    return sum((m.ref_index, m.test_index) in candidates for m in matches)

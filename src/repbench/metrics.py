@@ -13,9 +13,11 @@ views and n_rep counts one-to-one correspondences under the predicate
 max_overlap_error".
 
 The predicate is evaluated in one place, candidate_table, which scores every
-common-part pair once.  The correspondences are resolved from that table,
-and the true matches (matching.verify_matches) are the descriptor matches
-found in it, so a pair is a true match only if it is a candidate.
+common-part pair once and keeps the candidates as arrays.  The
+correspondences are resolved from that table by matching._greedy, the one
+greedy one-to-one rule, which also serves both descriptor matchers; the
+true matches (matching.verify_matches) are the descriptor matches found in
+the table, so a pair is a true match only if it is a candidate.
 
 candidate_table projects the reference centers with
 geometry.project_points, the one projection formula, so the common part
@@ -41,7 +43,7 @@ from .geometry import (
     project_points,
     semiaxes,
 )
-from .matching import match_descriptors, verify_matches
+from .matching import _greedy, match_descriptors, verify_matches
 
 EQ1_POPULATIONS = ("common", "whole")
 MATCHERS = ("nn", "ratio")
@@ -73,14 +75,6 @@ class EvalConfig:
             raise ValueError(f"matcher must be one of {MATCHERS}")
         if not 0.0 < self.ratio_threshold < 1.0:
             raise ValueError("ratio_threshold must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class Correspondence:
-    ref_index: int
-    test_index: int
-    center_distance: float  # pixels, measured in the test frame
-    overlap_err: float
 
 
 @dataclass(frozen=True)
@@ -179,13 +173,12 @@ def _overlap_errors(ref_centers, ref_abc, test_centers, test_abc, h, cfg):
 def candidate_table(ref, test, h, cfg=EvalConfig()):
     """The repeatability predicate, evaluated once per pair.
 
-    Returns (ref_idx, test_idx, table): the common-part indices of
-    common_part_filter, and a dict mapping (ref_index, test_index) to
-    (overlap_err, center_distance) for every common-part pair whose
-    test-frame center distance is below cfg.epsilon_px and whose overlap
-    error is below cfg.max_overlap_error, in row-major (ref, test) order.
-    Pairs whose overlap error raises DegenerateRegion or PointAtInfinity
-    are left out.
+    Returns (ref_idx, test_idx, (ri, tj, err, dist)): the common-part
+    indices of common_part_filter, and four arrays with one entry for every
+    common-part pair whose test-frame center distance dist is below
+    cfg.epsilon_px and whose overlap error err is below
+    cfg.max_overlap_error, in row-major (ri, tj) order.  Pairs whose overlap
+    error raises DegenerateRegion or PointAtInfinity are left out.
 
     The pairs within epsilon come from a spatial hash of the test centers
     (geometry.close_pairs), with the distance bits of the N x M matrix it
@@ -200,35 +193,17 @@ def candidate_table(ref, test, h, cfg=EvalConfig()):
     ri, tj = ref_idx[i], test_idx[j]
     err, _ = _overlap_errors(ref.centers[ri], ref.abc[ri], test.centers[tj], test.abc[tj], h, cfg)
     keep = np.flatnonzero(err < cfg.max_overlap_error)
-    table = dict(
-        zip(
-            zip(ri[keep].tolist(), tj[keep].tolist()),
-            zip(err[keep].tolist(), dist[keep].tolist()),
-        )
-    )
-    return ref_idx, test_idx, table
+    return ref_idx, test_idx, (ri[keep], tj[keep], err[keep], dist[keep])
 
 
-def _resolve(table):
-    """Greedy one-to-one selection from a candidate table in ascending
-    (overlap error, center distance, ref index, test index) order."""
-    used_ref = set()
-    used_test = set()
-    matched = []
-    for err, dist, ri, tj in sorted((e, d, ri, tj) for (ri, tj), (e, d) in table.items()):
-        if ri in used_ref or tj in used_test:
-            continue
-        used_ref.add(ri)
-        used_test.add(tj)
-        matched.append(Correspondence(ri, tj, dist, err))
-    matched.sort(key=lambda c: (c.ref_index, c.test_index))
-    return matched
-
-
-def find_correspondences(ref, test, h, cfg=EvalConfig()):
-    """One-to-one correspondences under the repeatability predicate: the
-    candidate table resolved greedily (see candidate_table and _resolve)."""
-    return _resolve(candidate_table(ref, test, h, cfg)[2])
+def _resolve(table, n_ref, n_test):
+    """The one-to-one correspondences of a candidate table over sets of
+    n_ref and n_test keypoints: matching._greedy in ascending (overlap
+    error, center distance, ref index, test index) order.  Returns the
+    positions of the entries taken."""
+    ri, tj, err, dist = table
+    order = np.lexsort((tj, ri, dist, err))
+    return order[_greedy(ri[order] * n_test + tj[order], n_ref, n_test)]
 
 
 def eq1_repeatability(n_rep, n_ref, n_test) -> float:
@@ -265,7 +240,7 @@ def evaluate_pair(ref, test, h, cfg=EvalConfig()):
     ref_idx, test_idx, table = candidate_table(ref, test, h, cfg)
     n_ref = len(ref_idx)
     n_test = len(test_idx)
-    n_rep = len(_resolve(table))
+    n_rep = len(_resolve(table, len(ref), len(test)))
 
     if cfg.eq1_population == "whole":
         eq1_args = (n_rep, len(ref), len(test))

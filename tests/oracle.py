@@ -215,3 +215,23 @@ def oracle_candidate_table(ref, test, h, cfg):
         if err < cfg.max_overlap_error:
             table[ri, tj] = (err, float(d[i, j]))
     return ref_idx, test_idx, table, dropped
+
+
+def oracle_resolve(table):
+    """The set-based greedy that metrics._resolve was before it ran on
+    matching._greedy.  table maps (ref_index, test_index) to (overlap_err,
+    center_distance); the entries are taken in ascending (err, dist, ref
+    index, test index) order while both indices are free.  Returns the
+    (ref_index, test_index, center_distance, overlap_err) taken, sorted by
+    index pair."""
+    used_ref = set()
+    used_test = set()
+    matched = []
+    for err, dist, ri, tj in sorted((e, d, ri, tj) for (ri, tj), (e, d) in table.items()):
+        if ri in used_ref or tj in used_test:
+            continue
+        used_ref.add(ri)
+        used_test.add(tj)
+        matched.append((ri, tj, dist, err))
+    matched.sort()
+    return matched

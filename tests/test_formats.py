@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -294,6 +295,31 @@ class TestManifest:
     def test_no_images(self):
         with pytest.raises(ManifestError):
             parse_manifest(json.dumps({"name": "x", "images": []}))
+
+    # unchecked, a number or null crashes the loop over the entries with a
+    # TypeError, and an object or a string is read item by item
+    @pytest.mark.parametrize("value", [5, None, {"from": "a"}, "H_a_b.txt"])
+    def test_homographies_must_be_a_list(self, value):
+        doc = valid_manifest_doc()
+        doc["homographies"] = value
+        with pytest.raises(ManifestError, match="manifest: key 'homographies' must be list"):
+            parse_manifest(json.dumps(doc))
+
+    # unchecked, a NaN label fails only when the finished report is
+    # written, and a list label is copied into the report
+    @pytest.mark.parametrize("value", [math.nan, ["blur", 2], 3, True, {"level": 2}])
+    def test_label_must_be_a_string(self, value):
+        doc = valid_manifest_doc()
+        doc["images"][1]["label"] = value
+        with pytest.raises(ManifestError, match="images\\[1\\]: key 'label' must be str"):
+            parse_manifest(json.dumps(doc))
+
+    def test_null_label_is_no_label(self):
+        doc = valid_manifest_doc()
+        doc["images"][1]["label"] = None
+        m = parse_manifest(json.dumps(doc))
+        assert m.images[1].label is None
+        assert parse_manifest(write_manifest(m)) == m
 
     def test_malformed_json(self):
         with pytest.raises(ParseError):

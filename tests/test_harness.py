@@ -312,6 +312,35 @@ class TestLoadReport:
             load_report(str(p))
         assert (info.value.reason, info.value.path) == (reason, str(p))
 
+    # a rate outside [0, 1] puts summary's default thresholds out of range,
+    # and a huge or negative count overflows the statistics
+    @pytest.mark.parametrize(
+        "key, value",
+        [("c2", 7), ("c2", -1), ("eq1", 1.0000000000000002), ("c1", -1e-300),
+         pytest.param("c1", 10**400, id="c1-10**400"), ("true_matches", -2),
+         ("true_matches", 0.5), ("true_matches", 3.0), ("true_matches", 1e300),
+         pytest.param("true_matches", 2**53, id="true_matches-2**53"),
+         pytest.param("true_matches", 10**400, id="true_matches-10**400")],
+    )
+    def test_value_out_of_range(self, tmp_path, key, value):
+        p = self.write_valid(tmp_path)
+        doc = json.loads(p.read_text())
+        doc["series"][key][1] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as info:
+            load_report(str(p))
+        reason = ("series.true_matches holds a value that is not an integer in [0, 2**53)"
+                  if key == "true_matches" else f"series.{key} holds a rate outside [0, 1]")
+        assert (info.value.reason, info.value.path) == (reason, str(p))
+
+    def test_range_bounds_accepted(self, tmp_path):
+        p = self.write_valid(tmp_path)
+        doc = json.loads(p.read_text())
+        doc["series"].update(eq1=[0.0, 1.0, None], c1=[0, 1, 0.5], c2=[1.0, 0.0, 0.25],
+                             true_matches=[0, 2**53 - 1, None])
+        p.write_text(json.dumps(doc))
+        assert load_report(str(p))["series"]["true_matches"] == [0, 2**53 - 1, None]
+
     def test_length_mismatch(self, tmp_path):
         p = self.write_valid(tmp_path)
         doc = json.loads(p.read_text())
@@ -826,6 +855,51 @@ class TestCli:
         assert code == 2
         assert f"repbench: error: {path}: series.c1 holds a non-finite number" in captured.err
         assert not (tmp_path / "out.csv").exists()
+
+    # unchecked, these make summary blame its thresholds, and correlate
+    # print r = 0.0 after an overflow or crash on 10**400
+    @pytest.mark.parametrize(
+        "command, key, values",
+        [("summary", "c2", [7, -1, 3]), ("correlate", "true_matches", [0.5, -2, 1e300]),
+         ("correlate", "true_matches", [3, 10**400, 5])],
+        ids=["c2-7", "true_matches-negative", "true_matches-10**400"],
+    )
+    def test_out_of_range_report_exit_2_names_file(self, tmp_path, capsys, command, key,
+                                                   values):
+        doc = json.loads(sequence_report_json(make_report([0.5, 0.4, 0.3], [5, 4, 3])))
+        doc["series"][key] = values
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        flag = "--report" if command == "correlate" else "--reports"
+        code = main([command, flag, str(path), "--out", str(tmp_path / "out.csv")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"repbench: error: {path}: series.{key} holds " in captured.err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [(lambda doc: doc.update(homographies=5), "manifest: key 'homographies' must be list"),
+         (lambda doc: doc.update(homographies=None), "manifest: key 'homographies' must be list"),
+         (lambda doc: doc["images"][2].update(label=math.nan),
+          "images[2]: key 'label' must be str"),
+         (lambda doc: doc["images"][1].update(label=["blur", 2]),
+          "images[1]: key 'label' must be str")],
+        ids=["homographies-5", "homographies-null", "label-nan", "label-list"],
+    )
+    def test_bad_manifest_field_exit_2_names_file(self, tmp_path, capsys, edit, reason):
+        _, manifest = self.synth(tmp_path, capsys)
+        with open(manifest) as fh:
+            doc = json.load(fh)
+        edit(doc)
+        with open(manifest, "w") as fh:
+            json.dump(doc, fh)
+        stem = tmp_path / "rep"
+        code = main(["sequence", "--manifest", manifest, "--out", str(stem)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"repbench: error: {manifest}: {reason}\n"
+        assert not (tmp_path / "rep.json").exists()
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as info:

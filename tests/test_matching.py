@@ -315,6 +315,6 @@ class TestEpsilonBoundary:
             assert err < cfg.max_overlap_error
             ev = evaluate_pair(ref, test, self.H, cfg)
             _, _, table = candidate_table(ref, test, self.H, cfg)
-            assert ev.true_matches == int((0, 0) in table) == int(d < cfg.epsilon_px)
+            assert ev.true_matches == len(table[0]) == int(d < cfg.epsilon_px)
             below.add(d < cfg.epsilon_px)
         assert below == {True, False}

@@ -167,6 +167,13 @@ def test_empty_and_single_sides():
         assert_same(rng.normal(size=(n, dim)), rng.normal(size=(m, dim)))
 
 
+@pytest.mark.parametrize("n, m", [(0, 0), (0, 5), (5, 0)])
+def test_greedy_over_no_entries(n, m):
+    # metrics._resolve calls the greedy with the full set sizes, which may
+    # both be zero
+    assert matching._greedy(np.empty(0, dtype=np.intp), n, m) == []
+
+
 def test_row_blocks():
     rng = np.random.default_rng(3006)
     # M*D above the block: every block is one row

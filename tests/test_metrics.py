@@ -5,18 +5,19 @@ from repbench.errors import UndefinedMetric
 from repbench.formats import KeypointSet
 from repbench.geometry import Homography, SecondMomentEllipse, project_points
 from repbench.metrics import (
-    Correspondence,
     EvalConfig,
     PairEvaluation,
+    _resolve,
     candidate_table,
     common_part_filter,
     criterion1,
     criterion2,
     eq1_repeatability,
     evaluate_pair,
-    find_correspondences,
     region_overlap_error,
 )
+
+from oracle import oracle_resolve
 
 FAST = EvalConfig(normalize_radius=None, grid_step=0.5)
 
@@ -109,33 +110,54 @@ class TestRegionOverlapError:
                            np.zeros((1, 0)))
         ref_idx, test_idx, table = candidate_table(ref, test, Homography.identity(), cfg)
         assert ref_idx.tolist() == test_idx.tolist() == [0]
-        assert table == {}
+        assert all(len(a) == 0 for a in table)
+
+
+def table_dict(table):
+    """A candidate table's arrays as the dict oracle_resolve reads."""
+    ri, tj, err, dist = (a.tolist() for a in table)
+    return dict(zip(zip(ri, tj), zip(err, dist)))
+
+
+def resolved(table, n_ref, n_test):
+    """The (ref_index, test_index, center_distance, overlap_err) that
+    metrics._resolve takes from a candidate table, sorted by index pair;
+    they must be the set-based oracle's on the same table."""
+    taken = _resolve(table, n_ref, n_test)
+    ri, tj, err, dist = (a[taken].tolist() for a in table)
+    got = sorted(zip(ri, tj, dist, err))
+    assert got == oracle_resolve(table_dict(table))
+    return got
+
+
+def correspondences(ref, test, h, cfg=FAST):
+    return resolved(candidate_table(ref, test, h, cfg)[2], len(ref), len(test))
 
 
 class TestFindCorrespondences:
     def test_identity_pairs_everything(self):
         s = make_set([(50, 50), (150, 150), (250, 250)])
-        corrs = find_correspondences(s, s, Homography.identity(), FAST)
-        assert [(c.ref_index, c.test_index) for c in corrs] == [(0, 0), (1, 1), (2, 2)]
-        assert all(c.center_distance == 0.0 and c.overlap_err == 0.0 for c in corrs)
+        corrs = correspondences(s, s, Homography.identity())
+        assert corrs == [(0, 0, 0.0, 0.0), (1, 1, 0.0, 0.0), (2, 2, 0.0, 0.0)]
 
     def test_results_sorted_by_index_pair(self):
+        # the table's arrays come in row-major (ref, test) order
         s = make_set([(250, 250), (50, 50), (150, 150)])
-        corrs = find_correspondences(s, s, Homography.identity(), FAST)
-        pairs = [(c.ref_index, c.test_index) for c in corrs]
-        assert pairs == sorted(pairs)
+        ri, tj, _, _ = candidate_table(s, s, Homography.identity(), FAST)[2]
+        pairs = list(zip(ri.tolist(), tj.tolist()))
+        assert pairs == sorted(pairs) == [(0, 0), (1, 1), (2, 2)]
 
     def test_tie_breaks_to_lowest_test_index(self):
         ref = make_set([(100.0, 100.0)])
         test = make_set([(100.4, 100.0), (100.4, 100.0)])
-        corrs = find_correspondences(ref, test, Homography.identity(), FAST)
-        assert [(c.ref_index, c.test_index) for c in corrs] == [(0, 0)]
+        corrs = correspondences(ref, test, Homography.identity())
+        assert [c[:2] for c in corrs] == [(0, 0)]
 
     def test_tie_breaks_to_lowest_ref_index(self):
         ref = make_set([(100.4, 100.0), (100.4, 100.0)])
         test = make_set([(100.0, 100.0)])
-        corrs = find_correspondences(ref, test, Homography.identity(), FAST)
-        assert [(c.ref_index, c.test_index) for c in corrs] == [(0, 0)]
+        corrs = correspondences(ref, test, Homography.identity())
+        assert [c[:2] for c in corrs] == [(0, 0)]
 
     def test_closer_overlap_wins_contested_point(self):
         # both test points sit within epsilon of the reference point; the one
@@ -143,15 +165,15 @@ class TestFindCorrespondences:
         # though the other is listed first
         ref = make_set([(100.0, 100.0)], radius=4.0)
         test = make_set([(100.5, 100.0), (100.5, 100.0)], radius=[7.0, 4.0])
-        corrs = find_correspondences(ref, test, Homography.identity(), FAST)
-        assert [(c.ref_index, c.test_index) for c in corrs] == [(0, 1)]
+        corrs = correspondences(ref, test, Homography.identity())
+        assert [c[:2] for c in corrs] == [(0, 1)]
 
     def test_epsilon_strictness(self):
         ref = make_set([(100.0, 100.0)])
         test = make_set([(101.5, 100.0)])  # distance exactly epsilon
-        assert find_correspondences(ref, test, Homography.identity(), FAST) == []
+        assert correspondences(ref, test, Homography.identity()) == []
         near = make_set([(101.49, 100.0)])
-        assert len(find_correspondences(ref, near, Homography.identity(), FAST)) == 1
+        assert len(correspondences(ref, near, Homography.identity())) == 1
 
     def test_greedy_matches_quadratic_oracle(self):
         rng = np.random.default_rng(51)
@@ -175,10 +197,10 @@ class TestFindCorrespondences:
             test_pts[:k] = planted + rng.normal(0, 0.4, (k, 2))
             test = make_set(test_pts.tolist(), radius=3.0)
 
-            got = find_correspondences(ref, test, h, FAST)
+            got = correspondences(ref, test, h)
 
             ref_idx, test_idx = common_part_filter(ref, test, h)
-            cands = []
+            cands = {}
             for ri in ref_idx.tolist():
                 p = project_points(h, ref.centers[ri])[0][0]
                 for tj in test_idx.tolist():
@@ -190,23 +212,28 @@ class TestFindCorrespondences:
                         ref.keypoints[ri].region, test.keypoints[tj].region, h, FAST
                     )
                     if err < FAST.max_overlap_error:
-                        cands.append((err, dist, ri, tj))
-            cands.sort()
-            used_r, used_t, want = set(), set(), []
-            for err, dist, ri, tj in cands:
-                if ri in used_r or tj in used_t:
-                    continue
-                used_r.add(ri)
-                used_t.add(tj)
-                want.append(Correspondence(ri, tj, dist, err))
-            want.sort(key=lambda c: (c.ref_index, c.test_index))
-            assert [(c.ref_index, c.test_index) for c in got] == [
-                (c.ref_index, c.test_index) for c in want
-            ]
+                        cands[ri, tj] = (err, dist)
+            want = oracle_resolve(cands)
+            assert [g[:2] for g in got] == [w[:2] for w in want]
             for g, w in zip(got, want):
                 # hypot rounds slightly differently than the vectorized norm
-                assert abs(g.center_distance - w.center_distance) < 1e-9
-                assert g.overlap_err == w.overlap_err
+                assert abs(g[2] - w[2]) < 1e-9
+                assert g[3] == w[3]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_exact_ties_match_set_based_oracle(self, seed):
+        # entries drawn from a few (err, dist) values, so most orders are
+        # decided by the index tie-breaks; seeds 0-2 set n_ref = 0,
+        # n_test = 0 or both, which leave the table empty
+        rng = np.random.default_rng(4700 + seed)
+        n_ref, n_test = (int(n) for n in rng.integers(1, 30, 2))
+        if seed < 3:
+            n_ref, n_test = [(0, n_test), (n_ref, 0), (0, 0)][seed]
+        flat = np.flatnonzero(rng.random(n_ref * n_test) < 0.3)
+        ri, tj = np.divmod(flat, max(n_test, 1))
+        err = rng.choice([0.0, 0.125, 0.25], len(flat))
+        dist = rng.choice([0.0, 0.5, 1.0], len(flat))
+        assert len(resolved((ri, tj, err, dist), n_ref, n_test)) <= min(n_ref, n_test)
 
 
 class TestRateFormulas:
