@@ -8,14 +8,12 @@ symmetric repeatability per dataset is then binned into ratings, where the
 default thresholds sit at 1/3 and 2/3 of the best score per dataset.
 """
 
-import json
 import os
 import tempfile
 
 from repbench.formats import load_manifest
 from repbench.harness import (
     evaluate_sequence,
-    sequence_report_json,
     summary_table,
     summary_table_csv,
     synth_sequence,
@@ -43,10 +41,9 @@ for dataset, base_seed in (("urban", 100), ("forest", 200)):
         )
         out = os.path.join(workdir, f"{dataset}_{tag}")
         manifest_path = synth_sequence(out, dataset, cfg, images=5)
-        report = evaluate_sequence(
-            load_manifest(manifest_path), out, eval_cfg, detector=tag
+        reports.append(
+            evaluate_sequence(load_manifest(manifest_path), out, eval_cfg, detector=tag)
         )
-        reports.append(json.loads(sequence_report_json(report)))
 
 detectors, datasets, cells, ratings, thresholds = summary_table(reports, "c2")
 print("mean criterion-2 score per (detector, dataset)")

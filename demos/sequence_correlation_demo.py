@@ -31,22 +31,21 @@ manifest_path = synth_sequence(
 )
 print(f"dataset written to {os.path.dirname(manifest_path)}")
 
-report = evaluate_sequence(
+doc = evaluate_sequence(
     load_manifest(manifest_path),
     os.path.dirname(manifest_path),
     EvalConfig(grid_step=1.0),
 )
 
 print("pair  eq1     c1      c2      true matches")
-for p in report.pairs:
-    e = p.evaluation
+for p in doc["pairs"]:
     print(
-        f"  {p.pair}   {e.eq1:.4f}  {e.c1:.4f}  {e.c2:.4f}  {e.true_matches}"
+        f"  {p['pair']}   {p['eq1']:.4f}  {p['c1']:.4f}  {p['c2']:.4f}  {p['true_matches']}"
     )
 
 print("correlation against the true-match series (n = 5 pairs each)")
-for crit, value in report.correlations().items():
-    if isinstance(value, str):
-        print(f"  {crit}: {value}")
+for crit, cell in doc["correlations"].items():
+    if "note" in cell:
+        print(f"  {crit}: {cell['note']}")
     else:
-        print(f"  {crit}: r={value.r:+.4f}  p={value.p_value:.4f}")
+        print(f"  {crit}: r={cell['r']:+.4f}  p={cell['p_value']:.4f}")

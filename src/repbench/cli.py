@@ -134,16 +134,12 @@ def cmd_sequence(args):
     cfg = _config_from_args(args)
     manifest = load_manifest(args.manifest)
     base_dir = os.path.dirname(os.path.abspath(args.manifest))
-    report = harness.evaluate_sequence(
+    doc = harness.evaluate_sequence(
         manifest, base_dir, cfg, detector=args.detector, workers=args.workers
     )
-    _emit(harness.sequence_report_json(report), args.out + ".json")
-    _emit(harness.sequence_report_csv(report), args.out + ".csv")
-    degenerate = any(
-        v is None
-        for p in report.pairs
-        for v in (p.evaluation.eq1, p.evaluation.c1, p.evaluation.c2)
-    )
+    _emit(harness.sequence_report_json(doc), args.out + ".json")
+    _emit(harness.sequence_report_csv(doc), args.out + ".csv")
+    degenerate = any(v is None for crit in harness.CRITERIA for v in doc["series"][crit])
     return EXIT_DEGENERATE if degenerate else EXIT_OK
 
 

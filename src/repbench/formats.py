@@ -28,6 +28,8 @@ from .geometry import Homography, SecondMomentEllipse, region_checks
 
 SEQUENCE_SCHEMA = "repbench.sequence/1"
 CRITERIA = ("eq1", "c1", "c2")
+# the per-pair values a sequence report lists as series and as CSV columns
+SERIES = CRITERIA + ("true_matches",)
 
 
 @dataclass(eq=False)
@@ -166,6 +168,10 @@ def _parse_json(text):
         return json.loads(_as_text(text))
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc}", line=exc.lineno) from None
+
+
+def _dump_json(obj):
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def parse_keypoints(text, image_id, width, height):
@@ -399,14 +405,15 @@ def write_manifest(manifest):
             for h in manifest.homographies
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _dump_json(doc)
 
 
 def parse_report(text):
     """The JSON document of a sequence report written by
     harness.sequence_report_json, with the series and pairs checked: each
     series value is null, a rate in [0, 1], or for true_matches an integer
-    count in [0, 2**53)."""
+    count in [0, 2**53), and a pair's descriptors_available, when given, is
+    true or false."""
     doc = _parse_json(text)
     if not isinstance(doc, dict) or doc.get("schema") != SEQUENCE_SCHEMA:
         raise ParseError(f"not a {SEQUENCE_SCHEMA} report")
@@ -418,7 +425,7 @@ def parse_report(text):
             raise ParseError(f"{key} must be {what}")
     series = doc["series"]
     lengths = set()
-    for key in CRITERIA + ("true_matches",):
+    for key in SERIES:
         if key not in series or not isinstance(series[key], list):
             raise ParseError(f"series.{key} must be a list")
         for v in series[key]:
@@ -441,6 +448,10 @@ def parse_report(text):
     pairs = doc.get("pairs", [])
     if not isinstance(pairs, list) or not all(isinstance(p, dict) for p in pairs):
         raise ParseError("pairs must be a list of objects")
+    for i, p in enumerate(pairs):
+        # the correlations read it: 0 or "no" must not pass for descriptors
+        if not isinstance(p.get("descriptors_available", True), bool):
+            raise ParseError(f"pairs[{i}].descriptors_available must be true or false")
     return doc
 
 

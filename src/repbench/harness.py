@@ -1,24 +1,26 @@
 """Sequence evaluation, report serialization, correlation tables, and
 ranking summaries.
 
-A sequence report holds the per-pair evaluations of (reference, i) pairs for
-i = 2..M, the derived metric series, and (when computable) the correlation of
-each repeatability series against the true-match series.  Reports serialize
-to JSON (full) and CSV (the plot series, header `pair,eq1,c1,c2,true_matches`).
-Correlation tables use the header `dataset,criterion,r,p,n`.  load_report
-reads a sequence report back through the loader in formats, which checks it
-with formats.parse_report and names the file in every error.
+A sequence report is one JSON document (a dict): the per-pair evaluations of
+(reference, i) pairs for i = 2..M, the derived metric series, and (when
+computable) the correlation of each repeatability series against the
+true-match series.  evaluate_sequence returns the document that load_report
+reads back from its JSON, and every function here that takes a report takes
+that document.  Reports serialize to JSON (full) and CSV (the plot series,
+header `pair,eq1,c1,c2,true_matches`).  Correlation tables use the header
+`dataset,criterion,r,p,n`.  load_report reads through the loader in formats,
+which checks the document with formats.parse_report and names the file in
+every error.
 
 All numeric values are rendered with repr(float) in the CSV and by the json
 module (which uses the same repr) in JSON, so the two formats agree byte for
 byte on every number.  Undefined values are empty CSV fields and JSON nulls.
 """
 
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -26,9 +28,11 @@ from .errors import DegenerateSeries, InsufficientData
 from .formats import (
     CRITERIA,
     SEQUENCE_SCHEMA,
+    SERIES,
     DatasetManifest,
     ManifestHomography,
     ManifestImage,
+    _dump_json,
     _load,
     load_homography,
     load_keypoints,
@@ -51,53 +55,50 @@ CORRELATION_CSV_HEADER = "dataset,criterion,r,p,n"
 MISSING_CELL = "—"
 
 
-@dataclass(frozen=True)
-class PairOutcome:
-    pair: int  # position of the test image in the manifest, 2-based
-    image_id: str
-    label: str | None
-    evaluation: object  # metrics.PairEvaluation
+def _correlations(doc):
+    """The correlations block of a sequence report document: per criterion,
+    r, p_value and n of its series against the true-match series, or a note
+    saying why the cell is undefined.  A report is without descriptors when
+    one of its pairs says descriptors_available false."""
+    series = doc["series"]
+    tm = series["true_matches"]
+    descriptors = all(p.get("descriptors_available", True) for p in doc.get("pairs", []))
+
+    def cell(xs):
+        if any(v is None for v in xs + tm):
+            return {"note": "series contains undefined values"}
+        if not descriptors:
+            return {"note": "true-match series unavailable (no descriptors)"}
+        try:
+            c = correlate(xs, [float(v) for v in tm])
+        except InsufficientData:
+            return {"note": f"needs at least 3 pairs, have {len(xs)}"}
+        except DegenerateSeries:
+            return {"note": "a series has zero variance"}
+        return {"r": c.r, "p_value": c.p_value, "n": c.n}
+
+    return {crit: cell(series[crit]) for crit in CRITERIA}
 
 
-@dataclass
-class SequenceReport:
-    dataset: str
-    detector: str
-    config: EvalConfig
-    pairs: list
-
-    def series(self, key):
-        if key == "true_matches":
-            return [p.evaluation.true_matches for p in self.pairs]
-        if key in CRITERIA:
-            return [getattr(p.evaluation, key) for p in self.pairs]
-        raise KeyError(key)
-
-    def correlations(self):
-        """Per criterion: a CorrelationReport against the true-match series,
-        or a string explaining why none is defined."""
-        tm = self.series("true_matches")
-        descriptors = all(p.evaluation.descriptors_available for p in self.pairs)
-        return {crit: correlate_series(self.series(crit), tm, descriptors) for crit in CRITERIA}
-
-
-def correlate_series(xs, tm, descriptors_available):
-    """Correlation of a rate series with the true-match series tm: a
-    CorrelationReport, or a note saying why the cell is undefined."""
-    if any(v is None for v in xs) or any(v is None for v in tm):
-        return "series contains undefined values"
-    if not descriptors_available:
-        return "true-match series unavailable (no descriptors)"
-    try:
-        return correlate(xs, [float(v) for v in tm])
-    except InsufficientData:
-        return f"needs at least 3 pairs, have {len(xs)}"
-    except DegenerateSeries:
-        return "a series has zero variance"
+def _sequence_doc(dataset, detector, cfg, pairs):
+    """The sequence report document of pair rows (pair, image, label and
+    the PairEvaluation fields), with its series and correlations."""
+    doc = {
+        "schema": SEQUENCE_SCHEMA,
+        "dataset": dataset,
+        "detector": detector,
+        "config": asdict(cfg),
+        "pairs": pairs,
+        "series": {key: [p[key] for p in pairs] for key in SERIES},
+    }
+    doc["correlations"] = _correlations(doc)
+    return doc
 
 
 def evaluate_sequence(manifest, base_dir, cfg=EvalConfig(), detector="default", workers=1):
-    """Evaluate every (reference, i) pair of a manifest.
+    """Evaluate every (reference, i) pair of a manifest and return the
+    sequence report document: the dict load_report returns for the JSON
+    written from it (sequence_report_json).
 
     File paths in the manifest resolve relative to base_dir.  Pair
     evaluations may run on a thread pool; aggregation is in manifest order
@@ -124,14 +125,15 @@ def evaluate_sequence(manifest, base_dir, cfg=EvalConfig(), detector="default", 
 
     def run(job):
         pos, img, kset, h = job
-        return PairOutcome(pos, img.id, img.label, evaluate_pair(ref, kset, h, cfg))
+        evaluation = evaluate_pair(ref, kset, h, cfg)
+        return {"pair": pos, "image": img.id, "label": img.label, **asdict(evaluation)}
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, jobs))
+            pairs = list(pool.map(run, jobs))
     else:
-        outcomes = [run(job) for job in jobs]
-    return SequenceReport(manifest.name, detector, cfg, outcomes)
+        pairs = [run(job) for job in jobs]
+    return _sequence_doc(manifest.name, detector, cfg, pairs)
 
 
 def format_value(x):
@@ -153,46 +155,16 @@ def _csv(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def _dump_json(obj):
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
-
-
-def _correlation_value(value):
-    if isinstance(value, str):
-        return {"note": value}
-    return {"r": value.r, "p_value": value.p_value, "n": value.n}
-
-
-def sequence_report_json(report):
-    pairs = [
-        {"pair": p.pair, "image": p.image_id, "label": p.label, **asdict(p.evaluation)}
-        for p in report.pairs
-    ]
-    doc = {
-        "schema": SEQUENCE_SCHEMA,
-        "dataset": report.dataset,
-        "detector": report.detector,
-        "config": asdict(report.config),
-        "pairs": pairs,
-        "series": {
-            "eq1": report.series("eq1"),
-            "c1": report.series("c1"),
-            "c2": report.series("c2"),
-            "true_matches": report.series("true_matches"),
-        },
-        "correlations": {
-            crit: _correlation_value(v) for crit, v in report.correlations().items()
-        },
-    }
+def sequence_report_json(doc):
     return _dump_json(doc)
 
 
-def _series_row(pair, e):
-    return (pair, e.eq1, e.c1, e.c2, e.true_matches)
+def _series_rows(pairs):
+    return [[p["pair"]] + [p[key] for key in SERIES] for p in pairs]
 
 
-def sequence_report_csv(report):
-    return _csv(SEQUENCE_CSV_HEADER, [_series_row(p.pair, p.evaluation) for p in report.pairs])
+def sequence_report_csv(doc):
+    return _csv(SEQUENCE_CSV_HEADER, _series_rows(doc["pairs"]))
 
 
 def pair_report_json(evaluation, cfg, ref_path, test_path, homography_path):
@@ -209,7 +181,7 @@ def pair_report_json(evaluation, cfg, ref_path, test_path, homography_path):
 
 def pair_report_csv(evaluation):
     # a lone pair is (image 1, image 2) by convention
-    return _csv(SEQUENCE_CSV_HEADER, [_series_row(2, evaluation)])
+    return _csv(SEQUENCE_CSV_HEADER, _series_rows([{"pair": 2, **asdict(evaluation)}]))
 
 
 def load_report(path):
@@ -221,26 +193,18 @@ def correlate_reports(reports):
     """Correlation rows (one per report and criterion) plus aggregates.
 
     Each row is a dict with dataset, criterion, r, p, n and an optional note;
-    r and p are None when the cell is undefined, with the note the sequence
-    report writes (correlate_series).  A report is without descriptors when
-    one of its pairs says descriptors_available false.  Aggregates (mean/std
-    of r and p per criterion over the defined cells) are returned when more
-    than one report is given, else None.
+    r and p are None when the cell is undefined, with the note of the
+    report's correlations block (_correlations).  Aggregates (mean/std of r
+    and p per criterion over the defined cells) are returned when more than
+    one report is given, else None.
     """
     rows = []
     for doc in reports:
-        series = doc["series"]
-        descriptors = all(
-            p.get("descriptors_available") is not False for p in doc.get("pairs", [])
-        )
-        for crit in CRITERIA:
-            xs = series[crit]
-            row = {"dataset": doc["dataset"], "criterion": crit, "n": len(xs)}
-            cell = correlate_series(xs, series["true_matches"], descriptors)
-            if isinstance(cell, str):
-                row.update(r=None, p=None, note=cell)
-            else:
-                row.update(r=cell.r, p=cell.p_value)
+        for crit, cell in _correlations(doc).items():
+            row = {"dataset": doc["dataset"], "criterion": crit, "n": len(doc["series"][crit]),
+                   "r": cell.get("r"), "p": cell.get("p_value")}
+            if "note" in cell:
+                row["note"] = cell["note"]
             rows.append(row)
 
     aggregates = None

@@ -179,7 +179,9 @@ def oracle_homography_jacobian(h, p):
 
 def oracle_map_region_to_reference(h, ref_center, test_region):
     a = oracle_homography_jacobian(h, ref_center)
-    shape = a.T @ test_region.shape @ a
+    # an overflow leaves a non-finite shape, which SecondMomentEllipse rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        shape = a.T @ test_region.shape @ a
     center = oracle_project_point(h.inverse(), test_region.center)
     return SecondMomentEllipse(center, 0.5 * (shape + shape.T))
 

@@ -59,7 +59,7 @@ def test_traced_sequence_records_the_hooked_spans(tmp_path):
 
     pairs = spans["metrics.evaluate_pair"]
     assert sorted((s.attrs["n_rep"], s.attrs["true_matches"]) for s in pairs) == sorted(
-        (p.evaluation.n_rep, p.evaluation.true_matches) for p in report.pairs
+        (p["n_rep"], p["true_matches"]) for p in report["pairs"]
     )
     matches = spans["matching.match_descriptors"]
     assert len(matches) == 3

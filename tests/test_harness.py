@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -19,8 +20,7 @@ from repbench.harness import (
     CORRELATION_CSV_HEADER,
     MISSING_CELL,
     SEQUENCE_CSV_HEADER,
-    PairOutcome,
-    SequenceReport,
+    _sequence_doc,
     correlate_reports,
     correlation_table_csv,
     default_sequence_homography,
@@ -54,10 +54,11 @@ def make_eval(eq1, c1, c2, tm, n=50, descriptors=True):
 
 def make_report(c1_series, tm_series, descriptors=True, dataset="synthetic"):
     pairs = [
-        PairOutcome(i + 2, f"img{i + 2}", None, make_eval(v, v, v, tm, descriptors=descriptors))
+        {"pair": i + 2, "image": f"img{i + 2}", "label": None,
+         **asdict(make_eval(v, v, v, tm, descriptors=descriptors))}
         for i, (v, tm) in enumerate(zip(c1_series, tm_series))
     ]
-    return SequenceReport(dataset, "default", FAST, pairs)
+    return _sequence_doc(dataset, "default", FAST, pairs)
 
 
 def write_dataset(tmp_path, name="tiny", seed=5, images=4, n_points=25):
@@ -81,12 +82,30 @@ class TestEvaluateSequence:
         base, manifest_path, _ = write_dataset(tmp_path)
         manifest = load_manifest(manifest_path)
         report = evaluate_sequence(manifest, str(base), FAST, detector="det0")
-        assert report.dataset == "tiny"
-        assert report.detector == "det0"
-        assert [p.pair for p in report.pairs] == [2, 3, 4]
-        assert [p.image_id for p in report.pairs] == ["img2", "img3", "img4"]
-        assert len(report.series("c1")) == 3
-        assert all(v is not None for v in report.series("c2"))
+        assert report["dataset"] == "tiny"
+        assert report["detector"] == "det0"
+        assert [p["pair"] for p in report["pairs"]] == [2, 3, 4]
+        assert [p["image"] for p in report["pairs"]] == ["img2", "img3", "img4"]
+        assert len(report["series"]["c1"]) == 3
+        assert all(v is not None for v in report["series"]["c2"])
+
+    # the document returned is the one load_report reads from its JSON, so
+    # the JSON and CSV written from either are the same bytes
+    @pytest.mark.parametrize("matcher", ["nn", "ratio"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_document_is_what_load_report_reads(self, tmp_path, matcher, workers):
+        base, manifest_path, _ = write_dataset(tmp_path, images=5)
+        cfg = EvalConfig(normalize_radius=None, grid_step=0.5, matcher=matcher)
+        doc = evaluate_sequence(load_manifest(manifest_path), str(base), cfg, workers=workers)
+        path = tmp_path / "report.json"
+        path.write_text(sequence_report_json(doc))
+        loaded = load_report(str(path))
+        assert doc == loaded
+        assert list(doc) == ["schema", "dataset", "detector", "config", "pairs", "series",
+                             "correlations"]
+        assert sequence_report_json(loaded) == path.read_text()
+        assert sequence_report_csv(loaded) == sequence_report_csv(doc)
+        assert any(p["true_matches"] > 0 for p in doc["pairs"])
 
     def test_workers_do_not_change_bytes(self, tmp_path):
         base, manifest_path, _ = write_dataset(tmp_path, images=5)
@@ -102,11 +121,6 @@ class TestEvaluateSequence:
         manifest = load_manifest(manifest_path)
         with pytest.raises(ValueError, match="workers"):
             evaluate_sequence(manifest, str(base), FAST, workers=workers)
-
-    def test_series_key_errors(self):
-        report = make_report([0.5], [3])
-        with pytest.raises(KeyError):
-            report.series("c3")
 
 
 class TestFormatValue:
@@ -170,34 +184,29 @@ class TestReportSerialization:
 
 class TestCorrelations:
     def test_known_point_eight(self):
-        report = make_report([0.1, 0.2, 0.3, 0.4, 0.5], [2, 1, 4, 3, 5])
-        corr = report.correlations()
-        assert abs(corr["c1"].r - 0.8) < 1e-12
+        corr = make_report([0.1, 0.2, 0.3, 0.4, 0.5], [2, 1, 4, 3, 5])["correlations"]
+        assert abs(corr["c1"]["r"] - 0.8) < 1e-12
 
     def test_exact_affine_series(self):
-        report = make_report([0.1, 0.2, 0.3, 0.4, 0.5], [3, 5, 7, 9, 11])
-        corr = report.correlations()
-        assert corr["c1"].r == 1.0
-        assert corr["c1"].p_value == 0.0
+        corr = make_report([0.1, 0.2, 0.3, 0.4, 0.5], [3, 5, 7, 9, 11])["correlations"]
+        assert corr["c1"]["r"] == 1.0
+        assert corr["c1"]["p_value"] == 0.0
 
     def test_undefined_values_noted(self):
-        report = make_report([0.5, None, 0.25], [3, 2, 1])
-        assert report.correlations()["c1"] == "series contains undefined values"
+        corr = make_report([0.5, None, 0.25], [3, 2, 1])["correlations"]
+        assert corr["c1"] == {"note": "series contains undefined values"}
 
     def test_missing_descriptors_noted(self):
-        report = make_report([0.5, 0.4, 0.25], [0, 0, 0], descriptors=False)
-        assert (
-            report.correlations()["c1"]
-            == "true-match series unavailable (no descriptors)"
-        )
+        corr = make_report([0.5, 0.4, 0.25], [0, 0, 0], descriptors=False)["correlations"]
+        assert corr["c1"] == {"note": "true-match series unavailable (no descriptors)"}
 
     def test_short_series_noted(self):
-        report = make_report([0.5, 0.4], [3, 2])
-        assert report.correlations()["c1"] == "needs at least 3 pairs, have 2"
+        corr = make_report([0.5, 0.4], [3, 2])["correlations"]
+        assert corr["c1"] == {"note": "needs at least 3 pairs, have 2"}
 
     def test_zero_variance_noted(self):
-        report = make_report([0.5, 0.5, 0.5], [3, 2, 1])
-        assert report.correlations()["c1"] == "a series has zero variance"
+        corr = make_report([0.5, 0.5, 0.5], [3, 2, 1])["correlations"]
+        assert corr["c1"] == {"note": "a series has zero variance"}
 
 
 class TestLoadReport:
@@ -362,6 +371,25 @@ class TestLoadReport:
         assert info.value.path == str(p)
         assert "pairs" in str(info.value)
 
+    # read as truthy, 0 or "no" would correlate a report without descriptors
+    @pytest.mark.parametrize("value", [0, 1, "no", None, []])
+    def test_descriptors_available_must_be_a_boolean(self, tmp_path, value):
+        p = self.write_valid(tmp_path)
+        doc = json.loads(p.read_text())
+        doc["pairs"][1]["descriptors_available"] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as info:
+            load_report(str(p))
+        assert (info.value.reason, info.value.path) == (
+            "pairs[1].descriptors_available must be true or false", str(p))
+
+    def test_descriptors_available_may_be_absent(self, tmp_path):
+        p = self.write_valid(tmp_path)
+        doc = json.loads(p.read_text())
+        del doc["pairs"][1]["descriptors_available"]
+        p.write_text(json.dumps(doc))
+        assert "descriptors_available" not in load_report(str(p))["pairs"][1]
+
 
 def report_doc(dataset, c1, tm):
     series = {
@@ -426,9 +454,9 @@ class TestCorrelateReports:
     )
     def test_notes_match_sequence_report(self, c1, tm, descriptors, note):
         report = make_report(c1, tm, descriptors=descriptors)
-        rows, _ = correlate_reports([json.loads(sequence_report_json(report))])
+        rows, _ = correlate_reports([report])
         row = next(row for row in rows if row["criterion"] == "c1")
-        assert report.correlations()["c1"] == row["note"] == note
+        assert report["correlations"]["c1"]["note"] == row["note"] == note
 
     def test_table_csv_layout(self):
         docs = [
@@ -845,7 +873,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["correlate", "summary"])
     def test_non_finite_report_exit_2_names_file(self, tmp_path, capsys, command):
-        doc = json.loads(sequence_report_json(make_report([0.5, 0.4, 0.3], [5, 4, 3])))
+        doc = make_report([0.5, 0.4, 0.3], [5, 4, 3])
         doc["series"]["c1"][1] = math.nan
         path = tmp_path / "report.json"
         path.write_text(json.dumps(doc))
@@ -866,7 +894,7 @@ class TestCli:
     )
     def test_out_of_range_report_exit_2_names_file(self, tmp_path, capsys, command, key,
                                                    values):
-        doc = json.loads(sequence_report_json(make_report([0.5, 0.4, 0.3], [5, 4, 3])))
+        doc = make_report([0.5, 0.4, 0.3], [5, 4, 3])
         doc["series"][key] = values
         path = tmp_path / "report.json"
         path.write_text(json.dumps(doc))
@@ -1030,6 +1058,27 @@ class TestCli:
         assert code == 2
         assert captured.out == ""
         assert f"repbench: error: {path}: dataset must be a string" in captured.err
+
+    # 0 and "no" read as descriptors printed r values and exited 0, while
+    # false gives the no-descriptor notes and exit 3
+    @pytest.mark.parametrize("value", [0, "no"])
+    def test_non_boolean_descriptors_available_exit_2_names_file(self, tmp_path, capsys,
+                                                                  value):
+        doc = make_report([0.2, 0.4, 0.3, 0.5], [2, 4, 3, 5], descriptors=False)
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(doc))
+        assert main(["correlate", "--report", str(path)]) == 3
+        assert capsys.readouterr().out == CORRELATION_CSV_HEADER + "".join(
+            f"\nsynthetic,{crit},,,4" for crit in ("eq1", "c1", "c2")) + "\n"
+        for p in doc["pairs"]:
+            p["descriptors_available"] = value
+        path.write_text(json.dumps(doc))
+        code = main(["correlate", "--report", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert (f"repbench: error: {path}: pairs[0].descriptors_available must be true "
+                "or false") in captured.err
 
     @pytest.mark.parametrize(
         "argv, field",

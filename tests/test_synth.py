@@ -441,7 +441,9 @@ def old_generate_reference(cfg, image_id="ref"):
 def _old_transport_region(region, h):
     a = oracle_homography_jacobian(h, region.center)
     a_inv = np.linalg.inv(a)
-    shape = a_inv.T @ region.shape @ a_inv
+    # an overflow leaves a non-finite shape, which SecondMomentEllipse rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        shape = a_inv.T @ region.shape @ a_inv
     center = oracle_project_point(h, region.center)
     return SecondMomentEllipse(center, 0.5 * (shape + shape.T))
 
