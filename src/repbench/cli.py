@@ -12,7 +12,7 @@ import sys
 
 from . import harness
 from .errors import ParseError
-from .formats import load_homography, load_keypoints, load_manifest
+from .formats import check_dimensions, load_homography, load_keypoints, load_manifest
 from .metrics import EQ1_POPULATIONS, MATCHERS, EvalConfig, evaluate_pair
 from .synth import SynthConfig
 
@@ -27,8 +27,7 @@ def _parse_dims(text):
         w, h = int(w), int(h)
     except ValueError:
         raise ValueError(f"dimensions must look like 800x600, got {text!r}") from None
-    if w <= 0 or h <= 0:
-        raise ValueError("dimensions must be positive")
+    check_dimensions(w, h)
     return w, h
 
 

@@ -1,4 +1,5 @@
-"""Parsers and writers for keypoint files, homography files, and manifests.
+"""Parsers and writers for keypoint and homography files, and the parsers
+of manifests and sequence reports.
 
 Keypoint files follow the plain-text affine-region convention emitted by the
 usual detector tools:
@@ -19,7 +20,7 @@ a bad keypoint row for the parser and KeypointSet alike, and one loader
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +31,17 @@ SEQUENCE_SCHEMA = "repbench.sequence/1"
 CRITERIA = ("eq1", "c1", "c2")
 # the per-pair values a sequence report lists as series and as CSV columns
 SERIES = CRITERIA + ("true_matches",)
+# the largest image side: a side must stay exact as a float, as a count does
+MAX_DIMENSION = 2**53
+
+
+def check_dimensions(width, height):
+    """The one image-size rule: ValueError unless width and height are
+    positive and at most MAX_DIMENSION."""
+    if not (width > 0 and height > 0):
+        raise ValueError("dimensions must be positive")
+    if not (width <= MAX_DIMENSION and height <= MAX_DIMENSION):
+        raise ValueError("dimensions must be at most 2**53")
 
 
 @dataclass(eq=False)
@@ -54,8 +66,7 @@ class KeypointSet:
     descriptors: np.ndarray
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("image dimensions must be positive")
+        check_dimensions(self.width, self.height)
         n = len(self.centers)
         for name, cols in (("centers", 2), ("abc", 3), ("descriptors", None)):
             array = np.array(getattr(self, name), dtype=float)
@@ -83,41 +94,6 @@ class KeypointSet:
         return [Keypoint(SecondMomentEllipse.from_abc(*center, *abc),
                          descriptor if self.descriptor_dim else None)
                 for center, abc, descriptor in rows]
-
-
-@dataclass
-class ManifestImage:
-    id: str
-    width: int
-    height: int
-    keypoints: str  # path to the keypoint file, relative to the manifest
-    label: str | None = None
-
-
-@dataclass
-class ManifestHomography:
-    from_id: str
-    to_id: str
-    path: str
-
-
-@dataclass
-class DatasetManifest:
-    """An ordered image sequence; the first image is the reference and a
-    homography must exist from it to every other image."""
-
-    name: str
-    images: list[ManifestImage]
-    homographies: list[ManifestHomography] = field(default_factory=list)
-
-    def reference(self):
-        return self.images[0]
-
-    def homography_path(self, from_id, to_id):
-        for h in self.homographies:
-            if h.from_id == from_id and h.to_id == to_id:
-                return h.path
-        raise ManifestError(f"no homography {from_id} -> {to_id}")
 
 
 def _as_text(text):
@@ -324,88 +300,64 @@ def _require(obj, key, kind, where):
 
 
 def parse_manifest(text):
-    """Parse a dataset manifest.
+    """Parse a dataset manifest and return its JSON document, checked.
 
     JSON schema: {"name": str,
                   "images": [{"id", "width", "height", "keypoints",
                               optional "label"}, ...],
                   "homographies": [{"from", "to", "path"}, ...]}
     The first image is the sequence reference; a homography must map it to
-    every other image.  A label is a string, or null or absent for none;
-    "homographies" is a list, and may be left out for a single image.
+    every other image (homography_path).  A label is a string, or null or
+    absent for none; "homographies" is a list, and may be left out for a
+    single image.  Keys outside the schema are kept and ignored.
     """
     doc = _parse_json(text)
     if not isinstance(doc, dict):
         raise ManifestError("manifest must be a JSON object")
 
-    name = _require(doc, "name", str, "manifest")
-    raw_images = _require(doc, "images", list, "manifest")
-    if not raw_images:
+    _require(doc, "name", str, "manifest")
+    images = _require(doc, "images", list, "manifest")
+    if not images:
         raise ManifestError("manifest must declare at least one image")
-    images = []
     seen = set()
-    for i, entry in enumerate(raw_images):
+    for i, img in enumerate(images):
         where = f"images[{i}]"
-        img = ManifestImage(
-            id=_require(entry, "id", str, where),
-            width=_require(entry, "width", int, where),
-            height=_require(entry, "height", int, where),
-            keypoints=_require(entry, "keypoints", str, where),
-            label=entry.get("label"),
-        )
-        if img.label is not None and not _is_a(img.label, str):
+        for key, kind in (("id", str), ("width", int), ("height", int), ("keypoints", str)):
+            _require(img, key, kind, where)
+        if img.get("label") is not None and not _is_a(img["label"], str):
             raise ManifestError(f"{where}: key 'label' must be str")
-        if img.width <= 0 or img.height <= 0:
-            raise ManifestError(f"{where}: dimensions must be positive")
-        if img.id in seen:
-            raise ManifestError(f"{where}: duplicate image id {img.id!r}")
-        seen.add(img.id)
-        images.append(img)
+        try:
+            check_dimensions(img["width"], img["height"])
+        except ValueError as exc:
+            raise ManifestError(f"{where}: {exc}") from None
+        if img["id"] in seen:
+            raise ManifestError(f"{where}: duplicate image id {img['id']!r}")
+        seen.add(img["id"])
 
-    raw_homographies = doc.get("homographies", [])
-    if not isinstance(raw_homographies, list):
+    links = doc.get("homographies", [])
+    if not isinstance(links, list):
         raise ManifestError("manifest: key 'homographies' must be list")
-    homographies = []
-    for i, entry in enumerate(raw_homographies):
-        where = f"homographies[{i}]"
-        homographies.append(
-            ManifestHomography(
-                from_id=_require(entry, "from", str, where),
-                to_id=_require(entry, "to", str, where),
-                path=_require(entry, "path", str, where),
-            )
-        )
+    for i, link in enumerate(links):
+        for key in ("from", "to", "path"):
+            _require(link, key, str, f"homographies[{i}]")
 
-    manifest = DatasetManifest(name, images, homographies)
-    ref_id = images[0].id
-    covered = {h.to_id for h in homographies if h.from_id == ref_id}
+    ref_id = images[0]["id"]
     for img in images[1:]:
-        if img.id not in covered:
+        if homography_path(doc, img["id"]) is None:
             raise ManifestError(
-                f"no homography from reference {ref_id!r} to image {img.id!r}"
+                f"no homography from reference {ref_id!r} to image {img['id']!r}"
             )
-    return manifest
+    return doc
 
 
-def write_manifest(manifest):
-    doc = {
-        "name": manifest.name,
-        "images": [
-            {
-                "id": img.id,
-                "width": img.width,
-                "height": img.height,
-                "keypoints": img.keypoints,
-                **({"label": img.label} if img.label is not None else {}),
-            }
-            for img in manifest.images
-        ],
-        "homographies": [
-            {"from": h.from_id, "to": h.to_id, "path": h.path}
-            for h in manifest.homographies
-        ],
-    }
-    return _dump_json(doc)
+def homography_path(manifest, image_id):
+    """The path of the first homography of a manifest document from its
+    reference (the first image) to image_id, or None when it has none."""
+    ref_id = manifest["images"][0]["id"]
+    for link in manifest.get("homographies", []):
+        if link["from"] == ref_id and link["to"] == image_id:
+            return link["path"]
+    return None
 
 
 def parse_report(text):

@@ -24,22 +24,19 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .errors import DegenerateSeries, InsufficientData
+from .errors import DegenerateSeries, InsufficientData, ManifestError
 from .formats import (
     CRITERIA,
     SEQUENCE_SCHEMA,
     SERIES,
-    DatasetManifest,
-    ManifestHomography,
-    ManifestImage,
     _dump_json,
     _load,
+    homography_path,
     load_homography,
     load_keypoints,
     parse_report,
     write_homography,
     write_keypoints,
-    write_manifest,
 )
 from .geometry import Homography
 from .metrics import EvalConfig, evaluate_pair
@@ -106,34 +103,33 @@ def evaluate_sequence(manifest, base_dir, cfg=EvalConfig(), detector="default", 
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    ref_entry = manifest.images[0]
-    ref = load_keypoints(
-        os.path.join(base_dir, ref_entry.keypoints),
-        ref_entry.id,
-        ref_entry.width,
-        ref_entry.height,
-    )
+
+    def load(img):
+        path = os.path.join(base_dir, img["keypoints"])
+        return load_keypoints(path, img["id"], img["width"], img["height"])
+
+    ref_entry, *others = manifest["images"]
+    ref = load(ref_entry)
     jobs = []
-    for pos, img in enumerate(manifest.images[1:], start=2):
-        kset = load_keypoints(
-            os.path.join(base_dir, img.keypoints), img.id, img.width, img.height
-        )
-        h = load_homography(
-            os.path.join(base_dir, manifest.homography_path(ref_entry.id, img.id))
-        )
-        jobs.append((pos, img, kset, h))
+    for pos, img in enumerate(others, start=2):
+        kset = load(img)
+        hpath = homography_path(manifest, img["id"])
+        if hpath is None:
+            raise ManifestError(f"no homography {ref_entry['id']} -> {img['id']}")
+        jobs.append((pos, img, kset, load_homography(os.path.join(base_dir, hpath))))
 
     def run(job):
         pos, img, kset, h = job
         evaluation = evaluate_pair(ref, kset, h, cfg)
-        return {"pair": pos, "image": img.id, "label": img.label, **asdict(evaluation)}
+        return {"pair": pos, "image": img["id"], "label": img.get("label"),
+                **asdict(evaluation)}
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             pairs = list(pool.map(run, jobs))
     else:
         pairs = [run(job) for job in jobs]
-    return _sequence_doc(manifest.name, detector, cfg, pairs)
+    return _sequence_doc(manifest["name"], detector, cfg, pairs)
 
 
 def format_value(x):
@@ -142,8 +138,6 @@ def format_value(x):
         return x
     if x is None:
         return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
     if isinstance(x, int):
         return str(x)
     return repr(float(x))
@@ -366,14 +360,16 @@ def synth_sequence(
             f"need {images - 1} homographies for {images} images, got {len(homographies)}"
         )
     os.makedirs(out_dir, exist_ok=True)
+
+    def entry(image_id):
+        return {"id": image_id, "width": cfg.image_width, "height": cfg.image_height,
+                "keypoints": f"{image_id}.kpts"}
+
     ref = generate_reference(cfg, image_id="img1")
-    entries = [
-        ManifestImage("img1", cfg.image_width, cfg.image_height, "img1.kpts")
-    ]
+    manifest = {"name": name, "images": [entry("img1")], "homographies": []}
     with open(os.path.join(out_dir, "img1.kpts"), "w") as fh:
         fh.write(write_keypoints(ref))
 
-    links = []
     for i in range(2, images + 1):
         k = i - 1
         if homographies is not None:
@@ -389,19 +385,15 @@ def synth_sequence(
         step_cfg = replace(cfg, seed=cfg.seed + k, jitter_sigma=jitter)
         image_id = f"img{i}"
         kset = derive_test(ref, h, step_cfg, image_id=image_id)
-        kpath = f"{image_id}.kpts"
         hpath = f"H_1_{i}.txt"
-        with open(os.path.join(out_dir, kpath), "w") as fh:
+        with open(os.path.join(out_dir, f"{image_id}.kpts"), "w") as fh:
             fh.write(write_keypoints(kset))
         with open(os.path.join(out_dir, hpath), "w") as fh:
             fh.write(write_homography(h))
-        entries.append(
-            ManifestImage(image_id, cfg.image_width, cfg.image_height, kpath)
-        )
-        links.append(ManifestHomography("img1", image_id, hpath))
+        manifest["images"].append(entry(image_id))
+        manifest["homographies"].append({"from": "img1", "to": image_id, "path": hpath})
 
-    manifest = DatasetManifest(name, entries, links)
     manifest_path = os.path.join(out_dir, "manifest.json")
     with open(manifest_path, "w") as fh:
-        fh.write(write_manifest(manifest))
+        fh.write(_dump_json(manifest))
     return manifest_path

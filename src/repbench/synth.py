@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formats import KeypointSet
+from .formats import KeypointSet, check_dimensions
 from .geometry import computed_regions, homography_jacobians, transport_shapes
 
 _MASK64 = (1 << 64) - 1
@@ -145,8 +145,7 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_points < 0:
             raise ValueError("n_points must be >= 0")
-        if self.image_width <= 0 or self.image_height <= 0:
-            raise ValueError("image dimensions must be positive")
+        check_dimensions(self.image_width, self.image_height)
         # NaN fails every range check: a comparison with NaN is false
         lo, hi = self.scale_range
         if not 0.0 < lo <= hi < math.inf:

@@ -11,11 +11,11 @@ from repbench.errors import (
     SingularHomography,
 )
 from repbench.formats import (
-    DatasetManifest,
+    MAX_DIMENSION,
+    _dump_json,
     _first_bad_row,
     KeypointSet,
-    ManifestHomography,
-    ManifestImage,
+    homography_path,
     load_homography,
     load_keypoints,
     load_manifest,
@@ -24,7 +24,6 @@ from repbench.formats import (
     parse_manifest,
     write_homography,
     write_keypoints,
-    write_manifest,
 )
 from repbench.geometry import Homography
 from repbench.harness import load_report
@@ -240,15 +239,32 @@ def valid_manifest_doc():
 class TestManifest:
     def test_parse_valid(self):
         m = parse_manifest(json.dumps(valid_manifest_doc()))
-        assert m.name == "seq"
-        assert m.reference().id == "a"
-        assert m.images[1].label == "blur 2"
-        assert m.homography_path("a", "b") == "H_a_b.txt"
+        assert m["name"] == "seq"
+        assert m["images"][0]["id"] == "a"
+        assert m["images"][1]["label"] == "blur 2"
+        assert homography_path(m, "b") == "H_a_b.txt"
 
     def test_round_trip(self):
         m = parse_manifest(json.dumps(valid_manifest_doc()))
-        again = parse_manifest(write_manifest(m))
+        assert m == valid_manifest_doc()
+        again = parse_manifest(_dump_json(m))
         assert again == m
+
+    def test_unknown_keys_are_kept(self):
+        doc = valid_manifest_doc()
+        doc["version"] = 3
+        doc["images"][0]["camera"] = {"focal": 2.5}
+        doc["homographies"][0]["note"] = "estimated"
+        assert parse_manifest(json.dumps(doc)) == doc
+
+    def test_first_link_from_the_reference_wins(self):
+        doc = valid_manifest_doc()
+        doc["homographies"] = [
+            {"from": "b", "to": "b", "path": "H_b_b.txt"},
+            {"from": "a", "to": "b", "path": "first.txt"},
+            {"from": "a", "to": "b", "path": "second.txt"},
+        ]
+        assert homography_path(parse_manifest(json.dumps(doc)), "b") == "first.txt"
 
     def test_missing_keys_named(self):
         doc = valid_manifest_doc()
@@ -318,8 +334,8 @@ class TestManifest:
         doc = valid_manifest_doc()
         doc["images"][1]["label"] = None
         m = parse_manifest(json.dumps(doc))
-        assert m.images[1].label is None
-        assert parse_manifest(write_manifest(m)) == m
+        assert m["images"][1]["label"] is None
+        assert parse_manifest(_dump_json(m)) == m
 
     def test_malformed_json(self):
         with pytest.raises(ParseError):
@@ -334,10 +350,23 @@ class TestManifest:
         assert info.value.line == 3
         assert info.value.reason.startswith("malformed JSON: ")
 
+    # only links from the reference count: b -> a is not a link to a
     def test_unknown_homography_lookup(self):
-        m = parse_manifest(json.dumps(valid_manifest_doc()))
-        with pytest.raises(ManifestError):
-            m.homography_path("b", "a")
+        doc = valid_manifest_doc()
+        doc["homographies"].append({"from": "b", "to": "a", "path": "H_b_a.txt"})
+        m = parse_manifest(json.dumps(doc))
+        assert homography_path(m, "a") is None
+        assert homography_path(m, "c") is None
+
+    @pytest.mark.parametrize("key", ["width", "height"])
+    def test_dimensions_must_be_exact_as_floats(self, key):
+        doc = valid_manifest_doc()
+        doc["images"][1][key] = MAX_DIMENSION
+        parse_manifest(json.dumps(doc))
+        doc["images"][1][key] = 10**400
+        with pytest.raises(ManifestError) as info:
+            parse_manifest(json.dumps(doc))
+        assert str(info.value) == "images[1]: dimensions must be at most 2**53"
 
 
 class TestLoaders:
@@ -386,7 +415,7 @@ class TestLoaders:
         assert np.array_equal(load_homography(str(hp)).m, np.eye(3))
         mp = tmp_path / "manifest.json"
         mp.write_text(json.dumps(valid_manifest_doc()))
-        assert load_manifest(str(mp)).name == "seq"
+        assert load_manifest(str(mp))["name"] == "seq"
         with pytest.raises(ParseError):
             load_manifest(str(tmp_path / "missing.json"))
 
@@ -428,6 +457,15 @@ class TestKeypointSetValidation:
             KeypointSet("img", 10, 10, centers, abc, np.zeros(4))
         with pytest.raises(ValueError):
             KeypointSet("img", 0, 10, centers, abc, np.zeros((1, 0)))
+
+    # the one image-size rule: positive, and exact as a float
+    def test_dimensions_bound(self):
+        centers, abc, descriptors = arrays(1)
+        KeypointSet("img", MAX_DIMENSION, MAX_DIMENSION, centers, abc, descriptors)
+        for width, reason in ((0, "positive"), (math.nan, "positive"),
+                              (MAX_DIMENSION + 1, r"at most 2\*\*53"), (math.inf, "at most")):
+            with pytest.raises(ValueError, match=f"^dimensions must be {reason}"):
+                KeypointSet("img", width, 10, centers, abc, descriptors)
 
     def test_centers_and_descriptors_arrays(self):
         rng = np.random.default_rng(24)

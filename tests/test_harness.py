@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repbench.cli import _config_from_args, build_parser, main
-from repbench.errors import ParseError
+from repbench.errors import ManifestError, ParseError
 from repbench.formats import (
     KeypointSet,
     load_manifest,
@@ -115,6 +115,18 @@ class TestEvaluateSequence:
         assert sequence_report_json(solo) == sequence_report_json(pooled)
         assert sequence_report_csv(solo) == sequence_report_csv(pooled)
 
+    # a document that never went through parse_manifest may lack a link;
+    # the pair is refused by name, not with a TypeError on a None path
+    def test_hand_built_manifest_without_a_link(self, tmp_path):
+        base, manifest_path, _ = write_dataset(tmp_path)
+        manifest = load_manifest(manifest_path)
+        del manifest["homographies"][1]
+        with pytest.raises(ManifestError, match="^no homography img1 -> img3$"):
+            evaluate_sequence(manifest, str(base), FAST)
+        del manifest["homographies"]
+        with pytest.raises(ManifestError, match="^no homography img1 -> img2$"):
+            evaluate_sequence(manifest, str(base), FAST)
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, tmp_path, workers):
         base, manifest_path, _ = write_dataset(tmp_path)
@@ -126,8 +138,6 @@ class TestEvaluateSequence:
 class TestFormatValue:
     def test_cases(self):
         assert format_value(None) == ""
-        assert format_value(True) == "true"
-        assert format_value(False) == "false"
         assert format_value(7) == "7"
         assert format_value(0.25) == "0.25"
         assert format_value(1 / 3) == repr(1 / 3)
@@ -574,8 +584,21 @@ class TestSynthSequence:
             + [f"H_1_{i}.txt" for i in range(2, 7)]
         )
         manifest = load_manifest(manifest_path)
-        assert manifest.reference().id == "img1"
-        assert len(manifest.images) == 6
+        assert manifest["images"][0]["id"] == "img1"
+        assert len(manifest["images"]) == 6
+
+    # the manifest is read as the JSON document it is written as
+    @pytest.mark.parametrize("images", [2, 5])
+    def test_manifest_is_read_as_written(self, tmp_path, images):
+        _, manifest_path, cfg = write_dataset(tmp_path, images=images)
+        with open(manifest_path) as fh:
+            written = json.load(fh)
+        assert load_manifest(manifest_path) == written
+        assert written["images"][-1] == {"id": f"img{images}", "width": cfg.image_width,
+                                         "height": cfg.image_height,
+                                         "keypoints": f"img{images}.kpts"}
+        assert written["homographies"][-1] == {"from": "img1", "to": f"img{images}",
+                                               "path": f"H_1_{images}.txt"}
 
     def test_jitter_ramp_reproduces_manual_configs(self, tmp_path):
         cfg = SynthConfig(
@@ -912,8 +935,13 @@ class TestCli:
          (lambda doc: doc["images"][2].update(label=math.nan),
           "images[2]: key 'label' must be str"),
          (lambda doc: doc["images"][1].update(label=["blur", 2]),
-          "images[1]: key 'label' must be str")],
-        ids=["homographies-5", "homographies-null", "label-nan", "label-list"],
+          "images[1]: key 'label' must be str"),
+         (lambda doc: doc["images"][1].update(width=10**400),
+          "images[1]: dimensions must be at most 2**53"),
+         (lambda doc: doc.update(homographies=[]),
+          "no homography from reference 'img1' to image 'img2'")],
+        ids=["homographies-5", "homographies-null", "label-nan", "label-list", "huge-width",
+             "no-links"],
     )
     def test_bad_manifest_field_exit_2_names_file(self, tmp_path, capsys, edit, reason):
         _, manifest = self.synth(tmp_path, capsys)
@@ -997,6 +1025,28 @@ class TestCli:
         assert code == 2
         assert captured.err == "repbench: error: dimensions must be positive\n"
         assert captured.out == ""
+
+    # a side must be exact as a float; a larger one overflowed in the
+    # common-part test instead of being refused as input
+    def test_huge_test_dims_exit_2(self, tmp_path, capsys):
+        kpts = tmp_path / "a.kpts"
+        kpts.write_text("1.0\n1\n10 10 0.5 0.0 0.5\n")
+        hpath = tmp_path / "H.txt"
+        hpath.write_text("1 0 0 0 1 0 0 0 1")
+        code = main(["eval", "--ref", str(kpts), "--test", str(kpts), "--homography", str(hpath),
+                     "--ref-dims", "640x480", "--test-dims", f"{10**400}x640"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "repbench: error: dimensions must be at most 2**53\n"
+        assert captured.out == ""
+
+    def test_huge_synth_dims_exit_2_and_write_nothing(self, tmp_path, capsys):
+        out = tmp_path / "big"
+        code = main(["synth", "--out-dir", str(out), "--dims", f"{10**400}x640"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "repbench: error: dimensions must be at most 2**53\n"
+        assert not out.exists()
 
     def test_bad_scale_range_exit_2(self, tmp_path, capsys):
         out = tmp_path / "x"

@@ -1,11 +1,14 @@
 """Property tests of documented contracts, over drawn synthetic data:
 evaluation results do not depend on keypoint order, sequence reports are
-byte-identical for any worker count, a homography whose horizon crosses
-the reference image neither raises nor gives a rate outside [0, 1], and
-the multi-start draw kernel gives the scalar generator's stream, and the
-keypoint parser's C pass reads what the per-line reader reads."""
+byte-identical for any worker count and any order of the manifest's links,
+a homography whose horizon crosses the reference image neither raises nor
+gives a rate outside [0, 1], and the multi-start draw kernel gives the
+scalar generator's stream, and the keypoint parser's C pass reads what the
+per-line reader reads."""
 
+import json
 import math
+import os
 import tempfile
 
 import numpy as np
@@ -133,6 +136,35 @@ def test_sequence_report_same_for_any_worker_count(seed, n_points, jitter, hs):
             evaluate_sequence(manifest, out, EvalConfig(), workers=workers)
             for workers in (1, 2, 4)
         ]
+    texts = {(sequence_report_json(r), sequence_report_csv(r)) for r in reports}
+    assert len(texts) == 1
+
+
+@settings(PROPERTY, max_examples=12)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    images=st.integers(2, 5),
+    data=st.data(),
+)
+def test_sequence_report_same_for_any_link_order(seed, images, data):
+    """Only the first link from the reference to an image is used: the
+    report bytes do not move when the links are shuffled or links between
+    other images (to files that do not exist) are added."""
+    with tempfile.TemporaryDirectory() as out:
+        path = synth_sequence(out, "links", synth_config(seed, 20, 0.5), images)
+        with open(path) as fh:
+            doc = json.load(fh)
+        others = [img["id"] for img in doc["images"][1:]]
+        extra = data.draw(st.lists(st.tuples(st.sampled_from(others), st.sampled_from(others)),
+                                   max_size=4))
+        links = doc["homographies"] + [
+            {"from": a, "to": b, "path": f"missing_{a}_{b}.txt"} for a, b in extra
+        ]
+        doc["homographies"] = data.draw(st.permutations(links))
+        edited = os.path.join(out, "edited.json")
+        with open(edited, "w") as fh:
+            json.dump(doc, fh)
+        reports = [evaluate_sequence(load_manifest(p), out, EvalConfig()) for p in (path, edited)]
     texts = {(sequence_report_json(r), sequence_report_csv(r)) for r in reports}
     assert len(texts) == 1
 

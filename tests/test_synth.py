@@ -108,6 +108,8 @@ class TestSynthConfig:
             {"descriptor_dim": -1},
             {"descriptor_noise_sigma": -1.0},
             {"descriptor_dim": 1},
+            {"image_width": 2**53 + 1},
+            {"image_height": 10**400},
         ],
     )
     def test_validation(self, kwargs):
