@@ -67,12 +67,11 @@ def _correlations(doc):
         if not descriptors:
             return {"note": "true-match series unavailable (no descriptors)"}
         try:
-            c = correlate(xs, [float(v) for v in tm])
+            return correlate(xs, [float(v) for v in tm])
         except InsufficientData:
             return {"note": f"needs at least 3 pairs, have {len(xs)}"}
         except DegenerateSeries:
             return {"note": "a series has zero variance"}
-        return {"r": c.r, "p_value": c.p_value, "n": c.n}
 
     return {crit: cell(series[crit]) for crit in CRITERIA}
 
@@ -133,8 +132,13 @@ def evaluate_sequence(manifest, base_dir, cfg=EvalConfig(), detector="default", 
 
 
 def format_value(x):
-    """One CSV cell: text as is, empty for None, repr for floats, str for ints."""
+    """One CSV cell: empty for None, repr for floats, str for ints, and text
+    as is, or in double quotes with its quotes doubled when it holds a comma,
+    a quote or a line break.  csv.writer would leave a lone CR unquoted when
+    lines end in LF (Python 3.11), and csv.reader splits the row there."""
     if isinstance(x, str):
+        if any(ch in x for ch in ',"\r\n'):
+            return '"' + x.replace('"', '""') + '"'
         return x
     if x is None:
         return ""
@@ -144,9 +148,8 @@ def format_value(x):
 
 
 def _csv(header, rows):
-    """CSV text: the header line, then one line per row of cell values."""
-    lines = [header] + [",".join(map(format_value, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+    """CSV text: the header cells, then one line per row of cell values."""
+    return "".join(",".join(map(format_value, row)) + "\n" for row in [header, *rows])
 
 
 def sequence_report_json(doc):
@@ -158,7 +161,7 @@ def _series_rows(pairs):
 
 
 def sequence_report_csv(doc):
-    return _csv(SEQUENCE_CSV_HEADER, _series_rows(doc["pairs"]))
+    return _csv(SEQUENCE_CSV_HEADER.split(","), _series_rows(doc["pairs"]))
 
 
 def pair_report_json(evaluation, cfg, ref_path, test_path, homography_path):
@@ -175,7 +178,7 @@ def pair_report_json(evaluation, cfg, ref_path, test_path, homography_path):
 
 def pair_report_csv(evaluation):
     # a lone pair is (image 1, image 2) by convention
-    return _csv(SEQUENCE_CSV_HEADER, _series_rows([{"pair": 2, **asdict(evaluation)}]))
+    return _csv(SEQUENCE_CSV_HEADER.split(","), _series_rows([{"pair": 2, **asdict(evaluation)}]))
 
 
 def load_report(path):
@@ -226,7 +229,7 @@ def correlation_table_csv(rows, aggregates):
             for crit in CRITERIA:
                 agg = aggregates[crit]
                 cells.append((stat, crit, agg[f"{stat}_r"], agg[f"{stat}_p"], agg["count"]))
-    return _csv(CORRELATION_CSV_HEADER, cells)
+    return _csv(CORRELATION_CSV_HEADER.split(","), cells)
 
 
 def correlation_table_json(rows, aggregates):
@@ -294,7 +297,7 @@ def summary_table(reports, criterion="c2", thresholds=None):
 def summary_table_csv(detectors, datasets, cells, ratings):
     rows = [[det] + [ratings.get((det, ds), MISSING_CELL) for ds in datasets]
             for det in detectors]
-    return _csv(",".join(["detector"] + datasets), rows)
+    return _csv(["detector"] + datasets, rows)
 
 
 def summary_table_json(criterion, detectors, datasets, cells, ratings, thresholds_used):

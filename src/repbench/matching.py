@@ -25,19 +25,11 @@ rounds read the estimates.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DescriptorUnavailable
 from .geometry import indexed_distances, pairwise_distances
-
-
-@dataclass(frozen=True)
-class DescriptorMatch:
-    ref_index: int
-    test_index: int
-    distance: float  # Euclidean, in descriptor space
 
 
 def _descriptor_matrices(ref, test):
@@ -165,24 +157,20 @@ def _greedy(order, n, m):
     return taken
 
 
-def _as_matches(ref_index, test_index, distance):
+def _as_matches(ref_index, test_index):
     order = np.lexsort((test_index, ref_index))
-    return [
-        DescriptorMatch(i, j, dist)
-        for i, j, dist in zip(
-            ref_index[order].tolist(), test_index[order].tolist(), distance[order].tolist()
-        )
-    ]
+    return np.stack([ref_index[order], test_index[order]], axis=1)
 
 
 def nn_match(ref, test):
     """Greedy one-to-one nearest-neighbor matching.
 
     Repeatedly takes the globally smallest remaining descriptor distance;
-    exact ties fall to the smallest (ref_index, test_index).  Produces
-    min(len(ref), len(test)) matches.
+    exact ties fall to the smallest (ref index, test index).  Returns the
+    min(len(ref), len(test)) matches as a (K, 2) intp array of (ref index,
+    test index) rows in row-major order.
 
-    Ordered by (distance, ref_index, test_index), a pair that is first in
+    Ordered by (distance, ref index, test index), a pair that is first in
     both its row and its column is taken by that greedy, and taking all
     such pairs and removing their rows and columns leaves the greedy of the
     rest unchanged (Preis, STACS 1999).  Each round takes them on the open
@@ -194,11 +182,11 @@ def nn_match(ref, test):
     """
     a, b = _descriptor_matrices(ref, test)
     if len(a) == 0 or len(b) == 0:
-        return []
+        return np.empty((0, 2), np.intp)
     approx, row_tol, col_tol = _approx_squared(a, b)
     rows = np.arange(len(a))
     cols = np.arange(len(b))
-    out_i, out_j, out_d = [], [], []
+    out_i, out_j = [], []
     while len(rows) and len(cols):
         near = _near_minimum(approx, row_tol[rows], col_tol[cols])
         if np.count_nonzero(near) > MAX_RESCORE_SHARE * near.size:
@@ -209,7 +197,6 @@ def nn_match(ref, test):
         won = _mutual_nearest(r, c, d)
         out_i.append(rows[r[won]])
         out_j.append(cols[c[won]])
-        out_d.append(d[won])
         open_rows = np.ones(len(rows), dtype=bool)
         open_rows[r[won]] = False
         open_cols = np.ones(len(cols), dtype=bool)
@@ -225,8 +212,7 @@ def nn_match(ref, test):
         flat = order[_greedy(order, len(rows), len(cols))]
         out_i.append(rows[flat // len(cols)])
         out_j.append(cols[flat % len(cols)])
-        out_d.append(d[flat])
-    return _as_matches(np.concatenate(out_i), np.concatenate(out_j), np.concatenate(out_d))
+    return _as_matches(np.concatenate(out_i), np.concatenate(out_j))
 
 
 def ratio_match(ref, test, ratio=0.8):
@@ -234,14 +220,15 @@ def ratio_match(ref, test, ratio=0.8):
 
     A reference descriptor is kept only when its nearest test distance is
     below `ratio` times the second nearest (ambiguous matches drop out);
-    survivors are then resolved greedily like nn_match.  A single test
-    descriptor leaves nothing to compare against, so the test is waived.
+    survivors are then resolved greedily like nn_match, and returned in its
+    (K, 2) form.  A single test descriptor leaves nothing to compare
+    against, so the test is waived.
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must lie in (0, 1)")
     a, b = _descriptor_matrices(ref, test)
     if len(a) == 0 or len(b) == 0:
-        return []
+        return np.empty((0, 2), np.intp)
     approx, row_tol, _ = _approx_squared(a, b)
     n, m = approx.shape
     # each row's entries within 2 tol of its second-smallest estimate hold
@@ -279,7 +266,7 @@ def ratio_match(ref, test, ratio=0.8):
     # rows are unique, so a stable sort by d1 breaks ties by (row, column)
     by_d1 = keep[np.argsort(d1[keep], kind="stable")]
     taken = by_d1[_greedy(by_d1 * m + nearest[by_d1], n, m)]
-    return _as_matches(taken, nearest[taken], d1[taken])
+    return _as_matches(taken, nearest[taken])
 
 
 def match_descriptors(ref, test, method="nn", ratio=0.8):
@@ -291,8 +278,8 @@ def match_descriptors(ref, test, method="nn", ratio=0.8):
 
 
 def verify_matches(matches, table) -> int:
-    """Count matches that pass the geometric repeatability predicate, that
-    is, whose (ref_index, test_index) is an entry (ri, tj) of the pair's
-    candidate table (metrics.candidate_table)."""
+    """Count the rows of the (K, 2) matches that pass the geometric
+    repeatability predicate, that is, whose (ref index, test index) is an
+    entry (ri, tj) of the pair's candidate table (metrics.candidate_table)."""
     candidates = set(zip(table[0].tolist(), table[1].tolist()))
-    return sum((m.ref_index, m.test_index) in candidates for m in matches)
+    return sum(pair in candidates for pair in zip(*matches.T.tolist()))

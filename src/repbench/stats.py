@@ -12,7 +12,6 @@ a stats library for this path.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,13 +19,6 @@ from .errors import DegenerateSeries, InsufficientData, LengthMismatch
 
 _BETA_TOL = 1e-12
 _BETA_MAX_ITER = 400
-
-
-@dataclass(frozen=True)
-class CorrelationReport:
-    r: float
-    p_value: float
-    n: int
 
 
 def pearson_r(xs, ys) -> float:
@@ -127,11 +119,12 @@ def p_value_two_tailed(r, n) -> float:
     return min(1.0, max(0.0, betainc_regularized(df / 2.0, 0.5, x)))
 
 
-def correlate(xs, ys) -> CorrelationReport:
-    """Pearson r and its two-tailed p-value in one report."""
+def correlate(xs, ys):
+    """Pearson r, its two-tailed p-value and n, as the correlation cell of a
+    sequence report: the dict {"r", "p_value", "n"}, keys in that order."""
     x = np.asarray(xs, dtype=float).ravel()
     r = pearson_r(x, ys)
-    return CorrelationReport(r, p_value_two_tailed(r, len(x)), len(x))
+    return {"r": r, "p_value": p_value_two_tailed(r, len(x)), "n": len(x)}
 
 
 def summarize(values):

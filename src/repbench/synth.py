@@ -34,6 +34,7 @@ starts at a fixed offset after the survival scan.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,13 @@ _U11, _U27, _U30, _U31 = (np.uint64(k) for k in (11, 27, 30, 31))
 TEST_STREAM_SALT = 0xD1B54A32D192ED03
 
 MAX_AXIS_RATIO = 3.0
+# _regions gives shape entries a, c in [d1, d2] and |b| <= (d2 - d1) / 2,
+# with d1 = 1 / (q r^2), d2 = q / r^2, r in scale_range and q in [1,
+# MAX_AXIS_RATIO], so a c - b^2 = 1 / r^4.  These bounds keep a c and b b
+# below half the largest float and 1 / r^4 a normal float, so every drawn
+# region passes geometry.region_checks.
+MIN_SCALE = (2.0 * MAX_AXIS_RATIO**2 / sys.float_info.max) ** 0.25
+MAX_SCALE = sys.float_info.min ** -0.25
 DISTRACTOR_MAX_COSINE = 0.9
 DISTRACTOR_TRIES = 64
 
@@ -148,8 +156,10 @@ class SynthConfig:
         check_dimensions(self.image_width, self.image_height)
         # NaN fails every range check: a comparison with NaN is false
         lo, hi = self.scale_range
-        if not 0.0 < lo <= hi < math.inf:
-            raise ValueError("scale_range must satisfy 0 < min <= max < inf")
+        if not MIN_SCALE <= lo <= hi <= MAX_SCALE:
+            raise ValueError(
+                f"scale_range must satisfy {MIN_SCALE!r} <= min <= max <= {MAX_SCALE!r}"
+            )
         if not 0.0 <= self.jitter_sigma < math.inf:
             raise ValueError("jitter_sigma must be finite and >= 0")
         if not 0.0 <= self.dropout_rate < 1.0:

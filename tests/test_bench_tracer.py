@@ -65,7 +65,8 @@ def test_traced_sequence_records_the_hooked_spans(tmp_path):
     assert len(matches) == 3
     for s in matches:
         assert s.attrs["d"] == 8 and s.attrs["n"] > 0 and s.attrs["m"] > 0
-        assert 0 < s.attrs["matches"] <= min(s.attrs["n"], s.attrs["m"])
+        # the nn matcher makes min(n, m) matches, one row of its result each
+        assert s.attrs["matches"] == min(s.attrs["n"], s.attrs["m"])
     loads = spans["formats.load_keypoints"]
     assert len(loads) == 4
     assert all(s.attrs["bytes"] > 0 and s.attrs["keypoints"] > 0 for s in loads)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -539,6 +541,17 @@ class TestSummaryTable:
         assert lines[0] == "detector,ds1,ds2"
         assert lines[2] == f"detB,+,{MISSING_CELL}"
 
+    def test_fields_quoted_only_where_needed(self):
+        odd = ['a,b', 'say "hi"', "cr\rlf\n", "plain", "—"]
+        docs = [summary_doc(det, ds, [0.5]) for det in odd for ds in odd[::-1]]
+        text = summary_table_csv(*summary_table(docs, "c2")[:4])
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert rows[0] == ["detector"] + odd[::-1]
+        assert [row[0] for row in rows[1:]] == odd
+        assert {len(row) for row in rows} == {1 + len(odd)}
+        # a field without a comma, quote or line break is written as it is
+        assert text.split("\n")[-2] == "—,+++,+++,+++,+++,+++"
+
     def test_none_values_skipped(self):
         docs = [summary_doc("detA", "ds1", [None, 0.6])]
         _, _, cells, ratings, _ = summary_table(docs, "c2")
@@ -740,6 +753,28 @@ class TestCli:
         summary_lines = (tmp_path / "summary.csv").read_text().strip().split("\n")
         assert summary_lines[0] == "detector,dsA,dsB"
         assert summary_lines[1].startswith("default,")
+
+    def test_names_with_commas_and_quotes_read_back(self, tmp_path, capsys):
+        # written unquoted, these names give 6-field correlation rows under
+        # a 5-field header, and a 3-field summary header
+        name, detector = 'graf, "viewpoint"', "hes,aff"
+        _, manifest = self.synth(tmp_path, capsys, name=name, extra=["--images", "5"])
+        stem = str(tmp_path / "rep")
+        assert main(["sequence", "--manifest", manifest, "--out", stem,
+                     "--detector", detector]) == 0
+        tables = {}
+        for command, flag in (("correlate", "--report"), ("summary", "--reports")):
+            # exit 3 only says that a cell is undefined
+            assert main([command, flag, stem + ".json", "--out", stem + command]) in (0, 3)
+            with open(stem + command, newline="") as fh:
+                tables[command] = list(csv.reader(fh))
+        corr = tables["correlate"]
+        assert corr[0] == CORRELATION_CSV_HEADER.split(",")
+        assert [row[:2] for row in corr[1:]] == [[name, crit] for crit in ("eq1", "c1", "c2")]
+        assert {len(row) for row in corr} == {5}
+        assert [row[:1] for row in tables["summary"]] == [["detector"], [detector]]
+        assert tables["summary"][0] == ["detector", name]
+        assert {len(row) for row in tables["summary"]} == {2}
 
     def test_eval_stdout(self, tmp_path, capsys):
         out, _ = self.synth(tmp_path, capsys)
@@ -1054,6 +1089,20 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 2
         assert "repbench: error: scale range must look like 2:6, got '2-6'" in captured.err
+        assert not out.exists()
+
+    # a scale range beyond synth.MIN_SCALE / MAX_SCALE is refused before the
+    # output directory is made, distractors-only sets included
+    @pytest.mark.parametrize("scale_range", ["1e-200:1e-200", "1e-78:1e-78", "1e81:1e81"])
+    @pytest.mark.parametrize("points", [["--n-points", "300"],
+                                        ["--n-points", "0", "--distractors", "5"]])
+    def test_extreme_scale_range_exit_2_writes_nothing(self, tmp_path, capsys, scale_range,
+                                                       points):
+        out = tmp_path / "x"
+        code = main(["synth", "--out-dir", str(out), *points, "--scale-range", scale_range])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "repbench: error: scale_range must satisfy" in captured.err
         assert not out.exists()
 
     # a dimension header of 1 reads back as "no descriptors", so D = 1 is

@@ -9,7 +9,6 @@ from repbench.geometry import (
     project_points,
 )
 from repbench.matching import (
-    DescriptorMatch,
     match_descriptors,
     nn_match,
     ratio_match,
@@ -35,7 +34,8 @@ def random_set(rng, n, dim, width=400, height=400):
 
 def greedy_oracle(a, b):
     """Quadratic reference: repeatedly take the smallest remaining distance,
-    breaking exact ties by (ref_index, test_index)."""
+    breaking exact ties by (ref index, test index).  Returns the [ref index,
+    test index] pairs taken, in row-major order."""
     diff = a[:, None, :] - b[None, :, :]
     d = np.sqrt((diff * diff).sum(axis=2))
     picks = []
@@ -49,9 +49,8 @@ def greedy_oracle(a, b):
             continue
         used_i.add(i)
         used_j.add(j)
-        picks.append((i, j, dist))
-    picks.sort(key=lambda t: (t[0], t[1]))
-    return picks
+        picks.append([i, j])
+    return sorted(picks)
 
 
 class TestNNMatch:
@@ -59,23 +58,17 @@ class TestNNMatch:
         descs = np.eye(4).tolist()
         ref = make_set([(10, 10), (20, 20), (30, 30), (40, 40)], descs)
         test = make_set([(11, 10), (21, 20), (31, 30), (41, 40)], descs)
-        matches = nn_match(ref, test)
-        assert [(m.ref_index, m.test_index) for m in matches] == [(i, i) for i in range(4)]
-        assert all(m.distance == 0.0 for m in matches)
+        assert nn_match(ref, test).tolist() == [[i, i] for i in range(4)]
 
     def test_exact_tie_takes_lower_test_index(self):
         ref = make_set([(10, 10)], [[1.0, 0.0]])
         test = make_set([(10, 10), (20, 20)], [[0.0, 1.0], [0.0, 1.0]])
-        matches = nn_match(ref, test)
-        assert len(matches) == 1
-        assert matches[0].test_index == 0
+        assert nn_match(ref, test).tolist() == [[0, 0]]
 
     def test_exact_tie_takes_lower_ref_index(self):
         ref = make_set([(10, 10), (20, 20)], [[1.0, 0.0], [1.0, 0.0]])
         test = make_set([(10, 10)], [[0.0, 1.0]])
-        matches = nn_match(ref, test)
-        assert len(matches) == 1
-        assert matches[0].ref_index == 0
+        assert nn_match(ref, test).tolist() == [[0, 0]]
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(41)
@@ -84,9 +77,8 @@ class TestNNMatch:
             n_test = int(rng.integers(1, 21))
             ref = random_set(rng, n_ref, 8)
             test = random_set(rng, n_test, 8)
-            got = [(m.ref_index, m.test_index, m.distance) for m in nn_match(ref, test)]
-            want = greedy_oracle(ref.descriptors, test.descriptors)
-            assert got == want
+            got = nn_match(ref, test).tolist()
+            assert got == greedy_oracle(ref.descriptors, test.descriptors)
 
     def test_produces_min_count(self):
         rng = np.random.default_rng(42)
@@ -94,8 +86,8 @@ class TestNNMatch:
         test = random_set(rng, 7, 5)
         matches = nn_match(ref, test)
         assert len(matches) == 7
-        assert len({m.ref_index for m in matches}) == 7
-        assert len({m.test_index for m in matches}) == 7
+        assert len(set(matches[:, 0].tolist())) == 7
+        assert len(set(matches[:, 1].tolist())) == 7
 
     def test_orthogonal_invariance_of_pairing(self):
         rng = np.random.default_rng(43)
@@ -103,9 +95,7 @@ class TestNNMatch:
         test = random_set(rng, 15, 6)
         q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
         rot = lambda s: make_set(s.centers, s.descriptors @ q.T)
-        base = [(m.ref_index, m.test_index) for m in nn_match(ref, test)]
-        turned = [(m.ref_index, m.test_index) for m in nn_match(rot(ref), rot(test))]
-        assert base == turned
+        assert nn_match(ref, test).tolist() == nn_match(rot(ref), rot(test)).tolist()
 
     def test_missing_descriptors(self):
         plain = make_set([(10, 10)], None)
@@ -141,13 +131,12 @@ class TestRatioMatch:
         # two test descriptors equally close: d1 == d2 fails d1 < r*d2
         ref = make_set([(10, 10)], [[1.0, 0.0]])
         test = make_set([(10, 10), (20, 20)], [[0.0, 1.0], [0.0, 1.0]])
-        assert ratio_match(ref, test, 0.8) == []
+        assert ratio_match(ref, test, 0.8).shape == (0, 2)
 
     def test_single_test_descriptor_waives_test(self):
         ref = make_set([(10, 10)], [[1.0, 0.0]])
         test = make_set([(50, 50)], [[0.0, 1.0]])
-        matches = ratio_match(ref, test, 0.8)
-        assert [(m.ref_index, m.test_index) for m in matches] == [(0, 0)]
+        assert ratio_match(ref, test, 0.8).tolist() == [[0, 0]]
 
     def test_one_to_one(self):
         # both refs prefer test 0; only the closer one gets it and the other
@@ -157,8 +146,7 @@ class TestRatioMatch:
             [(10, 10), (20, 20), (30, 30)],
             [[0.9, 0.0], [5.0, 5.0], [-6.0, 0.0]],
         )
-        matches = ratio_match(ref, test, 0.8)
-        assert [(m.ref_index, m.test_index) for m in matches] == [(1, 0)]
+        assert ratio_match(ref, test, 0.8).tolist() == [[1, 0]]
 
     def test_tighter_ratio_never_adds_matches(self):
         rng = np.random.default_rng(44)
@@ -172,8 +160,8 @@ class TestRatioMatch:
         rng = np.random.default_rng(45)
         ref = random_set(rng, 20, 6)
         test = random_set(rng, 20, 6)
-        loose = {(m.ref_index, m.test_index) for m in ratio_match(ref, test, 0.9)}
-        tight = {(m.ref_index, m.test_index) for m in ratio_match(ref, test, 0.5)}
+        loose = set(map(tuple, ratio_match(ref, test, 0.9).tolist()))
+        tight = set(map(tuple, ratio_match(ref, test, 0.5).tolist()))
         assert tight <= loose
 
     def test_ratio_validation(self):
@@ -189,8 +177,10 @@ class TestDispatcher:
         rng = np.random.default_rng(46)
         ref = random_set(rng, 8, 4)
         test = random_set(rng, 8, 4)
-        assert match_descriptors(ref, test, "nn") == nn_match(ref, test)
-        assert match_descriptors(ref, test, "ratio", 0.7) == ratio_match(ref, test, 0.7)
+        assert np.array_equal(match_descriptors(ref, test, "nn"), nn_match(ref, test))
+        assert np.array_equal(
+            match_descriptors(ref, test, "ratio", 0.7), ratio_match(ref, test, 0.7)
+        )
         with pytest.raises(ValueError):
             match_descriptors(ref, test, "flann")
 
@@ -245,16 +235,16 @@ class TestVerifyMatches:
 
         ref_ok, test_ok = common_part_filter(ref, test, h)
         expected = 0
-        for m in matches:
-            if m.ref_index not in ref_ok or m.test_index not in test_ok:
+        for i, j in matches.tolist():
+            if i not in ref_ok or j not in test_ok:
                 continue
-            p = project_points(h, ref.centers[m.ref_index])[0][0]
-            q = test.keypoints[m.test_index].region.center
+            p = project_points(h, ref.centers[i])[0][0]
+            q = test.keypoints[j].region.center
             if not np.hypot(p[0] - q[0], p[1] - q[1]) < cfg.epsilon_px:
                 continue
             err = region_overlap_error(
-                ref.keypoints[m.ref_index].region,
-                test.keypoints[m.test_index].region,
+                ref.keypoints[i].region,
+                test.keypoints[j].region,
                 h,
                 cfg,
             )
@@ -266,7 +256,8 @@ class TestVerifyMatches:
     def test_empty_matches(self):
         ref = make_set([(10.0, 10.0)], [[1.0, 0.0]])
         cfg = EvalConfig()
-        assert verify_matches([], candidate_table(ref, ref, Homography.identity(), cfg)[2]) == 0
+        table = candidate_table(ref, ref, Homography.identity(), cfg)[2]
+        assert verify_matches(np.empty((0, 2), np.intp), table) == 0
 
     def test_count_bounded_by_match_count(self):
         rng = np.random.default_rng(48)
@@ -279,12 +270,25 @@ class TestVerifyMatches:
         assert 0 <= tm <= len(matches) <= 18
 
 
-class TestDescriptorMatchType:
-    def test_fields(self):
-        m = DescriptorMatch(2, 5, 1.25)
-        assert (m.ref_index, m.test_index, m.distance) == (2, 5, 1.25)
-        with pytest.raises(AttributeError):
-            m.distance = 0.0
+class TestMatchArray:
+    """Both matchers return one (ref index, test index) row per match, an
+    intp (K, 2) array in row-major order, also when a side is empty or holds
+    a single descriptor: bench/tracing.py counts the matches with len()."""
+
+    @pytest.mark.parametrize("matcher", [nn_match, ratio_match])
+    @pytest.mark.parametrize("n, m", [(0, 0), (0, 4), (4, 0), (1, 1), (1, 9), (9, 1), (12, 9)])
+    def test_intp_rows_in_row_major_order(self, matcher, n, m):
+        rng = np.random.default_rng(49 + 10 * n + m)
+        ref = make_set(rng.uniform(20, 380, (n, 2)), rng.normal(size=(n, 4)))
+        test = make_set(rng.uniform(20, 380, (m, 2)), rng.normal(size=(m, 4)))
+        matches = matcher(ref, test)
+        assert matches.dtype == np.intp
+        assert matches.ndim == 2 and matches.shape[1] == 2
+        if matcher is nn_match:
+            assert len(matches) == min(n, m)
+        rows = matches.tolist()
+        assert rows == sorted(rows)
+        assert len(set(matches[:, 0].tolist())) == len(set(matches[:, 1].tolist())) == len(rows)
 
 
 class TestEpsilonBoundary:

@@ -5,8 +5,8 @@ as they were written before the distances were blocked: the whole N x M x D
 difference array, a stable argsort of every distance, and a per-row ratio
 test.  They are kept here as the reference.  `geometry.pairwise_distances`
 and `geometry.indexed_distances` must reproduce the distances bit for bit,
-and `nn_match` / `ratio_match` the same match lists, each distance float
-included, whichever way nn_match's peeling ends.  No tolerance is applied.
+and `nn_match` / `ratio_match` the same (ref index, test index) match
+pairs, whichever way nn_match's peeling ends.  No tolerance is applied.
 """
 
 import math
@@ -18,7 +18,7 @@ import pytest
 from repbench import geometry, matching
 from repbench.formats import KeypointSet
 from repbench.geometry import indexed_distances, pairwise_distances
-from repbench.matching import DescriptorMatch, nn_match, ratio_match
+from repbench.matching import nn_match, ratio_match
 
 # every keypoint of as_set is the circle of radius 2 at (10, 10)
 CENTER = (10.0, 10.0)
@@ -36,6 +36,7 @@ def broadcast_center_distances(a, b):
 
 
 def full_sort_nn(a, b):
+    """The nn matches as [ref index, test index] pairs in row-major order."""
     if len(a) == 0 or len(b) == 0:
         return []
     d = broadcast_distances(a, b)
@@ -51,14 +52,14 @@ def full_sort_nn(a, b):
             continue
         used_ref[i] = True
         used_test[j] = True
-        matches.append(DescriptorMatch(i, j, float(d[i, j])))
+        matches.append([i, j])
         if len(matches) == want:
             break
-    matches.sort(key=lambda m: (m.ref_index, m.test_index))
-    return matches
+    return sorted(matches)
 
 
 def row_loop_ratio(a, b, ratio=0.8):
+    """The ratio matches as [ref index, test index] pairs in row-major order."""
     if len(a) == 0 or len(b) == 0:
         return []
     d = broadcast_distances(a, b)
@@ -76,23 +77,18 @@ def row_loop_ratio(a, b, ratio=0.8):
     candidates.sort()
     used_test = set()
     matches = []
-    for dist, i, j in candidates:
+    for _, i, j in candidates:
         if j in used_test:
             continue
         used_test.add(j)
-        matches.append(DescriptorMatch(i, j, dist))
-    matches.sort(key=lambda m: (m.ref_index, m.test_index))
-    return matches
+        matches.append([i, j])
+    return sorted(matches)
 
 
 def as_set(descs):
     """A KeypointSet carrying these descriptors; the matchers read only them."""
     n = len(descs)
     return KeypointSet("img", 100, 100, np.tile(CENTER, (n, 1)), np.tile(ABC, (n, 1)), descs)
-
-
-def as_tuples(matches):
-    return [(m.ref_index, m.test_index, m.distance) for m in matches]
 
 
 def assert_same(a, b, ratio=0.8):
@@ -105,8 +101,8 @@ def assert_same(a, b, ratio=0.8):
     if a.shape[1] == 2:
         assert got.tobytes() == broadcast_center_distances(a, b).tobytes()
     ref, test = as_set(a), as_set(b)
-    assert as_tuples(nn_match(ref, test)) == as_tuples(full_sort_nn(a, b))
-    assert as_tuples(ratio_match(ref, test, ratio)) == as_tuples(row_loop_ratio(a, b, ratio))
+    assert nn_match(ref, test).tolist() == full_sort_nn(a, b)
+    assert ratio_match(ref, test, ratio).tolist() == row_loop_ratio(a, b, ratio)
 
 
 def normal_pair(rng, dim, max_n=30):
@@ -297,7 +293,7 @@ def test_degenerate_inputs_reach_the_greedy(monkeypatch, kind):
     rounds = count_calls(monkeypatch, "_near_minimum")
     greedy = count_calls(monkeypatch, "_greedy")
     dense = count_calls(monkeypatch, "pairwise_distances")
-    assert as_tuples(nn_match(as_set(a), as_set(b))) == as_tuples(full_sort_nn(a, b))
+    assert nn_match(as_set(a), as_set(b)).tolist() == full_sort_nn(a, b)
     assert len(rounds) == 1
     assert greedy
     assert len(dense) == 1
@@ -313,8 +309,8 @@ def test_degenerate_inputs_ratio_endings(monkeypatch, kind, ending):
     gathered = count_calls(monkeypatch, "indexed_distances")
     a, b = degenerate_pair(kind)
     for ratio in (0.5, 0.99):
-        got = as_tuples(ratio_match(as_set(a), as_set(b), ratio))
-        assert got == as_tuples(row_loop_ratio(a, b, ratio))
+        got = ratio_match(as_set(a), as_set(b), ratio).tolist()
+        assert got == row_loop_ratio(a, b, ratio)
     assert (len(dense), len(gathered)) == ((2, 0) if ending == "dense" else (0, 2))
 
 
@@ -323,15 +319,13 @@ def test_random_detector_scale(monkeypatch):
     a = rng.normal(size=(2000, 128))
     b = rng.normal(size=(1994, 128))
     rounds = count_calls(monkeypatch, "_near_minimum")
-    got = as_tuples(nn_match(as_set(a), as_set(b)))
+    got = nn_match(as_set(a), as_set(b)).tolist()
     assert len(rounds) >= 2
     # the reference's distances, a block of rows at a time (test_row_blocks
     # pins pairwise_distances to the broadcast), not 4 GB at once
     monkeypatch.setitem(globals(), "broadcast_distances", pairwise_distances)
-    assert got == as_tuples(full_sort_nn(a, b))
-    assert as_tuples(ratio_match(as_set(a), as_set(b), 0.95)) == as_tuples(
-        row_loop_ratio(a, b, 0.95)
-    )
+    assert got == full_sort_nn(a, b)
+    assert ratio_match(as_set(a), as_set(b), 0.95).tolist() == row_loop_ratio(a, b, 0.95)
 
 
 @pytest.mark.parametrize("path", sorted(PATHS))

@@ -6,7 +6,6 @@ from scipy import special, stats as scipy_stats
 
 from repbench.errors import DegenerateSeries, InsufficientData, LengthMismatch
 from repbench.stats import (
-    CorrelationReport,
     bin_scores,
     betainc_regularized,
     correlate,
@@ -157,16 +156,17 @@ class TestCorrelate:
     def test_report_consistent_with_parts(self):
         xs = [1.0, 2.0, 3.0, 4.0, 5.0]
         ys = [2.0, 1.0, 4.0, 3.0, 5.0]
-        rep = correlate(xs, ys)
-        assert isinstance(rep, CorrelationReport)
-        assert rep.n == 5
-        assert rep.r == pearson_r(xs, ys)
-        assert rep.p_value == p_value_two_tailed(rep.r, 5)
+        cell = correlate(xs, ys)
+        # the sequence report's cell, keys in the written order
+        assert list(cell) == ["r", "p_value", "n"]
+        assert cell["n"] == 5
+        assert cell["r"] == pearson_r(xs, ys)
+        assert cell["p_value"] == p_value_two_tailed(cell["r"], 5)
 
     def test_exact_fit_yields_zero_p(self):
-        rep = correlate([1, 2, 3, 4, 5], [3, 5, 7, 9, 11])
-        assert rep.r == 1.0
-        assert rep.p_value == 0.0
+        cell = correlate([1, 2, 3, 4, 5], [3, 5, 7, 9, 11])
+        assert cell["r"] == 1.0
+        assert cell["p_value"] == 0.0
 
 
 class TestSummarize:

@@ -21,6 +21,8 @@ from repbench.harness import default_sequence_homography, synth_sequence
 from repbench.metrics import EvalConfig, evaluate_pair
 from repbench.synth import (
     MAX_AXIS_RATIO,
+    MAX_SCALE,
+    MIN_SCALE,
     DISTRACTOR_MAX_COSINE,
     DISTRACTOR_TRIES,
     TEST_STREAM_SALT,
@@ -126,6 +128,29 @@ class TestSynthConfig:
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             SynthConfig(seed=1, **{field: value})
+
+    @pytest.mark.parametrize(
+        "scale_range", [(MIN_SCALE, MIN_SCALE), (MAX_SCALE, MAX_SCALE), (MIN_SCALE, MAX_SCALE)]
+    )
+    def test_scale_range_bounds_give_valid_regions(self, scale_range):
+        # a set holds valid regions only, so building the planted, derived
+        # and distractor regions at the bounds checks them, and a numpy
+        # warning fails the test
+        cfg = SynthConfig(seed=1, n_points=300, n_distractors=20, scale_range=scale_range)
+        test = derive_test(generate_reference(cfg), default_sequence_homography(1, 800, 640), cfg)
+        assert len(test) > 20
+
+    # unchecked, 1e-78 (a c and b b overflow) and 1e81 (1 / r^4 underflows)
+    # draw regions that are not positive definite, and 1e-200 overflows
+    # with numpy warnings
+    @pytest.mark.parametrize(
+        "scale_range",
+        [(math.nextafter(MIN_SCALE, 0.0), 1.0), (1.0, math.nextafter(MAX_SCALE, math.inf)),
+         (1e-78, 1e-78), (1e81, 1e81), (1e-200, 1e-200)],
+    )
+    def test_scale_range_outside_bounds_rejected(self, scale_range):
+        with pytest.raises(ValueError, match="scale_range"):
+            SynthConfig(seed=1, n_points=0, n_distractors=5, scale_range=scale_range)
 
 
 class TestGenerateReference:
