@@ -155,10 +155,10 @@ def parse_keypoints(text, image_id, width, height):
 
     The body is read in one C pass (np.loadtxt, whose float conversion is
     the correctly rounded one float() uses), and its result is taken when
-    it holds the declared count of 5 + D reals per row and every row is a
-    valid keypoint.  Any other body goes to the per-line reader
-    (_read_rows), which names the faulty line and accepts whatever float()
-    accepts.
+    it holds the declared count of 5 + D reals per row and KeypointSet
+    accepts it, the one check of the rows.  Any other body goes to the
+    per-line reader (_read_rows), which names the faulty line and accepts
+    whatever float() accepts.
     """
     lines = _as_text(text).splitlines()
     dim_value = _header_real(lines, 1, "descriptor-dimension header", "dimension",
@@ -188,12 +188,12 @@ def parse_keypoints(text, image_id, width, height):
             data = np.loadtxt(body, dtype=float, comments=None, ndmin=2)
         except ValueError:
             pass
-    if (
-        data is None
-        or data.shape != (count, expected_tokens)
-        or _first_bad_row(data[:, :2], data[:, 2:5], data[:, 5:]) is not None
-    ):
-        data = _read_rows(body, count, expected_tokens)
+    if data is not None and data.shape == (count, expected_tokens):
+        try:
+            return KeypointSet(image_id, width, height, data[:, :2], data[:, 2:5], data[:, 5:])
+        except ValueError:
+            pass  # the per-line reader names the bad line
+    data = _read_rows(body, count, expected_tokens)
     return KeypointSet(image_id, width, height, data[:, :2], data[:, 2:5], data[:, 5:])
 
 

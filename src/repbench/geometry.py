@@ -12,8 +12,9 @@ counted row by row, as one run of columns per row, rather than one by one.
 Every point is projected by one formula, m (x, y, 1) element by element
 (_homogeneous), never by a matmul, so no BLAS build sets its bits; one check
 (region_checks) decides which rows (u, v, a, b, c) are regions, one rule
-(computed_regions) which computed regions are scored, and semiaxes and
-half_extents are the one copy of each ellipse formula.  Many points and
+(computed_regions) which computed regions are scored, semiaxes and
+half_extents are the one copy of each ellipse formula, and every
+transcendental is libm's, one element at a time (libm).  Many points and
 pairs are handled in one pass over arrays: project_points projects K
 points, homography_jacobians linearises the map at K points,
 map_regions_to_reference transports K regions (through transport_shapes),
@@ -401,6 +402,20 @@ def overlap_errors(centers1, abc1, centers2, abc2, grid_step):
     return np.where(union == 0, disjoint, err)
 
 
+def libm(fn, *arrays):
+    """The math function fn applied element by element to float arrays of
+    one shape, in that shape.
+
+    Every transcendental that sets a bit of a dataset or a report is the C
+    library's (Python's math module), through this one helper: numpy's
+    vectorised log, cos, sin and hypot differ from libm's in the last bit
+    on some inputs.  sqrt and the arithmetic are correctly rounded, so
+    numpy computes those.
+    """
+    values = map(fn, *(x.ravel().tolist() for x in arrays))
+    return np.fromiter(values, np.float64, arrays[0].size).reshape(arrays[0].shape)
+
+
 @np.errstate(all="ignore")
 def semiaxes(abc):
     """(major, minor) semiaxis lengths in pixels of each row (a, b, c) of
@@ -410,9 +425,7 @@ def semiaxes(abc):
     below, which takes an axis ratio of about 1e8.
     """
     a, b, c = abc.T
-    # math.hypot, not np.hypot: the two differ in the last bit on some inputs
-    half_spread = np.fromiter(map(math.hypot, (0.5 * (a - c)).tolist(), b.tolist()), float,
-                              len(a))
+    half_spread = libm(math.hypot, 0.5 * (a - c), b)
     lo, hi = 0.5 * (a + c) - half_spread, 0.5 * (a + c) + half_spread
     return np.where(lo > 0.0, [1.0 / np.sqrt(lo), 1.0 / np.sqrt(hi)], np.nan)
 

@@ -329,8 +329,8 @@ def default_sequence_homography(k, width, height):
     the pair ordinal k = 1..M-1."""
     angle = 0.03 * k
     scale = 1.0 / (1.0 + 0.05 * k)
-    co = scale * np.cos(angle)
-    si = scale * np.sin(angle)
+    co = scale * math.cos(angle)
+    si = scale * math.sin(angle)
     cx, cy = width / 2.0, height / 2.0
     # translation keeps the center fixed, then drifts it
     tx = cx - (co * cx - si * cy) + 2.0 * k

@@ -5,12 +5,16 @@ in their denominators:
 
     eq1 = n_rep / min(n_ref, n_test)      (the original definition)
     c1  = n_rep / n_ref                   (fixed-reference criterion)
-    c2  = 2 n_rep / (n_ref + n_test)      (symmetric criterion)
+    c2  = 2 n_rep / (n_ref + n_test)      (symmetric denominator)
 
 where n_ref and n_test count keypoints inside the common part of the two
 views and n_rep counts one-to-one correspondences under the predicate
 "projected center within epsilon_px AND region overlap error below
-max_overlap_error".
+max_overlap_error".  The predicate is framed in the reference image, as in
+the Oxford protocol: epsilon_px is compared in test-frame pixels, and
+normalize_radius rescales both regions by the factor that makes the
+reference region a circle of that radius.  So under a change of scale,
+n_rep can differ when the two images swap roles.
 
 The predicate is evaluated in one place, candidate_table, which scores every
 common-part pair once and keeps the candidates as arrays.  The

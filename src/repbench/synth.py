@@ -23,14 +23,15 @@ How the stream is drawn
 -----------------------
 State k of a stream is its seed + k * 0x9E3779B97F4A7C15 mod 2^64, so any
 block of draws can be computed at once, from its start state alone.
-uniform_blocks and normal_blocks draw K such blocks in one array pass;
-SplitMix64.uniforms(n) and normals(n) are their K = 1 calls, bit-identical
-to n scalar calls.  A reference set is one block: every point owns the same
-number of draws.  A derived set steps through its points only for the
-survival uniforms, which decide where each survivor's block starts; then
-the blocks of all survivors are drawn at once, and the survivors are
-transported, culled and normalised as arrays.  Each distractor's block
-starts at a fixed offset after the survival scan.
+uniform_blocks and normal_blocks draw K such blocks in one array pass, and
+every draw goes through them.  A reference set is one block: every point
+owns the same number of draws.  A derived set steps through its points
+only for the survival uniforms (_survival_step, the one scalar step), which
+decide where each survivor's block starts; then the blocks of all
+survivors are drawn at once, and the survivors are transported, culled and
+normalised as arrays.  Each distractor's block starts at a fixed offset
+after the survival scan, and each of its descriptor tries is a block of
+its own.
 """
 
 import math
@@ -40,15 +41,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .formats import KeypointSet, check_dimensions
-from .geometry import computed_regions, homography_jacobians, transport_shapes
+from .geometry import computed_regions, homography_jacobians, libm, transport_shapes
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 # Block draws keep every operand uint64: a Python int operand could promote
 # the array to float64 under numpy 1.x.
-_GOLDEN_U64 = np.uint64(_GOLDEN)
-_MIX1_U64 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2_U64 = np.uint64(0x94D049BB133111EB)
+_GOLDEN_U64, _MIX1_U64, _MIX2_U64 = (np.uint64(k) for k in (_GOLDEN, _MIX1, _MIX2))
 _U11, _U27, _U30, _U31 = (np.uint64(k) for k in (11, 27, 30, 31))
 TEST_STREAM_SALT = 0xD1B54A32D192ED03
 
@@ -64,46 +64,9 @@ DISTRACTOR_MAX_COSINE = 0.9
 DISTRACTOR_TRIES = 64
 
 
-class SplitMix64:
-    """The 64-bit SplitMix generator; recurrence in the module docstring."""
-
-    __slots__ = ("state",)
-
-    def __init__(self, seed):
-        self.state = seed & _MASK64
-
-    def next_u64(self):
-        self.state = (self.state + _GOLDEN) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def uniform(self):
-        """Uniform in the open interval (0, 1)."""
-        return ((self.next_u64() >> 11) + 0.5) * 2.0 ** -53
-
-    def normal(self):
-        """Standard normal via Box-Muller; always consumes two uniforms."""
-        u1 = self.uniform()
-        u2 = self.uniform()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-    def uniforms(self, n):
-        """n uniforms as a float64 array, bit-identical to n uniform() calls;
-        a K = 1 call of uniform_blocks."""
-        u = uniform_blocks([self.state], n)[0]
-        self.state = (self.state + int(n) * _GOLDEN) & _MASK64
-        return u
-
-    def normals(self, n):
-        """n normals as a float64 array, bit-identical to n normal() calls."""
-        return _box_muller(self.uniforms(2 * n))
-
-
 def uniform_blocks(starts, n):
-    """(K, n) uniforms: row k is what n uniform() calls from state starts[k]
-    give, bit for bit.
+    """(K, n) uniforms: row k is the next n draws of the stream at state
+    starts[k].
 
     Draw j of row k mixes starts[k] + (j + 1) * golden (wrapping uint64), so
     every draw of every row is computed at once.
@@ -118,23 +81,26 @@ def uniform_blocks(starts, n):
 
 
 def normal_blocks(starts, n):
-    """(K, n) normals: row k is what n normal() calls from state starts[k]
-    give, bit for bit."""
+    """(K, n) normals: row k is the next n normals (2 n draws) of the
+    stream at state starts[k]."""
     return _box_muller(uniform_blocks(starts, 2 * n))
 
 
 def _box_muller(u):
-    """Normals from the uniform pairs (u1, u2) along the last axis of u.
+    """Normals from the uniform pairs (u1, u2) along the last axis of u;
+    log and cos are libm's (geometry.libm)."""
+    u1, u2 = u[..., 0::2], u[..., 1::2]
+    return np.sqrt(-2.0 * libm(math.log, u1)) * libm(math.cos, 2.0 * math.pi * u2)
 
-    log and cos are libm's (math), element by element: numpy's SIMD
-    versions differ from them in the last bit on some inputs.  sqrt and the
-    products are correctly rounded, so numpy computes those.
-    """
-    u1 = u[..., 0::2]
-    logs = np.fromiter(map(math.log, u1.ravel().tolist()), np.float64, u1.size)
-    coss = np.fromiter(map(math.cos, (2.0 * math.pi * u[..., 1::2]).ravel().tolist()),
-                       np.float64, u1.size)
-    return (np.sqrt(-2.0 * logs) * coss).reshape(u1.shape)
+
+def _survival_step(state):
+    """The next state of the stream at `state` and its uniform, in Python
+    integers: uniform_blocks([state], 1) one draw at a time, for the
+    survival scan of derive_test."""
+    state = (state + _GOLDEN) & _MASK64
+    z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    return state, (((z ^ (z >> 31)) >> 11) + 0.5) * 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -179,8 +145,7 @@ def _regions(u, cfg):
 
     r is the equivalent radius (the ellipse has the area of a circle of
     radius r), q in [1, MAX_AXIS_RATIO] the axis ratio, theta the major-axis
-    angle in [0, pi).  cos and sin are libm's (math), element by element,
-    like log and cos in _box_muller.
+    angle in [0, pi).  cos and sin are libm's (geometry.libm).
     """
     ux, uy, ur, uq, ut = u.T
     lo, hi = cfg.scale_range
@@ -190,9 +155,7 @@ def _regions(u, cfg):
     minor = r / root_q
     d1 = 1.0 / (major * major)
     d2 = 1.0 / (minor * minor)
-    theta = (ut * math.pi).tolist()
-    co = np.fromiter(map(math.cos, theta), np.float64, len(theta))
-    si = np.fromiter(map(math.sin, theta), np.float64, len(theta))
+    co, si = libm(math.cos, ut * math.pi), libm(math.sin, ut * math.pi)
     return np.stack(
         [ux * cfg.image_width, uy * cfg.image_height, co * co * d1 + si * si * d2,
          co * si * (d1 - d2), si * si * d1 + co * co * d2],
@@ -222,7 +185,8 @@ def generate_reference(cfg, image_id="ref"):
     5 + 2 * descriptor_dim uniforms, so the set is one draw of the stream.
     """
     per_point = 5 + 2 * cfg.descriptor_dim
-    u = SplitMix64(cfg.seed).uniforms(cfg.n_points * per_point).reshape(cfg.n_points, per_point)
+    u = uniform_blocks([cfg.seed & _MASK64], cfg.n_points * per_point)
+    u = u.reshape(cfg.n_points, per_point)
     regions = _regions(u[:, :5], cfg)
     return KeypointSet(image_id, cfg.image_width, cfg.image_height, regions[:, :2],
                        regions[:, 2:], _normalized(_box_muller(u[:, 5:])))
@@ -261,16 +225,15 @@ def _transport(h, centers, abc):
 def _distractor_descriptor(start, dim, planted):
     """Unit descriptor rejection-sampled away from all planted descriptors.
 
-    Candidates are drawn from state `start` on.  Keeps the first whose
-    largest cosine against the planted set is at most
-    DISTRACTOR_MAX_COSINE; after DISTRACTOR_TRIES candidates the best one
-    seen is used.
+    Candidate t is the block of dim normals at state start + t * 2 dim
+    golden.  Keeps the first whose largest cosine against the planted set
+    is at most DISTRACTOR_MAX_COSINE; after DISTRACTOR_TRIES candidates the
+    best one seen is used.
     """
-    rng = SplitMix64(start)
     best = None
     best_cos = math.inf
-    for _ in range(DISTRACTOR_TRIES):
-        cand = _normalized(rng.normals(dim)[None])[0]
+    for t in range(DISTRACTOR_TRIES):
+        cand = _normalized(normal_blocks([(start + t * 2 * dim * _GOLDEN) & _MASK64], dim))[0]
         worst = float(np.max(planted @ cand)) if len(planted) else -1.0
         if worst <= DISTRACTOR_MAX_COSINE:
             return cand
@@ -300,14 +263,15 @@ def derive_test(ref, h, cfg, image_id="test"):
     and transport, and the distractors' regions, are one pass over arrays.
     """
     dim = cfg.descriptor_dim
-    rng = SplitMix64(cfg.seed ^ TEST_STREAM_SALT)
+    state = (cfg.seed ^ TEST_STREAM_SALT) & _MASK64
     survivor_block = 2 * (2 + dim) * _GOLDEN
     survivors, starts = [], []
     for k in range(len(ref)):
-        if rng.uniform() >= cfg.dropout_rate:
+        state, u = _survival_step(state)
+        if u >= cfg.dropout_rate:
             survivors.append(k)
-            starts.append(rng.state)
-            rng.state = (rng.state + survivor_block) & _MASK64
+            starts.append(state)
+            state = (state + survivor_block) & _MASK64
     survivors = np.array(survivors, dtype=np.int64)
     # jitter x, jitter y, then the descriptor noise, one row per survivor
     draws = normal_blocks(starts, 2 + dim)
@@ -322,7 +286,7 @@ def derive_test(ref, h, cfg, image_id="test"):
     )
 
     distractor_block = (5 + 2 * DISTRACTOR_TRIES * dim) * _GOLDEN
-    starts = [(rng.state + j * distractor_block) & _MASK64 for j in range(cfg.n_distractors)]
+    starts = [(state + j * distractor_block) & _MASK64 for j in range(cfg.n_distractors)]
     regions = _regions(uniform_blocks(starts, 5), cfg)
     extra = [
         _distractor_descriptor((start + 5 * _GOLDEN) & _MASK64, dim, planted) for start in starts

@@ -1,8 +1,9 @@
-"""Frozen scalar references for the array kernels of repbench.geometry and
-repbench.metrics: the per-region and per-pair code as it was written before
-the pipeline moved to arrays of rows.  Nothing here calls
-SecondMomentEllipse's semiaxes() or half_extents(), which are K = 1 calls of
-the kernels under test."""
+"""Frozen scalar references for the array kernels of repbench.geometry,
+repbench.metrics and repbench.synth: the per-region and per-pair code as it
+was written before the pipeline moved to arrays of rows, and the one-draw
+SplitMix64 generator that synth's block kernels must reproduce.  Nothing
+here calls SecondMomentEllipse's semiaxes() or half_extents(), which are
+K = 1 calls of the kernels under test."""
 
 import math
 
@@ -12,6 +13,36 @@ from repbench import geometry
 from repbench.errors import DegenerateRegion, PointAtInfinity
 from repbench.geometry import SecondMomentEllipse, pairwise_distances
 from repbench.metrics import common_part_filter
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+class SplitMix64:
+    """The 64-bit SplitMix generator, one draw per call; its recurrence is
+    in repbench.synth's module docstring."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, seed):
+        self.state = seed & _MASK64
+
+    def next_u64(self):
+        self.state = (self.state + _GOLDEN) & _MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    def uniform(self):
+        """Uniform in the open interval (0, 1)."""
+        return ((self.next_u64() >> 11) + 0.5) * 2.0 ** -53
+
+    def normal(self):
+        """Standard normal via Box-Muller; always consumes two uniforms."""
+        u1 = self.uniform()
+        u2 = self.uniform()
+        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
 def semiaxes(e):

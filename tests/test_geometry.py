@@ -1,15 +1,19 @@
+import ast
 import math
+import pathlib
 import re
 import warnings
 
 import numpy as np
 import pytest
 
+import repbench
 from repbench.errors import DegenerateRegion, SingularHomography
 from repbench.geometry import (
     Homography,
     SecondMomentEllipse,
     homography_jacobians,
+    libm,
     map_regions_to_reference,
     overlap_error,
     project_points,
@@ -393,3 +397,43 @@ def test_normalized_region_overlap_error_ignores_detection_scale(factor):
         want = region_overlap_error(ref, test, h, EvalConfig())
         assert 0.0 < want < 1.0
         assert region_overlap_error(scaled(ref, factor), scaled(test, factor), h, EvalConfig()) == want
+
+
+class TestLibm:
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 4), (0,), (0, 3)])
+    @pytest.mark.parametrize("fn", [math.log, math.cos, math.sin, math.hypot])
+    def test_bits_and_shape_of_elementwise_math(self, fn, shape):
+        rng = np.random.default_rng(5)
+        arrays = [rng.uniform(1e-3, 50.0, shape) for _ in range(2 if fn is math.hypot else 1)]
+        want = np.empty(shape)
+        for idx in np.ndindex(shape):
+            want[idx] = fn(*(float(x[idx]) for x in arrays))
+        got = libm(fn, *arrays)
+        assert got.dtype == np.float64 and got.shape == shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_strided_input(self):
+        x = np.arange(12.0).reshape(3, 4).T[:, ::2] + 0.5
+        assert libm(math.log, x).tolist() == [[math.log(v) for v in row] for row in x.tolist()]
+
+
+# numpy's vectorised transcendentals (and power, which may go through exp
+# and log) differ from libm's in the last bit on some inputs; sqrt is
+# correctly rounded, so it stays allowed.
+NUMPY_TRANSCENDENTALS = {
+    "sin", "cos", "tan", "log", "log1p", "log2", "log10", "exp", "exp2", "expm1",
+    "hypot", "arcsin", "arccos", "arctan", "arctan2", "power",
+}
+
+
+def test_src_has_no_numpy_transcendental():
+    found = []
+    for path in sorted(pathlib.Path(repbench.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr in NUMPY_TRANSCENDENTALS
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                found.append(f"{path.name}:{node.lineno} np.{node.attr}")
+            if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                found += [f"{path.name}:{node.lineno} from numpy import {a.name}"
+                          for a in node.names if a.name in NUMPY_TRANSCENDENTALS]
+    assert found == []

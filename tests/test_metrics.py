@@ -16,6 +16,7 @@ from repbench.metrics import (
     evaluate_pair,
     region_overlap_error,
 )
+from repbench.synth import SynthConfig, derive_test, generate_reference
 
 from oracle import oracle_resolve
 
@@ -379,6 +380,52 @@ class TestEvaluatePair:
         assert not ev.descriptors_available
         assert ev.true_matches == 0
         assert ev.n_rep == 4
+
+
+class TestReferenceFrame:
+    """The predicate is framed in the reference image, as in the Oxford
+    protocol: swapping the images (and inverting H) can change n_rep when H
+    scales, through epsilon_px (compared in test-frame pixels) and through
+    normalize_radius (the factor that makes the reference region a circle
+    of that radius; the center offset is not rescaled)."""
+
+    SCALE_2 = Homography(np.diag([2.0, 2.0, 1.0]))
+
+    def both_directions(self, ref, test, h, cfg):
+        return evaluate_pair(ref, test, h, cfg), evaluate_pair(test, ref, h.inverse(), cfg)
+
+    def test_epsilon_depends_on_direction(self):
+        # the test center is 2 px from the projected reference center in the
+        # test frame, 1 px from it in the reference frame
+        ref = make_set([(10, 10)], width=100, height=100, radius=5.0)
+        test = make_set([(22, 20)], width=200, height=200, radius=10.0)
+        forward, backward = self.both_directions(ref, test, self.SCALE_2, EvalConfig())
+        assert (forward.n_rep, backward.n_rep) == (0, 1)
+
+    def test_normalization_depends_on_direction(self):
+        # the regions map onto each other; the 16 px offset in the test frame
+        # is 8 px in the reference frame, next to circles rescaled to radius 30
+        ref = make_set([(10, 10)], width=100, height=100, radius=2.0)
+        test = make_set([(36, 20)], width=200, height=200, radius=4.0)
+        forward, backward = self.both_directions(ref, test, self.SCALE_2,
+                                                 EvalConfig(epsilon_px=50.0))
+        assert (forward.n_rep, backward.n_rep) == (1, 0)
+
+    @pytest.mark.parametrize("normalize_radius", [30.0, None])
+    def test_identity_is_direction_free(self, normalize_radius):
+        # under the identity a survivor keeps its reference shape, so both
+        # directions normalise a planted pair by the same factor
+        cfg = SynthConfig(seed=11, n_points=300, jitter_sigma=1.0, dropout_rate=0.2,
+                          n_distractors=50, descriptor_dim=16, descriptor_noise_sigma=0.05)
+        ref = generate_reference(cfg)
+        test = derive_test(ref, Homography.identity(), cfg)
+        forward, backward = self.both_directions(
+            ref, test, Homography.identity(), EvalConfig(normalize_radius=normalize_radius)
+        )
+        assert forward.n_rep > 100
+        assert (forward.n_ref, forward.n_test) == (backward.n_test, backward.n_ref)
+        assert (forward.n_rep, forward.true_matches, forward.eq1, forward.c2) == (
+            backward.n_rep, backward.true_matches, backward.eq1, backward.c2)
 
 
 class TestEvalConfig:

@@ -2,9 +2,9 @@
 evaluation results do not depend on keypoint order, sequence reports are
 byte-identical for any worker count and any order of the manifest's links,
 a homography whose horizon crosses the reference image neither raises nor
-gives a rate outside [0, 1], and the multi-start draw kernel gives the
-scalar generator's stream, and the keypoint parser's C pass reads what the
-per-line reader reads."""
+gives a rate outside [0, 1], the multi-start draw kernels give the stream
+of the scalar oracle generator (tests/oracle.py), and the keypoint
+parser's C pass reads what the per-line reader reads."""
 
 import json
 import math
@@ -20,14 +20,8 @@ from repbench.formats import KeypointSet, _read_rows, load_manifest, parse_keypo
 from repbench.geometry import Homography
 from repbench.harness import evaluate_sequence, sequence_report_csv, sequence_report_json, synth_sequence
 from repbench.metrics import EvalConfig, evaluate_pair
-from repbench.synth import (
-    SplitMix64,
-    SynthConfig,
-    derive_test,
-    generate_reference,
-    normal_blocks,
-    uniform_blocks,
-)
+from repbench.synth import SynthConfig, derive_test, generate_reference, normal_blocks, uniform_blocks
+from oracle import SplitMix64
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 WIDTH, HEIGHT = 240, 180
@@ -208,9 +202,6 @@ def test_block_draws_equal_scalar_draws(starts, n):
         for block, draw in ((uniforms, SplitMix64.uniform), (normals, SplitMix64.normal)):
             rng = SplitMix64(start)
             assert block[row].tobytes() == np.array([draw(rng) for _ in range(n)]).tobytes()
-        rng = SplitMix64(start)
-        assert rng.uniforms(n).tobytes() == uniforms[row].tobytes()
-        assert rng.state == (start + n * 0x9E3779B97F4A7C15) % 2**64
 
 
 # tokens that only float() reads (1_0, full-width digits), that neither

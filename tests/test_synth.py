@@ -26,12 +26,14 @@ from repbench.synth import (
     DISTRACTOR_MAX_COSINE,
     DISTRACTOR_TRIES,
     TEST_STREAM_SALT,
-    SplitMix64,
     SynthConfig,
+    _survival_step,
     derive_test,
     generate_reference,
+    normal_blocks,
+    uniform_blocks,
 )
-from oracle import oracle_homography_jacobian, oracle_project_point
+from oracle import SplitMix64, oracle_homography_jacobian, oracle_project_point
 
 FAST = EvalConfig(normalize_radius=None, grid_step=0.5)
 
@@ -50,14 +52,20 @@ def reference_stream(seed, n):
     return out
 
 
+SEED_ZERO_VECTORS = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+
 class TestSplitMix64:
+    """The scalar oracle (tests/oracle.py) that the block kernels are
+    compared with, against the published vectors and reference_stream."""
+
     def test_known_seed_zero_vectors(self):
         g = SplitMix64(0)
-        assert [g.next_u64() for _ in range(3)] == [
-            0xE220A8397B1DCDAF,
-            0x6E789E6AA1B965F4,
-            0x06C45D188009454F,
-        ]
+        assert [g.next_u64() for _ in range(3)] == SEED_ZERO_VECTORS
+
+    def test_block_kernel_gives_seed_zero_vectors(self):
+        want = [((v >> 11) + 0.5) * 2.0**-53 for v in SEED_ZERO_VECTORS]
+        assert uniform_blocks([0], 3).tolist() == [want]
 
     def test_matches_reference_recurrence(self):
         for seed in (1, 42, 1234567, 2**64 - 1, 0xDEADBEEF):
@@ -389,14 +397,23 @@ class TestBlockDraws:
     @pytest.mark.parametrize("n", [0, 1, 10**5])
     @pytest.mark.parametrize("kind", ["uniform", "normal"])
     def test_block_equals_scalar_calls(self, kind, n, seed):
-        # uniforms(n) / normals(n) against n uniform() / normal() calls
-        block, scalar = SplitMix64(seed), SplitMix64(seed)
-        got = getattr(block, kind + "s")(n)
+        # one block of n against n uniform() / normal() calls of the oracle,
+        # and the block that starts where it ends continues the stream
+        blocks = {"uniform": uniform_blocks, "normal": normal_blocks}[kind]
+        scalar = SplitMix64(seed)
         draw = getattr(scalar, kind)
+        got = blocks([seed], n)
         want = np.array([draw() for _ in range(n)], dtype=np.float64)
-        assert got.dtype == np.float64 and got.shape == (n,)
-        assert got.tobytes() == want.tobytes()
-        assert block.state == scalar.state
+        assert got.dtype == np.float64 and got.shape == (1, n)
+        assert got[0].tobytes() == want.tobytes()
+        assert blocks([scalar.state], 1)[0, 0] == draw()
+
+    @pytest.mark.parametrize("seed", BLOCK_SEEDS)
+    def test_survival_step_is_one_draw(self, seed):
+        scalar, state = SplitMix64(seed), seed
+        for _ in range(50):
+            state, u = _survival_step(state)
+            assert u == scalar.uniform() and state == scalar.state
 
 
 # ---------------------------------------------------------------------------
