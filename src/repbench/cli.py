@@ -34,7 +34,10 @@ def _parse_dims(text):
 def _parse_normalize(text):
     if text.lower() in ("off", "none"):
         return None
-    return float(text)
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"--normalize-radius must be a radius or 'off', got {text!r}") from None
 
 
 def _parse_scale_range(text):

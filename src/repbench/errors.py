@@ -52,10 +52,6 @@ class SingularHomography(ParseError):
     homography."""
 
 
-class UndefinedMetric(RepbenchError):
-    """A repeatability formula was evaluated with a zero denominator."""
-
-
 class DescriptorUnavailable(RepbenchError):
     """Descriptor matching was requested on sets without usable descriptors."""
 

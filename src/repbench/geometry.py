@@ -20,9 +20,11 @@ points, homography_jacobians linearises the map at K points,
 map_regions_to_reference transports K regions (through transport_shapes),
 and overlap_errors lays out the grid of each of K pairs and runs the rows
 of all the grids through one row kernel, a block of OVERLAP_BLOCK_ROWS rows
-at a time.  SecondMomentEllipse and overlap_error, one region and one pair,
-are K = 1 calls of these rules, with the same bits; they stay because the
-benchmark's tracer (bench/tracing.py) wraps and calls them.
+at a time; it alone sets the grid's pitch, and a pair it cannot grid, a
+needle among them, scores NaN.  SecondMomentEllipse and overlap_error, one
+region and one pair, are K = 1 calls of these rules, with the same bits;
+they stay because the benchmark's tracer (bench/tracing.py) wraps and
+calls them.
 close_pairs finds the point pairs closer than a radius with a spatial
 hash, bucketing one set in cells a little wider than the radius, rather
 than computing all N x M distances.
@@ -353,18 +355,22 @@ def transport_shapes(a, abc):
 
 
 def overlap_error(e1, e2, grid_step):
-    """overlap_errors of the one pair of SecondMomentEllipse e1, e2."""
-    return float(overlap_errors(e1.center[None], e1.abc[None], e2.center[None], e2.abc[None],
-                                grid_step)[0])
+    """overlap_errors of the one pair of SecondMomentEllipse e1, e2; raises
+    DegenerateRegion where that is NaN, for a needle."""
+    err = overlap_errors(e1.center[None], e1.abc[None], e2.center[None], e2.abc[None], grid_step)
+    if np.isnan(err[0]):
+        raise DegenerateRegion("the pair has no overlap grid, as a needle region has none")
+    return float(err[0])
 
 
-def overlap_errors(centers1, abc1, centers2, abc2, grid_step):
+def overlap_errors(centers1, abc1, centers2, abc2, grid_step=None):
     """1 - |e1 n e2| / |e1 u e2| of K region pairs, as a (K,) array, with
     the areas estimated on a regular grid per pair.
 
     Region k of each side has center centers[k] and shape coefficients
     abc[k] = (a, b, c) of a(x-u)^2 + 2b(x-u)(y-v) + c(y-v)^2 <= 1;
-    grid_step is one pitch or one per pair.  A pair's grid covers the joint
+    grid_step is one pitch, one per pair, or None for the default pitch
+    min(0.1, smaller minor semiaxis / 100).  A pair's grid covers the joint
     bounding box of its two ellipses and samples cell centers, so the
     estimate is deterministic and symmetric in the two.  The pitch is
     clamped so that each region gets at least one sample and the sample
@@ -372,10 +378,10 @@ def overlap_errors(centers1, abc1, centers2, abc2, grid_step):
     all the grids, concatenated, go through one row kernel (_row_counts)
     OVERLAP_BLOCK_ROWS rows at a time, so memory stays O(K +
     OVERLAP_BLOCK_ROWS) however many rows there are.  Errors are clamped to
-    [0, 1].  Raises for the first pair that cannot be scored.
+    [0, 1]; a pair without a grid (_grid_constants) scores NaN.
     """
-    per_pair, ny = _grid_constants(np.stack([centers1, centers2]), np.stack([abc1, abc2]),
-                                   grid_step)
+    per_pair, ny, gridded = _grid_constants(np.stack([centers1, centers2]),
+                                            np.stack([abc1, abc2]), grid_step)
     ends = np.cumsum(ny)
     starts = ends - ny
     rows = int(ends[-1]) if len(ends) else 0
@@ -399,7 +405,7 @@ def overlap_errors(centers1, abc1, centers2, abc2, grid_step):
     # Only reachable when the sample cap forced a pitch coarser than the
     # smaller region; such pairs are effectively disjoint at this scale.
     disjoint = np.where((centers1 == centers2).all(axis=1), 0.0, 1.0)
-    return np.where(union == 0, disjoint, err)
+    return np.where(gridded, np.where(union == 0, disjoint, err), np.nan)
 
 
 def libm(fn, *arrays):
@@ -440,17 +446,19 @@ def half_extents(abc):
     return np.sqrt(c / det), np.sqrt(a / det)
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _grid_constants(centers, abc, grid_step):
     """The overlap_error grid of each pair, as the row kernel's constants.
 
     centers (2, K, 2) and abc (2, K, 3) hold the first and second region of
-    each pair.  Returns (per_pair, ny): the (23, K) constants that
-    _row_counts reads, and the number of grid rows of each pair.  A region
-    whose a c overflows, one under about 1e-77 px across, gives no warning
-    here; its pair's overlap error comes out as 1 or NaN.
+    each pair.  Returns (per_pair, ny, gridded): the (23, K) constants that
+    _row_counts reads, the number of grid rows of each pair, and the mask
+    of the pairs with a grid, which a needle, a box that is not finite or
+    an a * step that underflows leaves without one.  A region whose a c
+    overflows, one under about 1e-77 px across, gives no warning here; its
+    pair's overlap error comes out as 1 or NaN.
     """
-    if np.any(np.asarray(grid_step) <= 0):
+    if grid_step is not None and np.any(np.asarray(grid_step) <= 0):
         raise ValueError("grid_step must be positive")
     (cx, cy), (a, b, c) = np.moveaxis(centers, 2, 0), np.moveaxis(abc, 2, 0)
     half_w, half_h = half_extents(abc)
@@ -460,24 +468,17 @@ def _grid_constants(centers, abc, grid_step):
     height = np.maximum(*(cy + half_h)) - ymin
 
     # A disk of radius r always contains a cell center once the pitch is <= r,
-    # so clamping at the smaller minor semiaxis keeps both counts nonzero.
+    # so clamping at the smaller minor semiaxis keeps both counts nonzero;
+    # the default pitch is below it already.
     minor = np.minimum(semiaxes(abc[0])[1], semiaxes(abc[1])[1])
-    if np.isnan(minor).any():
-        raise DegenerateRegion("a needle region has no minor semiaxis")
-    step = np.minimum(grid_step, minor)
+    gridded = ~np.isnan(minor) & np.isfinite(width) & np.isfinite(height)
+    step = np.minimum(0.1, minor / 100.0) if grid_step is None else np.minimum(grid_step, minor)
     nx = np.ceil(width / step)
     ny = np.ceil(height / step)
-    if not (np.isfinite(nx).all() and np.isfinite(ny).all()):
-        raise OverflowError("cannot convert float infinity to integer")
     # nx * ny rounds, but never across the cap; the few grids over it are
     # coarsened in Python integers, as overlap_error always did.
-    for k in np.flatnonzero(nx * ny > MAX_OVERLAP_SAMPLES).tolist():
-        s, w, h = float(step[k]), float(width[k]), float(height[k])
-        nxk, nyk = math.ceil(w / s), math.ceil(h / s)
-        while nxk * nyk > MAX_OVERLAP_SAMPLES:
-            s *= math.sqrt(nxk * nyk / MAX_OVERLAP_SAMPLES) * 1.0001
-            nxk, nyk = math.ceil(w / s), math.ceil(h / s)
-        step[k], ny[k] = s, nyk
+    for k in np.flatnonzero(gridded & ~(nx * ny <= MAX_OVERLAP_SAMPLES)).tolist():
+        step[k], ny[k] = _coarsened(float(step[k]), float(width[k]), float(height[k]))
 
     # Row j of a grid, column k has its center at (xmin + (k + 0.5) * step,
     # ymin + (j + 0.5) * step); an ellipse covers columns lo <= k < end of
@@ -486,14 +487,28 @@ def _grid_constants(centers, abc, grid_step):
     # that cell passes the inside test, else one column inward.  x0 - half
     # is kept for each end, indexed [end, ellipse] like m.
     a_step = a * step
-    if np.any((a_step == 0.0) | (a_step * step == 0.0) | (a_step * a_step == 0.0)):
-        raise ZeroDivisionError("float division by zero")
+    gridded &= ((a_step > 0.0) & (a_step * step > 0.0) & (a_step * a_step > 0.0)).all(axis=0)
     x0 = (cx - xmin) / step
     per_pair = np.concatenate(
         [cx, cy, a, c, 2.0 * b, b / a_step, 1.0 / (a_step * step),
          (a * c - b * b) / (a_step * a_step), x0 - 0.5, x0 + 0.5, [xmin, ymin, step]]
     )
-    return per_pair, ny.astype(np.int64)
+    return per_pair, np.where(gridded, ny, 0).astype(np.int64), gridded
+
+
+def _coarsened(step, width, height):
+    """(step, ny) of a finite width x height grid, its pitch coarsened until
+    it has at most MAX_OVERLAP_SAMPLES cells.  A grid with more cells than
+    a float counts starts over at MAX_OVERLAP_SAMPLES cells on its longer
+    side."""
+    try:
+        nx, ny = math.ceil(width / step), math.ceil(height / step)
+        while nx * ny > MAX_OVERLAP_SAMPLES:
+            step *= math.sqrt(nx * ny / MAX_OVERLAP_SAMPLES) * 1.0001
+            nx, ny = math.ceil(width / step), math.ceil(height / step)
+    except OverflowError:
+        return _coarsened(max(width, height) / MAX_OVERLAP_SAMPLES, width, height)
+    return step, ny
 
 
 _HALF = np.array([0.5, -0.5])[:, None, None]

@@ -351,13 +351,13 @@ def synth_sequence(
 
     Image i (2..M) is derived with seed cfg.seed + (i - 1); when jitter_end
     is given the jitter ramps linearly from cfg.jitter_sigma (pair 2) to
-    jitter_end (pair M).  Returns the manifest path.
+    jitter_end (pair M, at least 3).  Returns the manifest path.
     """
     if images < 2:
         raise ValueError("a sequence needs at least 2 images")
     # NaN fails the range check, as in SynthConfig
-    if jitter_end is not None and not 0.0 <= jitter_end < math.inf:
-        raise ValueError("jitter_end must be finite and >= 0")
+    if jitter_end is not None and not (0.0 <= jitter_end < math.inf and images >= 3):
+        raise ValueError("jitter_end must be finite and >= 0, with at least 3 images to ramp")
     if homographies is not None and len(homographies) != images - 1:
         raise ValueError(
             f"need {images - 1} homographies for {images} images, got {len(homographies)}"
@@ -379,12 +379,9 @@ def synth_sequence(
             h = homographies[k - 1]
         else:
             h = default_sequence_homography(k, cfg.image_width, cfg.image_height)
-        if jitter_end is not None and images > 2:
-            jitter = cfg.jitter_sigma + (jitter_end - cfg.jitter_sigma) * (i - 2) / (
-                images - 2
-            )
-        else:
-            jitter = cfg.jitter_sigma
+        jitter = cfg.jitter_sigma
+        if jitter_end is not None:
+            jitter += (jitter_end - cfg.jitter_sigma) * (i - 2) / (images - 2)
         step_cfg = replace(cfg, seed=cfg.seed + k, jitter_sigma=jitter)
         image_id = f"img{i}"
         kset = derive_test(ref, h, step_cfg, image_id=image_id)

@@ -10,11 +10,12 @@ in their denominators:
 where n_ref and n_test count keypoints inside the common part of the two
 views and n_rep counts one-to-one correspondences under the predicate
 "projected center within epsilon_px AND region overlap error below
-max_overlap_error".  The predicate is framed in the reference image, as in
-the Oxford protocol: epsilon_px is compared in test-frame pixels, and
-normalize_radius rescales both regions by the factor that makes the
-reference region a circle of that radius.  So under a change of scale,
-n_rep can differ when the two images swap roles.
+max_overlap_error", and a rate whose denominator is zero is None.  The
+predicate is framed in the reference image, as in the Oxford protocol:
+epsilon_px is compared in test-frame pixels, and normalize_radius rescales
+both regions by the factor that makes the reference region a circle of
+that radius.  So under a change of scale, n_rep can differ when the two
+images swap roles.
 
 The predicate is evaluated in one place, candidate_table, which scores every
 common-part pair once and keeps the candidates as arrays.  The
@@ -29,8 +30,10 @@ and the center distances do not depend on the BLAS build.  It finds the
 pairs within epsilon_px with a spatial hash of the test centers
 (geometry.close_pairs), never the N x M distance matrix, and scores all of
 them in one pass over arrays (_overlap_errors): the transport into the
-reference frame, the rescaling, the grid pitch and the overlap grids.  The
-one-pair region_overlap_error is a K = 1 call of it, with the same bits; it
+reference frame and the rescaling, then geometry.overlap_errors, which owns
+the grid pitch and the overlap grids.  A pair that cannot be scored gets a
+NaN overlap error and is left out of the table.  The one-pair
+region_overlap_error is a K = 1 call of it, with the same bits; it
 stays because the benchmark's tracer (bench/tracing.py) wraps it.
 """
 
@@ -38,16 +41,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRegion, PointAtInfinity, UndefinedMetric
+from .errors import DegenerateRegion, PointAtInfinity
 from .geometry import (
     close_pairs,
     computed_regions,
     map_regions_to_reference,
     overlap_errors,
     project_points,
-    semiaxes,
 )
 from .matching import _greedy, match_descriptors, verify_matches
+from .synth import MAX_SCALE, MIN_SCALE
 
 EQ1_POPULATIONS = ("common", "whole")
 MATCHERS = ("nn", "ratio")
@@ -69,8 +72,10 @@ class EvalConfig:
             raise ValueError("epsilon_px must be positive and finite")
         if not 0.0 < self.max_overlap_error < 1.0:
             raise ValueError("max_overlap_error must lie in (0, 1)")
-        if self.normalize_radius is not None and not 0.0 < self.normalize_radius < np.inf:
-            raise ValueError("normalize_radius must be positive and finite, or None")
+        if self.normalize_radius is not None and not (
+                MIN_SCALE <= self.normalize_radius <= MAX_SCALE):
+            raise ValueError(f"normalize_radius must satisfy {MIN_SCALE!r} <= radius <= "
+                             f"{MAX_SCALE!r}, or be None")
         if self.grid_step is not None and not 0.0 < self.grid_step < np.inf:
             raise ValueError("grid_step must be positive and finite, or None")
         if self.eq1_population not in EQ1_POPULATIONS:
@@ -142,13 +147,13 @@ def _overlap_errors(ref_centers, ref_abc, test_centers, test_abc, h, cfg):
 
     The regions are given as (K, 2) centers and (K, 3) coefficients (a, b,
     c).  Returns (err, at_infinity): err[k] is NaN where pair k cannot be
-    scored, a point at infinity (at_infinity[k] set) or a region that is
-    not positive definite, needles included.  The steps: the transport of
-    the test region by the Jacobian quadratic form around the reference
-    center (geometry.map_regions_to_reference); with cfg.normalize_radius,
-    both regions rescaled by the one factor that gives the reference region
-    the area of a circle of that radius; the default pitch min(0.1, smaller
-    minor semiaxis / 100) (geometry.semiaxes); and the overlap grid
+    scored, a point at infinity (at_infinity[k] set), a region that is not
+    positive definite, or a pair without an overlap grid, needles included.
+    The steps: the transport of the test region by the Jacobian quadratic
+    form around the reference center (geometry.map_regions_to_reference);
+    with cfg.normalize_radius, both regions rescaled by the one factor that
+    gives the reference region the area of a circle of that radius; and the
+    overlap grid at cfg.grid_step, None for geometry's default pitch
     (geometry.overlap_errors).  A region that turns non-finite raises
     ValueError (geometry.computed_regions).
     """
@@ -164,13 +169,10 @@ def _overlap_errors(ref_centers, ref_abc, test_centers, test_abc, h, cfg):
             test_abc = test_abc * s2[:, None]
         scored = computed_regions(scored, ref_centers, ref_abc)
         scored = computed_regions(scored, center, test_abc)
-    # a needle has no minor semiaxis (NaN): DegenerateRegion
-    minor = np.minimum(semiaxes(ref_abc)[1], semiaxes(test_abc)[1])
-    keep = np.flatnonzero(scored & ~np.isnan(minor))
-    step = np.minimum(0.1, minor[keep] / 100.0) if cfg.grid_step is None else cfg.grid_step
+    keep = np.flatnonzero(scored)
     err = np.full(len(scored), np.nan)
     err[keep] = overlap_errors(ref_centers[keep], ref_abc[keep], center[keep], test_abc[keep],
-                               step)
+                               cfg.grid_step)
     return err, at_infinity
 
 
@@ -181,8 +183,8 @@ def candidate_table(ref, test, h, cfg=EvalConfig()):
     indices of common_part_filter, and four arrays with one entry for every
     common-part pair whose test-frame center distance dist is below
     cfg.epsilon_px and whose overlap error err is below
-    cfg.max_overlap_error, in row-major (ri, tj) order.  Pairs whose overlap
-    error raises DegenerateRegion or PointAtInfinity are left out.
+    cfg.max_overlap_error, in row-major (ri, tj) order.  Pairs that
+    _overlap_errors cannot score (NaN) are left out.
 
     The pairs within epsilon come from a spatial hash of the test centers
     (geometry.close_pairs), with the distance bits of the N x M matrix it
@@ -210,26 +212,20 @@ def _resolve(table, n_ref, n_test):
     return order[_greedy(ri[order] * n_test + tj[order], n_ref, n_test)]
 
 
-def eq1_repeatability(n_rep, n_ref, n_test) -> float:
-    """Repeated fraction relative to the smaller detection count."""
+def eq1_repeatability(n_rep, n_ref, n_test) -> float | None:
+    """Repeated fraction relative to the smaller detection count, or None."""
     denom = min(n_ref, n_test)
-    if denom <= 0:
-        raise UndefinedMetric("min(n_ref, n_test) is zero")
-    return n_rep / denom
+    return n_rep / denom if denom > 0 else None
 
 
-def criterion1(n_rep, n_ref) -> float:
-    """Repeated fraction relative to the reference-image count."""
-    if n_ref <= 0:
-        raise UndefinedMetric("n_ref is zero")
-    return n_rep / n_ref
+def criterion1(n_rep, n_ref) -> float | None:
+    """Repeated fraction relative to the reference-image count, or None."""
+    return n_rep / n_ref if n_ref > 0 else None
 
 
-def criterion2(n_rep, n_ref, n_test) -> float:
-    """Symmetric repeated fraction, 2 n_rep / (n_ref + n_test)."""
-    if n_ref + n_test <= 0:
-        raise UndefinedMetric("n_ref + n_test is zero")
-    return 2.0 * n_rep / (n_ref + n_test)
+def criterion2(n_rep, n_ref, n_test) -> float | None:
+    """Symmetric repeated fraction, 2 n_rep / (n_ref + n_test), or None."""
+    return 2.0 * n_rep / (n_ref + n_test) if n_ref + n_test > 0 else None
 
 
 def evaluate_pair(ref, test, h, cfg=EvalConfig()):
@@ -247,19 +243,9 @@ def evaluate_pair(ref, test, h, cfg=EvalConfig()):
     n_rep = len(_resolve(table, len(ref), len(test)))
 
     if cfg.eq1_population == "whole":
-        eq1_args = (n_rep, len(ref), len(test))
+        eq1 = eq1_repeatability(n_rep, len(ref), len(test))
     else:
-        eq1_args = (n_rep, n_ref, n_test)
-
-    def attempt(fn, *args):
-        try:
-            return fn(*args)
-        except UndefinedMetric:
-            return None
-
-    eq1 = attempt(eq1_repeatability, *eq1_args)
-    c1 = attempt(criterion1, n_rep, n_ref)
-    c2 = attempt(criterion2, n_rep, n_ref, n_test)
+        eq1 = eq1_repeatability(n_rep, n_ref, n_test)
 
     descriptors_available = (
         ref.descriptor_dim > 0 and ref.descriptor_dim == test.descriptor_dim
@@ -278,6 +264,6 @@ def evaluate_pair(ref, test, h, cfg=EvalConfig()):
         true_matches=true_matches,
         descriptors_available=descriptors_available,
         eq1=eq1,
-        c1=c1,
-        c2=c2,
+        c1=criterion1(n_rep, n_ref),
+        c2=criterion2(n_rep, n_ref, n_test),
     )

@@ -87,29 +87,35 @@ def default_grid_step(e1, e2):
     return min(0.1, minor / 100.0)
 
 
+def joint_box(e1, e2):
+    """(xmin, ymin, width, height) of the joint bounding box of regions e1
+    and e2."""
+    w1, h1 = half_extents(e1)
+    w2, h2 = half_extents(e2)
+    (x1, y1), (x2, y2) = e1.center.tolist(), e2.center.tolist()
+    xmin = min(x1 - w1, x2 - w2)
+    ymin = min(y1 - h1, y2 - h2)
+    return xmin, ymin, max(x1 + w1, x2 + w2) - xmin, max(y1 + h1, y2 + h2) - ymin
+
+
 def grid(e1, e2, grid_step):
     """The overlap grid of a pair: (xmin, ymin, step, nx, ny).
 
     It covers the joint bounding box; the pitch is clamped to the smaller
     minor semiaxis, then coarsened until nx * ny is at most
-    geometry.MAX_OVERLAP_SAMPLES.
+    geometry.MAX_OVERLAP_SAMPLES.  A grid with more cells than a float
+    holds raises OverflowError.
     """
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
-    w1, h1 = half_extents(e1)
-    w2, h2 = half_extents(e2)
-    (x1, y1), (x2, y2) = e1.center.tolist(), e2.center.tolist()
-    xmin = min(x1 - w1, x2 - w2)
-    xmax = max(x1 + w1, x2 + w2)
-    ymin = min(y1 - h1, y2 - h2)
-    ymax = max(y1 + h1, y2 + h2)
+    xmin, ymin, width, height = joint_box(e1, e2)
     step = min(grid_step, semiaxes(e1)[1], semiaxes(e2)[1])
-    nx = math.ceil((xmax - xmin) / step)
-    ny = math.ceil((ymax - ymin) / step)
+    nx = math.ceil(width / step)
+    ny = math.ceil(height / step)
     while nx * ny > geometry.MAX_OVERLAP_SAMPLES:
         step *= math.sqrt(nx * ny / geometry.MAX_OVERLAP_SAMPLES) * 1.0001
-        nx = math.ceil((xmax - xmin) / step)
-        ny = math.ceil((ymax - ymin) / step)
+        nx = math.ceil(width / step)
+        ny = math.ceil(height / step)
     return xmin, ymin, step, nx, ny
 
 

@@ -113,6 +113,29 @@ def test_workload_tables(workload, config):
     assert entries > 0
 
 
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_default_pitch_on_the_seed_7_tables(workload):
+    """overlap_errors at the default pitch (grid_step None) gives the bits
+    of an explicit call at oracle.default_grid_step on every pair within
+    epsilon of the seed-7 workload, transported and rescaled to radius 30
+    by the oracle."""
+    pairs = []
+    for ref, test, h in workload_pairs(workload, 7):
+        ref_idx, test_idx = metrics.common_part_filter(ref, test, h)
+        proj, _ = project_points(h, ref.centers[ref_idx])
+        i, j, _ = close_pairs(proj, test.centers[test_idx], EvalConfig().epsilon_px)
+        for ri, tj in zip(ref_idx[i].tolist(), test_idx[j].tolist()):
+            ref_region = SecondMomentEllipse.from_abc(*ref.centers[ri], *ref.abc[ri])
+            test_region = SecondMomentEllipse.from_abc(*test.centers[tj], *test.abc[tj])
+            mapped = oracle_map_region_to_reference(h, ref_region.center, test_region)
+            pairs.append(oracle.normalize_pair(ref_region, mapped, 30.0))
+    regions = [np.array([getattr(e, field) for e in side])
+               for side in zip(*pairs) for field in ("center", "abc")]
+    steps = np.array([oracle.default_grid_step(e1, e2) for e1, e2 in pairs])
+    got = geometry.overlap_errors(*regions)
+    assert len(got) > 0 and got.tobytes() == geometry.overlap_errors(*regions, steps).tobytes()
+
+
 def keypoint_set(centers, abc, width=800, height=640):
     centers = np.asarray(centers, dtype=float).reshape(-1, 2)
     abc = np.asarray(abc, dtype=float).reshape(-1, 3)

@@ -36,7 +36,7 @@ from repbench.harness import (
     synth_sequence,
 )
 from repbench.metrics import EvalConfig, PairEvaluation
-from repbench.synth import SynthConfig, derive_test, generate_reference
+from repbench.synth import MAX_SCALE, MIN_SCALE, SynthConfig, derive_test, generate_reference
 
 FAST = EvalConfig(normalize_radius=None, grid_step=0.5)
 
@@ -1238,6 +1238,60 @@ class TestCli:
         assert code == 2
         assert "repbench: error: jitter_end must be finite and >= 0" in captured.err
         assert list(out.iterdir()) == []
+
+    # with one derived image there is no ramp to take jitter_end to
+    def test_jitter_end_with_two_images_exit_2_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "j2"
+        code = main(["synth", "--out-dir", str(out), "--images", "2", "--jitter-end", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "with at least 3 images to ramp" in captured.err
+        assert not out.exists()
+
+    def eval_argv(self, tmp_path, capsys, *flags):
+        out, _ = self.synth(tmp_path, capsys)
+        return ["eval", "--ref", str(out / "img1.kpts"), "--test", str(out / "img2.kpts"),
+                "--homography", str(out / "H_1_2.txt"), "--ref-dims", "400x300",
+                "--test-dims", "400x300", *flags]
+
+    # a pitch whose grid has more cells than a float holds is coarsened to
+    # the sample cap like any other pitch too fine for it
+    def test_tiny_grid_step_coarsened_to_the_cap(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["synth", "--out-dir", str(out), "--n-points", "30"]) == 0
+        for step in ("1e-12", "1e-200", "1e-300", "1e-320"):
+            capsys.readouterr()
+            code = main(["eval", "--ref", str(out / "img1.kpts"), "--test", str(out / "img2.kpts"),
+                         "--homography", str(out / "H_1_2.txt"), "--ref-dims", "800x640",
+                         "--test-dims", "800x640", "--grid-step", step])
+            captured = capsys.readouterr()
+            assert code == 0, captured.err
+            assert captured.out.splitlines()[1] == "2,1.0,0.8333333333333334,0.9090909090909091,25"
+        code = main(["sequence", "--manifest", str(out / "manifest.json"),
+                     "--out", str(tmp_path / "r"), "--grid-step", "1e-300"])
+        assert code == 0, capsys.readouterr().err
+
+    # the radius bound is synth's scale bound: outside it a rescaled region
+    # overflows, or every candidate is dropped
+    @pytest.mark.parametrize("radius", ["1e150", "1e-150", "1e-170", "1e77", "1e-77"])
+    def test_normalize_radius_out_of_bounds_exit_2(self, tmp_path, capsys, radius):
+        code = main(self.eval_argv(tmp_path, capsys, "--normalize-radius", radius))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "repbench: error: normalize_radius must satisfy" in captured.err
+
+    @pytest.mark.parametrize("radius", [repr(MIN_SCALE), repr(MAX_SCALE)])
+    def test_normalize_radius_at_the_bounds_exit_0(self, tmp_path, capsys, radius):
+        code = main(self.eval_argv(tmp_path, capsys, "--normalize-radius", radius))
+        assert code == 0, capsys.readouterr().err
+
+    def test_normalize_radius_not_a_number_exit_2_names_the_flag(self, tmp_path, capsys):
+        code = main(self.eval_argv(tmp_path, capsys, "--normalize-radius", "abc"))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            "repbench: error: --normalize-radius must be a radius or 'off', got 'abc'\n"
+        )
 
     def test_homography_count_mismatch_exit_2(self, tmp_path, capsys):
         hpath = tmp_path / "H.txt"

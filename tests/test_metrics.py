@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from repbench.errors import UndefinedMetric
 from repbench.formats import KeypointSet
 from repbench.geometry import Homography, SecondMomentEllipse, project_points
 from repbench.metrics import (
@@ -246,14 +245,10 @@ class TestRateFormulas:
         assert criterion2(0, 7, 3) == 0.0
 
     def test_undefined(self):
-        with pytest.raises(UndefinedMetric):
-            eq1_repeatability(0, 0, 5)
-        with pytest.raises(UndefinedMetric):
-            eq1_repeatability(0, 5, 0)
-        with pytest.raises(UndefinedMetric):
-            criterion1(0, 0)
-        with pytest.raises(UndefinedMetric):
-            criterion2(0, 0, 0)
+        assert eq1_repeatability(0, 0, 5) is None
+        assert eq1_repeatability(0, 5, 0) is None
+        assert criterion1(0, 0) is None
+        assert criterion2(0, 0, 0) is None
 
     def test_c2_between_c1_orders(self):
         rng = np.random.default_rng(52)

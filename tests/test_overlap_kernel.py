@@ -5,18 +5,30 @@ the overlap grid against both quadratic forms.  The row kernel
 (`geometry._grid_constants` and `geometry._row_counts`, called on one pair)
 must give the same per-row counts, and `geometry.overlap_error` the same
 value, bit for bit, on every pair below.  No tolerance is applied; a
-boundary cell settled differently fails the test.
+boundary cell settled differently fails the test.  The grid's pitch and
+row count, the default pitch included, are compared with the oracle's on
+drawn pairs.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repbench import geometry
-from repbench.geometry import SecondMomentEllipse, overlap_error
+from repbench.errors import DegenerateRegion
+from repbench.geometry import SecondMomentEllipse, overlap_error, overlap_errors
 
-from oracle import default_grid_step, dense_row_counts, half_extents, normalize_pair
+from oracle import (
+    default_grid_step,
+    dense_row_counts,
+    grid,
+    half_extents,
+    joint_box,
+    normalize_pair,
+)
 
 RAW_STEPS = (0.05, 0.25, 0.5, 1.0, 1.5)
 
@@ -25,7 +37,7 @@ def row_counts(e1, e2, grid_step):
     """(n, both) of the row kernel over every row of the pair's grid: n[0]
     and n[1] count the cell centers inside e1 and e2 per row, both those
     inside the two."""
-    per_pair, ny = geometry._grid_constants(
+    per_pair, ny, _ = geometry._grid_constants(
         np.stack([e1.center, e2.center])[:, None], np.stack([e1.abc, e2.abc])[:, None], grid_step
     )
     return geometry._row_counts(np.repeat(per_pair, ny, axis=1), np.arange(ny[0]))
@@ -177,3 +189,71 @@ def test_row_counts_match_dense_sampling_at_the_real_cap():
     )
     count, bad = mismatches([(e1, e2, 0.005)])
     assert not bad, bad
+
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def drawn_pairs(draw):
+    """Two regions up to 5 px apart: ellipses of radius 1e-2 to 3e2 px and
+    axis ratio up to 1e3, so that the default pitch puts many grids over
+    the sample cap, and now and then a needle, whose smaller eigenvalue
+    rounds to zero."""
+    def region(center):
+        if draw(st.integers(0, 9)) == 0:
+            return SecondMomentEllipse.from_abc(*center, 1e9, 0.5, 1e-9)
+        return ellipse(center, 10.0 ** draw(st.floats(-2.0, 2.5)),
+                       10.0 ** draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, math.pi)))
+
+    center = np.array([draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0))])
+    offset = np.array([draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0))])
+    return region(center), region(center + offset)
+
+
+def stacked(pairs):
+    """(centers1, abc1, centers2, abc2) of a list of region pairs."""
+    return tuple(np.array([getattr(e, field) for e in side])
+                 for side in zip(*pairs) for field in ("center", "abc"))
+
+
+@PROPERTY
+@given(st.lists(drawn_pairs(), min_size=1, max_size=6))
+def test_default_pitch_is_the_oracle_pitch(pairs):
+    """grid_step None is oracle.default_grid_step, bit for bit; a pair with
+    a needle scores NaN."""
+    got = overlap_errors(*stacked(pairs))
+    for k, (e1, e2) in enumerate(pairs):
+        try:
+            step = default_grid_step(e1, e2)
+        except DegenerateRegion:
+            assert np.isnan(got[k])
+            continue
+        assert got[k].hex() == overlap_errors(*stacked([(e1, e2)]), step)[0].hex()
+
+
+@PROPERTY
+@given(drawn_pairs(), st.one_of(st.sampled_from([1e-12, 1e-200, 1e-300, 1e-320]),
+                                st.floats(-1.0, 323.0).map(lambda e: 10.0 ** -e)))
+def test_grid_is_the_oracle_grid(pair, grid_step):
+    """Where oracle.grid lays a grid out, _grid_constants has its pitch and
+    row count bit for bit.  Where the cell count of the requested pitch
+    overflows a float, and oracle.grid raises OverflowError, the grid is
+    still coarsened to at most MAX_OVERLAP_SAMPLES cells."""
+    e1, e2 = pair
+    per_pair, ny, gridded = geometry._grid_constants(
+        np.stack([e1.center, e2.center])[:, None], np.stack([e1.abc, e2.abc])[:, None], grid_step
+    )
+    step, rows = float(per_pair[22, 0]), int(ny[0])
+    try:
+        _, _, want_step, _, want_rows = grid(e1, e2, grid_step)
+    except DegenerateRegion:
+        assert not gridded[0] and rows == 0
+        return
+    except OverflowError:
+        _, _, width, height = joint_box(e1, e2)
+        assert gridded[0] and rows == math.ceil(height / step)
+        assert math.ceil(width / step) * rows <= geometry.MAX_OVERLAP_SAMPLES
+        assert 0.0 <= overlap_error(e1, e2, grid_step) <= 1.0
+        return
+    assert gridded[0] and (step.hex(), rows) == (want_step.hex(), want_rows)
