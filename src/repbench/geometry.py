@@ -11,8 +11,7 @@ counted row by row, as one run of columns per row, rather than one by one.
 
 Every point is projected by one formula, m (x, y, 1) element by element
 (_homogeneous), never by a matmul, so no BLAS build sets its bits; one check
-(region_checks) decides which rows (u, v, a, b, c) are regions, one rule
-(computed_regions) which computed regions are scored, semiaxes and
+(region_checks) decides which rows (u, v, a, b, c) are regions, semiaxes and
 half_extents are the one copy of each ellipse formula, and every
 transcendental is libm's, one element at a time (libm).  Many points and
 pairs are handled in one pass over arrays: project_points projects K
@@ -20,11 +19,11 @@ points, homography_jacobians linearises the map at K points,
 map_regions_to_reference transports K regions (through transport_shapes),
 and overlap_errors lays out the grid of each of K pairs and runs the rows
 of all the grids through one row kernel, a block of OVERLAP_BLOCK_ROWS rows
-at a time; it alone sets the grid's pitch, and a pair it cannot grid, a
-needle among them, scores NaN.  SecondMomentEllipse and overlap_error, one
-region and one pair, are K = 1 calls of these rules, with the same bits;
-they stay because the benchmark's tracer (bench/tracing.py) wraps and
-calls them.
+at a time; it alone sets the grid's pitch and decides which pairs are
+scored, a pair it cannot grid (_grid_constants) scoring NaN.
+SecondMomentEllipse and overlap_error, one region and one pair, are K = 1
+calls of these rules, with the same bits; they stay because the
+benchmark's tracer (bench/tracing.py) wraps and calls them.
 close_pairs finds the point pairs closer than a radius with a spatial
 hash, bucketing one set in cells a little wider than the radius, rather
 than computing all N x M distances.
@@ -63,16 +62,6 @@ def region_checks(centers, abc):
     with np.errstate(over="ignore", invalid="ignore"):
         return (np.isfinite(centers).all(axis=1), np.isfinite(abc).all(axis=1),
                 (a > 0.0) & (c > 0.0) & (a * c - b * b > 0.0))
-
-
-def computed_regions(scored, centers, abc):
-    """`scored` (N,) less the rows of centers (N, 2) and abc (N, 3) that are
-    not positive definite: the rule for regions computed from valid ones.
-    Raises ValueError when a scored row is not finite (region_checks)."""
-    center_ok, abc_ok, definite = region_checks(centers, abc)
-    if not (center_ok & abc_ok)[scored].all():
-        raise ValueError("ellipse center and shape must be finite")
-    return scored & definite
 
 
 class Homography:
@@ -331,10 +320,11 @@ def map_regions_to_reference(h, ref_centers, test_centers, test_abc):
     Returns (centers, abc, at_infinity): the (K, 2) centers and (K, 3)
     coefficients of the regions in the reference frame, and the mask of the
     pairs where ref_centers[k] or test_centers[k] maps to infinity, whose
-    values are meaningless.  The values are not checked further.
+    centers are NaN.  The values are not checked further.
     """
     jac, _, ref_at_infinity = homography_jacobians(h, ref_centers)
     centers, finite = project_points(h.inverse(), test_centers)
+    centers[ref_at_infinity] = np.nan
     return centers, transport_shapes(jac, test_abc), ref_at_infinity | ~finite
 
 
@@ -453,10 +443,11 @@ def _grid_constants(centers, abc, grid_step):
     centers (2, K, 2) and abc (2, K, 3) hold the first and second region of
     each pair.  Returns (per_pair, ny, gridded): the (23, K) constants that
     _row_counts reads, the number of grid rows of each pair, and the mask
-    of the pairs with a grid, which a needle, a box that is not finite or
-    an a * step that underflows leaves without one.  A region whose a c
-    overflows, one under about 1e-77 px across, gives no warning here; its
-    pair's overlap error comes out as 1 or NaN.
+    of the pairs with a grid.  Three rules leave a pair without one: a
+    needle (semiaxes), a bounding box that is not finite, and a grid on
+    which a product of the row kernel could overflow (below).  Together
+    they cover every region that is not finite or not positive definite
+    (region_checks), and no warning is raised.
     """
     if grid_step is not None and np.any(np.asarray(grid_step) <= 0):
         raise ValueError("grid_step must be positive")
@@ -473,7 +464,8 @@ def _grid_constants(centers, abc, grid_step):
     minor = np.minimum(semiaxes(abc[0])[1], semiaxes(abc[1])[1])
     gridded = ~np.isnan(minor) & np.isfinite(width) & np.isfinite(height)
     step = np.minimum(0.1, minor / 100.0) if grid_step is None else np.minimum(grid_step, minor)
-    nx = np.ceil(width / step)
+    # a box narrower than an ulp of its position still has its rows capped
+    nx = np.maximum(np.ceil(width / step), 1.0)
     ny = np.ceil(height / step)
     # nx * ny rounds, but never across the cap; the few grids over it are
     # coarsened in Python integers, as overlap_error always did.
@@ -487,12 +479,23 @@ def _grid_constants(centers, abc, grid_step):
     # that cell passes the inside test, else one column inward.  x0 - half
     # is kept for each end, indexed [end, ellipse] like m.
     a_step = a * step
-    gridded &= ((a_step > 0.0) & (a_step * step > 0.0) & (a_step * a_step > 0.0)).all(axis=0)
+    b_col, a0, d0 = b / a_step, 1.0 / (a_step * step), (a * c - b * b) / (a_step * a_step)
     x0 = (cx - xmin) / step
     per_pair = np.concatenate(
-        [cx, cy, a, c, 2.0 * b, b / a_step, 1.0 / (a_step * step),
-         (a * c - b * b) / (a_step * a_step), x0 - 0.5, x0 + 0.5, [xmin, ymin, step]]
+        [cx, cy, a, c, 2.0 * b, b_col, a0, d0, x0 - 0.5, x0 + 0.5, [xmin, ymin, step]]
     )
+    # The kernel's offsets from an ellipse center are at most dy_max and
+    # dx_max (a run ends within a column of the chord), so each product it
+    # forms, dy*dy, d0*dy^2, dx*dy and the terms of q, is at most its value
+    # there.  Rounding moves an offset by an ulp or so of the grid's position
+    # and leaves it 0 unless its bound is about half an ulp or more, so an
+    # offset stays below 4 times its bound, and products below 1/16 of the
+    # largest float cannot overflow; an under- or overflowed constant fails.
+    dy_max = ny * step
+    dx_max = (np.abs(b_col) * dy_max + np.sqrt(a0) + 1.0) * step
+    worst = (np.maximum(dx_max, dy_max) ** 2, d0 * dy_max * dy_max,
+             a * dx_max * dx_max + c * dy_max * dy_max + 2.0 * np.abs(b) * dx_max * dy_max)
+    gridded &= (np.array(worst) <= np.finfo(float).max / 16).all(axis=(0, 1))
     return per_pair, np.where(gridded, ny, 0).astype(np.int64), gridded
 
 
@@ -502,13 +505,13 @@ def _coarsened(step, width, height):
     a float counts starts over at MAX_OVERLAP_SAMPLES cells on its longer
     side."""
     try:
-        nx, ny = math.ceil(width / step), math.ceil(height / step)
-        while nx * ny > MAX_OVERLAP_SAMPLES:
+        while True:
+            nx, ny = max(math.ceil(width / step), 1), math.ceil(height / step)
+            if nx * ny <= MAX_OVERLAP_SAMPLES:
+                return step, ny
             step *= math.sqrt(nx * ny / MAX_OVERLAP_SAMPLES) * 1.0001
-            nx, ny = math.ceil(width / step), math.ceil(height / step)
     except OverflowError:
         return _coarsened(max(width, height) / MAX_OVERLAP_SAMPLES, width, height)
-    return step, ny
 
 
 _HALF = np.array([0.5, -0.5])[:, None, None]

@@ -31,10 +31,11 @@ pairs within epsilon_px with a spatial hash of the test centers
 (geometry.close_pairs), never the N x M distance matrix, and scores all of
 them in one pass over arrays (_overlap_errors): the transport into the
 reference frame and the rescaling, then geometry.overlap_errors, which owns
-the grid pitch and the overlap grids.  A pair that cannot be scored gets a
-NaN overlap error and is left out of the table.  The one-pair
-region_overlap_error is a K = 1 call of it, with the same bits; it
-stays because the benchmark's tracer (bench/tracing.py) wraps it.
+the grid pitch and the overlap grids and alone decides which pairs are
+scored.  A pair that cannot be scored gets a NaN overlap error and is left
+out of the table.  The one-pair region_overlap_error is a K = 1 call of
+it, with the same bits; it stays because the benchmark's tracer
+(bench/tracing.py) wraps it.
 """
 
 from dataclasses import dataclass
@@ -42,13 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRegion, PointAtInfinity
-from .geometry import (
-    close_pairs,
-    computed_regions,
-    map_regions_to_reference,
-    overlap_errors,
-    project_points,
-)
+from .geometry import close_pairs, map_regions_to_reference, overlap_errors, project_points
 from .matching import _greedy, match_descriptors, verify_matches
 from .synth import MAX_SCALE, MIN_SCALE
 
@@ -137,7 +132,7 @@ def region_overlap_error(ref_region, test_region, h, cfg):
             f"center ({test_region.center[0]:g}, {test_region.center[1]:g}) maps to infinity"
         )
     if np.isnan(err[0]):
-        raise DegenerateRegion("transported or rescaled region is not positive definite")
+        raise DegenerateRegion("the transported or rescaled pair has no overlap grid")
     return float(err[0])
 
 
@@ -147,19 +142,20 @@ def _overlap_errors(ref_centers, ref_abc, test_centers, test_abc, h, cfg):
 
     The regions are given as (K, 2) centers and (K, 3) coefficients (a, b,
     c).  Returns (err, at_infinity): err[k] is NaN where pair k cannot be
-    scored, a point at infinity (at_infinity[k] set), a region that is not
-    positive definite, or a pair without an overlap grid, needles included.
-    The steps: the transport of the test region by the Jacobian quadratic
-    form around the reference center (geometry.map_regions_to_reference);
-    with cfg.normalize_radius, both regions rescaled by the one factor that
-    gives the reference region the area of a circle of that radius; and the
-    overlap grid at cfg.grid_step, None for geometry's default pitch
-    (geometry.overlap_errors).  A region that turns non-finite raises
-    ValueError (geometry.computed_regions).
+    scored, and at_infinity[k] is set where a center maps to infinity.  The
+    steps: the transport of the test region by the Jacobian quadratic form
+    around the reference center (geometry.map_regions_to_reference, which
+    gives a pair at infinity a NaN center); with cfg.normalize_radius, both
+    regions rescaled by the one factor that gives the reference region the
+    area of a circle of that radius; and the overlap grid at cfg.grid_step,
+    None for geometry's default pitch (geometry.overlap_errors).  Every row
+    goes to overlap_errors, whose grid rule alone decides which pairs are
+    scored: a pair at infinity, a region that is not positive definite or
+    has overflowed, a needle and a grid too wide for the row kernel all
+    score NaN.
     """
     center, test_abc, at_infinity = map_regions_to_reference(h, ref_centers, test_centers,
                                                              test_abc)
-    scored = computed_regions(~at_infinity, center, test_abc)
     if cfg.normalize_radius is not None:
         a, b, c = ref_abc.T
         r = cfg.normalize_radius
@@ -167,13 +163,7 @@ def _overlap_errors(ref_centers, ref_abc, test_centers, test_abc, h, cfg):
             s2 = 1.0 / (r * r * np.sqrt(a * c - b * b))
             ref_abc = ref_abc * s2[:, None]
             test_abc = test_abc * s2[:, None]
-        scored = computed_regions(scored, ref_centers, ref_abc)
-        scored = computed_regions(scored, center, test_abc)
-    keep = np.flatnonzero(scored)
-    err = np.full(len(scored), np.nan)
-    err[keep] = overlap_errors(ref_centers[keep], ref_abc[keep], center[keep], test_abc[keep],
-                               cfg.grid_step)
-    return err, at_infinity
+    return overlap_errors(ref_centers, ref_abc, center, test_abc, cfg.grid_step), at_infinity
 
 
 def candidate_table(ref, test, h, cfg=EvalConfig()):

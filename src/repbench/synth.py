@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .formats import KeypointSet, check_dimensions
-from .geometry import computed_regions, homography_jacobians, libm, transport_shapes
+from .geometry import homography_jacobians, libm, region_checks, transport_shapes
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -201,7 +201,7 @@ def _transport(h, centers, abc):
     image, and those images.  A region has none when its center maps to
     infinity (PointAtInfinity), np.linalg.inv rejects its J (LinAlgError)
     or its image is not positive definite (DegenerateRegion).  Raises
-    ValueError when an image is not finite (geometry.computed_regions).
+    ValueError when an image is not finite (geometry.region_checks).
     """
     jac, centers, at_infinity = homography_jacobians(h, centers)
     kept = np.flatnonzero(~at_infinity)
@@ -218,7 +218,9 @@ def _transport(h, centers, abc):
                 invertible[k] = False
         kept, inv = kept[invertible], inv[invertible]
     centers, abc = centers[kept], transport_shapes(inv, abc[kept])
-    definite = computed_regions(np.ones(len(kept), dtype=bool), centers, abc)
+    center_ok, abc_ok, definite = region_checks(centers, abc)
+    if not (center_ok & abc_ok).all():
+        raise ValueError("ellipse center and shape must be finite")
     return kept[definite], centers[definite], abc[definite]
 
 

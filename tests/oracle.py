@@ -232,9 +232,14 @@ def oracle_region_overlap_error(ref_region, test_region, h, cfg):
     return oracle_overlap_error(a, b, step)
 
 
+# SecondMomentEllipse's reason for a center or shape that is not finite
+NOT_FINITE = "ellipse center and shape must be finite"
+
+
 def oracle_candidate_table(ref, test, h, cfg):
     """(ref_idx, test_idx, table, dropped): candidate_table's result and the
-    number of candidates left out as DegenerateRegion or PointAtInfinity."""
+    number of candidates left out as DegenerateRegion or PointAtInfinity,
+    or because their transported or rescaled region is not finite."""
     ref_idx, test_idx = common_part_filter(ref, test, h)
     proj = np.array([oracle_project_point(h, p) for p in ref.centers[ref_idx]]).reshape(-1, 2)
     d = pairwise_distances(proj, test.centers[test_idx])
@@ -249,6 +254,11 @@ def oracle_candidate_table(ref, test, h, cfg):
             test_region = SecondMomentEllipse.from_abc(*test.centers[tj], *test.abc[tj])
             err = oracle_region_overlap_error(ref_region, test_region, h, cfg)
         except (DegenerateRegion, PointAtInfinity):
+            dropped += 1
+            continue
+        except ValueError as exc:
+            if str(exc) != NOT_FINITE:
+                raise
             dropped += 1
             continue
         if err < cfg.max_overlap_error:

@@ -216,16 +216,21 @@ def test_needle_is_degenerate_in_the_one_pair_functions():
             call()
 
 
-def test_non_finite_transported_region_raises():
-    # the transport scales the shape by 4: 4e308 overflows
+def test_overflowing_transport_is_not_scored():
+    """A valid test region whose transport overflows (the map scales its
+    shape by 4, and 4e308 is not finite) is not scored: the candidate is
+    left out of the table, as the reference drops it, and is not repeated."""
     h = Homography(np.diag([2.0, 2.0, 1.0]))
     ref = keypoint_set([(50.0, 50.0)], circles(1, 3.0))
     test = keypoint_set([(100.0, 100.0)], [(1e308, 0.0, 1e308)])
+    ref_region = SecondMomentEllipse.from_abc(*ref.centers[0], *ref.abc[0])
+    test_region = SecondMomentEllipse.from_abc(*test.centers[0], *test.abc[0])
     for cfg in (EvalConfig(), EvalConfig(normalize_radius=None, grid_step=0.5)):
-        with pytest.raises(ValueError, match="finite"):
-            oracle_candidate_table(ref, test, h, cfg)
-        with pytest.raises(ValueError, match="finite"):
-            candidate_table(ref, test, h, cfg)
+        assert assert_same_table(ref, test, h, cfg) == 1
+        assert all(len(a) == 0 for a in candidate_table(ref, test, h, cfg)[2])
+        assert metrics.evaluate_pair(ref, test, h, cfg).n_rep == 0
+        with pytest.raises(DegenerateRegion):
+            region_overlap_error(ref_region, test_region, h, cfg)
 
 
 def test_scored_candidates_match_one_by_one():
@@ -233,11 +238,14 @@ def test_scored_candidates_match_one_by_one():
     never produce: reference centers on the horizon of h (PointAtInfinity
     in the Jacobian), test centers on the horizon of h^-1 (PointAtInfinity
     in the inverse projection), vast regions (DegenerateRegion once
-    rescaled or transported) and plain ones, in one batch.  Each pair must
-    score as region_overlap_error and the reference score it one at a
-    time."""
+    rescaled or transported), regions of 1e-154 px a pixel off the horizon
+    of h, where the Jacobian's scale overflows their transport (the
+    reference's SecondMomentEllipse raises ValueError, the batch scores NaN
+    and region_overlap_error raises DegenerateRegion), and plain ones, in
+    one batch.  Each pair must score as region_overlap_error and the
+    reference score it one at a time."""
     rng = np.random.default_rng(4103)
-    kinds = {PointAtInfinity: 0, DegenerateRegion: 0, float: 0}
+    kinds = {PointAtInfinity: 0, DegenerateRegion: 0, ValueError: 0, float: 0}
     for _ in range(40):
         h = strong_projective(rng)
         m, mi = h.m, h.inverse().m
@@ -252,6 +260,10 @@ def test_scored_candidates_match_one_by_one():
         test_abc = circles(k, float(rng.uniform(2, 6)))
         huge = vast(rng, 8)
         test_abc[8 : 8 + len(huge)] = huge
+        # a pixel off the horizon the Jacobian scales by about 1e6 or more
+        ref_centers[16:20] = np.c_[-(m[2, 1] * y + m[2, 2]) / m[2, 0] + 1.0, y]
+        test_centers[16:20], _ = project_points(h, ref_centers[16:20])
+        test_abc[16:20] = (1e308, 0.0, 1e308)
         ref_abc = circles(k, float(rng.uniform(2, 6)))
         for cfg in CONFIGS.values():
             err, at_infinity = metrics._overlap_errors(
@@ -262,11 +274,13 @@ def test_scored_candidates_match_one_by_one():
                 test_region = SecondMomentEllipse.from_abc(*test_centers[i], *test_abc[i])
                 try:
                     want = oracle_region_overlap_error(ref_region, test_region, h, cfg)
-                except (DegenerateRegion, PointAtInfinity) as exc:
+                except (DegenerateRegion, PointAtInfinity, ValueError) as exc:
+                    if isinstance(exc, ValueError) and str(exc) != oracle.NOT_FINITE:
+                        raise
                     kinds[type(exc)] += 1
                     assert np.isnan(err[i])
                     assert at_infinity[i] == isinstance(exc, PointAtInfinity)
-                    with pytest.raises(type(exc)):
+                    with pytest.raises(PointAtInfinity if at_infinity[i] else DegenerateRegion):
                         region_overlap_error(ref_region, test_region, h, cfg)
                     continue
                 kinds[float] += 1

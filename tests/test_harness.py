@@ -1227,6 +1227,31 @@ class TestCli:
         assert code == 0
         assert captured.out == "pair,eq1,c1,c2,true_matches\n2,1.0,1.0,1.0,0\n"
 
+    # H scales the valid test shape 1e308 by 4, which overflows: the pair is
+    # not repeated, and the valid input is no reason to exit 2
+    def test_overflowing_transport_not_repeated(self, tmp_path, capsys):
+        circle = "0.1111111111111111 0 0.1111111111111111"
+        (tmp_path / "ref.kpts").write_text(f"1.0\n1\n50 50 {circle}\n")
+        (tmp_path / "test.kpts").write_text("1.0\n1\n100 100 1e308 0 1e308\n")
+        (tmp_path / "H.txt").write_text("2 0 0\n0 2 0\n0 0 1\n")
+        manifest = {"name": "overflow",
+                    "images": [{"id": i, "width": 800, "height": 640, "keypoints": f"{i}.kpts"}
+                               for i in ("ref", "test")],
+                    "homographies": [{"from": "ref", "to": "test", "path": "H.txt"}]}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["eval", "--ref", str(tmp_path / "ref.kpts"), "--test",
+                     str(tmp_path / "test.kpts"), "--homography", str(tmp_path / "H.txt"),
+                     "--ref-dims", "800x640", "--test-dims", "800x640"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert captured.out == "pair,eq1,c1,c2,true_matches\n2,0.0,0.0,0.0,0\n"
+        stem = tmp_path / "r"
+        code = main(["sequence", "--manifest", str(tmp_path / "manifest.json"),
+                     "--out", str(stem)])
+        assert (code, capsys.readouterr().err) == (0, "")
+        (pair,) = load_report(f"{stem}.json")["pairs"]
+        assert (pair["n_ref"], pair["n_test"], pair["n_rep"]) == (1, 1, 0)
+
     # the ramp's end is checked before the first file is written
     @pytest.mark.parametrize("images, end", [("4", "-1"), ("2", "nan"), ("4", "inf")])
     def test_bad_jitter_end_exit_2_writes_nothing(self, tmp_path, capsys, images, end):

@@ -7,10 +7,13 @@ must give the same per-row counts, and `geometry.overlap_error` the same
 value, bit for bit, on every pair below.  No tolerance is applied; a
 boundary cell settled differently fails the test.  The grid's pitch and
 row count, the default pitch included, are compared with the oracle's on
-drawn pairs.
+drawn pairs.  On rows of extreme magnitudes, overlap_errors alone decides
+which pairs are scored: never one that region_checks rejects, and never
+with a warning.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from hypothesis import strategies as st
 
 from repbench import geometry
 from repbench.errors import DegenerateRegion
-from repbench.geometry import SecondMomentEllipse, overlap_error, overlap_errors
+from repbench.geometry import SecondMomentEllipse, overlap_error, overlap_errors, region_checks
 
 from oracle import (
     default_grid_step,
@@ -257,3 +260,82 @@ def test_grid_is_the_oracle_grid(pair, grid_step):
         assert 0.0 <= overlap_error(e1, e2, grid_step) <= 1.0
         return
     assert gridded[0] and (step.hex(), rows) == (want_step.hex(), want_rows)
+
+
+@pytest.mark.parametrize("grid_step", [0.5, None])
+def test_grid_too_wide_for_the_kernel_scores_nan(grid_step):
+    """Two radius-3 circles 1e200 px apart: their grid, coarsened to the
+    sample cap, has one row about 2.5e193 px tall, so the row kernel's
+    dy * dy would overflow.  The pair has no grid and scores NaN, with no
+    warning; 1e160 px apart every product fits, and the pair scores 1."""
+    circle = np.array([[1.0 / 9.0, 0.0, 1.0 / 9.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        far, near = (overlap_errors(np.array([[x, 0.0]]), circle, np.zeros((1, 2)), circle,
+                                    grid_step) for x in (-1e200, -1e160))
+    assert np.isnan(far[0]) and near[0] == 1.0
+
+
+def test_grid_narrower_than_an_ulp_is_capped():
+    """Two copies of an ellipse 0.8 px wide and 8e6 px tall at x = 2**53,
+    where its x extent rounds away: the joint box has width 0, yet its 2e9 rows
+    at the default pitch are coarsened to the sample cap."""
+    center, abc = np.array([[2.0**53, 0.0]] * 2), np.array([[1.0 / 0.16, 0.0, 1.0 / 1.6e13]] * 2)
+    _, ny, gridded = geometry._grid_constants(center[:, None], abc[:, None], None)
+    assert gridded[0] and 0 < ny[0] <= geometry.MAX_OVERLAP_SAMPLES
+    assert overlap_errors(center[:1], abc[:1], center[1:], abc[1:])[0] == 0.0
+
+
+EXTREME = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def extreme_value(draw, top):
+    """0, inf, -inf, NaN or a signed power of ten from 1e-320 to 10**top."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(st.sampled_from([0.0, math.inf, -math.inf, math.nan]))
+    return draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-320.0, top))
+
+
+@st.composite
+def extreme_rows(draw):
+    """A row (u, v, a, b, c) of extreme values, centers up to 1e300; half of
+    the rows are ellipses with semiaxes from 1e-154 to 1e154 px and axis
+    ratios up to 1e6, valid unless a product of their coefficients leaves
+    the floats."""
+    center = [extreme_value(draw, 300.0), extreme_value(draw, 300.0)]
+    if draw(st.booleans()):
+        return center + [extreme_value(draw, 308.0) for _ in range(3)]
+    a = 10.0 ** draw(st.floats(-308.0, 308.0))
+    c = min(a * 10.0 ** draw(st.floats(-12.0, 12.0)), 1e308)
+    return center + [a, draw(st.floats(-0.999, 0.999)) * math.sqrt(a) * math.sqrt(c), c]
+
+
+@st.composite
+def extreme_pairs(draw):
+    """Two rows; in half of the pairs the second center is the first moved
+    by an extreme offset."""
+    first, second = draw(extreme_rows()), draw(extreme_rows())
+    if draw(st.booleans()):
+        second[:2] = [u + extreme_value(draw, 300.0) for u in first[:2]]
+    return first, second
+
+
+@EXTREME
+@given(st.lists(extreme_pairs(), min_size=1, max_size=4),
+       st.one_of(st.none(), st.floats(-308.0, 320.0).map(lambda e: 10.0 ** -e)))
+def test_extreme_rows_score_only_regions(pairs, grid_step):
+    """Every error is in [0, 1] or NaN, NaN wherever region_checks rejects
+    either region, the same bits in a batch as alone, and no RuntimeWarning
+    is raised."""
+    rows = np.array(pairs).reshape(len(pairs), 2, 5)
+    centers1, abc1, centers2, abc2 = rows[:, 0, :2], rows[:, 0, 2:], rows[:, 1, :2], rows[:, 1, 2:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = overlap_errors(centers1, abc1, centers2, abc2, grid_step)
+        alone = [overlap_errors(centers1[k : k + 1], abc1[k : k + 1], centers2[k : k + 1],
+                                abc2[k : k + 1], grid_step)[0] for k in range(len(pairs))]
+        regions = [np.logical_and.reduce(region_checks(centers, abc))
+                   for centers, abc in ((centers1, abc1), (centers2, abc2))]
+    assert [e.hex() for e in got.tolist()] == [e.hex() for e in alone]
+    assert np.isnan(got[~(regions[0] & regions[1])]).all()
+    assert ((got >= 0.0) & (got <= 1.0) | np.isnan(got)).all()
