@@ -13,12 +13,13 @@ Every point is projected by one formula, m (x, y, 1) element by element
 (_homogeneous), never by a matmul, so no BLAS build sets its bits; one check
 (region_checks) decides which rows (u, v, a, b, c) are regions, semiaxes and
 half_extents are the one copy of each ellipse formula, and every
-transcendental is libm's, one element at a time (libm).  Many points and
+transcendental is libm's, one element at a time (libm); in_image is the
+one rule for a point inside an image, boundary included.  Many points and
 pairs are handled in one pass over arrays: project_points projects K
 points, homography_jacobians linearises the map at K points,
-map_regions_to_reference transports K regions (through transport_shapes),
-and overlap_errors lays out the grid of each of K pairs and runs the rows
-of all the grids through one row kernel, a block of OVERLAP_BLOCK_ROWS rows
+transport_shapes carries K regions through their Jacobians, and
+overlap_errors lays out the grid of each of K pairs and runs the rows of
+all the grids through one row kernel, a block of OVERLAP_BLOCK_ROWS rows
 at a time; it alone sets the grid's pitch and decides which pairs are
 scored, a pair it cannot grid (_grid_constants) scoring NaN.
 SecondMomentEllipse and overlap_error, one region and one pair, are K = 1
@@ -181,6 +182,14 @@ def project_points(h, pts):
     return out, ok
 
 
+def in_image(points, width, height):
+    """The mask of the rows of points (K, 2) inside [0, width] x [0, height],
+    boundary included; a row with a NaN is outside, with no warning."""
+    x, y = points.T
+    with np.errstate(invalid="ignore"):
+        return (0.0 <= x) & (x <= width) & (0.0 <= y) & (y <= height)
+
+
 def _homogeneous(m, points):
     """(u, v, w) = m (x, y, 1) at each row (x, y) of points (K, 2), and the
     mask of the rows in view: every projection's one formula, element by
@@ -308,24 +317,6 @@ def homography_jacobians(h, points):
         ).reshape(-1, 2, 2)
         projected = np.stack([u / w, v / w], axis=1)
     return jac, projected, ~in_view
-
-
-def map_regions_to_reference(h, ref_centers, test_centers, test_abc):
-    """Carry K test-frame regions into the reference frame.
-
-    Test region k has center test_centers[k] and coefficients test_abc[k]
-    = (a, b, c).  Its shape matrix mu is transported by the quadratic form
-    A^T mu A, A the Jacobian of h at ref_centers[k]; its center is mapped
-    projectively through the inverse homography.  Exact when h is affine.
-    Returns (centers, abc, at_infinity): the (K, 2) centers and (K, 3)
-    coefficients of the regions in the reference frame, and the mask of the
-    pairs where ref_centers[k] or test_centers[k] maps to infinity, whose
-    centers are NaN.  The values are not checked further.
-    """
-    jac, _, ref_at_infinity = homography_jacobians(h, ref_centers)
-    centers, finite = project_points(h.inverse(), test_centers)
-    centers[ref_at_infinity] = np.nan
-    return centers, transport_shapes(jac, test_abc), ref_at_infinity | ~finite
 
 
 def transport_shapes(a, abc):

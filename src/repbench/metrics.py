@@ -24,18 +24,19 @@ greedy one-to-one rule, which also serves both descriptor matchers; the
 true matches (matching.verify_matches) are the descriptor matches found in
 the table, so a pair is a true match only if it is a candidate.
 
-candidate_table projects the reference centers with
-geometry.project_points, the one projection formula, so the common part
-and the center distances do not depend on the BLAS build.  It finds the
+common_part_filter maps each center once per pair, with geometry's one
+projection formula, so the common part, the center distances and the
+transport do not depend on the BLAS build.  candidate_table finds the
 pairs within epsilon_px with a spatial hash of the test centers
-(geometry.close_pairs), never the N x M distance matrix, and scores all of
-them in one pass over arrays (_overlap_errors): the transport into the
-reference frame and the rescaling, then geometry.overlap_errors, which owns
-the grid pitch and the overlap grids and alone decides which pairs are
-scored.  A pair that cannot be scored gets a NaN overlap error and is left
-out of the table.  The one-pair region_overlap_error is a K = 1 call of
-it, with the same bits; it stays because the benchmark's tracer
-(bench/tracing.py) wraps it.
+(geometry.close_pairs), never the N x M distance matrix, carries their
+test regions into the reference frame from those maps, and scores all of
+them in one pass over arrays (_overlap_errors): the rescaling, then
+geometry.overlap_errors, which owns the grid pitch and the overlap grids
+and alone decides which pairs are scored.  A pair that cannot be scored
+gets a NaN overlap error and is left out of the table.  The one-pair
+region_overlap_error maps its pair with the same calls and is a K = 1
+call of _overlap_errors, with the same bits; it stays because the
+benchmark's tracer (bench/tracing.py) wraps it.
 """
 
 from dataclasses import dataclass
@@ -43,7 +44,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRegion, PointAtInfinity
-from .geometry import close_pairs, map_regions_to_reference, overlap_errors, project_points
+from .geometry import (
+    close_pairs,
+    homography_jacobians,
+    in_image,
+    overlap_errors,
+    project_points,
+    transport_shapes,
+)
 from .matching import _greedy, match_descriptors, verify_matches
 from .synth import MAX_SCALE, MIN_SCALE
 
@@ -94,76 +102,68 @@ class PairEvaluation:
 
 
 def common_part_filter(ref, test, h):
-    """Indices of keypoints whose centers fall in the shared view.
+    """Indices of keypoints whose centers fall in the shared view, and the
+    maps of those centers into the other frame.
 
     A reference keypoint belongs to the common part when h maps its center
     inside [0, test.width] x [0, test.height]; a test keypoint when h^-1 maps
-    its center inside the reference bounds.  Boundary-inclusive.  Points whose
-    projection blows up (homogeneous weight ~ 0) are excluded, not fatal.
+    its center inside the reference bounds.  Boundary-inclusive
+    (geometry.in_image).  Points whose projection blows up (homogeneous
+    weight ~ 0) are excluded, not fatal.
+
+    Returns (ref_idx, test_idx, jac, proj, back): the common-part indices
+    and, for those points in index order, the (n_ref, 2, 2) Jacobians of h
+    at the reference centers, the (n_ref, 2) images of those centers in the
+    test frame and the (n_test, 2) images of the test centers in the
+    reference frame.  Each center is mapped here, once per pair.
     """
-    ref_idx = _in_view(ref.centers, h, test.width, test.height)
-    test_idx = _in_view(test.centers, h.inverse(), ref.width, ref.height)
-    return ref_idx, test_idx
-
-
-def _in_view(centers, h, width, height):
-    proj, ok = project_points(h, centers)
-    with np.errstate(invalid="ignore"):
-        inside = (
-            ok
-            & (proj[:, 0] >= 0.0)
-            & (proj[:, 0] <= width)
-            & (proj[:, 1] >= 0.0)
-            & (proj[:, 1] <= height)
-        )
-    return np.flatnonzero(inside)
+    jac, proj, at_infinity = homography_jacobians(h, ref.centers)
+    back, in_view = project_points(h.inverse(), test.centers)
+    ref_idx = np.flatnonzero(~at_infinity & in_image(proj, test.width, test.height))
+    test_idx = np.flatnonzero(in_view & in_image(back, ref.width, ref.height))
+    return ref_idx, test_idx, jac[ref_idx], proj[ref_idx], back[test_idx]
 
 
 def region_overlap_error(ref_region, test_region, h, cfg):
-    """_overlap_errors of one candidate pair of SecondMomentEllipse.  Raises
-    PointAtInfinity or DegenerateRegion when the pair cannot be scored."""
-    err, at_infinity = _overlap_errors(
-        ref_region.center[None], ref_region.abc[None],
-        test_region.center[None], test_region.abc[None], h, cfg,
-    )
-    if at_infinity[0]:
+    """_overlap_errors of one candidate pair of SecondMomentEllipse, the
+    test region carried into the reference frame as candidate_table
+    carries it.  Raises PointAtInfinity or DegenerateRegion when the pair
+    cannot be scored."""
+    jac, _, at_infinity = homography_jacobians(h, ref_region.center[None])
+    center, in_view = project_points(h.inverse(), test_region.center[None])
+    if at_infinity[0] or not in_view[0]:
         raise PointAtInfinity(
             f"reference center ({ref_region.center[0]:g}, {ref_region.center[1]:g}) or test "
             f"center ({test_region.center[0]:g}, {test_region.center[1]:g}) maps to infinity"
         )
+    err = _overlap_errors(ref_region.center[None], ref_region.abc[None], center,
+                          transport_shapes(jac, test_region.abc[None]), cfg)
     if np.isnan(err[0]):
         raise DegenerateRegion("the transported or rescaled pair has no overlap grid")
     return float(err[0])
 
 
-def _overlap_errors(ref_centers, ref_abc, test_centers, test_abc, h, cfg):
-    """Overlap errors of K candidate pairs in the reference frame, in one
-    pass over arrays.
+def _overlap_errors(ref_centers, ref_abc, centers, abc, cfg):
+    """Overlap errors of K candidate pairs, both regions already in the
+    reference frame, in one pass over arrays.
 
-    The regions are given as (K, 2) centers and (K, 3) coefficients (a, b,
-    c).  Returns (err, at_infinity): err[k] is NaN where pair k cannot be
-    scored, and at_infinity[k] is set where a center maps to infinity.  The
-    steps: the transport of the test region by the Jacobian quadratic form
-    around the reference center (geometry.map_regions_to_reference, which
-    gives a pair at infinity a NaN center); with cfg.normalize_radius, both
-    regions rescaled by the one factor that gives the reference region the
-    area of a circle of that radius; and the overlap grid at cfg.grid_step,
-    None for geometry's default pitch (geometry.overlap_errors).  Every row
-    goes to overlap_errors, whose grid rule alone decides which pairs are
-    scored: a pair at infinity, a region that is not positive definite or
-    has overflowed, a needle and a grid too wide for the row kernel all
-    score NaN.
+    Each side is given as (K, 2) centers and (K, 3) coefficients (a, b,
+    c).  With cfg.normalize_radius, both regions are rescaled by the one
+    factor that gives the reference region the area of a circle of that
+    radius; then geometry.overlap_errors scores them at cfg.grid_step, None
+    for its default pitch.  Returns the (K,) errors.  Every row goes to
+    overlap_errors, whose grid rule alone decides which pairs are scored: a
+    region that is not positive definite or has overflowed, a needle and a
+    grid too wide for the row kernel all score NaN.
     """
-    center, test_abc, at_infinity = map_regions_to_reference(h, ref_centers, test_centers,
-                                                             test_abc)
     if cfg.normalize_radius is not None:
         a, b, c = ref_abc.T
         r = cfg.normalize_radius
         with np.errstate(all="ignore"):
             s2 = 1.0 / (r * r * np.sqrt(a * c - b * b))
             ref_abc = ref_abc * s2[:, None]
-            test_abc = test_abc * s2[:, None]
-    return overlap_errors(ref_centers, ref_abc, center, test_abc, cfg.grid_step), at_infinity
+            abc = abc * s2[:, None]
+    return overlap_errors(ref_centers, ref_abc, centers, abc, cfg.grid_step)
 
 
 def candidate_table(ref, test, h, cfg=EvalConfig()):
@@ -178,16 +178,17 @@ def candidate_table(ref, test, h, cfg=EvalConfig()):
 
     The pairs within epsilon come from a spatial hash of the test centers
     (geometry.close_pairs), with the distance bits of the N x M matrix it
-    replaces, and all of them are scored in one pass over arrays
-    (_overlap_errors), a block of grid rows at a time.
+    replaces.  Each test region is carried into the reference frame from
+    common_part_filter's maps, its back-projected center and its shape
+    transported by the Jacobian at the reference center, and all of them
+    are scored in one pass over arrays (_overlap_errors), a block of grid
+    rows at a time.
     """
-    ref_idx, test_idx = common_part_filter(ref, test, h)
-    proj, ok = project_points(h, ref.centers[ref_idx])
-    # common-part membership already implies a finite projection
-    assert bool(np.all(ok))
+    ref_idx, test_idx, jac, proj, back = common_part_filter(ref, test, h)
     i, j, dist = close_pairs(proj, test.centers[test_idx], cfg.epsilon_px)
     ri, tj = ref_idx[i], test_idx[j]
-    err, _ = _overlap_errors(ref.centers[ri], ref.abc[ri], test.centers[tj], test.abc[tj], h, cfg)
+    err = _overlap_errors(ref.centers[ri], ref.abc[ri], back[j],
+                          transport_shapes(jac[i], test.abc[tj]), cfg)
     keep = np.flatnonzero(err < cfg.max_overlap_error)
     return ref_idx, test_idx, (ri[keep], tj[keep], err[keep], dist[keep])
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .formats import KeypointSet, check_dimensions
-from .geometry import homography_jacobians, libm, region_checks, transport_shapes
+from .geometry import homography_jacobians, in_image, libm, region_checks, transport_shapes
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -280,8 +280,7 @@ def derive_test(ref, h, cfg, image_id="test"):
     kept, centers, abc = _transport(h, ref.centers[survivors], ref.abc[survivors])
     with np.errstate(over="ignore"):
         centers += draws[kept, :2] * cfg.jitter_sigma
-    x, y = centers.T
-    inside = (0.0 <= x) & (x <= cfg.image_width) & (0.0 <= y) & (y <= cfg.image_height)
+    inside = in_image(centers, cfg.image_width, cfg.image_height)
     kept, centers, abc = kept[inside], centers[inside], abc[inside]
     planted = _normalized(
         ref.descriptors[survivors[kept]] + draws[kept, 2:] * cfg.descriptor_noise_sigma

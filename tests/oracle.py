@@ -240,7 +240,7 @@ def oracle_candidate_table(ref, test, h, cfg):
     """(ref_idx, test_idx, table, dropped): candidate_table's result and the
     number of candidates left out as DegenerateRegion or PointAtInfinity,
     or because their transported or rescaled region is not finite."""
-    ref_idx, test_idx = common_part_filter(ref, test, h)
+    ref_idx, test_idx = common_part_filter(ref, test, h)[:2]
     proj = np.array([oracle_project_point(h, p) for p in ref.centers[ref_idx]]).reshape(-1, 2)
     d = pairwise_distances(proj, test.centers[test_idx])
     table = {}

@@ -29,10 +29,10 @@ from repbench.geometry import (
     close_pairs,
     half_extents,
     homography_jacobians,
-    map_regions_to_reference,
     pairwise_distances,
     project_points,
     semiaxes,
+    transport_shapes,
 )
 from repbench.metrics import EvalConfig, candidate_table, region_overlap_error
 
@@ -121,7 +121,7 @@ def test_default_pitch_on_the_seed_7_tables(workload):
     by the oracle."""
     pairs = []
     for ref, test, h in workload_pairs(workload, 7):
-        ref_idx, test_idx = metrics.common_part_filter(ref, test, h)
+        ref_idx, test_idx = metrics.common_part_filter(ref, test, h)[:2]
         proj, _ = project_points(h, ref.centers[ref_idx])
         i, j, _ = close_pairs(proj, test.centers[test_idx], EvalConfig().epsilon_px)
         for ri, tj in zip(ref_idx[i].tolist(), test_idx[j].tolist()):
@@ -134,6 +134,25 @@ def test_default_pitch_on_the_seed_7_tables(workload):
     steps = np.array([oracle.default_grid_step(e1, e2) for e1, e2 in pairs])
     got = geometry.overlap_errors(*regions)
     assert len(got) > 0 and got.tobytes() == geometry.overlap_errors(*regions, steps).tobytes()
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_each_centre_is_mapped_once(monkeypatch, workload):
+    """candidate_table sends each centre of a pair through the projection
+    formula once: len(ref) + len(test) rows reach geometry._homogeneous."""
+    rows = []
+    homogeneous = geometry._homogeneous
+
+    def counted(m, points):
+        rows.append(len(points))
+        return homogeneous(m, points)
+
+    monkeypatch.setattr(geometry, "_homogeneous", counted)
+    for ref, test, h in workload_pairs(workload, 7):
+        rows.clear()
+        candidate_table(ref, test, h)
+        points = len(ref) + len(test)
+        assert sum(rows) == points
 
 
 def keypoint_set(centers, abc, width=800, height=640):
@@ -242,8 +261,10 @@ def test_scored_candidates_match_one_by_one():
     of h, where the Jacobian's scale overflows their transport (the
     reference's SecondMomentEllipse raises ValueError, the batch scores NaN
     and region_overlap_error raises DegenerateRegion), and plain ones, in
-    one batch.  Each pair must score as region_overlap_error and the
-    reference score it one at a time."""
+    one batch.  The rows whose centers map to finite points are scored
+    together, and each must score as region_overlap_error and the
+    reference score it one at a time; for the others both raise
+    PointAtInfinity."""
     rng = np.random.default_rng(4103)
     kinds = {PointAtInfinity: 0, DegenerateRegion: 0, ValueError: 0, float: 0}
     for _ in range(40):
@@ -265,10 +286,13 @@ def test_scored_candidates_match_one_by_one():
         test_centers[16:20], _ = project_points(h, ref_centers[16:20])
         test_abc[16:20] = (1e308, 0.0, 1e308)
         ref_abc = circles(k, float(rng.uniform(2, 6)))
+        jac, _, at_infinity = homography_jacobians(h, ref_centers)
+        back, in_view = project_points(h.inverse(), test_centers)
+        mapped = np.flatnonzero(~at_infinity & in_view)
         for cfg in CONFIGS.values():
-            err, at_infinity = metrics._overlap_errors(
-                ref_centers, ref_abc, test_centers, test_abc, h, cfg
-            )
+            scores = metrics._overlap_errors(ref_centers[mapped], ref_abc[mapped], back[mapped],
+                                             transport_shapes(jac[mapped], test_abc[mapped]), cfg)
+            err = dict(zip(mapped.tolist(), scores.tolist()))
             for i in range(k):
                 ref_region = SecondMomentEllipse.from_abc(*ref_centers[i], *ref_abc[i])
                 test_region = SecondMomentEllipse.from_abc(*test_centers[i], *test_abc[i])
@@ -278,21 +302,23 @@ def test_scored_candidates_match_one_by_one():
                     if isinstance(exc, ValueError) and str(exc) != oracle.NOT_FINITE:
                         raise
                     kinds[type(exc)] += 1
-                    assert np.isnan(err[i])
-                    assert at_infinity[i] == isinstance(exc, PointAtInfinity)
-                    with pytest.raises(PointAtInfinity if at_infinity[i] else DegenerateRegion):
+                    assert (i in err) != isinstance(exc, PointAtInfinity)
+                    assert i not in err or math.isnan(err[i])
+                    with pytest.raises(DegenerateRegion if i in err else PointAtInfinity):
                         region_overlap_error(ref_region, test_region, h, cfg)
                     continue
                 kinds[float] += 1
-                assert err[i].hex() == want.hex() and not at_infinity[i]
+                assert err[i].hex() == want.hex()
                 assert region_overlap_error(ref_region, test_region, h, cfg).hex() == want.hex()
     assert all(kinds.values()), kinds
 
 
 def test_transport_bits():
-    """map_regions_to_reference gives the per-pair transport's centers and
-    shapes bit for bit, and flags exactly the pairs it raises
-    PointAtInfinity for."""
+    """The test regions carried into the reference frame as candidate_table
+    carries them (the centers through h^-1 by project_points, the shapes by
+    transport_shapes with the Jacobians of homography_jacobians) have the
+    per-pair transport's centers and shapes bit for bit, and exactly the
+    pairs it raises PointAtInfinity for are masked."""
     rng = np.random.default_rng(4109)
     flagged = 0
     for _ in range(100):
@@ -308,17 +334,18 @@ def test_transport_bits():
         test_abc = np.c_[co**2 / major**2 + si**2 / minor**2,
                          co * si * (1 / major**2 - 1 / minor**2),
                          si**2 / major**2 + co**2 / minor**2]
-        centers, abc, at_infinity = map_regions_to_reference(h, ref_centers, test_centers,
-                                                             test_abc)
+        jac, _, at_infinity = homography_jacobians(h, ref_centers)
+        centers, in_view = project_points(h.inverse(), test_centers)
+        abc = transport_shapes(jac, test_abc)
         for i in range(k):
             test_region = SecondMomentEllipse.from_abc(*test_centers[i], *test_abc[i])
             try:
                 want = oracle_map_region_to_reference(h, ref_centers[i], test_region)
             except PointAtInfinity:
                 flagged += 1
-                assert at_infinity[i]
+                assert at_infinity[i] or not in_view[i]
                 continue
-            assert not at_infinity[i]
+            assert not at_infinity[i] and in_view[i]
             assert centers[i].tobytes() == want.center.tobytes()
             assert abc[i].tobytes() == want.abc.tobytes()
     assert flagged > 0

@@ -13,10 +13,11 @@ from repbench.geometry import (
     Homography,
     SecondMomentEllipse,
     homography_jacobians,
+    in_image,
     libm,
-    map_regions_to_reference,
     overlap_error,
     project_points,
+    transport_shapes,
 )
 from repbench.metrics import EvalConfig, region_overlap_error
 
@@ -53,12 +54,14 @@ def project(h, pts):
 
 
 def map_region(h, ref_center, test_region):
-    """map_regions_to_reference of one region, as a SecondMomentEllipse."""
-    centers, abc, at_infinity = map_regions_to_reference(
-        h, np.reshape(ref_center, (1, 2)), test_region.center[None], test_region.abc[None]
-    )
+    """test_region carried into the reference frame as metrics carries a
+    candidate: its center through h^-1, its shape by the Jacobian of h at
+    ref_center; a SecondMomentEllipse."""
+    jac, _, at_infinity = homography_jacobians(h, np.reshape(ref_center, (1, 2)))
+    center = project(h.inverse(), test_region.center[None])
     assert not at_infinity[0]
-    return SecondMomentEllipse.from_abc(*centers[0], *abc[0])
+    abc = transport_shapes(jac, test_region.abc[None])
+    return SecondMomentEllipse.from_abc(*center[0], *abc[0])
 
 
 def boundary_points(e, n=256):
@@ -163,6 +166,14 @@ class TestProjection:
         _, _, at_infinity = homography_jacobians(h, pts)
         assert ok.tolist() == [False, False, True, True]
         assert at_infinity.tolist() == [True, True, False, False]
+
+    def test_in_image_includes_the_boundary_and_drops_nan(self):
+        pts = np.array([(0.0, 0.0), (800.0, 640.0), (800.0, 0.0), (-1e-300, 5.0),
+                        (5.0, np.nextafter(640.0, np.inf)), (np.nan, 5.0), (5.0, np.inf)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inside = in_image(pts, 800, 640)
+        assert inside.tolist() == [True, True, True, False, False, False, False]
 
 
 class TestJacobian:

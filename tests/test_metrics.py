@@ -38,13 +38,13 @@ def translation(dx, dy):
 class TestCommonPartFilter:
     def test_identity_keeps_all(self):
         s = make_set([(10, 10), (200, 200), (390, 390)])
-        ref_idx, test_idx = common_part_filter(s, s, Homography.identity())
+        ref_idx, test_idx = common_part_filter(s, s, Homography.identity())[:2]
         assert list(ref_idx) == [0, 1, 2]
         assert list(test_idx) == [0, 1, 2]
 
     def test_boundary_points_kept(self):
         s = make_set([(0.0, 0.0), (400.0, 400.0), (0.0, 400.0)])
-        ref_idx, test_idx = common_part_filter(s, s, Homography.identity())
+        ref_idx, test_idx = common_part_filter(s, s, Homography.identity())[:2]
         assert len(ref_idx) == 3 and len(test_idx) == 3
 
     def test_translation_splits_view(self):
@@ -52,13 +52,24 @@ class TestCommonPartFilter:
         # only test points with x >= 200 map back into the reference
         ref = make_set([(50, 50), (150, 150), (250, 250), (350, 350)])
         test = make_set([(50, 50), (150, 150), (250, 250), (350, 350)])
-        ref_idx, test_idx = common_part_filter(ref, test, translation(200, 0))
+        ref_idx, test_idx = common_part_filter(ref, test, translation(200, 0))[:2]
         assert list(ref_idx) == [0, 1]
         assert list(test_idx) == [2, 3]
 
+    def test_maps_cover_the_common_part(self):
+        # the Jacobians, projections and back-projections of the common-part
+        # points only, in index order
+        ref = make_set([(50, 50), (150, 150), (250, 250), (350, 350)])
+        test = make_set([(60, 50), (170, 150), (250, 250), (350, 340)])
+        ref_idx, test_idx, jac, proj, back = common_part_filter(ref, test, translation(200, 0))
+        assert (ref_idx.tolist(), test_idx.tolist()) == ([0, 1], [2, 3])
+        assert jac.tolist() == [[[1.0, 0.0], [0.0, 1.0]]] * 2
+        assert proj.tolist() == [[250.0, 50.0], [350.0, 150.0]]
+        assert back.tolist() == [[50.0, 250.0], [150.0, 340.0]]
+
     def test_fully_disjoint(self):
         s = make_set([(50, 50), (100, 100)])
-        ref_idx, test_idx = common_part_filter(s, s, translation(1000, 0))
+        ref_idx, test_idx = common_part_filter(s, s, translation(1000, 0))[:2]
         assert len(ref_idx) == 0 and len(test_idx) == 0
 
     def test_point_at_infinity_excluded_not_fatal(self):
@@ -66,13 +77,13 @@ class TestCommonPartFilter:
         # w = x - 100 vanishes on the x = 100 line
         ref = make_set([(100.0, 100.0), (150.0, 100.0)])
         test = make_set([(3.0, 2.0)])
-        ref_idx, _ = common_part_filter(ref, test, h)
+        ref_idx, _ = common_part_filter(ref, test, h)[:2]
         assert list(ref_idx) == [1]
 
     def test_empty_sets(self):
         empty = make_set([])
         full = make_set([(50, 50)])
-        ref_idx, test_idx = common_part_filter(empty, full, Homography.identity())
+        ref_idx, test_idx = common_part_filter(empty, full, Homography.identity())[:2]
         assert len(ref_idx) == 0 and len(test_idx) == 1
 
 
@@ -199,7 +210,7 @@ class TestFindCorrespondences:
 
             got = correspondences(ref, test, h)
 
-            ref_idx, test_idx = common_part_filter(ref, test, h)
+            ref_idx, test_idx = common_part_filter(ref, test, h)[:2]
             cands = {}
             for ri in ref_idx.tolist():
                 p = project_points(h, ref.centers[ri])[0][0]
@@ -421,6 +432,33 @@ class TestReferenceFrame:
         assert (forward.n_ref, forward.n_test) == (backward.n_test, backward.n_ref)
         assert (forward.n_rep, forward.true_matches, forward.eq1, forward.c2) == (
             backward.n_rep, backward.true_matches, backward.eq1, backward.c2)
+
+    @pytest.mark.parametrize("normalize_radius", [30.0, None])
+    @pytest.mark.parametrize("seed", [3, 17, 29])
+    def test_integer_translation_on_a_lattice_is_direction_free(self, seed, normalize_radius):
+        # centers and jitter on a 1/8 px lattice and an integer shift: every
+        # center plus the shift is exact, so neither the epsilon gate nor the
+        # common part can flip with the direction; a survivor keeps its
+        # reference shape, so matched regions have equal areas and both
+        # directions normalise them by the same factor
+        rng = np.random.default_rng(seed)
+        ref = generate_reference(SynthConfig(seed=seed, n_points=300, descriptor_dim=16))
+        ref = KeypointSet("ref", ref.width, ref.height, np.round(ref.centers * 8.0) / 8.0,
+                          ref.abc, ref.descriptors)
+        keep = np.flatnonzero(rng.uniform(size=len(ref)) >= 0.1)
+        shift = rng.integers(-40, 41, 2).astype(float)
+        jitter = np.round(rng.normal(0.0, 1.0, (len(keep), 2)) * 8.0) / 8.0
+        descriptors = ref.descriptors[keep] + rng.normal(0.0, 0.05, (len(keep), 16))
+        descriptors /= np.linalg.norm(descriptors, axis=1, keepdims=True)
+        test = KeypointSet("test", ref.width, ref.height, ref.centers[keep] + shift + jitter,
+                           ref.abc[keep], descriptors)
+        forward, backward = self.both_directions(
+            ref, test, translation(*shift), EvalConfig(normalize_radius=normalize_radius)
+        )
+        assert forward.n_rep > 50 and forward.true_matches > 50
+        assert (forward.n_ref, forward.n_test) == (backward.n_test, backward.n_ref)
+        assert (forward.n_rep, forward.true_matches, forward.c2) == (
+            backward.n_rep, backward.true_matches, backward.c2)
 
 
 class TestEvalConfig:
