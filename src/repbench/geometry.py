@@ -249,8 +249,8 @@ def close_pairs(a, b, radius):
     """Every pair of 2-D points closer than `radius`, without the N x M matrix.
 
     Returns (i, j, d) in row-major (i, j) order, d = sqrt(dx*dx + dy*dy)
-    < radius for (dx, dy) = a[i] - b[j]: the bits of pairwise_distances(a,
-    b)[i, j].  The points of b are bucketed in square cells a little wider
+    < radius for (dx, dy) = a[i] - b[j], scored by indexed_distances: the
+    bits of pairwise_distances(a, b)[i, j].  The points of b are bucketed in square cells a little wider
     than radius, and each point of a is looked up in the 3 x 3 cells around
     its own (spatial hashing, Teschner et al., VMV 2003), so only pairs in
     neighbouring cells get a distance.  Memory is O(N + M + those pairs).
@@ -288,9 +288,7 @@ def close_pairs(a, b, radius):
     i = np.repeat(np.arange(len(a)), count.reshape(len(a), 9).sum(axis=1))
     run = np.repeat(start - (np.cumsum(count) - count), count)
     j = by_key[run + np.arange(len(run))]
-    dx = a[i, 0] - b[j, 0]
-    dy = a[i, 1] - b[j, 1]
-    d = np.sqrt(dx * dx + dy * dy)
+    d = indexed_distances(a, b, i, j)
     close = np.flatnonzero(d < radius)
     close = close[np.lexsort((j[close], i[close]))]
     return i[close], j[close], d[close]

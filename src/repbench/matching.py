@@ -21,7 +21,9 @@ is never built.  nn_match takes mutual nearest neighbours round by round,
 which are exactly the pairs the global greedy takes.  Once a round stops
 paying, it computes every distance still open in blocks
 (geometry.pairwise_distances) and the plain greedy finishes; only the
-rounds read the estimates.
+rounds read the estimates.  ratio_match reads each row's own estimates
+only, so it estimates and scores a block of reference rows at a time and
+holds no N x M array.
 """
 
 import math
@@ -48,23 +50,25 @@ TOL_FACTOR = 4
 # A peeling round of nn_match re-scores its near entries one by one only
 # while they are at most this share of the open entries; beyond it, the
 # rounds stop, every open distance is computed in blocks and the plain
-# greedy finishes.  ratio_match likewise computes every
-# distance when more than this share of all entries is near a row's second
-# smallest estimate.
+# greedy finishes.  ratio_match has no such switch: it gathers a row's near
+# entries however many there are.
 MAX_RESCORE_SHARE = 1 / 8
 
 # nn_match stops peeling, and the greedy finishes, after a round that
 # matches fewer than this share of the open rows or columns (the fewer).
 MIN_PEEL_SHARE = 1 / 8
 
+# ratio_match's blocks of reference rows hold about this many entries each.
+RATIO_BLOCK_ENTRIES = 1 << 17
 
-def _approx_squared(a, b):
+
+def _approx_squared(a, b, nb=None):
     """GEMM estimates of all squared distances, with error bounds.
 
     Returns approx (N, M) = na[:, None] + nb[None, :] - 2 a @ b.T, where
-    na = (a * a).sum(axis=1) and nb likewise, and the tolerances row_tol
-    (N,) and col_tol (M,).  row_tol[i] is tol(i, j) at the largest nb[j],
-    col_tol[j] is tol(i, j) at the largest na[i], where
+    na = (a * a).sum(axis=1) and nb likewise (unless given), and the
+    tolerances row_tol (N,) and col_tol (M,).  row_tol[i] is tol(i, j) at
+    the largest nb[j], col_tol[j] is tol(i, j) at the largest na[i], where
 
         tol(i, j) = c (D + 2) eps (na[i] + nb[j]) + tau,   c = TOL_FACTOR.
 
@@ -92,7 +96,8 @@ def _approx_squared(a, b):
     formula, never which match is made.
     """
     na = np.einsum("ij,ij->i", a, a)
-    nb = np.einsum("ij,ij->i", b, b)
+    if nb is None:
+        nb = np.einsum("ij,ij->i", b, b)
     approx = a @ b.T
     approx *= -2.0
     approx += na[:, None]
@@ -222,46 +227,40 @@ def ratio_match(ref, test, ratio=0.8):
     below `ratio` times the second nearest (ambiguous matches drop out);
     survivors are then resolved greedily like nn_match, and returned in its
     (K, 2) form.  A single test descriptor leaves nothing to compare
-    against, so the test is waived.
+    against, so the test is waived.  Rows are decided a block of about
+    RATIO_BLOCK_ENTRIES entries at a time.
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must lie in (0, 1)")
     a, b = _descriptor_matrices(ref, test)
-    if len(a) == 0 or len(b) == 0:
+    n, m = len(a), len(b)
+    if n == 0 or m == 0:
         return np.empty((0, 2), np.intp)
-    approx, row_tol, _ = _approx_squared(a, b)
-    n, m = approx.shape
-    # each row's entries within 2 tol of its second-smallest estimate hold
-    # its nearest and second-nearest exact distances, ties included
-    second = np.full(n, np.inf)
-    if m > 1:
-        every = np.arange(n)
+    nb = np.einsum("ij,ij->i", b, b)
+    nearest = np.empty(n, np.intp)
+    d1 = np.empty(n)
+    d2 = np.empty(n)
+    step = max(1, RATIO_BLOCK_ENTRIES // m)
+    for i0 in range(0, n, step):
+        block = a[i0 : i0 + step]
+        approx, row_tol, _ = _approx_squared(block, b, nb)
+        # each row's entries within 2 tol of its second-smallest estimate
+        # hold its nearest and second-nearest exact distances, ties
+        # included; its smallest estimate is always among them
+        every = np.arange(len(block))
         k = approx.argmin(axis=1)
-        smallest = approx[every, k]
         approx[every, k] = np.inf
-        second = approx.min(axis=1)
-        approx[every, k] = smallest
-    far = approx > (second + 2 * row_tol)[:, None]
-    del approx
-    if far.size - np.count_nonzero(far) > MAX_RESCORE_SHARE * far.size:
-        # most entries are near: every distance, in blocks, is cheaper than
-        # gathering them one by one, and has the same bits
-        del far
-        d = pairwise_distances(a, b)
-        every = np.arange(n)
-        nearest = d.argmin(axis=1)
-        d1 = d[every, nearest]
-        d[every, nearest] = np.inf
-        d2 = d.min(axis=1)
-    else:
-        r, c = np.nonzero(np.logical_not(far, out=far))
-        del far
-        d = indexed_distances(a, b, r, c)
+        far = approx > (approx.min(axis=1) + 2 * row_tol)[:, None]
+        del approx
+        far[every, k] = False
+        # flatnonzero, unlike a 2-D nonzero, is a fast scan of the mask
+        r, c = np.divmod(np.flatnonzero(np.logical_not(far, out=far)), m)
+        d = indexed_distances(block, b, r, c)
         best = _first_minimum(r, d)
-        nearest = c[best]
-        d1 = d[best]
+        nearest[i0 : i0 + step] = c[best]
+        d1[i0 : i0 + step] = d[best]
         d[best] = np.inf
-        d2 = np.minimum.reduceat(d, np.flatnonzero(np.diff(r, prepend=-1)))
+        d2[i0 : i0 + step] = np.minimum.reduceat(d, np.flatnonzero(np.diff(r, prepend=-1)))
     keep = np.arange(n) if m == 1 else np.flatnonzero(d1 < ratio * d2)
     # rows are unique, so a stable sort by d1 breaks ties by (row, column)
     by_d1 = keep[np.argsort(d1[keep], kind="stable")]

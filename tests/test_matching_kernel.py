@@ -299,19 +299,38 @@ def test_degenerate_inputs_reach_the_greedy(monkeypatch, kind):
     assert len(dense) == 1
 
 
-@pytest.mark.parametrize("ending", ["dense", "filtered"])
+# ratio_match has one ending left, the near entries gathered one by one
+@pytest.mark.parametrize("ending", ["filtered"])
 @pytest.mark.parametrize("kind", ["identical", "lattice", "chain"])
 def test_degenerate_inputs_ratio_endings(monkeypatch, kind, ending):
-    """ratio_match on the degenerate families, made to take every distance
-    in blocks (dense) or to gather the near entries one by one (filtered)."""
-    monkeypatch.setattr(matching, "MAX_RESCORE_SHARE", 0.0 if ending == "dense" else math.inf)
+    """ratio_match on the degenerate families, where most entries are near:
+    it gathers them a block of rows at a time and never takes every
+    distance at once."""
     dense = count_calls(monkeypatch, "pairwise_distances")
     gathered = count_calls(monkeypatch, "indexed_distances")
     a, b = degenerate_pair(kind)
     for ratio in (0.5, 0.99):
         got = ratio_match(as_set(a), as_set(b), ratio).tolist()
         assert got == row_loop_ratio(a, b, ratio)
-    assert (len(dense), len(gathered)) == ((2, 0) if ending == "dense" else (0, 2))
+    blocks = math.ceil(len(a) / (matching.RATIO_BLOCK_ENTRIES // len(b)))
+    assert (len(dense), len(gathered)) == (0, 2 * blocks)
+
+
+@pytest.mark.parametrize("rows", [1, 7, "n-1"])
+def test_ratio_row_blocks(monkeypatch, rows):
+    """Block edges that split the reference rows anywhere leave the ratio
+    matches as they are: each row is decided from its own entries."""
+    rng = np.random.default_rng(3016)
+    cases = [normal_pair(rng, 2 + k % 7) for k in range(60)]
+    cases += [(rng.integers(0, 3, (n, 3)), rng.integers(0, 3, (m, 3)))
+              for n, m in rng.integers(2, 25, (30, 2))]
+    cases += [degenerate_pair(kind, 200) for kind in ("identical", "lattice", "chain")]
+    for a, b in cases:
+        depth = max(1, len(a) - 1) if rows == "n-1" else rows
+        monkeypatch.setattr(matching, "RATIO_BLOCK_ENTRIES", depth * len(b))
+        for ratio in (0.5, 0.8, 0.99):
+            got = ratio_match(as_set(a), as_set(b), ratio).tolist()
+            assert got == row_loop_ratio(a, b, ratio)
 
 
 def test_random_detector_scale(monkeypatch):
@@ -350,7 +369,7 @@ def test_worst_case_estimates(monkeypatch, path):
     use_path(monkeypatch, path)
     rng = np.random.default_rng(3015)
 
-    def estimates(a, b):
+    def estimates(a, b, nb=None):
         diff = a[:, None, :] - b[None, :, :]
         squared = (diff * diff).sum(axis=2)
         tol = float(rng.choice([0.5, 2.0, 8.0]))
@@ -392,3 +411,24 @@ def test_distance_memory_is_bounded():
     assert len(matches) == n
     # the whole difference array would be n * m * 128 * 8 bytes, about 1 GB
     assert peak < 4 * n * m * 8
+
+
+def ratio_peak(a, b):
+    ref, test = as_set(a), as_set(b)
+    tracemalloc.start()
+    try:
+        ratio_match(ref, test, 0.8)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ratio_memory_is_bounded():
+    rng = np.random.default_rng(3017)
+    n = m = 2000
+    # the N x M estimate alone would be n * m * 8 bytes, 32 MB
+    assert ratio_peak(rng.normal(size=(n, 128)), rng.normal(size=(m, 128))) < n * m * 8 / 4
+    # every entry near: held a block at a time, below the N x M estimate and
+    # mask (9 bytes an entry) that the whole-matrix filter held
+    a, b = degenerate_pair("identical")
+    assert ratio_peak(a, b) < 9 * len(a) * len(b)

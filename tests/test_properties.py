@@ -121,13 +121,14 @@ def test_evaluation_ignores_keypoint_order(seed, n_points, jitter, h, matcher, d
     n_points=st.integers(0, 40),
     jitter=st.floats(0.0, 2.0),
     hs=st.lists(projective(), min_size=1, max_size=4),
+    matcher=st.sampled_from(["nn", "ratio"]),
 )
-def test_sequence_report_same_for_any_worker_count(seed, n_points, jitter, hs):
+def test_sequence_report_same_for_any_worker_count(seed, n_points, jitter, hs, matcher):
     with tempfile.TemporaryDirectory() as out:
         path = synth_sequence(out, "prop", synth_config(seed, n_points, jitter), len(hs) + 1, hs)
         manifest = load_manifest(path)
         reports = [
-            evaluate_sequence(manifest, out, EvalConfig(), workers=workers)
+            evaluate_sequence(manifest, out, EvalConfig(matcher=matcher), workers=workers)
             for workers in (1, 2, 4)
         ]
     texts = {(sequence_report_json(r), sequence_report_csv(r)) for r in reports}
