@@ -42,7 +42,7 @@ PROJECTIVE_EPS = 1e-12
 # overlap_error never evaluates more than this many grid samples per pair.
 MAX_OVERLAP_SAMPLES = 4_000_000
 
-# pairwise_distances holds about this many coordinate differences at a time.
+# indexed_distances holds about this many coordinate differences at a time.
 PAIRWISE_BLOCK_ELEMENTS = 1 << 16
 
 # overlap_errors runs its pairs' grid rows through the row kernel in blocks
@@ -203,37 +203,12 @@ def _homogeneous(m, points):
     return u, v, w, np.abs(w) >= PROJECTIVE_EPS * np.abs(m).max()
 
 
-def pairwise_distances(a, b):
-    """(N, M) Euclidean distances between the rows of a (N, D) and b (M, D).
-
-    Entry (i, j) is sqrt(((a[i] - b[j]) * (a[i] - b[j])).sum()), summed over
-    the same contiguous D values as the broadcast a[:, None] - b[None], so
-    every distance has the same bits as that expression.  The differences
-    are held a block of rows at a time, about PAIRWISE_BLOCK_ELEMENTS values
-    (at least one row), never all N*M*D at once.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n, dim = a.shape
-    m = len(b)
-    out = np.empty((n, m))
-    rows = max(1, PAIRWISE_BLOCK_ELEMENTS // max(1, m * dim))
-    buf = np.empty((min(rows, n), m, dim))
-    for i0 in range(0, n, rows):
-        block = buf[: min(rows, n - i0)]
-        np.subtract(a[i0 : i0 + rows, None, :], b[None], out=block)
-        # far-apart points overflow to an infinite distance, as intended
-        with np.errstate(over="ignore"):
-            np.multiply(block, block, out=block)
-        block.sum(axis=2, out=out[i0 : i0 + rows])
-    return np.sqrt(out, out=out)
-
-
 def indexed_distances(a, b, rows, cols):
     """Distances between a[rows[k]] and b[cols[k]] for each k.
 
-    The same contiguous difference-squared sum as pairwise_distances, so
-    each value has the bits of entry (rows[k], cols[k]) there.  The
+    Each is sqrt(((a[i] - b[j]) * (a[i] - b[j])).sum()), summed over the
+    same contiguous D values as the broadcast a[:, None] - b[None], so it
+    has the bits of entry (rows[k], cols[k]) of that expression.  The
     differences are held about PAIRWISE_BLOCK_ELEMENTS values at a time.
     """
     out = np.empty(len(rows))
@@ -250,7 +225,7 @@ def close_pairs(a, b, radius):
 
     Returns (i, j, d) in row-major (i, j) order, d = sqrt(dx*dx + dy*dy)
     < radius for (dx, dy) = a[i] - b[j], scored by indexed_distances: the
-    bits of pairwise_distances(a, b)[i, j].  The points of b are bucketed in square cells a little wider
+    bits of the broadcast's entry (i, j).  The points of b are bucketed in square cells a little wider
     than radius, and each point of a is looked up in the 3 x 3 cells around
     its own (spatial hashing, Teschner et al., VMV 2003), so only pairs in
     neighbouring cells get a distance.  Memory is O(N + M + those pairs).

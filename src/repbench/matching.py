@@ -7,31 +7,32 @@ evaluated here: verify_matches looks each match up in the pair's candidate
 table, built once by metrics.candidate_table.  Matching itself is
 greedy one-to-one nearest neighbor by default; a Lowe-style ratio test is
 available as an alternative since evaluation protocols differ on this point.
-_greedy is the one greedy one-to-one rule of the package: both matchers
-finish with it, and metrics resolves the correspondences with it.
+_greedy is the one greedy one-to-one rule over a sorted list of entries:
+ratio_match finishes with it, and metrics resolves the correspondences with
+it; nn_match runs the same rule lazily, over a heap.
 
-Both matchers decide on exact distances, the difference-squared sum of
-geometry.pairwise_distances, but compute few of them.  A GEMM expansion
-|a|^2 + |b|^2 - 2 a.b of every squared distance, with an error bound per row
-and per column (_approx_squared), marks the entries that can still be
-nearest in their row or column; only those are re-scored with the exact
+Both matchers decide on exact distances, the difference-squared sum of the
+full N x M x D broadcast, but compute few of them, and both read them from
+one row pass (_nearest_entries) that lists each reference row's nearest test
+entries.  A GEMM expansion |a|^2 + |b|^2 - 2 a.b of every squared distance,
+with an error bound per row (_approx_squared), marks the entries that can
+still be among a row's first k; only those are re-scored with the exact
 formula (geometry.indexed_distances).  Every distance that decides a match,
-and every tie-break, keeps the bits of the full N x M x D broadcast, which
-is never built.  nn_match takes mutual nearest neighbours round by round,
-which are exactly the pairs the global greedy takes.  Once a round stops
-paying, it computes every distance still open in blocks
-(geometry.pairwise_distances) and the plain greedy finishes; only the
-rounds read the estimates.  ratio_match reads each row's own estimates
-only, so it estimates and scores a block of reference rows at a time and
-holds no N x M array.
+and every tie-break, keeps the bits of the broadcast, which is never built.
+A row needs only its own estimates, so the pass holds a block of reference
+rows at a time and no N x M array.  ratio_match reads each row's first two
+entries.  nn_match takes the global greedy from each row's first
+NN_LIST_LENGTH entries and lists a row again, over the free columns, only
+when its list is used up.
 """
 
+import heapq
 import math
 
 import numpy as np
 
 from .errors import DescriptorUnavailable
-from .geometry import indexed_distances, pairwise_distances
+from .geometry import indexed_distances
 
 
 def _descriptor_matrices(ref, test):
@@ -47,28 +48,28 @@ def _descriptor_matrices(ref, test):
 # The factor c of the error bound in _approx_squared.
 TOL_FACTOR = 4
 
-# A peeling round of nn_match re-scores its near entries one by one only
-# while they are at most this share of the open entries; beyond it, the
-# rounds stop, every open distance is computed in blocks and the plain
-# greedy finishes.  ratio_match has no such switch: it gathers a row's near
-# entries however many there are.
-MAX_RESCORE_SHARE = 1 / 8
+# _nearest_entries estimates blocks of reference rows holding about this many
+# entries each (at least one row).  Smaller blocks mean more, smaller GEMM
+# calls, which cost more per entry, the more so when worker threads make
+# them at once.
+ESTIMATE_BLOCK_ENTRIES = 1 << 19
 
-# nn_match stops peeling, and the greedy finishes, after a round that
-# matches fewer than this share of the open rows or columns (the fewer).
-MIN_PEEL_SHARE = 1 / 8
+# It re-scores a block's near entries a run of rows at a time, about this
+# many entries each (at least one row), so that a block whose entries are
+# all near is not gathered at once.
+RESCORE_BLOCK_ENTRIES = 1 << 17
 
-# ratio_match's blocks of reference rows hold about this many entries each.
-RATIO_BLOCK_ENTRIES = 1 << 17
+# nn_match lists each row's first this many test entries at a time.
+NN_LIST_LENGTH = 2
 
 
-def _approx_squared(a, b, nb=None):
+def _approx_squared(a, b, nb):
     """GEMM estimates of all squared distances, with error bounds.
 
     Returns approx (N, M) = na[:, None] + nb[None, :] - 2 a @ b.T, where
-    na = (a * a).sum(axis=1) and nb likewise (unless given), and the
-    tolerances row_tol (N,) and col_tol (M,).  row_tol[i] is tol(i, j) at
-    the largest nb[j], col_tol[j] is tol(i, j) at the largest na[i], where
+    na = (a * a).sum(axis=1) and nb = (b * b).sum(axis=1), and the
+    tolerances row_tol (N,): row_tol[i] is tol(i, j) at the largest nb[j],
+    where
 
         tol(i, j) = c (D + 2) eps (na[i] + nb[j]) + tau,   c = TOL_FACTOR.
 
@@ -87,7 +88,7 @@ def _approx_squared(a, b, nb=None):
     for the rounding of the thresholds themselves.  So if approx[i, j] >
     approx[i, k] + 2 row_tol[i], then s'[i, j] exceeds s'[i, k] by more than
     a square-root tie and d[i, j] > d[i, k] strictly: entry j can neither be
-    nearer than k nor tie with it.  The same holds along a column.
+    nearer than k nor tie with it.
     Below the normal range the relative bounds fail; each product (3 D in
     approx, D in s') may then lose half a subnormal step 2^-1074, and a
     square-root tie spans at most two steps, so tau = c (D + 2) 2^-1074
@@ -96,8 +97,6 @@ def _approx_squared(a, b, nb=None):
     formula, never which match is made.
     """
     na = np.einsum("ij,ij->i", a, a)
-    if nb is None:
-        nb = np.einsum("ij,ij->i", b, b)
     approx = a @ b.T
     approx *= -2.0
     approx += na[:, None]
@@ -105,37 +104,65 @@ def _approx_squared(a, b, nb=None):
     slack = TOL_FACTOR * (a.shape[1] + 2)
     kappa = slack * np.finfo(float).eps
     tau = slack * math.ulp(0.0)
-    return approx, kappa * (na + nb.max()) + tau, kappa * (na.max() + nb) + tau
+    return approx, kappa * (na + nb.max()) + tau
 
 
-def _near_minimum(approx, row_tol, col_tol):
-    """Mask of the entries within 2 tol of their row's or their column's
-    smallest estimate, the only entries that can be nearest there."""
-    far = approx > (approx.min(axis=1) + 2 * row_tol)[:, None]
-    far &= approx > approx.min(axis=0) + 2 * col_tol
-    return np.logical_not(far, out=far)
+def _nearest_entries(a, b, k, nb=None):
+    """Each reference row's first min(k, M) test entries in (exact distance,
+    column) order, as (cols, d), both (N, min(k, M)).
 
-
-def _first_minimum(group, d):
-    """Index of the first entry with its group's smallest d, for each group.
-
-    group must be sorted, with every label 0 .. G-1 present; within a group
-    the entries come in the order that breaks ties.
+    The rows are estimated a block of about ESTIMATE_BLOCK_ENTRIES entries
+    at a time.  In a block, every entry within 2 row_tol of its row's k-th
+    smallest estimate is near and re-scored exactly, about
+    RESCORE_BLOCK_ENTRIES at a time; an entry beyond that has k entries
+    strictly nearer (_approx_squared), so it cannot be among the first k,
+    and the k entries with the smallest estimates are always near.  nb is
+    (b * b).sum(axis=1) when given.
     """
-    starts = np.flatnonzero(np.diff(group, prepend=-1))
-    low = np.minimum.reduceat(d, starts)
-    at_low = np.flatnonzero(d == low[group])
-    return at_low[np.flatnonzero(np.diff(group[at_low], prepend=-1))]
+    if nb is None:
+        nb = np.einsum("ij,ij->i", b, b)
+    n, m = len(a), len(b)
+    k = min(k, m)
+    cols = np.empty((n, k), np.intp)
+    d = np.empty((n, k))
+    step = max(1, ESTIMATE_BLOCK_ENTRIES // m)
+    for i0 in range(0, n, step):
+        block = a[i0 : i0 + step]
+        approx, row_tol = _approx_squared(block, b, nb)
+        # the k - 1 smallest estimates are set aside, so the k-th is the
+        # smallest left; a min pass allocates nothing, unlike np.partition
+        every = np.arange(len(block))
+        aside = []
+        for _ in range(k - 1):
+            aside.append(approx.argmin(axis=1))
+            approx[every, aside[-1]] = np.inf
+        far = approx > (approx.min(axis=1) + 2 * row_tol)[:, None]
+        del approx
+        for j in aside:
+            far[every, j] = False
+        near = np.logical_not(far, out=far)
+        ends = np.cumsum(np.count_nonzero(near, axis=1))
+        r0 = 0
+        while r0 < len(block):
+            start = ends[r0 - 1] if r0 else 0
+            r1 = max(r0 + 1, int(np.searchsorted(ends, start + RESCORE_BLOCK_ENTRIES, "right")))
+            run = slice(i0 + r0, i0 + r1)
+            cols[run], d[run] = _first_entries(block[r0:r1], b, near[r0:r1], k)
+            r0 = r1
+    return cols, d
 
 
-def _mutual_nearest(r, c, d):
-    """The entries, listed in row-major order by (row r, column c) with
-    exact distance d, that are first by (d, c) in their row and by (d, r)
-    in their column.  Every row and column 0 .. max must have an entry."""
-    row_best = _first_minimum(r, d)
-    by_col = np.argsort(c, kind="stable")
-    col_best = by_col[_first_minimum(c[by_col], d[by_col])]
-    return row_best[col_best[c[row_best]] == row_best]
+def _first_entries(a, b, near, k):
+    """The first k entries of each row of the mask near (N, M), in (exact
+    distance, column) order, as (cols, d); each row has at least k."""
+    # flatnonzero, unlike a 2-D nonzero, is a fast scan of the mask
+    r, c = np.divmod(np.flatnonzero(near), near.shape[1])
+    d = indexed_distances(a, b, r, c)
+    # the entries come in row-major order, so a stable sort by (row,
+    # distance) breaks ties by column
+    order = np.lexsort((d, r))
+    first = order[(np.flatnonzero(np.diff(r, prepend=-1))[:, None] + np.arange(k)).ravel()]
+    return c[first].reshape(-1, k), d[first].reshape(-1, k)
 
 
 def _greedy(order, n, m):
@@ -175,49 +202,57 @@ def nn_match(ref, test):
     min(len(ref), len(test)) matches as a (K, 2) intp array of (ref index,
     test index) rows in row-major order.
 
-    Ordered by (distance, ref index, test index), a pair that is first in
-    both its row and its column is taken by that greedy, and taking all
-    such pairs and removing their rows and columns leaves the greedy of the
-    rest unchanged (Preis, STACS 1999).  Each round takes them on the open
-    rows and columns, using exact distances of the entries near each row's
-    and column's smallest estimate only.  When a round stops paying
-    (MAX_RESCORE_SHARE, MIN_PEEL_SHARE), every distance between the open
-    rows and columns is computed in blocks, sorted stably and handed to the
-    greedy, which finishes.
+    A heap holds one key (d, ref index, test index) per open row: the row's
+    first listed entry whose column is still free, or, once its list
+    (_nearest_entries, NN_LIST_LENGTH entries) is used up, the placeholder
+    (last listed d, ref index, -1), a lower bound of the row's next key.  A
+    popped entry whose column is free is therefore the smallest open key,
+    and is taken; one whose column is taken gives way to the row's next
+    listed free column.  When a placeholder comes to the top, every row
+    whose list is used up is listed again in one pass over the free columns.
     """
     a, b = _descriptor_matrices(ref, test)
-    if len(a) == 0 or len(b) == 0:
+    n, m = len(a), len(b)
+    if n == 0 or m == 0:
         return np.empty((0, 2), np.intp)
-    approx, row_tol, col_tol = _approx_squared(a, b)
-    rows = np.arange(len(a))
-    cols = np.arange(len(b))
+    nb = np.einsum("ij,ij->i", b, b)
+    cols, d = _nearest_entries(a, b, NN_LIST_LENGTH, nb)
+    cols, d = cols.tolist(), d.tolist()
+    at = [0] * n
+    heap = [(row_d[0], i, row_cols[0]) for i, (row_d, row_cols) in enumerate(zip(d, cols))]
+    heapq.heapify(heap)
+    used = bytearray(m)
+    # the rows whose lists are used up, in order (a dict as an ordered
+    # set); a placeholder whose row is not among them is stale
+    waiting = {}
     out_i, out_j = [], []
-    while len(rows) and len(cols):
-        near = _near_minimum(approx, row_tol[rows], col_tol[cols])
-        if np.count_nonzero(near) > MAX_RESCORE_SHARE * near.size:
-            break
-        r, c = np.nonzero(near)
-        del near
-        d = indexed_distances(a, b, rows[r], cols[c])
-        won = _mutual_nearest(r, c, d)
-        out_i.append(rows[r[won]])
-        out_j.append(cols[c[won]])
-        open_rows = np.ones(len(rows), dtype=bool)
-        open_rows[r[won]] = False
-        open_cols = np.ones(len(cols), dtype=bool)
-        open_cols[c[won]] = False
-        rows, cols = rows[open_rows], cols[open_cols]
-        if len(won) < MIN_PEEL_SHARE * min(len(open_rows), len(open_cols)):
-            break
-        approx = approx[np.ix_(open_rows, open_cols)]
-    del approx
-    if len(rows) and len(cols):
-        d = pairwise_distances(a[rows], b[cols]).ravel()
-        order = np.argsort(d, kind="stable")
-        flat = order[_greedy(order, len(rows), len(cols))]
-        out_i.append(rows[flat // len(cols)])
-        out_j.append(cols[flat % len(cols)])
-    return _as_matches(np.concatenate(out_i), np.concatenate(out_j))
+    while len(out_i) < min(n, m):
+        _, i, j = heapq.heappop(heap)
+        if j < 0:
+            if i in waiting:
+                rows = np.fromiter(waiting, np.intp, len(waiting))
+                free = np.flatnonzero(~np.frombuffer(used, dtype=bool))
+                new_cols, new_d = _nearest_entries(a[rows], b[free], NN_LIST_LENGTH, nb[free])
+                for r, row_cols, row_d in zip(waiting, free[new_cols].tolist(), new_d.tolist()):
+                    cols[r], d[r], at[r] = row_cols, row_d, 0
+                    heapq.heappush(heap, (row_d[0], r, row_cols[0]))
+                waiting.clear()
+        elif not used[j]:
+            used[j] = 1
+            out_i.append(i)
+            out_j.append(j)
+        else:
+            row = cols[i]
+            k = at[i] + 1
+            while k < len(row) and used[row[k]]:
+                k += 1
+            at[i] = k
+            if k < len(row):
+                heapq.heappush(heap, (d[i][k], i, row[k]))
+            else:
+                waiting[i] = True
+                heapq.heappush(heap, (d[i][-1], i, -1))
+    return _as_matches(np.array(out_i, np.intp), np.array(out_j, np.intp))
 
 
 def ratio_match(ref, test, ratio=0.8):
@@ -227,8 +262,8 @@ def ratio_match(ref, test, ratio=0.8):
     below `ratio` times the second nearest (ambiguous matches drop out);
     survivors are then resolved greedily like nn_match, and returned in its
     (K, 2) form.  A single test descriptor leaves nothing to compare
-    against, so the test is waived.  Rows are decided a block of about
-    RATIO_BLOCK_ENTRIES entries at a time.
+    against, so the test is waived.  Both distances come from each row's
+    first two entries (_nearest_entries).
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must lie in (0, 1)")
@@ -236,32 +271,9 @@ def ratio_match(ref, test, ratio=0.8):
     n, m = len(a), len(b)
     if n == 0 or m == 0:
         return np.empty((0, 2), np.intp)
-    nb = np.einsum("ij,ij->i", b, b)
-    nearest = np.empty(n, np.intp)
-    d1 = np.empty(n)
-    d2 = np.empty(n)
-    step = max(1, RATIO_BLOCK_ENTRIES // m)
-    for i0 in range(0, n, step):
-        block = a[i0 : i0 + step]
-        approx, row_tol, _ = _approx_squared(block, b, nb)
-        # each row's entries within 2 tol of its second-smallest estimate
-        # hold its nearest and second-nearest exact distances, ties
-        # included; its smallest estimate is always among them
-        every = np.arange(len(block))
-        k = approx.argmin(axis=1)
-        approx[every, k] = np.inf
-        far = approx > (approx.min(axis=1) + 2 * row_tol)[:, None]
-        del approx
-        far[every, k] = False
-        # flatnonzero, unlike a 2-D nonzero, is a fast scan of the mask
-        r, c = np.divmod(np.flatnonzero(np.logical_not(far, out=far)), m)
-        d = indexed_distances(block, b, r, c)
-        best = _first_minimum(r, d)
-        nearest[i0 : i0 + step] = c[best]
-        d1[i0 : i0 + step] = d[best]
-        d[best] = np.inf
-        d2[i0 : i0 + step] = np.minimum.reduceat(d, np.flatnonzero(np.diff(r, prepend=-1)))
-    keep = np.arange(n) if m == 1 else np.flatnonzero(d1 < ratio * d2)
+    cols, d = _nearest_entries(a, b, 2)
+    nearest, d1 = cols[:, 0], d[:, 0]
+    keep = np.arange(n) if m == 1 else np.flatnonzero(d1 < ratio * d[:, 1])
     # rows are unique, so a stable sort by d1 breaks ties by (row, column)
     by_d1 = keep[np.argsort(d1[keep], kind="stable")]
     taken = by_d1[_greedy(by_d1 * m + nearest[by_d1], n, m)]

@@ -1,7 +1,9 @@
 """Frozen scalar references for the array kernels of repbench.geometry,
 repbench.metrics and repbench.synth: the per-region and per-pair code as it
-was written before the pipeline moved to arrays of rows, and the one-draw
-SplitMix64 generator that synth's block kernels must reproduce.  Nothing
+was written before the pipeline moved to arrays of rows, the one-draw
+SplitMix64 generator that synth's block kernels must reproduce, and the
+blocked N x M distances whose bits the matchers' and the centre search's
+sparse distances must have.  Nothing
 here calls SecondMomentEllipse's semiaxes() or half_extents(), which are
 K = 1 calls of the kernels under test."""
 
@@ -11,7 +13,7 @@ import numpy as np
 
 from repbench import geometry
 from repbench.errors import DegenerateRegion, PointAtInfinity
-from repbench.geometry import SecondMomentEllipse, pairwise_distances
+from repbench.geometry import SecondMomentEllipse
 from repbench.metrics import common_part_filter
 
 _MASK64 = (1 << 64) - 1
@@ -43,6 +45,33 @@ class SplitMix64:
         u1 = self.uniform()
         u2 = self.uniform()
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def pairwise_distances(a, b):
+    """(N, M) Euclidean distances between the rows of a (N, D) and b (M, D).
+
+    Entry (i, j) is sqrt(((a[i] - b[j]) * (a[i] - b[j])).sum()), summed over
+    the same contiguous D values as the broadcast a[:, None] - b[None], so
+    every distance has the same bits as that expression.  The differences
+    are held a block of rows at a time, about
+    geometry.PAIRWISE_BLOCK_ELEMENTS values (at least one row), never all
+    N*M*D at once.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n, dim = a.shape
+    m = len(b)
+    out = np.empty((n, m))
+    rows = max(1, geometry.PAIRWISE_BLOCK_ELEMENTS // max(1, m * dim))
+    buf = np.empty((min(rows, n), m, dim))
+    for i0 in range(0, n, rows):
+        block = buf[: min(rows, n - i0)]
+        np.subtract(a[i0 : i0 + rows, None, :], b[None], out=block)
+        # far-apart points overflow to an infinite distance, as intended
+        with np.errstate(over="ignore"):
+            np.multiply(block, block, out=block)
+        block.sum(axis=2, out=out[i0 : i0 + rows])
+    return np.sqrt(out, out=out)
 
 
 def semiaxes(e):

@@ -29,7 +29,6 @@ from repbench.geometry import (
     close_pairs,
     half_extents,
     homography_jacobians,
-    pairwise_distances,
     project_points,
     semiaxes,
     transport_shapes,
@@ -43,6 +42,7 @@ from oracle import (
     oracle_map_region_to_reference,
     oracle_project_point,
     oracle_region_overlap_error,
+    pairwise_distances,
 )
 
 

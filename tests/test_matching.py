@@ -3,11 +3,7 @@ import pytest
 
 from repbench.errors import DescriptorUnavailable
 from repbench.formats import KeypointSet
-from repbench.geometry import (
-    Homography,
-    pairwise_distances,
-    project_points,
-)
+from repbench.geometry import Homography, project_points
 from repbench.matching import (
     match_descriptors,
     nn_match,
@@ -15,6 +11,7 @@ from repbench.matching import (
     verify_matches,
 )
 from repbench.metrics import EvalConfig, candidate_table, evaluate_pair, region_overlap_error
+from oracle import pairwise_distances
 
 
 def make_set(points, descriptors, width=400, height=400, radius=2.0):

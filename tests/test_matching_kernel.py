@@ -3,13 +3,14 @@
 `broadcast_distances`, `full_sort_nn` and `row_loop_ratio` are the matchers
 as they were written before the distances were blocked: the whole N x M x D
 difference array, a stable argsort of every distance, and a per-row ratio
-test.  They are kept here as the reference.  `geometry.pairwise_distances`
+test.  They are kept here as the reference.  `oracle.pairwise_distances`
 and `geometry.indexed_distances` must reproduce the distances bit for bit,
 and `nn_match` / `ratio_match` the same (ref index, test index) match
-pairs, whichever way nn_match's peeling ends.  No tolerance is applied.
+pairs, whatever nn_match's list length and wherever the row blocks end.
+No tolerance is applied.
 """
 
-import math
+import functools
 import tracemalloc
 
 import numpy as np
@@ -17,8 +18,9 @@ import pytest
 
 from repbench import geometry, matching
 from repbench.formats import KeypointSet
-from repbench.geometry import indexed_distances, pairwise_distances
+from repbench.geometry import indexed_distances
 from repbench.matching import nn_match, ratio_match
+from oracle import pairwise_distances
 
 # every keypoint of as_set is the circle of radius 2 at (10, 10)
 CENTER = (10.0, 10.0)
@@ -115,7 +117,8 @@ def normal_pair(rng, dim, max_n=30):
 def one_hub_pair(rng, n, m, dim):
     """Reference row 0 is nearest to every test descriptor and each later
     reference row lies farther out, so the greedy takes one match from the
-    first m entries of the order, and a peeling round takes one match."""
+    first m entries of the order, and later rows find their nearest test
+    descriptors taken."""
     test = rng.normal(0, 1e-3, (m, dim))
     ref = np.zeros((n, dim))
     ref[1:, 0] = 10.0 * np.arange(1, n) + rng.uniform(0, 1, n - 1)
@@ -184,18 +187,13 @@ def test_row_blocks():
         assert_same(rng.normal(size=(n, 128)), rng.normal(size=(m, 128)))
 
 
-# nn_match's ways to end: the default; peeling to the last match; and the
-# dense greedy from the start.
-PATHS = {
-    "default": {},
-    "peel-only": {"MAX_RESCORE_SHARE": math.inf, "MIN_PEEL_SHARE": 0.0},
-    "greedy-only": {"MAX_RESCORE_SHARE": 0.0},
-}
+# nn_match's list lengths: one entry, so every taken column sends its row
+# to a refill; the default; and a long list that rarely runs out.
+LENGTHS = {"length-1": 1, "default": matching.NN_LIST_LENGTH, "length-8": 8}
 
 
-def use_path(monkeypatch, path):
-    for name, value in PATHS[path].items():
-        monkeypatch.setattr(matching, name, value)
+def use_length(monkeypatch, length):
+    monkeypatch.setattr(matching, "NN_LIST_LENGTH", LENGTHS[length])
 
 
 def count_calls(monkeypatch, name):
@@ -238,9 +236,9 @@ def test_indexed_distances_bits():
         assert got == np.sqrt(((a[rows] - b[cols]) ** 2).sum(axis=1)).tobytes()
 
 
-@pytest.mark.parametrize("path", sorted(PATHS))
-def test_every_nn_path(monkeypatch, path):
-    use_path(monkeypatch, path)
+@pytest.mark.parametrize("length", sorted(LENGTHS))
+def test_every_nn_path(monkeypatch, length):
+    use_length(monkeypatch, length)
     rng = np.random.default_rng(3011)
     for k in range(200):
         dim = 2 + k % 7
@@ -260,15 +258,19 @@ def test_every_nn_path(monkeypatch, path):
 
 
 def test_one_hub_takes_several_rounds(monkeypatch):
-    use_path(monkeypatch, "peel-only")
-    rounds = count_calls(monkeypatch, "_near_minimum")
+    """With one entry listed per row, the rows of a hub pair find their
+    nearest column taken and are listed again, round after round."""
+    use_length(monkeypatch, "length-1")
+    rounds = count_calls(monkeypatch, "_nearest_entries")
     rng = np.random.default_rng(3008)
     for k in range(120):
-        rounds.clear()
         n = int(rng.integers(3, 30))
         m = int(rng.integers(3, 30))
-        assert_same(*one_hub_pair(rng, n, m, 2 + k % 7))
-        # one match per round
+        a, b = one_hub_pair(rng, n, m, 2 + k % 7)
+        assert_same(a, b)
+        rounds.clear()
+        nn_match(as_set(a), as_set(b))
+        # the first listing, then refills
         assert len(rounds) >= 2
 
 
@@ -287,16 +289,15 @@ def degenerate_pair(kind, n=1000):
 
 @pytest.mark.parametrize("kind", ["identical", "lattice", "chain"])
 def test_degenerate_inputs_reach_the_greedy(monkeypatch, kind):
-    """One match per peeling round for 1000 rounds, unless the greedy ends
-    it, on every open distance computed in blocks."""
+    """Ties everywhere, or one match per greedy step: with one entry listed
+    per row, each row after the first finds its column taken and is listed
+    again over the free columns alone, never over every column."""
     a, b = degenerate_pair(kind)
-    rounds = count_calls(monkeypatch, "_near_minimum")
-    greedy = count_calls(monkeypatch, "_greedy")
-    dense = count_calls(monkeypatch, "pairwise_distances")
+    use_length(monkeypatch, "length-1")
+    listed = count_calls(monkeypatch, "_nearest_entries")
     assert nn_match(as_set(a), as_set(b)).tolist() == full_sort_nn(a, b)
-    assert len(rounds) == 1
-    assert greedy
-    assert len(dense) == 1
+    assert [len(args[0]) for args in listed] == [len(a)] + [1] * (len(a) - 1)
+    assert [len(args[1]) for args in listed] == list(range(len(b), 0, -1))
 
 
 # ratio_match has one ending left, the near entries gathered one by one
@@ -304,42 +305,67 @@ def test_degenerate_inputs_reach_the_greedy(monkeypatch, kind):
 @pytest.mark.parametrize("kind", ["identical", "lattice", "chain"])
 def test_degenerate_inputs_ratio_endings(monkeypatch, kind, ending):
     """ratio_match on the degenerate families, where most entries are near:
-    it gathers them a block of rows at a time and never takes every
-    distance at once."""
-    dense = count_calls(monkeypatch, "pairwise_distances")
+    it gathers them a run of rows at a time, never more than
+    RESCORE_BLOCK_ENTRIES at once (rows of b are shorter than that)."""
     gathered = count_calls(monkeypatch, "indexed_distances")
     a, b = degenerate_pair(kind)
     for ratio in (0.5, 0.99):
         got = ratio_match(as_set(a), as_set(b), ratio).tolist()
         assert got == row_loop_ratio(a, b, ratio)
-    blocks = math.ceil(len(a) / (matching.RATIO_BLOCK_ENTRIES // len(b)))
-    assert (len(dense), len(gathered)) == (0, 2 * blocks)
+    sizes = [len(args[2]) for args in gathered]
+    assert max(sizes) <= matching.RESCORE_BLOCK_ENTRIES
+    if kind == "identical":
+        # every entry is near, and each is gathered once per call
+        assert sum(sizes) == 2 * len(a) * len(b)
+
+
+def row_block_cases(rng):
+    cases = [normal_pair(rng, 2 + k % 7) for k in range(60)]
+    cases += [(rng.integers(0, 3, (n, 3)), rng.integers(0, 3, (m, 3)))
+              for n, m in rng.integers(2, 25, (30, 2))]
+    cases += [degenerate_pair(kind, 200) for kind in ("identical", "lattice", "chain")]
+    return cases
+
+
+def use_block_rows(monkeypatch, rows, a, b):
+    """Estimate blocks of `rows` rows, re-scored about as many entries at a
+    time, so that runs end inside blocks too."""
+    depth = max(1, len(a) - 1) if rows == "n-1" else rows
+    monkeypatch.setattr(matching, "ESTIMATE_BLOCK_ENTRIES", depth * len(b))
+    monkeypatch.setattr(matching, "RESCORE_BLOCK_ENTRIES", depth)
 
 
 @pytest.mark.parametrize("rows", [1, 7, "n-1"])
 def test_ratio_row_blocks(monkeypatch, rows):
     """Block edges that split the reference rows anywhere leave the ratio
     matches as they are: each row is decided from its own entries."""
-    rng = np.random.default_rng(3016)
-    cases = [normal_pair(rng, 2 + k % 7) for k in range(60)]
-    cases += [(rng.integers(0, 3, (n, 3)), rng.integers(0, 3, (m, 3)))
-              for n, m in rng.integers(2, 25, (30, 2))]
-    cases += [degenerate_pair(kind, 200) for kind in ("identical", "lattice", "chain")]
-    for a, b in cases:
-        depth = max(1, len(a) - 1) if rows == "n-1" else rows
-        monkeypatch.setattr(matching, "RATIO_BLOCK_ENTRIES", depth * len(b))
+    for a, b in row_block_cases(np.random.default_rng(3016)):
+        use_block_rows(monkeypatch, rows, a, b)
         for ratio in (0.5, 0.8, 0.99):
             got = ratio_match(as_set(a), as_set(b), ratio).tolist()
             assert got == row_loop_ratio(a, b, ratio)
+
+
+@pytest.mark.parametrize("length", sorted(LENGTHS))
+@pytest.mark.parametrize("rows", [1, 7, "n-1"])
+def test_nn_row_blocks(monkeypatch, rows, length):
+    """The same for nn_match, whose refills list fewer rows over fewer
+    columns, so their blocks hold more rows than the first listing's."""
+    use_length(monkeypatch, length)
+    for a, b in row_block_cases(np.random.default_rng(3018)):
+        use_block_rows(monkeypatch, rows, a, b)
+        assert nn_match(as_set(a), as_set(b)).tolist() == full_sort_nn(a, b)
 
 
 def test_random_detector_scale(monkeypatch):
     rng = np.random.default_rng(3013)
     a = rng.normal(size=(2000, 128))
     b = rng.normal(size=(1994, 128))
-    rounds = count_calls(monkeypatch, "_near_minimum")
+    listed = count_calls(monkeypatch, "_nearest_entries")
     got = nn_match(as_set(a), as_set(b)).tolist()
-    assert len(rounds) >= 2
+    # refills happen, and some list several rows in one pass
+    refilled = [len(args[0]) for args in listed[1:]]
+    assert refilled and max(refilled) > 1
     # the reference's distances, a block of rows at a time (test_row_blocks
     # pins pairwise_distances to the broadcast), not 4 GB at once
     monkeypatch.setitem(globals(), "broadcast_distances", pairwise_distances)
@@ -347,9 +373,9 @@ def test_random_detector_scale(monkeypatch):
     assert ratio_match(as_set(a), as_set(b), 0.95).tolist() == row_loop_ratio(a, b, 0.95)
 
 
-@pytest.mark.parametrize("path", sorted(PATHS))
-def test_tolerance_boundaries(monkeypatch, path):
-    use_path(monkeypatch, path)
+@pytest.mark.parametrize("length", sorted(LENGTHS))
+def test_tolerance_boundaries(monkeypatch, length):
+    use_length(monkeypatch, length)
     rng = np.random.default_rng(3014)
     for k in range(120):
         dim = 2 + k % 5
@@ -360,21 +386,21 @@ def test_tolerance_boundaries(monkeypatch, path):
         assert_same(a * scale, b * scale)
 
 
-@pytest.mark.parametrize("path", sorted(PATHS))
-def test_worst_case_estimates(monkeypatch, path):
+@pytest.mark.parametrize("length", sorted(LENGTHS))
+def test_worst_case_estimates(monkeypatch, length):
     """Estimates off by up to 0.99 of their tolerance, anywhere in the range the
     error bound allows, still give the exact matches: the filters rely on
     the bound alone.  Integer descriptors put many distances within one
     tolerance of each other."""
-    use_path(monkeypatch, path)
+    use_length(monkeypatch, length)
     rng = np.random.default_rng(3015)
 
-    def estimates(a, b, nb=None):
+    def estimates(a, b, nb):
         diff = a[:, None, :] - b[None, :, :]
         squared = (diff * diff).sum(axis=2)
         tol = float(rng.choice([0.5, 2.0, 8.0]))
         noise = rng.uniform(-0.99, 0.99, squared.shape) * tol
-        return squared + noise, np.full(len(a), tol), np.full(len(b), tol)
+        return squared + noise, np.full(len(a), tol)
 
     monkeypatch.setattr(matching, "_approx_squared", estimates)
     for k in range(300):
@@ -397,38 +423,34 @@ def test_small_blocks_and_chunks(monkeypatch, size):
             assert_same(*one_hub_pair(rng, int(rng.integers(3, 20)), int(rng.integers(3, 20)), dim))
 
 
-def test_distance_memory_is_bounded():
-    rng = np.random.default_rng(3009)
-    n = m = 1000
-    ref = as_set(rng.normal(size=(n, 128)))
-    test = as_set(rng.normal(size=(m, 128)))
-    tracemalloc.start()
-    try:
-        matches = nn_match(ref, test)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(matches) == n
-    # the whole difference array would be n * m * 128 * 8 bytes, about 1 GB
-    assert peak < 4 * n * m * 8
-
-
-def ratio_peak(a, b):
+def peak(match, a, b):
     ref, test = as_set(a), as_set(b)
     tracemalloc.start()
     try:
-        ratio_match(ref, test, 0.8)
+        match(ref, test)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
+def test_distance_memory_is_bounded():
+    rng = np.random.default_rng(3009)
+    n = m = 2000
+    # the N x M estimate alone would be n * m * 8 bytes, 32 MB
+    assert peak(nn_match, rng.normal(size=(n, 128)), rng.normal(size=(m, 128))) < n * m * 8 / 4
+    # every entry tied, so each row after the first is listed again: a row
+    # at a time, over the free columns only, under 12 bytes an entry
+    a, b = degenerate_pair("identical")
+    assert peak(nn_match, a, b) < 12 * len(a) * len(b)
+
+
 def test_ratio_memory_is_bounded():
     rng = np.random.default_rng(3017)
     n = m = 2000
+    ratio = functools.partial(ratio_match, ratio=0.8)
     # the N x M estimate alone would be n * m * 8 bytes, 32 MB
-    assert ratio_peak(rng.normal(size=(n, 128)), rng.normal(size=(m, 128))) < n * m * 8 / 4
+    assert peak(ratio, rng.normal(size=(n, 128)), rng.normal(size=(m, 128))) < n * m * 8 / 4
     # every entry near: held a block at a time, below the N x M estimate and
     # mask (9 bytes an entry) that the whole-matrix filter held
     a, b = degenerate_pair("identical")
-    assert ratio_peak(a, b) < 9 * len(a) * len(b)
+    assert peak(ratio, a, b) < 9 * len(a) * len(b)

@@ -3,17 +3,22 @@ evaluation results do not depend on keypoint order, sequence reports are
 byte-identical for any worker count and any order of the manifest's links,
 a homography whose horizon crosses the reference image neither raises nor
 gives a rate outside [0, 1], the multi-start draw kernels give the stream
-of the scalar oracle generator (tests/oracle.py), and the keypoint
-parser's C pass reads what the per-line reader reads."""
+of the scalar oracle generator (tests/oracle.py), the keypoint
+parser's C pass reads what the per-line reader reads, and nn_match is the
+full-sort greedy even when every row runs out of listed entries."""
 
 import json
 import math
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from repbench import matching
 
 from repbench.errors import ParseError, SingularHomography
 from repbench.formats import KeypointSet, _read_rows, load_manifest, parse_keypoints
@@ -22,6 +27,7 @@ from repbench.harness import evaluate_sequence, sequence_report_csv, sequence_re
 from repbench.metrics import EvalConfig, evaluate_pair
 from repbench.synth import SynthConfig, derive_test, generate_reference, normal_blocks, uniform_blocks
 from oracle import SplitMix64
+from test_matching_kernel import as_set, full_sort_nn
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 WIDTH, HEIGHT = 240, 180
@@ -265,3 +271,27 @@ def test_c_pass_reads_what_the_per_line_reader_reads(case):
 
     per_line = read_outcome(lambda: _read_rows(text.splitlines()[2:], count, 5 + dim))
     assert read_outcome(parsed) == per_line
+
+
+@st.composite
+def tie_heavy_pair(draw):
+    """Integer descriptors in {0, 1, 2}, so most distances tie with others."""
+    dim = draw(st.integers(2, 4))
+    side = st.integers(1, 16)
+    values = st.integers(0, 2)
+    a = draw(arrays(np.int64, (draw(side), dim), elements=values))
+    b = draw(arrays(np.int64, (draw(side), dim), elements=values))
+    return a.astype(float), b.astype(float)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(pair=tie_heavy_pair())
+def test_nn_match_is_the_full_sort_greedy_with_one_entry_lists(pair):
+    """With one entry listed per row, a row whose column is taken is left
+    with a placeholder and listed again over the free columns; the matches
+    are still those of the greedy over every distance sorted, exact ties by
+    (ref index, test index)."""
+    a, b = pair
+    with mock.patch.object(matching, "NN_LIST_LENGTH", 1):
+        got = matching.nn_match(as_set(a), as_set(b)).tolist()
+    assert got == full_sort_nn(a, b)
