@@ -21,7 +21,10 @@ transport_shapes carries K regions through their Jacobians, and
 overlap_errors lays out the grid of each of K pairs and runs the rows of
 all the grids through one row kernel, a block of OVERLAP_BLOCK_ROWS rows
 at a time; it alone sets the grid's pitch and decides which pairs are
-scored, a pair it cannot grid (_grid_constants) scoring NaN.
+scored, a pair it cannot grid (_grid_constants) scoring NaN.  Given a
+threshold, it settles the pairs its caller marks lone without a grid
+wherever an interval that provably holds their estimate (_error_bounds)
+lies on one side of the threshold.
 SecondMomentEllipse and overlap_error, one region and one pair, are K = 1
 calls of these rules, with the same bits; they stay because the
 benchmark's tracer (bench/tracing.py) wraps and calls them.
@@ -214,9 +217,12 @@ def indexed_distances(a, b, rows, cols):
     out = np.empty(len(rows))
     step = max(1, PAIRWISE_BLOCK_ELEMENTS // max(1, a.shape[1]))
     for k0 in range(0, len(rows), step):
-        diff = a[rows[k0 : k0 + step]] - b[cols[k0 : k0 + step]]
-        np.multiply(diff, diff, out=diff)
-        diff.sum(axis=1, out=out[k0 : k0 + step])
+        # far-apart finite points overflow to an infinite distance, as the
+        # broadcast does
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = a[rows[k0 : k0 + step]] - b[cols[k0 : k0 + step]]
+            np.multiply(diff, diff, out=diff)
+            diff.sum(axis=1, out=out[k0 : k0 + step])
     return np.sqrt(out, out=out)
 
 
@@ -317,7 +323,7 @@ def overlap_error(e1, e2, grid_step):
     return float(err[0])
 
 
-def overlap_errors(centers1, abc1, centers2, abc2, grid_step=None):
+def overlap_errors(centers1, abc1, centers2, abc2, grid_step=None, threshold=None, lone=None):
     """1 - |e1 n e2| / |e1 u e2| of K region pairs, as a (K,) array, with
     the areas estimated on a regular grid per pair.
 
@@ -333,9 +339,21 @@ def overlap_errors(centers1, abc1, centers2, abc2, grid_step=None):
     OVERLAP_BLOCK_ROWS rows at a time, so memory stays O(K +
     OVERLAP_BLOCK_ROWS) however many rows there are.  Errors are clamped to
     [0, 1]; a pair without a grid (_grid_constants) scores NaN.
+
+    With a threshold, a pair of the (K,) mask lone is settled without a
+    grid when its interval [lo, hi] (_error_bounds), which provably holds
+    its grid estimate, lies on one side of the threshold: it scores hi,
+    which is below the threshold exactly when the estimate is.  Every
+    other pair is gridded and scores the estimate's bits.
     """
-    per_pair, ny, gridded = _grid_constants(np.stack([centers1, centers2]),
-                                            np.stack([abc1, abc2]), grid_step)
+    centers, abc = np.stack([centers1, centers2]), np.stack([abc1, abc2])
+    per_pair, ny, gridded = _grid_constants(centers, abc, grid_step)
+    settled = np.zeros(len(ny), dtype=bool)
+    if threshold is not None:
+        lo, hi = _error_bounds(centers, abc, per_pair, ny)
+        # NaN, outside the proof's scope, settles nothing
+        settled = lone & ((hi < threshold) | (lo >= threshold))
+        ny = np.where(settled, 0, ny)
     ends = np.cumsum(ny)
     starts = ends - ny
     rows = int(ends[-1]) if len(ends) else 0
@@ -359,7 +377,118 @@ def overlap_errors(centers1, abc1, centers2, abc2, grid_step=None):
     # Only reachable when the sample cap forced a pitch coarser than the
     # smaller region; such pairs are effectively disjoint at this scale.
     disjoint = np.where((centers1 == centers2).all(axis=1), 0.0, 1.0)
-    return np.where(gridded, np.where(union == 0, disjoint, err), np.nan)
+    err = np.where(gridded, np.where(union == 0, disjoint, err), np.nan)
+    return np.where(settled, hi, err) if threshold is not None else err
+
+
+@np.errstate(all="ignore")
+def _error_bounds(centers, abc, per_pair, ny):
+    """An interval [lo, hi] that holds the grid estimate of each pair, from
+    the pair's regions and its _grid_constants alone, with no grid: two
+    (K,) arrays, NaN where the premises below may fail.
+
+    In grid units (pitch s, ny rows), with n and both the row kernel's
+    counts and N_1, N_2 and I their sums over rows:
+    - Per row.  Ellipse i's run [lo, end) has lo within 1 + delta of the
+      exact low root at the row's sample height, and end within 1 + delta
+      of the high root: m = rint(root -+ 1/2) is within 1/2 of root -+ 1/2,
+      the one inside test moves an end by at most one column, and delta
+      bounds the rounding of the kernel's roots.  So n differs from the
+      exact chord length / s by at most c0 = 2 + 2 delta, and so does
+      both from the intersection's chord, min and max being 1-Lipschitz.
+    - Over rows.  A convex region's chord length is unimodal in y, so a sum
+      of one sample per cell differs from the area / s^2 by at most twice
+      its longest chord in columns (the chord's total variation); ellipse
+      i's longest row chord is 2 / sqrt(a) px.  So |N_i - A_i/s^2| <= 2 L_i
+      + c0 ny, and I >= A_I/s^2 - 2 min(L_1, L_2) - c0 ny, with A_I >=
+      _area_bounds' lower bound.
+    - The interval.  The estimate is 1 - I / (N_1 + N_2 - I), which grows
+      with N_1 and N_2 and falls with I <= min(N_1, N_2), and the union is
+      at least max(N_1, N_2); so hi = 1 - I_lo / (N1_hi + N2_hi - I_lo)
+      when I_lo > 0, else 1, and lo = 1 - min(N1_hi, N2_hi) / max(N1_lo,
+      N2_lo) when that denominator is positive, else 0.
+    - Rounding.  The terms are widened by _area_bounds' margin mu, which
+      covers the few operations that combine them, and lo and hi by 8
+      units of roundoff at the end.
+    - Scope.  Only a gridded pair whose margins are small is bounded: mu <=
+      2^-20, and the rounding of its coordinates moves a sample or the box
+      by at most 2^-10 s, so each sample stays in its cell and the box
+      leaves slivers of at most that height outside the rows, which the
+      2^-8 on the chord term covers.  Any other pair gets NaN.
+    """
+    u = np.finfo(float).eps / 2
+    area_lo, area_hi, inter_lo, rel, mu = _area_bounds(centers, abc)
+    hi_f, lo_f = 1.0 + mu, 1.0 - mu
+    b_col, a0, d0 = per_pair[10:16].reshape(3, 2, -1)
+    xmin, ymin, step = per_pair[20:]
+    # delta: the rounding of the kernel's roots, in columns, over the
+    # offsets |dy| <= (ny + 1) s of its rows
+    dy_max = (ny + 1) * step
+    p = a0 + d0 * dy_max * dy_max
+    x = (np.abs(centers[:, :, 0]) + np.abs(xmin)) / step
+    delta = np.sqrt((rel + 12 * u) * p) + 8 * u * (x + np.abs(b_col) * dy_max + np.sqrt(p) + 1.0)
+    c0 = 2.0 + 2.0 * delta.max(axis=0)
+    y = (np.abs(ymin) + dy_max) / step
+    in_scope = ((0.0 <= mu) & (mu <= 2.0**-20)
+                & (mu * ny + 8 * u * (x.max(axis=0) + y) <= 2.0**-10))
+
+    cell = step * step
+    # twice the longest row chord, 2 sqrt(a0) columns, and the slivers
+    tv = 2.0 * (1.0 + 2.0**-8) * 2.0 * np.sqrt(a0)
+    n_hi = (area_hi / cell + tv + c0 * ny) * hi_f
+    n_lo = area_lo / cell * lo_f - (tv + c0 * ny) * hi_f
+    i_lo = inter_lo / cell * lo_f - (tv.min(axis=0) + c0 * ny) * hi_f
+
+    hi = np.where(i_lo > 0.0, 1.0 - i_lo / (n_hi[0] + n_hi[1] - i_lo), 1.0) + 8 * u
+    top = n_lo.max(axis=0)
+    lo = np.where(top > 0.0, 1.0 - n_hi.min(axis=0) / top, 0.0) - 8 * u
+    ok = in_scope & (ny > 0) & np.isfinite(lo) & np.isfinite(hi)
+    return (np.where(ok, np.maximum(lo, 0.0), np.nan), np.where(ok, np.minimum(hi, 1.0), np.nan))
+
+
+@np.errstate(all="ignore")
+def _area_bounds(centers, abc):
+    """Enclosures of the exact areas of each pair's regions, and a lower
+    bound of the area of their intersection, in px^2, for the regions of
+    centers (2, K, 2) and abc (2, K, 3) as real numbers.
+
+    Returns (area_lo, area_hi, inter_lo, rel, mu): the (2, K) enclosures of
+    pi / sqrt(a c - b^2), the (K,) lower bound, the (2, K) relative error
+    bounds of a c - b^2 as computed, and the (K,) relative margin of the
+    pair.
+    - Intersection.  In E1's whitened frame E1 is the unit disk, and E2
+      holds the disk of radius 1/sqrt(lambda_max(M1^-1 M2)) about its
+      center, which lies ||c2 - c1||_M1 from c1.  So the disk of radius r =
+      min(1, 1/sqrt(lambda_max) - ||c2 - c1||_M1) about c1 lies in both,
+      and A_I >= r^2 A_1.
+    - Rounding.  mu is twice the relative error bounds of the subtractions
+      that can cancel, a c - b^2 of each region and the trace of M1^-1 M2,
+      plus 64 units of roundoff; every other operation rounds by a unit,
+      so widening each result by mu covers them.  ||c2 - c1||_M1^2 gets an
+      absolute bound, 8 units of the sum of its terms' magnitudes.  A
+      pair with mu above about 2^-20 is left to the caller's scope.
+    """
+    u = np.finfo(float).eps / 2
+    (cx, cy), (a, b, c) = np.moveaxis(centers, 2, 0), np.moveaxis(abc, 2, 0)
+    ac, bb = a * c, b * b
+    det = ac - bb
+    rel = 3 * u * (np.abs(ac) + bb) / det
+    (a1, a2), (b1, b2), (c1, c2) = a, b, c
+    # M1^-1 M2 has trace t / det_1 and determinant det_2 / det_1
+    t = a2 * c1 + a1 * c2 - 2.0 * b1 * b2
+    rel_t = 4 * u * (np.abs(a2 * c1) + np.abs(a1 * c2) + 2.0 * np.abs(b1 * b2)) / np.abs(t)
+    mu = 2.0 * (rel[0] + rel[1] + rel_t) + 64 * u
+    hi_f, lo_f = 1.0 + mu, 1.0 - mu
+    area = np.pi / np.sqrt(det)
+
+    dx, dy = cx[1] - cx[0], cy[1] - cy[0]
+    terms = a1 * dx * dx, 2.0 * b1 * dx * dy, c1 * dy * dy
+    d2 = sum(terms) + 8 * u * sum(np.abs(term) for term in terms)
+    trace, d = t / det[0] * hi_f, det[1] / det[0] * lo_f
+    lam = (0.5 * trace + np.sqrt(np.maximum(0.25 * trace * trace - d, 0.0))) * hi_f
+    r = np.minimum(1.0, lo_f / np.sqrt(lam) - np.sqrt(d2) * hi_f)
+    inter = np.where(r > 0.0, r * r * area[0] * lo_f * lo_f, 0.0)
+    return area * lo_f, area * hi_f, inter, rel, mu
 
 
 def libm(fn, *arrays):

@@ -96,11 +96,14 @@ def _approx_squared(a, b, nb):
     entry.  The margin decides only how many entries get the exact
     formula, never which match is made.
     """
-    na = np.einsum("ij,ij->i", a, a)
-    approx = a @ b.T
-    approx *= -2.0
-    approx += na[:, None]
-    approx += nb
+    # finite values near 1e154 or more overflow here, to estimates that
+    # exclude nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        na = np.einsum("ij,ij->i", a, a)
+        approx = a @ b.T
+        approx *= -2.0
+        approx += na[:, None]
+        approx += nb
     slack = TOL_FACTOR * (a.shape[1] + 2)
     kappa = slack * np.finfo(float).eps
     tau = slack * math.ulp(0.0)

@@ -33,10 +33,17 @@ test regions into the reference frame from those maps, and scores all of
 them in one pass over arrays (_overlap_errors): the rescaling, then
 geometry.overlap_errors, which owns the grid pitch and the overlap grids
 and alone decides which pairs are scored.  A pair that cannot be scored
-gets a NaN overlap error and is left out of the table.  The one-pair
-region_overlap_error maps its pair with the same calls and is a K = 1
-call of _overlap_errors, with the same bits; it stays because the
-benchmark's tracer (bench/tracing.py) wraps it.
+gets a NaN overlap error and is left out of the table.  A lone entry,
+alone in its reference row and its test column among the pairs within
+epsilon_px, is taken by the greedy exactly when it is in the table, so
+only err < max_overlap_error matters for it: geometry.overlap_errors
+settles it from an interval that provably holds its grid estimate, with no
+grid, when the interval lies on one side of the threshold, and grids every
+other pair.  The correspondences, the true matches and every report byte
+are those of gridding every pair.  The one-pair region_overlap_error maps
+its pair with the same calls and is a K = 1 call of _overlap_errors, with
+the same bits, never settled; it stays because the benchmark's tracer
+(bench/tracing.py) wraps it.
 """
 
 from dataclasses import dataclass
@@ -143,7 +150,7 @@ def region_overlap_error(ref_region, test_region, h, cfg):
     return float(err[0])
 
 
-def _overlap_errors(ref_centers, ref_abc, centers, abc, cfg):
+def _overlap_errors(ref_centers, ref_abc, centers, abc, cfg, lone=None):
     """Overlap errors of K candidate pairs, both regions already in the
     reference frame, in one pass over arrays.
 
@@ -154,7 +161,10 @@ def _overlap_errors(ref_centers, ref_abc, centers, abc, cfg):
     for its default pitch.  Returns the (K,) errors.  Every row goes to
     overlap_errors, whose grid rule alone decides which pairs are scored: a
     region that is not positive definite or has overflowed, a needle and a
-    grid too wide for the row kernel all score NaN.
+    grid too wide for the row kernel all score NaN.  The pairs of the (K,)
+    mask lone may be settled against cfg.max_overlap_error without a grid
+    (geometry.overlap_errors), and then score an upper bound of their
+    estimate that lies on the same side of it.
     """
     if cfg.normalize_radius is not None:
         a, b, c = ref_abc.T
@@ -163,7 +173,8 @@ def _overlap_errors(ref_centers, ref_abc, centers, abc, cfg):
             s2 = 1.0 / (r * r * np.sqrt(a * c - b * b))
             ref_abc = ref_abc * s2[:, None]
             abc = abc * s2[:, None]
-    return overlap_errors(ref_centers, ref_abc, centers, abc, cfg.grid_step)
+    threshold = None if lone is None else cfg.max_overlap_error
+    return overlap_errors(ref_centers, ref_abc, centers, abc, cfg.grid_step, threshold, lone)
 
 
 def candidate_table(ref, test, h, cfg=EvalConfig()):
@@ -172,9 +183,14 @@ def candidate_table(ref, test, h, cfg=EvalConfig()):
     Returns (ref_idx, test_idx, (ri, tj, err, dist)): the common-part
     indices of common_part_filter, and four arrays with one entry for every
     common-part pair whose test-frame center distance dist is below
-    cfg.epsilon_px and whose overlap error err is below
-    cfg.max_overlap_error, in row-major (ri, tj) order.  Pairs that
-    _overlap_errors cannot score (NaN) are left out.
+    cfg.epsilon_px and whose overlap error is below cfg.max_overlap_error,
+    in row-major (ri, tj) order.  Pairs that _overlap_errors cannot score
+    (NaN) are left out.  err is the grid estimate of the overlap error,
+    except for a lone entry, the only pair within epsilon of its reference
+    and of its test keypoint, that the bound interval settled: its err is
+    the interval's upper bound, below cfg.max_overlap_error and at least
+    the estimate.  The greedy takes a lone entry whatever its err, so
+    _resolve's choice is that of the estimates.
 
     The pairs within epsilon come from a spatial hash of the test centers
     (geometry.close_pairs), with the distance bits of the N x M matrix it
@@ -187,8 +203,10 @@ def candidate_table(ref, test, h, cfg=EvalConfig()):
     ref_idx, test_idx, jac, proj, back = common_part_filter(ref, test, h)
     i, j, dist = close_pairs(proj, test.centers[test_idx], cfg.epsilon_px)
     ri, tj = ref_idx[i], test_idx[j]
+    # alone in its row and its column, an entry is taken iff it is kept
+    lone = (np.bincount(i)[i] == 1) & (np.bincount(j)[j] == 1)
     err = _overlap_errors(ref.centers[ri], ref.abc[ri], back[j],
-                          transport_shapes(jac[i], test.abc[tj]), cfg)
+                          transport_shapes(jac[i], test.abc[tj]), cfg, lone)
     keep = np.flatnonzero(err < cfg.max_overlap_error)
     return ref_idx, test_idx, (ri[keep], tj[keep], err[keep], dist[keep])
 

@@ -8,6 +8,7 @@ here calls SecondMomentEllipse's semiaxes() or half_extents(), which are
 K = 1 calls of the kernels under test."""
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -265,19 +266,38 @@ def oracle_region_overlap_error(ref_region, test_region, h, cfg):
 NOT_FINITE = "ellipse center and shape must be finite"
 
 
-def oracle_candidate_table(ref, test, h, cfg):
-    """(ref_idx, test_idx, table, dropped): candidate_table's result and the
-    number of candidates left out as DegenerateRegion or PointAtInfinity,
-    or because their transported or rescaled region is not finite."""
+def oracle_close_pairs(ref, test, h, cfg):
+    """(ref_idx, test_idx, pairs): the common part, and the (ref index,
+    test index, center distance) of every common-part pair closer than
+    cfg.epsilon_px, in row-major order, from the dense distance matrix."""
     ref_idx, test_idx = common_part_filter(ref, test, h)[:2]
     proj = np.array([oracle_project_point(h, p) for p in ref.centers[ref_idx]]).reshape(-1, 2)
     d = pairwise_distances(proj, test.centers[test_idx])
+    cand_i, cand_j = np.nonzero(d < cfg.epsilon_px)
+    pairs = [(int(ref_idx[i]), int(test_idx[j]), float(d[i, j]))
+             for i, j in zip(cand_i.tolist(), cand_j.tolist())]
+    return ref_idx, test_idx, pairs
+
+
+def oracle_lone(ref, test, h, cfg):
+    """The (ref index, test index) of the pairs closer than cfg.epsilon_px
+    that share neither their reference nor their test keypoint with
+    another such pair."""
+    pairs = oracle_close_pairs(ref, test, h, cfg)[2]
+    rows = Counter(ri for ri, _, _ in pairs)
+    cols = Counter(tj for _, tj, _ in pairs)
+    return {(ri, tj) for ri, tj, _ in pairs if rows[ri] == cols[tj] == 1}
+
+
+def oracle_candidate_table(ref, test, h, cfg):
+    """(ref_idx, test_idx, table, dropped): candidate_table's result, with
+    the grid estimate of every entry's overlap error, and the number of
+    candidates left out as DegenerateRegion or PointAtInfinity, or because
+    their transported or rescaled region is not finite."""
+    ref_idx, test_idx, pairs = oracle_close_pairs(ref, test, h, cfg)
     table = {}
     dropped = 0
-    cand_i, cand_j = np.nonzero(d < cfg.epsilon_px)
-    for i, j in zip(cand_i.tolist(), cand_j.tolist()):
-        ri = int(ref_idx[i])
-        tj = int(test_idx[j])
+    for ri, tj, dist in pairs:
         try:
             ref_region = SecondMomentEllipse.from_abc(*ref.centers[ri], *ref.abc[ri])
             test_region = SecondMomentEllipse.from_abc(*test.centers[tj], *test.abc[tj])
@@ -291,7 +311,7 @@ def oracle_candidate_table(ref, test, h, cfg):
             dropped += 1
             continue
         if err < cfg.max_overlap_error:
-            table[ri, tj] = (err, float(d[i, j]))
+            table[ri, tj] = (err, dist)
     return ref_idx, test_idx, table, dropped
 
 

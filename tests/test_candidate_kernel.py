@@ -6,12 +6,16 @@ the dense N x M centre-distance matrix, then one
 `oracle_region_overlap_error` call per pair within epsilon, built from the
 frozen scalar projection, Jacobian, transport, rescaling, pitch, grid and
 row kernel of tests/oracle.py.  `metrics.candidate_table` must give the
-same keys in the same order and the same bits of every overlap error and
-centre distance, and raise the same error where the reference raises.  An
-overlap error moves only when a grid cell changes sides, so the projected
-points, the transported regions, and the semiaxes and bounding boxes that
-set the grid are compared bit for bit on their own.  No tolerance is
-applied.
+same keys in the same order and the same bits of every centre distance, and
+raise the same error where the reference raises.  Every overlap error has
+the reference's bits, but that of a lone entry (alone in its row and its
+column among the pairs within epsilon) that the bound interval settled: it
+is an upper bound of the reference's, below max_overlap_error.  With no
+entry settled, every overlap error has the reference's bits too, and
+`metrics._resolve` takes the reference greedy's entries.  An overlap error
+moves only when a grid cell changes sides, so the projected points, the
+transported regions, and the semiaxes and bounding boxes that set the grid
+are compared bit for bit on their own.  No tolerance is applied.
 """
 
 import math
@@ -39,9 +43,11 @@ import oracle
 from oracle import (
     oracle_candidate_table,
     oracle_homography_jacobian,
+    oracle_lone,
     oracle_map_region_to_reference,
     oracle_project_point,
     oracle_region_overlap_error,
+    oracle_resolve,
     pairwise_distances,
 )
 
@@ -53,9 +59,25 @@ def hexed(table):
     return [((i, j), e.hex(), d.hex()) for i, j, e, d in zip(ri, tj, err, dist, strict=True)]
 
 
+def gridded_table(ref, test, h, cfg):
+    """candidate_table with no entry settled by its bound interval, so
+    that every candidate is gridded."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_error_bounds", lambda centers, abc, per_pair, ny:
+                   (np.full(len(ny), np.nan),) * 2)
+        return candidate_table(ref, test, h, cfg)
+
+
+def settled_count(ref, test, h, cfg):
+    """How many entries of candidate_table's table the interval settled."""
+    return int(np.count_nonzero(candidate_table(ref, test, h, cfg)[2][2]
+                                != gridded_table(ref, test, h, cfg)[2][2]))
+
+
 def assert_same_table(ref, test, h, cfg):
-    """The table and the reference's agree bit for bit, or both raise the
-    same error.  Returns the reference's drop count (None if it raised)."""
+    """The table and the reference's agree as the module docstring says, or
+    both raise the same error.  Returns the reference's drop count (None
+    if it raised)."""
     try:
         want_ref, want_test, want, dropped = oracle_candidate_table(ref, test, h, cfg)
     except (ValueError, ArithmeticError) as exc:
@@ -64,7 +86,18 @@ def assert_same_table(ref, test, h, cfg):
         return None
     got_ref, got_test, got = candidate_table(ref, test, h, cfg)
     assert np.array_equal(got_ref, want_ref) and np.array_equal(got_test, want_test)
-    assert hexed(got) == [(key, err.hex(), dist.hex()) for key, (err, dist) in want.items()]
+    want_hexed = [(key, err.hex(), dist.hex()) for key, (err, dist) in want.items()]
+    assert hexed(gridded_table(ref, test, h, cfg)[2]) == want_hexed
+    lone = oracle_lone(ref, test, h, cfg)
+    for (key, err, dist), (want_key, want_err, want_dist) in zip(hexed(got), want_hexed,
+                                                                  strict=True):
+        assert key == want_key and dist == want_dist
+        if err != want_err:
+            assert key in lone
+            assert float.fromhex(want_err) <= float.fromhex(err) < cfg.max_overlap_error
+    taken = metrics._resolve(got, len(ref), len(test))
+    assert sorted(zip(got[0][taken].tolist(), got[1][taken].tolist())) == [
+        (ri, tj) for ri, tj, _, _ in oracle_resolve(want)]
     assert got[0].dtype == got[1].dtype == np.intp
     return dropped
 
@@ -105,12 +138,50 @@ CONFIGS = {
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_workload_tables(workload, config):
-    entries = 0
+    entries = settled = 0
     for seed in (7, 1009, 31):
         for ref, test, h in workload_pairs(workload, seed):
             assert assert_same_table(ref, test, h, CONFIGS[config]) == 0
             entries += len(candidate_table(ref, test, h, CONFIGS[config])[2][0])
+            settled += settled_count(ref, test, h, CONFIGS[config])
     assert entries > 0
+    # at radius 30 and the default pitch most entries are settled; the
+    # coarse grids of unscaled regions at pitch 0.5 leave the bound too wide
+    assert (settled > entries // 2) == (config != "raw-grid-0.5")
+
+
+def crowded_pairs(seed):
+    """ramp-projective's pairs at 200 points and jitter 2, with every third
+    test keypoint and every fifth reference keypoint repeated exactly, so
+    that many entries within 4 px share a row or a column and tie on
+    (error, distance)."""
+    cfg = synth.SynthConfig(seed=seed, n_points=200, jitter_sigma=2.0, dropout_rate=0.1,
+                            descriptor_dim=0)
+    ref = synth.generate_reference(cfg)
+    ref = keypoint_set(np.r_[ref.centers, ref.centers[::5]], np.r_[ref.abc, ref.abc[::5]])
+    for k in range(1, 6):
+        h = ramp_homography(k)
+        test = synth.derive_test(ref, h, replace(cfg, seed=seed + k))
+        yield ref, keypoint_set(np.r_[test.centers, test.centers[::3]],
+                                np.r_[test.abc, test.abc[::3]]), h
+
+
+@pytest.mark.parametrize("config", ["eps-4-err-0.4", "eps-4-err-0.9"])
+def test_crowded_tables(config):
+    """Contested entries are still decided exactly: on crowded, tie-rich
+    pairs the table and the greedy agree with the reference as
+    assert_same_table checks, and both lone and contested entries occur."""
+    cfg = EvalConfig(epsilon_px=4.0, max_overlap_error=float(config.rsplit("-", 1)[1]))
+    lone = contested = settled = 0
+    for seed in (7, 1009):
+        for ref, test, h in crowded_pairs(seed):
+            assert assert_same_table(ref, test, h, cfg) == 0
+            keys = set(zip(*(a.tolist() for a in candidate_table(ref, test, h, cfg)[2][:2])))
+            alone = oracle_lone(ref, test, h, cfg)
+            lone += len(keys & alone)
+            contested += len(keys - alone)
+            settled += settled_count(ref, test, h, cfg)
+    assert lone > 0 and contested > 100 and settled > 0
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))

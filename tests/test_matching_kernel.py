@@ -12,6 +12,7 @@ No tolerance is applied.
 
 import functools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,28 @@ def test_empty_and_single_sides():
         dim = 2 + k % 7
         n, m = [(0, 5), (5, 0), (0, 0), (1, 7), (7, 1), (1, 1)][k % 6]
         assert_same(rng.normal(size=(n, dim)), rng.normal(size=(m, dim)))
+
+
+def test_overflowing_descriptors():
+    """Finite descriptors near 1e160, whose squares overflow: both matchers
+    raise no RuntimeWarning and make the dense reference's matches, in its
+    order, with ties present.  Most distances are infinite, the perturbed
+    copies' are finite, and a repeated reference row and repeated test
+    copies tie exactly."""
+    rng = np.random.default_rng(3019)
+    for _ in range(50):
+        a = rng.normal(size=(5, 3)) * 1e160
+        b = np.r_[rng.normal(size=(4, 3)) * 1e160, a[:2] + rng.normal(size=(2, 3)) * 1e150,
+                  a[:1], a[:1]]
+        a = np.r_[a, a[:1]]
+        ratio = float(rng.choice([0.5, 0.8, 0.99]))
+        # the reference's broadcast overflows in the test module, not in repbench
+        with np.errstate(over="ignore", invalid="ignore"):
+            want_nn, want_ratio = full_sort_nn(a, b), row_loop_ratio(a, b, ratio)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert nn_match(as_set(a), as_set(b)).tolist() == want_nn
+            assert ratio_match(as_set(a), as_set(b), ratio).tolist() == want_ratio
 
 
 @pytest.mark.parametrize("n, m", [(0, 0), (0, 5), (5, 0)])

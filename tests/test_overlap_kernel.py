@@ -14,6 +14,8 @@ with a warning.
 
 import math
 import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,6 +36,14 @@ from oracle import (
 )
 
 RAW_STEPS = (0.05, 0.25, 0.5, 1.0, 1.5)
+
+
+def error_bounds(centers1, abc1, centers2, abc2, grid_step=None):
+    """geometry._error_bounds of K pairs, on the grids overlap_errors lays
+    out for them."""
+    centers, abc = np.stack([centers1, centers2]), np.stack([abc1, abc2])
+    per_pair, ny, _ = geometry._grid_constants(centers, abc, grid_step)
+    return geometry._error_bounds(centers, abc, per_pair, ny)
 
 
 def row_counts(e1, e2, grid_step):
@@ -325,8 +335,9 @@ def extreme_pairs(draw):
        st.one_of(st.none(), st.floats(-308.0, 320.0).map(lambda e: 10.0 ** -e)))
 def test_extreme_rows_score_only_regions(pairs, grid_step):
     """Every error is in [0, 1] or NaN, NaN wherever region_checks rejects
-    either region, the same bits in a batch as alone, and no RuntimeWarning
-    is raised."""
+    either region, the same bits in a batch as alone, and inside its bound
+    interval wherever _error_bounds gives one; no RuntimeWarning is
+    raised."""
     rows = np.array(pairs).reshape(len(pairs), 2, 5)
     centers1, abc1, centers2, abc2 = rows[:, 0, :2], rows[:, 0, 2:], rows[:, 1, :2], rows[:, 1, 2:]
     with warnings.catch_warnings():
@@ -336,6 +347,86 @@ def test_extreme_rows_score_only_regions(pairs, grid_step):
                                 abc2[k : k + 1], grid_step)[0] for k in range(len(pairs))]
         regions = [np.logical_and.reduce(region_checks(centers, abc))
                    for centers, abc in ((centers1, abc1), (centers2, abc2))]
+        lo, hi = error_bounds(centers1, abc1, centers2, abc2, grid_step)
+    bounded = ~np.isnan(lo)
+    assert (~np.isnan(got[bounded])).all()
+    assert ((lo <= got) & (got <= hi))[bounded].all()
     assert [e.hex() for e in got.tolist()] == [e.hex() for e in alone]
     assert np.isnan(got[~(regions[0] & regions[1])]).all()
     assert ((got >= 0.0) & (got <= 1.0) | np.isnan(got)).all()
+
+
+BOUNDS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def bound_pairs(draw):
+    """Two ellipses with axis ratios up to 1e3, the second 0.3 to 3 times
+    the size of the first.  Either its center is 0 to 4 radii away, with a
+    shape of its own, or it is the first scaled about its center, so that
+    one holds the other.  Half the axes lie along the grid, where the
+    lattice count of a thin ellipse is biased in every row."""
+    radius = 10.0 ** draw(st.floats(-1.0, 2.0))
+    center = np.array([draw(st.floats(-500.0, 500.0)) for _ in range(2)])
+    size = radius * 10.0 ** draw(st.floats(-0.5, 0.5))
+
+    def shape():
+        theta = draw(st.one_of(st.sampled_from([0.0, 0.5 * math.pi]), st.floats(0.0, math.pi)))
+        return 10.0 ** draw(st.one_of(st.sampled_from([0.0, 3.0]), st.floats(0.0, 3.0))), theta
+
+    e1 = ellipse(center, radius, *shape())
+    if draw(st.booleans()):
+        return e1, SecondMomentEllipse(center, e1.shape * (radius / size) ** 2)
+    angle = draw(st.floats(0.0, 2.0 * math.pi))
+    offset = radius * draw(st.floats(0.0, 4.0)) * np.array([math.cos(angle), math.sin(angle)])
+    return e1, ellipse(center + offset, size, *shape())
+
+
+@BOUNDS
+@given(bound_pairs(), st.one_of(st.none(), st.floats(-2.0, 0.7).map(lambda e: 10.0**e)),
+       st.sampled_from([geometry.MAX_OVERLAP_SAMPLES, 20_000, 2_000, 200]))
+def test_bounds_hold_the_grid_estimate(pair, grid_step, cap):
+    """lo <= overlap_errors' estimate <= hi on every drawn pair, at the
+    default and explicit pitches and on grids that a small sample cap
+    coarsens; every pair is inside the proof's scope.  With a threshold, a
+    lone pair scores below it exactly when its estimate does."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "MAX_OVERLAP_SAMPLES", cap)
+        regions = stacked([pair])
+        (err,) = overlap_errors(*regions, grid_step)
+        (lo,), (hi,) = error_bounds(*regions, grid_step)
+        decided = [overlap_errors(*regions, grid_step, t, np.array([True]))[0] < t
+                   for t in (0.1, 0.4, 0.9)]
+    assert lo <= err <= hi
+    assert decided == [err < t for t in (0.1, 0.4, 0.9)]
+
+
+PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+def exact_area(abc):
+    """pi / sqrt(a c - b^2) of the row abc as real numbers, to 60 digits."""
+    a, b, c = (Fraction(v) for v in abc)
+    det = a * c - b * b
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return PI / (Decimal(det.numerator) / Decimal(det.denominator)).sqrt()
+
+
+@BOUNDS
+@given(bound_pairs(), st.integers(0, 3))
+def test_area_bounds_hold_the_exact_areas(pair, doubling):
+    """_area_bounds encloses each region's exact area, and its intersection
+    bound is at most the exact area of the first region when the second
+    holds it; a second region 2^doubling times the first's size about the
+    same center does, and with doubling 0 the two are equal, where the
+    bound is tight up to rounding."""
+    e1, e2 = pair
+    nested = SecondMomentEllipse(e1.center, e1.shape * 4.0**-doubling)
+    for second in (e2, nested):
+        centers = np.array([e1.center, second.center])[:, None]
+        abc = np.array([e1.abc, second.abc])[:, None]
+        area_lo, area_hi, inter_lo, _, _ = geometry._area_bounds(centers, abc)
+        for k, region in enumerate((e1, second)):
+            assert Decimal(area_lo[k, 0]) <= exact_area(region.abc) <= Decimal(area_hi[k, 0])
+    assert Decimal(inter_lo[0]) <= exact_area(e1.abc)
