@@ -27,23 +27,24 @@ DETECTORS = {
     "sloppy": dict(jitter_sigma=1.4, dropout_rate=0.55),
 }
 
-workdir = tempfile.mkdtemp(prefix="repbench_demo_")
 eval_cfg = EvalConfig(grid_step=1.0)
 reports = []
-for dataset, base_seed in (("urban", 100), ("forest", 200)):
-    for tag, flaws in DETECTORS.items():
-        cfg = SynthConfig(
-            seed=base_seed,
-            n_points=120,
-            descriptor_dim=8,
-            descriptor_noise_sigma=0.05,
-            **flaws,
-        )
-        out = os.path.join(workdir, f"{dataset}_{tag}")
-        manifest_path = synth_sequence(out, dataset, cfg, images=5)
-        reports.append(
-            evaluate_sequence(load_manifest(manifest_path), out, eval_cfg, detector=tag)
-        )
+# the datasets live only as long as the demo needs them
+with tempfile.TemporaryDirectory(prefix="repbench_demo_") as workdir:
+    for dataset, base_seed in (("urban", 100), ("forest", 200)):
+        for tag, flaws in DETECTORS.items():
+            cfg = SynthConfig(
+                seed=base_seed,
+                n_points=120,
+                descriptor_dim=8,
+                descriptor_noise_sigma=0.05,
+                **flaws,
+            )
+            out = os.path.join(workdir, f"{dataset}_{tag}")
+            manifest_path = synth_sequence(out, dataset, cfg, images=5)
+            reports.append(
+                evaluate_sequence(load_manifest(manifest_path), out, eval_cfg, detector=tag)
+            )
 
 detectors, datasets, cells, ratings, thresholds = summary_table(reports, "c2")
 print("mean criterion-2 score per (detector, dataset)")

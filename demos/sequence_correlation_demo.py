@@ -17,7 +17,6 @@ from repbench.harness import evaluate_sequence, synth_sequence
 from repbench.metrics import EvalConfig
 from repbench.synth import SynthConfig
 
-workdir = tempfile.mkdtemp(prefix="repbench_demo_")
 cfg = SynthConfig(
     seed=42,
     n_points=150,
@@ -26,16 +25,18 @@ cfg = SynthConfig(
     descriptor_dim=8,
     descriptor_noise_sigma=0.05,
 )
-manifest_path = synth_sequence(
-    os.path.join(workdir, "ramp"), "ramp", cfg, images=6, jitter_end=1.2
-)
-print(f"dataset written to {os.path.dirname(manifest_path)}")
+# the dataset lives only as long as the demo needs it
+with tempfile.TemporaryDirectory(prefix="repbench_demo_") as workdir:
+    manifest_path = synth_sequence(
+        os.path.join(workdir, "ramp"), "ramp", cfg, images=6, jitter_end=1.2
+    )
+    print(f"dataset written to {os.path.dirname(manifest_path)}, removed at the end")
 
-doc = evaluate_sequence(
-    load_manifest(manifest_path),
-    os.path.dirname(manifest_path),
-    EvalConfig(grid_step=1.0),
-)
+    doc = evaluate_sequence(
+        load_manifest(manifest_path),
+        os.path.dirname(manifest_path),
+        EvalConfig(grid_step=1.0),
+    )
 
 print("pair  eq1     c1      c2      true matches")
 for p in doc["pairs"]:

@@ -203,15 +203,7 @@ def cmd_synth(args):
     return EXIT_OK
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="repbench",
-        description="Repeatability benchmarking of local feature detectors "
-        "under ground-truth homographies.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate one image pair")
+def _eval_arguments(p):
     p.add_argument("--ref", required=True, help="reference keypoint file")
     p.add_argument("--test", required=True, help="test keypoint file")
     p.add_argument("--homography", required=True, help="reference-to-test homography file")
@@ -220,17 +212,17 @@ def build_parser():
     _add_metric_flags(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="output file (default stdout)")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sequence", help="evaluate a manifest of (reference, i) pairs")
+
+def _sequence_arguments(p):
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="output stem; writes <out>.json and <out>.csv")
     p.add_argument("--detector", default="default", help="detector tag for the report")
     p.add_argument("--workers", type=int, default=1, help="parallel pair evaluations")
     _add_metric_flags(p)
-    p.set_defaults(func=cmd_sequence)
 
-    p = sub.add_parser("correlate", help="correlate repeatability with true matches")
+
+def _correlate_arguments(p):
     p.add_argument(
         "--report",
         action="append",
@@ -239,9 +231,9 @@ def build_parser():
     )
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="output file (default stdout)")
-    p.set_defaults(func=cmd_correlate)
 
-    p = sub.add_parser("summary", help="rank detectors per dataset")
+
+def _summary_arguments(p):
     p.add_argument("--reports", nargs="+", required=True, help="sequence report JSONs")
     p.add_argument("--criterion", choices=harness.CRITERIA, default="c2")
     p.add_argument(
@@ -254,9 +246,9 @@ def build_parser():
     )
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="output file (default stdout)")
-    p.set_defaults(func=cmd_summary)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
+
+def _synth_arguments(p):
     p.add_argument("--out-dir", required=True)
     p.add_argument("--name", default="synth", help="dataset name for the manifest")
     p.add_argument("--seed", type=int, default=1)
@@ -282,12 +274,44 @@ def build_parser():
         help="homography file for each derived image (repeatable; default: "
         "a mild built-in similarity ramp)",
     )
-    p.set_defaults(func=cmd_synth)
+
+
+# name -> (help line, the function adding its arguments, its handler)
+SUBCOMMANDS = {
+    "eval": ("evaluate one image pair", _eval_arguments, cmd_eval),
+    "sequence": ("evaluate a manifest of (reference, i) pairs", _sequence_arguments,
+                 cmd_sequence),
+    "correlate": ("correlate repeatability with true matches", _correlate_arguments,
+                  cmd_correlate),
+    "summary": ("rank detectors per dataset", _summary_arguments, cmd_summary),
+    "synth": ("generate a synthetic dataset", _synth_arguments, cmd_synth),
+}
+
+
+def build_parser(command=None):
+    """The repbench argument parser.  Every subcommand gets its name and
+    help line, which is all that `repbench --help` and a bad command name
+    show, but only `command`'s subparser gets its arguments, or every
+    subparser when command is None."""
+    parser = argparse.ArgumentParser(
+        prog="repbench",
+        description="Repeatability benchmarking of local feature detectors "
+        "under ground-truth homographies.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, func) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the first argument names the command, as the parser has no option
+    # but --help before it
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -226,7 +226,7 @@ def indexed_distances(a, b, rows, cols):
     return np.sqrt(out, out=out)
 
 
-def close_pairs(a, b, radius):
+def close_pairs(a, b, radius, a_groups=None, b_groups=None):
     """Every pair of 2-D points closer than `radius`, without the N x M matrix.
 
     Returns (i, j, d) in row-major (i, j) order, d = sqrt(dx*dx + dy*dy)
@@ -235,35 +235,47 @@ def close_pairs(a, b, radius):
     than radius, and each point of a is looked up in the 3 x 3 cells around
     its own (spatial hashing, Teschner et al., VMV 2003), so only pairs in
     neighbouring cells get a distance.  Memory is O(N + M + those pairs).
+
+    With a_groups and b_groups, the (N,) and (M,) group labels of the
+    points, integers in [0, 2**56), only pairs within one group are found:
+    the label is part of each cell's key, so the pairs of many point sets
+    come from one pass.  Without them every point is in group 0.
     """
     a = np.asarray(a, dtype=float).reshape(-1, 2)
     b = np.asarray(b, dtype=float).reshape(-1, 2)
     if len(a) == 0 or len(b) == 0:
         none = np.empty(0, dtype=np.int64)
         return none, none, np.empty(0)
+    a_groups = np.zeros(len(a), np.int64) if a_groups is None else np.asarray(a_groups, np.int64)
+    b_groups = np.zeros(len(b), np.int64) if b_groups is None else np.asarray(b_groups, np.int64)
+    groups = 1 + int(max(a_groups.max(), b_groups.max()))
     # A pair closer than radius differs by less than radius * (1 + 4 eps) in
     # each coordinate, and x / cell rounds by at most eps |x| / cell, so
     # cells wider than radius by those amounts put such a pair at most one
     # cell apart on each axis.  Wider cells are never wrong, only slower:
-    # a's cells span at most 2**26 per axis, so cell keys fit in int64.
+    # a's cells span at most 2**bits per axis, so there are at most
+    # 2**bits + 4 columns and rows with the margin, and a key (group,
+    # column, row) stays below groups * (2**bits + 4)**2 < 2**62.
+    bits = min(26, (60 - groups.bit_length()) // 2)
     lo, hi = a.min(axis=0), a.max(axis=0)
     cell = max(radius * (1.0 + 2.0**-20) + float(np.abs(a).max()) * 2.0**-40,
-               float((hi - lo).max()) * 2.0**-26)
+               float((hi - lo).max()) * 2.0**-bits)
     cells_a = np.floor(a / cell)
     cells_b = np.floor(b / cell)
     first = cells_a.min(axis=0) - 1.0
     last = cells_a.max(axis=0) + 1.0
     # a point of b outside the cells probed for a is never close
     near = np.flatnonzero(((cells_b >= first) & (cells_b <= last)).all(axis=1))
-    side = int(last[1] - first[1]) + 1
+    columns, side = (last - first).astype(np.int64) + 1
 
-    def keys(cells):
+    def keys(cells, group):
         column, row = (cells - first).astype(np.int64).T
-        return column * side + row
+        return (group * columns + column) * side + row
 
-    by_key = near[np.argsort(keys(cells_b[near]), kind="stable")]
-    sorted_keys = keys(cells_b[by_key])
-    probes = keys(cells_a)[:, None] + (np.arange(-1, 2)[:, None] * side + np.arange(-1, 2)).ravel()
+    by_key = near[np.argsort(keys(cells_b[near], b_groups[near]), kind="stable")]
+    sorted_keys = keys(cells_b[by_key], b_groups[by_key])
+    probes = (keys(cells_a, a_groups)[:, None]
+              + (np.arange(-1, 2)[:, None] * side + np.arange(-1, 2)).ravel())
     start = np.searchsorted(sorted_keys, probes, "left").ravel()
     count = np.searchsorted(sorted_keys, probes, "right").ravel() - start
     i = np.repeat(np.arange(len(a)), count.reshape(len(a), 9).sum(axis=1))

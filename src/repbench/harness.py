@@ -39,7 +39,7 @@ from .formats import (
     write_keypoints,
 )
 from .geometry import Homography
-from .metrics import EvalConfig, evaluate_pair
+from .metrics import EvalConfig, candidate_tables, evaluate_pair
 from .stats import bin_scores, check_thresholds, correlate, summarize
 from .synth import derive_test, generate_reference
 
@@ -96,9 +96,13 @@ def evaluate_sequence(manifest, base_dir, cfg=EvalConfig(), detector="default", 
     sequence report document: the dict load_report returns for the JSON
     written from it (sequence_report_json).
 
-    File paths in the manifest resolve relative to base_dir.  Pair
-    evaluations may run on a thread pool; aggregation is in manifest order
-    regardless, so the report does not depend on workers (at least 1).
+    File paths in the manifest resolve relative to base_dir.  The
+    candidate tables of all the pairs come from one pass
+    (metrics.candidate_tables), one spatial hash with the pair's index in
+    each cell key and one overlap-error call, before the pairs are
+    evaluated.  Pair evaluations may run on a thread pool; aggregation is
+    in manifest order regardless, so the report does not depend on workers
+    (at least 1).
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -117,17 +121,19 @@ def evaluate_sequence(manifest, base_dir, cfg=EvalConfig(), detector="default", 
             raise ManifestError(f"no homography {ref_entry['id']} -> {img['id']}")
         jobs.append((pos, img, kset, load_homography(os.path.join(base_dir, hpath))))
 
-    def run(job):
+    tables = candidate_tables(ref, [(kset, h) for _, _, kset, h in jobs], cfg)
+
+    def run(job, table):
         pos, img, kset, h = job
-        evaluation = evaluate_pair(ref, kset, h, cfg)
+        evaluation = evaluate_pair(ref, kset, h, cfg, candidates=table)
         return {"pair": pos, "image": img["id"], "label": img.get("label"),
                 **asdict(evaluation)}
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(run, jobs))
+            pairs = list(pool.map(run, jobs, tables))
     else:
-        pairs = [run(job) for job in jobs]
+        pairs = [run(job, table) for job, table in zip(jobs, tables)]
     return _sequence_doc(manifest["name"], detector, cfg, pairs)
 
 

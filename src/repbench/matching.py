@@ -4,7 +4,7 @@ The "true match" count of an image pair is the number of descriptor matches
 that also satisfy the geometric repeatability predicate (common part, center
 distance, overlap error) under the known homography.  The predicate is not
 evaluated here: verify_matches looks each match up in the pair's candidate
-table, built once by metrics.candidate_table.  Matching itself is
+table, built once by metrics.candidate_tables.  Matching itself is
 greedy one-to-one nearest neighbor by default; a Lowe-style ratio test is
 available as an alternative since evaluation protocols differ on this point.
 _greedy is the one greedy one-to-one rule over a sorted list of entries:
@@ -164,7 +164,10 @@ def _first_entries(a, b, near, k):
     # the entries come in row-major order, so a stable sort by (row,
     # distance) breaks ties by column
     order = np.lexsort((d, r))
-    first = order[(np.flatnonzero(np.diff(r, prepend=-1))[:, None] + np.arange(k)).ravel()]
+    # a row's entries start where r changes
+    starts = np.ones(len(r), dtype=bool)
+    np.not_equal(r[1:], r[:-1], out=starts[1:])
+    first = order[(np.flatnonzero(starts)[:, None] + np.arange(k)).ravel()]
     return c[first].reshape(-1, k), d[first].reshape(-1, k)
 
 
@@ -178,6 +181,7 @@ def _greedy(order, n, m):
     row_flags = np.frombuffer(used_row, dtype=bool)
     col_flags = np.frombuffer(used_col, dtype=bool)
     taken = []
+    limit = min(n, m)
     step = max(1, n + m)
     for start in range(0, len(order), step):
         rows, cols = np.divmod(order[start : start + step], m)
@@ -187,7 +191,7 @@ def _greedy(order, n, m):
             if not (used_row[i] or used_col[j]):
                 used_row[i] = used_col[j] = 1
                 taken.append(start + k)
-                if len(taken) == min(n, m):
+                if len(taken) == limit:
                     return taken
     return taken
 
@@ -294,6 +298,6 @@ def match_descriptors(ref, test, method="nn", ratio=0.8):
 def verify_matches(matches, table) -> int:
     """Count the rows of the (K, 2) matches that pass the geometric
     repeatability predicate, that is, whose (ref index, test index) is an
-    entry (ri, tj) of the pair's candidate table (metrics.candidate_table)."""
+    entry (ri, tj) of the pair's candidate table (metrics.candidate_tables)."""
     candidates = set(zip(table[0].tolist(), table[1].tolist()))
     return sum(pair in candidates for pair in zip(*matches.T.tolist()))

@@ -17,33 +17,36 @@ both regions by the factor that makes the reference region a circle of
 that radius.  So under a change of scale, n_rep can differ when the two
 images swap roles.
 
-The predicate is evaluated in one place, candidate_table, which scores every
-common-part pair once and keeps the candidates as arrays.  The
+The predicate is evaluated in one place, candidate_tables, which scores
+every common-part pair of a sequence's image pairs in one pass and keeps
+each image pair's candidates as arrays, its candidate table.  The
 correspondences are resolved from that table by matching._greedy, the one
 greedy one-to-one rule, which also serves both descriptor matchers; the
 true matches (matching.verify_matches) are the descriptor matches found in
 the table, so a pair is a true match only if it is a candidate.
 
-common_part_filter maps each center once per pair, with geometry's one
-projection formula, so the common part, the center distances and the
-transport do not depend on the BLAS build.  candidate_table finds the
-pairs within epsilon_px with a spatial hash of the test centers
-(geometry.close_pairs), never the N x M distance matrix, carries their
-test regions into the reference frame from those maps, and scores all of
-them in one pass over arrays (_overlap_errors): the rescaling, then
-geometry.overlap_errors, which owns the grid pitch and the overlap grids
-and alone decides which pairs are scored.  A pair that cannot be scored
-gets a NaN overlap error and is left out of the table.  A lone entry,
-alone in its reference row and its test column among the pairs within
-epsilon_px, is taken by the greedy exactly when it is in the table, so
-only err < max_overlap_error matters for it: geometry.overlap_errors
-settles it from an interval that provably holds its grid estimate, with no
-grid, when the interval lies on one side of the threshold, and grids every
-other pair.  The correspondences, the true matches and every report byte
-are those of gridding every pair.  The one-pair region_overlap_error maps
-its pair with the same calls and is a K = 1 call of _overlap_errors, with
-the same bits, never settled; it stays because the benchmark's tracer
-(bench/tracing.py) wraps it.
+common_part_filter maps each center once per image pair, with geometry's
+one projection formula, so the common part, the center distances and the
+transport do not depend on the BLAS build.  candidate_tables finds the
+pairs within epsilon_px of every image pair with one spatial hash of the
+test centers (geometry.close_pairs), the image pair's index part of each
+cell key so that no entry crosses image pairs, never the N x M distance
+matrix; it carries their test regions into the reference frame from those
+maps, and scores all of them in one pass over arrays (_overlap_errors):
+the rescaling, then geometry.overlap_errors, which owns the grid pitch and
+the overlap grids and alone decides which pairs are scored.  A pair that
+cannot be scored gets a NaN overlap error and is left out of the table.  A
+lone entry, alone in its reference row and its test column among the
+pairs within epsilon_px, is taken by the greedy exactly when it is in the
+table, so only err < max_overlap_error matters for it:
+geometry.overlap_errors settles it from an interval that provably holds
+its grid estimate, with no grid, when the interval lies on one side of the
+threshold, and grids every other pair.  The correspondences, the true
+matches and every report byte are those of gridding every pair, one image
+pair at a time.  The one-pair region_overlap_error maps its pair with the
+same calls and is a K = 1 call of _overlap_errors, with the same bits,
+never settled; it stays because the benchmark's tracer (bench/tracing.py)
+wraps it.
 """
 
 from dataclasses import dataclass
@@ -133,7 +136,7 @@ def common_part_filter(ref, test, h):
 
 def region_overlap_error(ref_region, test_region, h, cfg):
     """_overlap_errors of one candidate pair of SecondMomentEllipse, the
-    test region carried into the reference frame as candidate_table
+    test region carried into the reference frame as candidate_tables
     carries it.  Raises PointAtInfinity or DegenerateRegion when the pair
     cannot be scored."""
     jac, _, at_infinity = homography_jacobians(h, ref_region.center[None])
@@ -177,38 +180,55 @@ def _overlap_errors(ref_centers, ref_abc, centers, abc, cfg, lone=None):
     return overlap_errors(ref_centers, ref_abc, centers, abc, cfg.grid_step, threshold, lone)
 
 
-def candidate_table(ref, test, h, cfg=EvalConfig()):
-    """The repeatability predicate, evaluated once per pair.
+def candidate_tables(ref, pairs, cfg=EvalConfig()):
+    """The repeatability predicate, evaluated once per sequence: the
+    candidate table of each (test, h) of pairs against the reference ref.
 
-    Returns (ref_idx, test_idx, (ri, tj, err, dist)): the common-part
-    indices of common_part_filter, and four arrays with one entry for every
-    common-part pair whose test-frame center distance dist is below
-    cfg.epsilon_px and whose overlap error is below cfg.max_overlap_error,
-    in row-major (ri, tj) order.  Pairs that _overlap_errors cannot score
-    (NaN) are left out.  err is the grid estimate of the overlap error,
-    except for a lone entry, the only pair within epsilon of its reference
-    and of its test keypoint, that the bound interval settled: its err is
-    the interval's upper bound, below cfg.max_overlap_error and at least
-    the estimate.  The greedy takes a lone entry whatever its err, so
-    _resolve's choice is that of the estimates.
+    Returns one (ref_idx, test_idx, (ri, tj, err, dist)) per pair: the
+    common-part indices of common_part_filter, and four arrays with one
+    entry for every common-part pair whose test-frame center distance dist
+    is below cfg.epsilon_px and whose overlap error is below
+    cfg.max_overlap_error, in row-major (ri, tj) order.  Pairs that
+    _overlap_errors cannot score (NaN) are left out.  err is the grid
+    estimate of the overlap error, except for a lone entry, the only pair
+    within epsilon of its reference and of its test keypoint, that the
+    bound interval settled: its err is the interval's upper bound, below
+    cfg.max_overlap_error and at least the estimate.  The greedy takes a
+    lone entry whatever its err, so _resolve's choice is that of the
+    estimates.
 
-    The pairs within epsilon come from a spatial hash of the test centers
-    (geometry.close_pairs), with the distance bits of the N x M matrix it
-    replaces.  Each test region is carried into the reference frame from
-    common_part_filter's maps, its back-projected center and its shape
-    transported by the Jacobian at the reference center, and all of them
-    are scored in one pass over arrays (_overlap_errors), a block of grid
-    rows at a time.
+    Each pair is mapped by its own common_part_filter call.  The pairs
+    within epsilon of every image pair come from one spatial hash
+    (geometry.close_pairs), with the image pair's index in each cell key,
+    so no entry crosses image pairs, and with the distance bits of the
+    N x M matrix it replaces.  Each test region is carried into the
+    reference frame from common_part_filter's maps, its back-projected
+    center and its shape transported by the Jacobian at the reference
+    center, and the entries of all the image pairs are scored in one pass
+    over arrays (_overlap_errors), a block of grid rows at a time.  A
+    table does not depend on the other pairs it was built with.
     """
-    ref_idx, test_idx, jac, proj, back = common_part_filter(ref, test, h)
-    i, j, dist = close_pairs(proj, test.centers[test_idx], cfg.epsilon_px)
-    ri, tj = ref_idx[i], test_idx[j]
+    if not pairs:
+        return []
+    maps = [common_part_filter(ref, test, h) for test, h in pairs]
+    ref_idx, test_idx, jac, proj, back = (np.concatenate(arrays) for arrays in zip(*maps))
+    centers = np.concatenate([test.centers[m[1]] for (test, _), m in zip(pairs, maps)])
+    abc = np.concatenate([test.abc[m[1]] for (test, _), m in zip(pairs, maps)])
+    ref_group = np.repeat(np.arange(len(pairs)), [len(m[0]) for m in maps])
+    test_group = np.repeat(np.arange(len(pairs)), [len(m[1]) for m in maps])
+    i, j, dist = close_pairs(proj, centers, cfg.epsilon_px, ref_group, test_group)
+    ri = ref_idx[i]
     # alone in its row and its column, an entry is taken iff it is kept
     lone = (np.bincount(i)[i] == 1) & (np.bincount(j)[j] == 1)
     err = _overlap_errors(ref.centers[ri], ref.abc[ri], back[j],
-                          transport_shapes(jac[i], test.abc[tj]), cfg, lone)
+                          transport_shapes(jac[i], abc[j]), cfg, lone)
     keep = np.flatnonzero(err < cfg.max_overlap_error)
-    return ref_idx, test_idx, (ri[keep], tj[keep], err[keep], dist[keep])
+    # the entries come in row-major order, so each pair's are one run
+    counts = np.bincount(ref_group[i[keep]], minlength=len(pairs))
+    ends = np.cumsum(counts)
+    table = (ri[keep], test_idx[j[keep]], err[keep], dist[keep])
+    return [(m[0], m[1], tuple(a[start:end] for a in table))
+            for m, start, end in zip(maps, (ends - counts).tolist(), ends.tolist())]
 
 
 def _resolve(table, n_ref, n_test):
@@ -237,16 +257,20 @@ def criterion2(n_rep, n_ref, n_test) -> float | None:
     return 2.0 * n_rep / (n_ref + n_test) if n_ref + n_test > 0 else None
 
 
-def evaluate_pair(ref, test, h, cfg=EvalConfig()):
+def evaluate_pair(ref, test, h, cfg=EvalConfig(), candidates=None):
     """Full evaluation of one image pair against ground truth.
 
     All three rates are computed from the same correspondence set.  Rates
     whose denominator is zero come back as None.  When both sets carry
     descriptors, true_matches counts the descriptor matches found in the
     pair's candidate table, else it is 0 with the descriptors_available flag
-    cleared.
+    cleared.  candidates is the pair's entry of candidate_tables at cfg,
+    which a sequence builds for all its pairs at once; without it the pair
+    builds its own.
     """
-    ref_idx, test_idx, table = candidate_table(ref, test, h, cfg)
+    if candidates is None:
+        candidates = candidate_tables(ref, [(test, h)], cfg)[0]
+    ref_idx, test_idx, table = candidates
     n_ref = len(ref_idx)
     n_test = len(test_idx)
     n_rep = len(_resolve(table, len(ref), len(test)))

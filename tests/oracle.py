@@ -290,10 +290,11 @@ def oracle_lone(ref, test, h, cfg):
 
 
 def oracle_candidate_table(ref, test, h, cfg):
-    """(ref_idx, test_idx, table, dropped): candidate_table's result, with
-    the grid estimate of every entry's overlap error, and the number of
-    candidates left out as DegenerateRegion or PointAtInfinity, or because
-    their transported or rescaled region is not finite."""
+    """(ref_idx, test_idx, table, dropped): the candidate table that
+    metrics.candidate_tables gives the one pair (test, h), with the grid
+    estimate of every entry's overlap error, and the number of candidates
+    left out as DegenerateRegion or PointAtInfinity, or because their
+    transported or rescaled region is not finite."""
     ref_idx, test_idx, pairs = oracle_close_pairs(ref, test, h, cfg)
     table = {}
     dropped = 0

@@ -1,11 +1,11 @@
 """Differential test of the batched candidate scorer and the spatial hash.
 
-`oracle.oracle_candidate_table` is candidate_table as it was written before
+`oracle.oracle_candidate_table` is the candidate table as it was written before
 the centre search was hashed and the candidates were scored in one pass:
 the dense N x M centre-distance matrix, then one
 `oracle_region_overlap_error` call per pair within epsilon, built from the
 frozen scalar projection, Jacobian, transport, rescaling, pitch, grid and
-row kernel of tests/oracle.py.  `metrics.candidate_table` must give the
+row kernel of tests/oracle.py.  `metrics.candidate_tables` must give the
 same keys in the same order and the same bits of every centre distance, and
 raise the same error where the reference raises.  Every overlap error has
 the reference's bits, but that of a lone entry (alone in its row and its
@@ -37,7 +37,7 @@ from repbench.geometry import (
     semiaxes,
     transport_shapes,
 )
-from repbench.metrics import EvalConfig, candidate_table, region_overlap_error
+from repbench.metrics import EvalConfig, candidate_tables, region_overlap_error
 
 import oracle
 from oracle import (
@@ -52,6 +52,11 @@ from oracle import (
 )
 
 
+def one_table(ref, test, h, cfg=EvalConfig()):
+    """The candidate table of the one pair (test, h)."""
+    return candidate_tables(ref, [(test, h)], cfg)[0]
+
+
 def hexed(table):
     """The entries of a candidate table's arrays (ri, tj, err, dist), in
     order, as ((ri, tj), err hex, dist hex)."""
@@ -60,17 +65,17 @@ def hexed(table):
 
 
 def gridded_table(ref, test, h, cfg):
-    """candidate_table with no entry settled by its bound interval, so
+    """one_table with no entry settled by its bound interval, so
     that every candidate is gridded."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_error_bounds", lambda centers, abc, per_pair, ny:
                    (np.full(len(ny), np.nan),) * 2)
-        return candidate_table(ref, test, h, cfg)
+        return one_table(ref, test, h, cfg)
 
 
 def settled_count(ref, test, h, cfg):
-    """How many entries of candidate_table's table the interval settled."""
-    return int(np.count_nonzero(candidate_table(ref, test, h, cfg)[2][2]
+    """How many entries of one_table's table the interval settled."""
+    return int(np.count_nonzero(one_table(ref, test, h, cfg)[2][2]
                                 != gridded_table(ref, test, h, cfg)[2][2]))
 
 
@@ -82,9 +87,9 @@ def assert_same_table(ref, test, h, cfg):
         want_ref, want_test, want, dropped = oracle_candidate_table(ref, test, h, cfg)
     except (ValueError, ArithmeticError) as exc:
         with pytest.raises(type(exc)):
-            candidate_table(ref, test, h, cfg)
+            one_table(ref, test, h, cfg)
         return None
-    got_ref, got_test, got = candidate_table(ref, test, h, cfg)
+    got_ref, got_test, got = one_table(ref, test, h, cfg)
     assert np.array_equal(got_ref, want_ref) and np.array_equal(got_test, want_test)
     want_hexed = [(key, err.hex(), dist.hex()) for key, (err, dist) in want.items()]
     assert hexed(gridded_table(ref, test, h, cfg)[2]) == want_hexed
@@ -142,7 +147,7 @@ def test_workload_tables(workload, config):
     for seed in (7, 1009, 31):
         for ref, test, h in workload_pairs(workload, seed):
             assert assert_same_table(ref, test, h, CONFIGS[config]) == 0
-            entries += len(candidate_table(ref, test, h, CONFIGS[config])[2][0])
+            entries += len(one_table(ref, test, h, CONFIGS[config])[2][0])
             settled += settled_count(ref, test, h, CONFIGS[config])
     assert entries > 0
     # at radius 30 and the default pitch most entries are settled; the
@@ -176,7 +181,7 @@ def test_crowded_tables(config):
     for seed in (7, 1009):
         for ref, test, h in crowded_pairs(seed):
             assert assert_same_table(ref, test, h, cfg) == 0
-            keys = set(zip(*(a.tolist() for a in candidate_table(ref, test, h, cfg)[2][:2])))
+            keys = set(zip(*(a.tolist() for a in one_table(ref, test, h, cfg)[2][:2])))
             alone = oracle_lone(ref, test, h, cfg)
             lone += len(keys & alone)
             contested += len(keys - alone)
@@ -209,7 +214,7 @@ def test_default_pitch_on_the_seed_7_tables(workload):
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_each_centre_is_mapped_once(monkeypatch, workload):
-    """candidate_table sends each centre of a pair through the projection
+    """candidate_tables sends each centre of a pair through the projection
     formula once: len(ref) + len(test) rows reach geometry._homogeneous."""
     rows = []
     homogeneous = geometry._homogeneous
@@ -221,7 +226,7 @@ def test_each_centre_is_mapped_once(monkeypatch, workload):
     monkeypatch.setattr(geometry, "_homogeneous", counted)
     for ref, test, h in workload_pairs(workload, 7):
         rows.clear()
-        candidate_table(ref, test, h)
+        one_table(ref, test, h)
         points = len(ref) + len(test)
         assert sum(rows) == points
 
@@ -317,7 +322,7 @@ def test_overflowing_transport_is_not_scored():
     test_region = SecondMomentEllipse.from_abc(*test.centers[0], *test.abc[0])
     for cfg in (EvalConfig(), EvalConfig(normalize_radius=None, grid_step=0.5)):
         assert assert_same_table(ref, test, h, cfg) == 1
-        assert all(len(a) == 0 for a in candidate_table(ref, test, h, cfg)[2])
+        assert all(len(a) == 0 for a in one_table(ref, test, h, cfg)[2])
         assert metrics.evaluate_pair(ref, test, h, cfg).n_rep == 0
         with pytest.raises(DegenerateRegion):
             region_overlap_error(ref_region, test_region, h, cfg)
@@ -385,7 +390,7 @@ def test_scored_candidates_match_one_by_one():
 
 
 def test_transport_bits():
-    """The test regions carried into the reference frame as candidate_table
+    """The test regions carried into the reference frame as candidate_tables
     carries them (the centers through h^-1 by project_points, the shapes by
     transport_shapes with the Jacobians of homography_jacobians) have the
     per-pair transport's centers and shapes bit for bit, and exactly the
@@ -510,7 +515,7 @@ def test_empty_sets_and_no_candidates():
                        height=2000)
     for ref, test in ((empty, some), (some, empty), (empty, empty), (some, far)):
         assert assert_same_table(ref, test, Homography.identity(), EvalConfig()) == 0
-        assert all(len(a) == 0 for a in candidate_table(ref, test, Homography.identity())[2])
+        assert all(len(a) == 0 for a in one_table(ref, test, Homography.identity())[2])
 
 
 def assert_same_pairs(a, b, radius):
@@ -582,3 +587,52 @@ def test_hash_empty_sides():
     for a, b in ((np.empty((0, 2)), some), (some, np.empty((0, 2))), (np.empty((0, 2)),) * 2):
         assert assert_same_pairs(a, b, 1.5) == 0
     assert assert_same_pairs(some, some + 100.0, 1.5) == 0
+
+
+def assert_same_grouped_pairs(a, b, radius, a_groups, b_groups):
+    """close_pairs with group labels finds the dense matrix's pairs within
+    each group and none across groups."""
+    i, j, d = close_pairs(a, b, radius, a_groups, b_groups)
+    dense = pairwise_distances(a, b)
+    want_i, want_j = np.nonzero((dense < radius) & (a_groups[:, None] == b_groups[None]))
+    assert i.tolist() == want_i.tolist() and j.tolist() == want_j.tolist()
+    assert d.tobytes() == dense[want_i, want_j].tobytes()
+    return len(i)
+
+
+@pytest.mark.parametrize("top", [1, 255, 2**8, 2**40, 2**56 - 1])
+def test_hash_groups_at_the_key_limit(top):
+    """Group labels up to 2**56 - 1, with a's points spread over 1e9 px, so
+    that a's cells span 2**bits per axis for the largest label and the
+    packed keys come near 2**62: every point of b sits close to a point of
+    a, some in the same group and some in another, and only the pairs
+    within a group are found."""
+    rng = np.random.default_rng(4112)
+    a = np.r_[rng.uniform(0, 1e9, (40, 2)), [[0.0, 0.0], [1e9, 1e9]]]
+    b = a[rng.integers(0, len(a), 120)] + rng.normal(0, 1.0, (120, 2))
+    labels = np.array([0, 1, top - 1, top]) if top > 1 else np.array([0, 1])
+    a_groups, b_groups = rng.choice(labels, len(a)), rng.choice(labels, len(b))
+    assert assert_same_grouped_pairs(a, b, 1.5, a_groups, b_groups) > 0
+    assert_same_grouped_pairs(a, b, 1e6, a_groups, b_groups)
+
+
+def test_tables_of_many_pairs_on_a_wide_image():
+    """300 pairs, enough for close_pairs to narrow its cell keys, of a
+    reference spread over an image 2**30 px wide; every test set lies near
+    the same reference points, so an entry that crossed pairs would show.
+    Each table is the one built for its pair alone."""
+    rng = np.random.default_rng(4113)
+    width = 2**30
+    centers = np.r_[rng.uniform(0, width, (30, 2)), [[0.0, 0.0], [width, width]]]
+    ref = keypoint_set(centers, circles(len(centers), 3.0), width, width)
+    pairs = []
+    for k in range(300):
+        pick = rng.choice(len(centers), 3, replace=False)
+        test = keypoint_set(centers[pick] + rng.normal(0, 1.0, (3, 2)), circles(3, 3.0),
+                            width, width)
+        pairs.append((test, Homography.identity()))
+    tables = metrics.candidate_tables(ref, pairs)
+    assert sum(len(t[2][0]) for t in tables) > 300
+    for table, pair in zip(tables, pairs):
+        assert hexed(table[2]) == hexed(one_table(ref, *pair)[2])
+

@@ -8,7 +8,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from repbench.cli import _config_from_args, build_parser, main
+from repbench.cli import SUBCOMMANDS, _config_from_args, build_parser, main
 from repbench.errors import ManifestError, ParseError
 from repbench.formats import (
     KeypointSet,
@@ -991,6 +991,41 @@ class TestCli:
         assert code == 2
         assert captured.err == f"repbench: error: {manifest}: {reason}\n"
         assert not (tmp_path / "rep.json").exists()
+
+    def test_reference_only_manifest_writes_empty_series_exit_0(self, tmp_path, capsys):
+        """A manifest that lists only its reference has no pairs: the report
+        has empty series, each correlation cell says why, and the CSV holds
+        only its header."""
+        _, manifest = self.synth(tmp_path, capsys)
+        doc = json.loads(open(manifest).read())
+        doc["images"], doc["homographies"] = doc["images"][:1], []
+        alone = tmp_path / "cli" / "alone.json"
+        alone.write_text(json.dumps(doc))
+        stem = tmp_path / "alone"
+        assert main(["sequence", "--manifest", str(alone), "--out", str(stem)]) == 0
+        note = '{\n      "note": "needs at least 3 pairs, have 0"\n    }'
+        assert (tmp_path / "alone.json").read_text() == (
+            '{\n  "schema": "repbench.sequence/1",\n  "dataset": "cli",\n'
+            '  "detector": "default",\n  "config": {\n    "epsilon_px": 1.5,\n'
+            '    "max_overlap_error": 0.4,\n    "normalize_radius": 30.0,\n'
+            '    "grid_step": null,\n    "eq1_population": "common",\n'
+            '    "matcher": "nn",\n    "ratio_threshold": 0.8\n  },\n  "pairs": [],\n'
+            '  "series": {\n    "eq1": [],\n    "c1": [],\n    "c2": [],\n'
+            '    "true_matches": []\n  },\n  "correlations": {\n'
+            f'    "eq1": {note},\n    "c1": {note},\n    "c2": {note}\n  }}\n}}\n')
+        assert (tmp_path / "alone.csv").read_text() == SEQUENCE_CSV_HEADER + "\n"
+
+    @pytest.mark.parametrize("argv", [["--help"], *([cmd, "--help"] for cmd in SUBCOMMANDS)])
+    def test_help_is_that_of_the_full_parser(self, capsys, argv):
+        """main builds only the running command's arguments; the help it
+        prints is that of the parser with every command's arguments."""
+        outputs = []
+        for parse in (main, build_parser().parse_args):
+            with pytest.raises(SystemExit) as info:
+                parse(argv)
+            assert info.value.code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as info:

@@ -10,8 +10,9 @@ from repbench.matching import (
     ratio_match,
     verify_matches,
 )
-from repbench.metrics import EvalConfig, candidate_table, evaluate_pair, region_overlap_error
+from repbench.metrics import EvalConfig, evaluate_pair, region_overlap_error
 from oracle import pairwise_distances
+from test_candidate_kernel import one_table
 
 
 def make_set(points, descriptors, width=400, height=400, radius=2.0):
@@ -195,7 +196,7 @@ class TestVerifyMatches:
         test = make_set(moved, descs, radius=4.0)
         matches = nn_match(ref, test)
         assert len(matches) == 4
-        assert verify_matches(matches, candidate_table(ref, test, h, cfg)[2]) == 3
+        assert verify_matches(matches, one_table(ref, test, h, cfg)[2]) == 3
 
     def test_overlap_gate(self):
         h = Homography.identity()
@@ -204,7 +205,7 @@ class TestVerifyMatches:
         # same center, very different scale: distance passes, overlap fails
         test = make_set([(50.0, 50.0)], [[1.0, 0.0]], radius=12.0)
         matches = nn_match(ref, test)
-        assert verify_matches(matches, candidate_table(ref, test, h, cfg)[2]) == 0
+        assert verify_matches(matches, one_table(ref, test, h, cfg)[2]) == 0
 
     def test_outside_common_part_excluded(self):
         h = Homography(np.array([[1, 0, 500], [0, 1, 0], [0, 0, 1]], dtype=float))
@@ -213,7 +214,7 @@ class TestVerifyMatches:
         test = make_set([(50.0, 50.0)], [[1.0, 0.0]])
         # the reference point projects to x=550, off the 400px test image
         matches = nn_match(ref, test)
-        assert verify_matches(matches, candidate_table(ref, test, h, cfg)[2]) == 0
+        assert verify_matches(matches, one_table(ref, test, h, cfg)[2]) == 0
 
     def test_brute_force_predicate_oracle(self):
         rng = np.random.default_rng(47)
@@ -247,13 +248,13 @@ class TestVerifyMatches:
             )
             if err < cfg.max_overlap_error:
                 expected += 1
-        assert verify_matches(matches, candidate_table(ref, test, h, cfg)[2]) == expected
+        assert verify_matches(matches, one_table(ref, test, h, cfg)[2]) == expected
         assert 0 < expected <= len(matches)
 
     def test_empty_matches(self):
         ref = make_set([(10.0, 10.0)], [[1.0, 0.0]])
         cfg = EvalConfig()
-        table = candidate_table(ref, ref, Homography.identity(), cfg)[2]
+        table = one_table(ref, ref, Homography.identity(), cfg)[2]
         assert verify_matches(np.empty((0, 2), np.intp), table) == 0
 
     def test_count_bounded_by_match_count(self):
@@ -263,7 +264,7 @@ class TestVerifyMatches:
         ref = random_set(rng, 25, 4)
         test = random_set(rng, 18, 4)
         matches = nn_match(ref, test)
-        tm = verify_matches(matches, candidate_table(ref, test, h, cfg)[2])
+        tm = verify_matches(matches, one_table(ref, test, h, cfg)[2])
         assert 0 <= tm <= len(matches) <= 18
 
 
@@ -315,7 +316,7 @@ class TestEpsilonBoundary:
             err = region_overlap_error(*regions, self.H, cfg)
             assert err < cfg.max_overlap_error
             ev = evaluate_pair(ref, test, self.H, cfg)
-            _, _, table = candidate_table(ref, test, self.H, cfg)
+            _, _, table = one_table(ref, test, self.H, cfg)
             assert ev.true_matches == len(table[0]) == int(d < cfg.epsilon_px)
             below.add(d < cfg.epsilon_px)
         assert below == {True, False}

@@ -7,7 +7,6 @@ from repbench.metrics import (
     EvalConfig,
     PairEvaluation,
     _resolve,
-    candidate_table,
     common_part_filter,
     criterion1,
     criterion2,
@@ -18,6 +17,7 @@ from repbench.metrics import (
 from repbench.synth import SynthConfig, derive_test, generate_reference
 
 from oracle import oracle_resolve
+from test_candidate_kernel import one_table
 
 FAST = EvalConfig(normalize_radius=None, grid_step=0.5)
 
@@ -119,7 +119,7 @@ class TestRegionOverlapError:
         ref = make_set([(50.0, 50.0)], radius=10.0)
         test = KeypointSet("img", 400, 400, [[50.0, 50.0]], [[1e200, 0.0, 1e200]],
                            np.zeros((1, 0)))
-        ref_idx, test_idx, table = candidate_table(ref, test, Homography.identity(), cfg)
+        ref_idx, test_idx, table = one_table(ref, test, Homography.identity(), cfg)
         assert ref_idx.tolist() == test_idx.tolist() == [0]
         assert all(len(a) == 0 for a in table)
 
@@ -142,7 +142,7 @@ def resolved(table, n_ref, n_test):
 
 
 def correspondences(ref, test, h, cfg=FAST):
-    return resolved(candidate_table(ref, test, h, cfg)[2], len(ref), len(test))
+    return resolved(one_table(ref, test, h, cfg)[2], len(ref), len(test))
 
 
 class TestFindCorrespondences:
@@ -154,7 +154,7 @@ class TestFindCorrespondences:
     def test_results_sorted_by_index_pair(self):
         # the table's arrays come in row-major (ref, test) order
         s = make_set([(250, 250), (50, 50), (150, 150)])
-        ri, tj, _, _ = candidate_table(s, s, Homography.identity(), FAST)[2]
+        ri, tj, _, _ = one_table(s, s, Homography.identity(), FAST)[2]
         pairs = list(zip(ri.tolist(), tj.tolist()))
         assert pairs == sorted(pairs) == [(0, 0), (1, 1), (2, 2)]
 

@@ -1,6 +1,8 @@
 """Property tests of documented contracts, over drawn synthetic data:
 evaluation results do not depend on keypoint order, sequence reports are
 byte-identical for any worker count and any order of the manifest's links,
+a pair's candidate table does not depend on the other pairs it is built
+with,
 a homography whose horizon crosses the reference image neither raises nor
 gives a rate outside [0, 1], the multi-start draw kernels give the stream
 of the scalar oracle generator (tests/oracle.py), the keypoint
@@ -11,6 +13,7 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -24,7 +27,7 @@ from repbench.errors import ParseError, SingularHomography
 from repbench.formats import KeypointSet, _read_rows, load_manifest, parse_keypoints
 from repbench.geometry import Homography
 from repbench.harness import evaluate_sequence, sequence_report_csv, sequence_report_json, synth_sequence
-from repbench.metrics import EvalConfig, evaluate_pair
+from repbench.metrics import EvalConfig, candidate_tables, evaluate_pair
 from repbench.synth import SynthConfig, derive_test, generate_reference, normal_blocks, uniform_blocks
 from oracle import SplitMix64
 from test_matching_kernel import as_set, full_sort_nn
@@ -168,6 +171,76 @@ def test_sequence_report_same_for_any_link_order(seed, images, data):
         reports = [evaluate_sequence(load_manifest(p), out, EvalConfig()) for p in (path, edited)]
     texts = {(sequence_report_json(r), sequence_report_csv(r)) for r in reports}
     assert len(texts) == 1
+
+
+# a few shapes, so that lattice regions tie on their overlap errors
+LATTICE_SHAPES = np.array([[1 / 9, 0.0, 1 / 9], [1 / 16, 0.0, 1 / 16], [0.2, 0.05, 0.1]])
+
+
+@st.composite
+def lattice_set(draw, width, height, centers=None):
+    """Centres on the 1/8 px lattice, drawn or the given ones rounded to it
+    with some repeated, shapes from LATTICE_SHAPES; no descriptors."""
+    if centers is None:
+        n = draw(st.integers(0, 40))
+        centers = draw(arrays(np.int64, (n, 2), elements=st.integers(0, 8 * min(width, height))))
+    else:
+        repeats = draw(st.lists(st.integers(0, len(centers) - 1), max_size=5)
+                       if len(centers) else st.just([]))
+        centers = np.round(np.r_[centers, centers[repeats]] * 8.0)
+    shapes = draw(arrays(np.int64, len(centers), elements=st.integers(0, 2)))
+    return KeypointSet("img", width, height, centers / 8.0, LATTICE_SHAPES[shapes],
+                       np.empty((len(centers), 0)))
+
+
+@st.composite
+def batch_pair(draw, ref):
+    """A (test, h) pair for ref under its own projective tilt: a synthetic
+    test set derived from ref, a test set on the 1/8 px lattice near ref's
+    projected centres, or a test set whose common part with ref is empty,
+    each in a test image of its own size."""
+    h = draw(projective())
+    width, height = draw(st.integers(40, 400)), draw(st.integers(40, 400))
+    kind = draw(st.sampled_from(["derived", "lattice", "disjoint"]))
+    if kind == "derived":
+        cfg = synth_config(draw(st.integers(0, 2**32 - 1)), 0, draw(st.floats(0.0, 2.0)))
+        test = derive_test(ref, h, replace(cfg, descriptor_dim=ref.descriptor_dim))
+        return KeypointSet("img", width, height, test.centers, test.abc, test.descriptors), h
+    if kind == "disjoint":
+        h = Homography(np.array([[1.0, 0.0, 1e4], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])) @ h
+    proj = h.m @ np.c_[ref.centers, np.ones(len(ref))].T
+    centers = (proj[:2] / proj[2]).T.reshape(-1, 2)
+    return draw(lattice_set(width, height, centers)), h
+
+
+@settings(PROPERTY, max_examples=40)
+@given(
+    lattice=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    n_points=st.integers(0, 60),
+    cfg=st.sampled_from([EvalConfig(), EvalConfig(epsilon_px=4.0),
+                         EvalConfig(normalize_radius=None, grid_step=0.5),
+                         EvalConfig(epsilon_px=4.0, max_overlap_error=0.9)]),
+    data=st.data(),
+)
+def test_candidate_tables_do_not_depend_on_their_batch(lattice, seed, n_points, cfg, data):
+    """Each pair's table from a batch of 0 to 6 pairs is the table built
+    for it alone: the same common part, the same keys in the same order,
+    and the bits of every overlap error and centre distance."""
+    if lattice:
+        ref = data.draw(lattice_set(WIDTH, HEIGHT))
+    else:
+        ref = generate_reference(synth_config(seed, n_points, 0.0))
+    pairs = data.draw(st.lists(batch_pair(ref), max_size=6))
+    tables = candidate_tables(ref, pairs, cfg)
+    assert len(tables) == len(pairs)
+    for table, pair in zip(tables, pairs):
+        (want,) = candidate_tables(ref, [pair], cfg)
+        for got_part, want_part in zip(table[:2] + table[2][:2], want[:2] + want[2][:2]):
+            assert got_part.dtype == want_part.dtype == np.intp
+            assert got_part.tolist() == want_part.tolist()
+        assert [e.hex() for e in table[2][2].tolist()] == [e.hex() for e in want[2][2].tolist()]
+        assert table[2][3].tobytes() == want[2][3].tobytes()
 
 
 @PROPERTY
