@@ -36,7 +36,7 @@ for d in (0.0, 0.5, 1.0, 1.5, 2.0):
 # both regions so the reference has radius 30 while the center miss keeps
 # its pixel size, restoring the penalty at large detection scales.
 print("normalization stops region size from excusing center misses")
-h = Homography.identity()
+h = Homography(np.eye(3))
 raw = EvalConfig(normalize_radius=None, grid_step=0.05)
 normalized = EvalConfig(normalize_radius=30.0, grid_step=0.05)
 for scale in (1.0, 4.0, 16.0):

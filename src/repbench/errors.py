@@ -55,14 +55,3 @@ class SingularHomography(ParseError):
 class DescriptorUnavailable(RepbenchError):
     """Descriptor matching was requested on sets without usable descriptors."""
 
-
-class DegenerateSeries(RepbenchError):
-    """A series has zero variance, so correlation is undefined."""
-
-
-class LengthMismatch(RepbenchError):
-    """Two series that must align have different lengths."""
-
-
-class InsufficientData(RepbenchError):
-    """Fewer samples than the operation needs."""

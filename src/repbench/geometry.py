@@ -91,10 +91,6 @@ class Homography:
         self.m = m
         self._inverse = None
 
-    @classmethod
-    def identity(cls):
-        return cls(np.eye(3))
-
     def inverse(self):
         if self._inverse is None:
             self._inverse = Homography(np.linalg.inv(self.m))

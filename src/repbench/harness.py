@@ -24,7 +24,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .errors import DegenerateSeries, InsufficientData, ManifestError
+from .errors import ManifestError
 from .formats import (
     CRITERIA,
     SEQUENCE_SCHEMA,
@@ -66,12 +66,12 @@ def _correlations(doc):
             return {"note": "series contains undefined values"}
         if not descriptors:
             return {"note": "true-match series unavailable (no descriptors)"}
-        try:
-            return correlate(xs, [float(v) for v in tm])
-        except InsufficientData:
+        corr = correlate(xs, [float(v) for v in tm])
+        if corr is not None:
+            return corr
+        if len(xs) < 3:
             return {"note": f"needs at least 3 pairs, have {len(xs)}"}
-        except DegenerateSeries:
-            return {"note": "a series has zero variance"}
+        return {"note": "a series has zero variance"}
 
     return {crit: cell(series[crit]) for crit in CRITERIA}
 
@@ -216,8 +216,8 @@ def correlate_reports(reports):
         for crit in CRITERIA:
             rs = [row["r"] for row in rows if row["criterion"] == crit and row["r"] is not None]
             ps = [row["p"] for row in rows if row["criterion"] == crit and row["p"] is not None]
-            mean_r, std_r = summarize(rs) if rs else (None, None)
-            mean_p, std_p = summarize(ps) if ps else (None, None)
+            mean_r, std_r = summarize(rs)
+            mean_p, std_p = summarize(ps)
             aggregates[crit] = {
                 "mean_r": mean_r,
                 "std_r": std_r,

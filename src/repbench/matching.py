@@ -171,28 +171,20 @@ def _first_entries(a, b, near, k):
     return c[first].reshape(-1, k), d[first].reshape(-1, k)
 
 
-def _greedy(order, n, m):
-    """The greedy over the entries of an (n, m) matrix listed by row-major
-    index in `order`: each entry whose row and column are both still free is
-    taken, until min(n, m) are.  Returns the positions in `order` taken."""
+def _greedy(rows, cols, n, m):
+    """The greedy over entries (rows[k], cols[k]) of an (n, m) matrix, in
+    the order listed: each entry whose row and column are both still free
+    is taken, until min(n, m) are.  Returns the positions k taken."""
     used_row = bytearray(n)
     used_col = bytearray(m)
-    # numpy views of the flags for the vectorised filter, bytearrays for the loop
-    row_flags = np.frombuffer(used_row, dtype=bool)
-    col_flags = np.frombuffer(used_col, dtype=bool)
     taken = []
     limit = min(n, m)
-    step = max(1, n + m)
-    for start in range(0, len(order), step):
-        rows, cols = np.divmod(order[start : start + step], m)
-        # entries on a row or column taken in an earlier read are out
-        free = np.flatnonzero(~(row_flags[rows] | col_flags[cols]))
-        for k, i, j in zip(free.tolist(), rows[free].tolist(), cols[free].tolist()):
-            if not (used_row[i] or used_col[j]):
-                used_row[i] = used_col[j] = 1
-                taken.append(start + k)
-                if len(taken) == limit:
-                    return taken
+    for k, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
+        if not (used_row[i] or used_col[j]):
+            used_row[i] = used_col[j] = 1
+            taken.append(k)
+            if len(taken) == limit:
+                break
     return taken
 
 
@@ -283,7 +275,7 @@ def ratio_match(ref, test, ratio=0.8):
     keep = np.arange(n) if m == 1 else np.flatnonzero(d1 < ratio * d[:, 1])
     # rows are unique, so a stable sort by d1 breaks ties by (row, column)
     by_d1 = keep[np.argsort(d1[keep], kind="stable")]
-    taken = by_d1[_greedy(by_d1 * m + nearest[by_d1], n, m)]
+    taken = by_d1[_greedy(by_d1, nearest[by_d1], n, m)]
     return _as_matches(taken, nearest[taken])
 
 

@@ -238,7 +238,7 @@ def _resolve(table, n_ref, n_test):
     positions of the entries taken."""
     ri, tj, err, dist = table
     order = np.lexsort((tj, ri, dist, err))
-    return order[_greedy(ri[order] * n_test + tj[order], n_ref, n_test)]
+    return order[_greedy(ri[order], tj[order], n_ref, n_test)]
 
 
 def eq1_repeatability(n_rep, n_ref, n_test) -> float | None:

@@ -15,29 +15,29 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateSeries, InsufficientData, LengthMismatch
-
 _BETA_TOL = 1e-12
 _BETA_MAX_ITER = 400
 
 
-def pearson_r(xs, ys) -> float:
-    """Sample Pearson correlation coefficient, clamped to [-1, 1]."""
+def pearson_r(xs, ys) -> float | None:
+    """Sample Pearson correlation coefficient, clamped to [-1, 1], or None
+    when it is undefined: fewer than 3 points, or a constant series."""
     x = np.asarray(xs, dtype=float).ravel()
     y = np.asarray(ys, dtype=float).ravel()
     if len(x) != len(y):
-        raise LengthMismatch(f"series lengths differ: {len(x)} vs {len(y)}")
-    n = len(x)
-    if n < 3:
-        raise InsufficientData(f"need at least 3 points, got {n}")
+        raise ValueError(f"series lengths differ: {len(x)} vs {len(y)}")
+    if len(x) < 3:
+        return None
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("series values must be finite")
     dx = x - x.mean()
     dy = y - y.mean()
     sxx = float(dx @ dx)
     syy = float(dy @ dy)
-    if sxx == 0.0 or syy == 0.0:
-        raise DegenerateSeries("a series with zero variance has no correlation")
+    # equal floats need not average to themselves (0.1 three times), so a
+    # constant series is told by its values; tiny sums of squares underflow
+    if x.min() == x.max() or y.min() == y.max() or sxx * syy == 0.0:
+        return None
     r = float(dx @ dy) / math.sqrt(sxx * syy)
     return min(1.0, max(-1.0, r))
 
@@ -105,10 +105,11 @@ def betainc_regularized(a, b, x) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
-def p_value_two_tailed(r, n) -> float:
-    """Exact two-tailed p-value for a Pearson r under H0: rho = 0."""
+def p_value_two_tailed(r, n) -> float | None:
+    """Exact two-tailed p-value for a Pearson r under H0: rho = 0, or None
+    for n < 3."""
     if n < 3:
-        raise InsufficientData(f"p-value needs n >= 3, got {n}")
+        return None
     if not -1.0 <= r <= 1.0:
         raise ValueError(f"correlation out of range: {r}")
     if abs(r) == 1.0:
@@ -121,18 +122,21 @@ def p_value_two_tailed(r, n) -> float:
 
 def correlate(xs, ys):
     """Pearson r, its two-tailed p-value and n, as the correlation cell of a
-    sequence report: the dict {"r", "p_value", "n"}, keys in that order."""
+    sequence report: the dict {"r", "p_value", "n"}, keys in that order, or
+    None when r is undefined (pearson_r)."""
     x = np.asarray(xs, dtype=float).ravel()
     r = pearson_r(x, ys)
+    if r is None:
+        return None
     return {"r": r, "p_value": p_value_two_tailed(r, len(x)), "n": len(x)}
 
 
 def summarize(values):
     """(mean, sample std) of a list of reals; the std of a single value is
-    None, since a sample std needs two."""
+    None, since a sample std needs two, and both are None for no values."""
     v = np.asarray(values, dtype=float).ravel()
     if len(v) == 0:
-        raise InsufficientData("cannot summarize an empty list")
+        return None, None
     mean = float(v.mean())
     if len(v) == 1:
         return mean, None
@@ -156,8 +160,6 @@ def bin_scores(mean_scores, bins):
     1 + the count of thresholds strictly below the score, rendered as that
     many '+' characters, so with no thresholds every entry rates "+".
     """
-    if not mean_scores:
-        raise InsufficientData("no scores to rate")
     scores = {key: float(v) for key, v in mean_scores.items()}
     if any(not math.isfinite(v) for v in scores.values()):
         raise ValueError("scores must be finite")

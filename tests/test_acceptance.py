@@ -1,4 +1,4 @@
-"""Acceptance gate: seven end-to-end checks with pinned tolerances.
+"""Acceptance gate: eight end-to-end checks with pinned tolerances.
 
 Each test prints one PASS line through conftest.record_acceptance; the lines
 are echoed again in the terminal summary so the gate is auditable in one
@@ -10,6 +10,7 @@ import json
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from repbench.metrics import (
     eq1_repeatability,
     evaluate_pair,
 )
-from repbench.stats import p_value_two_tailed
+from repbench.stats import p_value_two_tailed, pearson_r
 from repbench.synth import SynthConfig, derive_test, generate_reference
 from repbench import harness
 
@@ -134,8 +135,8 @@ def test_acceptance_4_synthetic_ground_truth(tmp_path):
             seed=seed, n_points=500, descriptor_dim=0, dropout_rate=0.4
         )
         ref = generate_reference(s_cfg)
-        test = derive_test(ref, Homography.identity(), s_cfg)
-        vals.append(evaluate_pair(ref, test, Homography.identity(), cfg).c1)
+        test = derive_test(ref, Homography(np.eye(3)), s_cfg)
+        vals.append(evaluate_pair(ref, test, Homography(np.eye(3)), cfg).c1)
     mean_c1 = float(np.mean(vals))
     assert 0.57 <= mean_c1 <= 0.63, mean_c1
 
@@ -144,10 +145,10 @@ def test_acceptance_4_synthetic_ground_truth(tmp_path):
     noisy_cfg = SynthConfig(seed=77, n_points=150, descriptor_dim=0, n_distractors=30)
     ref = generate_reference(base_cfg)
     clean = evaluate_pair(
-        ref, derive_test(ref, Homography.identity(), base_cfg), Homography.identity(), cfg
+        ref, derive_test(ref, Homography(np.eye(3)), base_cfg), Homography(np.eye(3)), cfg
     )
     noisy = evaluate_pair(
-        ref, derive_test(ref, Homography.identity(), noisy_cfg), Homography.identity(), cfg
+        ref, derive_test(ref, Homography(np.eye(3)), noisy_cfg), Homography(np.eye(3)), cfg
     )
     assert clean.c1 == noisy.c1 == 1.0
     assert noisy.c2 < clean.c2
@@ -338,4 +339,57 @@ def test_acceptance_7_determinism(tmp_path, capsys):
     conftest.record_acceptance(
         "[ACCEPTANCE 7] synth->sequence->correlate->summary byte-identical "
         f"across reruns and worker counts: PASS ({compared} file comparisons)"
+    )
+
+
+def dropout_ramp(k):
+    return {"dropout_rate": 0.1 + 0.75 * (k - 1) / 4}
+
+
+def jitter_ramp(k):
+    return {"dropout_rate": 0.1, "jitter_sigma": 0.25 + 2.35 * (k - 1) / 4}
+
+
+def ramp_mean_r(seeds, ramp):
+    """Mean r of eq1, c1 and c2 against the true matches over one 5-pair
+    sequence per seed: a reference of 300 points with 16-D descriptors, and
+    pair k = 1..5 derived under harness.default_sequence_homography with the
+    SynthConfig fields ramp(k) sets, evaluated at the default EvalConfig."""
+    rs = {"eq1": [], "c1": [], "c2": []}
+    for seed in seeds:
+        cfg = SynthConfig(seed=seed, n_points=300, jitter_sigma=0.5, descriptor_noise_sigma=0.05)
+        ref = generate_reference(cfg)
+        evals = []
+        for k in range(1, 6):
+            h = harness.default_sequence_homography(k, cfg.image_width, cfg.image_height)
+            test = derive_test(ref, h, replace(cfg, seed=seed + k, **ramp(k)))
+            evals.append(evaluate_pair(ref, test, h, EvalConfig()))
+        tm = [ev.true_matches for ev in evals]
+        for crit, values in rs.items():
+            r = pearson_r([getattr(ev, crit) for ev in evals], tm)
+            assert r is not None, (seed, crit)
+            values.append(r)
+    return {crit: float(np.mean(values)) for crit, values in rs.items()}
+
+
+def test_acceptance_8_eq1_fails_under_unbalanced_counts():
+    """The paper's claim: when dropout thins the test image, eq1's
+    denominator min(n_ref, n_test) falls with n_rep, so eq1 stops tracking
+    the true matches while c1 and c2 keep tracking them.  Under a jitter
+    ramp all three track them.  The limit: n_ref is 300 on every pair and
+    the true matches equal n_rep, so r(c1) = 1 by construction; this shows
+    the flaw in eq1, not that c1 or c2 track matches once they and the
+    repeats come apart."""
+    start = time.monotonic()
+    ramp = ramp_mean_r(range(1, 21), dropout_ramp)
+    assert ramp["c1"] > 0.9 and ramp["c2"] > 0.9 and ramp["eq1"] < 0.5, ramp
+    control = ramp_mean_r(range(1, 21), jitter_ramp)
+    assert min(control.values()) > 0.9, control
+    elapsed = time.monotonic() - start
+    conftest.record_acceptance(
+        "[ACCEPTANCE 8] under a dropout ramp eq1 stops tracking the true "
+        "matches and c1, c2 do not: PASS (mean r over 20 seeds, eq1 / c1 / c2: "
+        f"dropout {ramp['eq1']:+.3f} / {ramp['c1']:+.3f} / {ramp['c2']:+.3f}, "
+        f"jitter {control['eq1']:+.3f} / {control['c1']:+.3f} / {control['c2']:+.3f}; "
+        f"{elapsed:.1f}s)"
     )

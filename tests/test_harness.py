@@ -462,6 +462,8 @@ class TestCorrelateReports:
             ([0.1, 0.2, 0.3], [0, 0, 0], False, "true-match series unavailable (no descriptors)"),
             ([0.5, 0.4], [1, 2], True, "needs at least 3 pairs, have 2"),
             ([0.5, 0.5, 0.5], [1, 2, 3], True, "a series has zero variance"),
+            # the mean of seven 0.1s is not 0.1, yet the series is constant
+            ([0.1] * 7, [1, 2, 3, 4, 5, 6, 7], True, "a series has zero variance"),
         ],
     )
     def test_notes_match_sequence_report(self, c1, tm, descriptors, note):
@@ -654,7 +656,7 @@ class TestSynthSequence:
         with pytest.raises(ValueError):
             synth_sequence(str(tmp_path / "x"), "x", cfg, images=1)
         with pytest.raises(ValueError):
-            synth_sequence(str(tmp_path / "x"), "x", cfg, images=3, homographies=[Homography.identity()])
+            synth_sequence(str(tmp_path / "x"), "x", cfg, images=3, homographies=[Homography(np.eye(3))])
         with pytest.raises(ValueError, match="jitter_end"):
             synth_sequence(str(tmp_path / "x"), "x", cfg, images=3, jitter_end=math.nan)
         assert not (tmp_path / "x").exists()
@@ -856,7 +858,7 @@ class TestCli:
         # degenerate instead of failing the pair.  Under the identity the
         # transport leaves the needle as it is.
         hpath = tmp_path / "H.txt"
-        hpath.write_text(write_homography(Homography.identity()))
+        hpath.write_text(write_homography(Homography(np.eye(3))))
         out, manifest = self.synth(tmp_path, capsys, extra=["--homography", str(hpath)] * 3)
         path = out / "img2.kpts"
         test = parse_keypoints(path.read_text(), "img2", 400, 300)

@@ -185,7 +185,7 @@ class TestDispatcher:
 
 class TestVerifyMatches:
     def test_planted_inliers_counted(self):
-        h = Homography.identity()
+        h = Homography(np.eye(3))
         cfg = EvalConfig(normalize_radius=None, grid_step=0.5)
         points = [(50.0, 50.0), (100.0, 100.0), (150.0, 150.0), (200.0, 200.0)]
         descs = np.eye(4).tolist()
@@ -199,7 +199,7 @@ class TestVerifyMatches:
         assert verify_matches(matches, one_table(ref, test, h, cfg)[2]) == 3
 
     def test_overlap_gate(self):
-        h = Homography.identity()
+        h = Homography(np.eye(3))
         cfg = EvalConfig(normalize_radius=None, grid_step=0.25)
         ref = make_set([(50.0, 50.0)], [[1.0, 0.0]], radius=2.0)
         # same center, very different scale: distance passes, overlap fails
@@ -254,12 +254,12 @@ class TestVerifyMatches:
     def test_empty_matches(self):
         ref = make_set([(10.0, 10.0)], [[1.0, 0.0]])
         cfg = EvalConfig()
-        table = one_table(ref, ref, Homography.identity(), cfg)[2]
+        table = one_table(ref, ref, Homography(np.eye(3)), cfg)[2]
         assert verify_matches(np.empty((0, 2), np.intp), table) == 0
 
     def test_count_bounded_by_match_count(self):
         rng = np.random.default_rng(48)
-        h = Homography.identity()
+        h = Homography(np.eye(3))
         cfg = EvalConfig(normalize_radius=None, grid_step=0.5)
         ref = random_set(rng, 25, 4)
         test = random_set(rng, 18, 4)

@@ -193,7 +193,8 @@ def test_overflowing_descriptors():
 def test_greedy_over_no_entries(n, m):
     # metrics._resolve calls the greedy with the full set sizes, which may
     # both be zero
-    assert matching._greedy(np.empty(0, dtype=np.intp), n, m) == []
+    empty = np.empty(0, dtype=np.intp)
+    assert matching._greedy(empty, empty, n, m) == []
 
 
 def test_row_blocks():

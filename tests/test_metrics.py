@@ -38,13 +38,13 @@ def translation(dx, dy):
 class TestCommonPartFilter:
     def test_identity_keeps_all(self):
         s = make_set([(10, 10), (200, 200), (390, 390)])
-        ref_idx, test_idx = common_part_filter(s, s, Homography.identity())[:2]
+        ref_idx, test_idx = common_part_filter(s, s, Homography(np.eye(3)))[:2]
         assert list(ref_idx) == [0, 1, 2]
         assert list(test_idx) == [0, 1, 2]
 
     def test_boundary_points_kept(self):
         s = make_set([(0.0, 0.0), (400.0, 400.0), (0.0, 400.0)])
-        ref_idx, test_idx = common_part_filter(s, s, Homography.identity())[:2]
+        ref_idx, test_idx = common_part_filter(s, s, Homography(np.eye(3)))[:2]
         assert len(ref_idx) == 3 and len(test_idx) == 3
 
     def test_translation_splits_view(self):
@@ -83,21 +83,21 @@ class TestCommonPartFilter:
     def test_empty_sets(self):
         empty = make_set([])
         full = make_set([(50, 50)])
-        ref_idx, test_idx = common_part_filter(empty, full, Homography.identity())[:2]
+        ref_idx, test_idx = common_part_filter(empty, full, Homography(np.eye(3)))[:2]
         assert len(ref_idx) == 0 and len(test_idx) == 1
 
 
 class TestRegionOverlapError:
     def test_identical_region_identity_h(self):
         r = SecondMomentEllipse.circle(100, 100, 5)
-        assert region_overlap_error(r, r, Homography.identity(), FAST) == 0.0
+        assert region_overlap_error(r, r, Homography(np.eye(3)), FAST) == 0.0
 
     def test_normalization_changes_scale_sensitivity(self):
         big = SecondMomentEllipse.circle(100, 100, 20)
         small = SecondMomentEllipse.circle(100, 100, 10)
-        raw = region_overlap_error(big, small, Homography.identity(), FAST)
+        raw = region_overlap_error(big, small, Homography(np.eye(3)), FAST)
         norm_cfg = EvalConfig(normalize_radius=30.0, grid_step=0.5)
-        normalized = region_overlap_error(big, small, Homography.identity(), norm_cfg)
+        normalized = region_overlap_error(big, small, Homography(np.eye(3)), norm_cfg)
         # same concentric 2:1 pair either way, just rescaled; both reject a
         # disk of half the radius (error 0.75 = 1 - 1/4)
         assert abs(raw - 0.75) < 2e-2
@@ -119,7 +119,7 @@ class TestRegionOverlapError:
         ref = make_set([(50.0, 50.0)], radius=10.0)
         test = KeypointSet("img", 400, 400, [[50.0, 50.0]], [[1e200, 0.0, 1e200]],
                            np.zeros((1, 0)))
-        ref_idx, test_idx, table = one_table(ref, test, Homography.identity(), cfg)
+        ref_idx, test_idx, table = one_table(ref, test, Homography(np.eye(3)), cfg)
         assert ref_idx.tolist() == test_idx.tolist() == [0]
         assert all(len(a) == 0 for a in table)
 
@@ -148,26 +148,26 @@ def correspondences(ref, test, h, cfg=FAST):
 class TestFindCorrespondences:
     def test_identity_pairs_everything(self):
         s = make_set([(50, 50), (150, 150), (250, 250)])
-        corrs = correspondences(s, s, Homography.identity())
+        corrs = correspondences(s, s, Homography(np.eye(3)))
         assert corrs == [(0, 0, 0.0, 0.0), (1, 1, 0.0, 0.0), (2, 2, 0.0, 0.0)]
 
     def test_results_sorted_by_index_pair(self):
         # the table's arrays come in row-major (ref, test) order
         s = make_set([(250, 250), (50, 50), (150, 150)])
-        ri, tj, _, _ = one_table(s, s, Homography.identity(), FAST)[2]
+        ri, tj, _, _ = one_table(s, s, Homography(np.eye(3)), FAST)[2]
         pairs = list(zip(ri.tolist(), tj.tolist()))
         assert pairs == sorted(pairs) == [(0, 0), (1, 1), (2, 2)]
 
     def test_tie_breaks_to_lowest_test_index(self):
         ref = make_set([(100.0, 100.0)])
         test = make_set([(100.4, 100.0), (100.4, 100.0)])
-        corrs = correspondences(ref, test, Homography.identity())
+        corrs = correspondences(ref, test, Homography(np.eye(3)))
         assert [c[:2] for c in corrs] == [(0, 0)]
 
     def test_tie_breaks_to_lowest_ref_index(self):
         ref = make_set([(100.4, 100.0), (100.4, 100.0)])
         test = make_set([(100.0, 100.0)])
-        corrs = correspondences(ref, test, Homography.identity())
+        corrs = correspondences(ref, test, Homography(np.eye(3)))
         assert [c[:2] for c in corrs] == [(0, 0)]
 
     def test_closer_overlap_wins_contested_point(self):
@@ -176,15 +176,15 @@ class TestFindCorrespondences:
         # though the other is listed first
         ref = make_set([(100.0, 100.0)], radius=4.0)
         test = make_set([(100.5, 100.0), (100.5, 100.0)], radius=[7.0, 4.0])
-        corrs = correspondences(ref, test, Homography.identity())
+        corrs = correspondences(ref, test, Homography(np.eye(3)))
         assert [c[:2] for c in corrs] == [(0, 1)]
 
     def test_epsilon_strictness(self):
         ref = make_set([(100.0, 100.0)])
         test = make_set([(101.5, 100.0)])  # distance exactly epsilon
-        assert correspondences(ref, test, Homography.identity()) == []
+        assert correspondences(ref, test, Homography(np.eye(3))) == []
         near = make_set([(101.49, 100.0)])
-        assert len(correspondences(ref, near, Homography.identity())) == 1
+        assert len(correspondences(ref, near, Homography(np.eye(3)))) == 1
 
     def test_greedy_matches_quadratic_oracle(self):
         rng = np.random.default_rng(51)
@@ -278,7 +278,7 @@ class TestEvaluatePair:
         rng = np.random.default_rng(53)
         descs = rng.normal(size=(6, 4)).tolist()
         s = make_set(rng.uniform(30, 370, (6, 2)).tolist(), descriptors=descs)
-        ev = evaluate_pair(s, s, Homography.identity(), FAST)
+        ev = evaluate_pair(s, s, Homography(np.eye(3)), FAST)
         assert ev.n_ref == ev.n_test == ev.n_rep == 6
         assert ev.eq1 == ev.c1 == ev.c2 == 1.0
         assert ev.descriptors_available
@@ -287,7 +287,7 @@ class TestEvaluatePair:
     def test_forced_counts(self):
         ref = make_set([(50, 50), (100, 100), (150, 150), (200, 200), (250, 250)])
         test = make_set([(50, 50), (100.5, 100), (330, 330)])
-        ev = evaluate_pair(ref, test, Homography.identity(), FAST)
+        ev = evaluate_pair(ref, test, Homography(np.eye(3)), FAST)
         assert (ev.n_ref, ev.n_test, ev.n_rep) == (5, 3, 2)
         assert ev.eq1 == 2 / 3
         assert ev.c1 == 0.4
@@ -363,7 +363,7 @@ class TestEvaluatePair:
 
     def test_empty_sets_yield_nulls(self):
         empty = make_set([])
-        ev = evaluate_pair(empty, empty, Homography.identity(), FAST)
+        ev = evaluate_pair(empty, empty, Homography(np.eye(3)), FAST)
         assert ev.eq1 is None and ev.c1 is None and ev.c2 is None
         assert isinstance(ev, PairEvaluation)
 
@@ -374,7 +374,7 @@ class TestEvaluatePair:
         cfg = EvalConfig(
             normalize_radius=None, grid_step=0.5, matcher="ratio", ratio_threshold=0.8
         )
-        ev = evaluate_pair(s, s, Homography.identity(), cfg)
+        ev = evaluate_pair(s, s, Homography(np.eye(3)), cfg)
         assert ev.true_matches == 8  # random descriptors are unambiguous
 
     def test_mismatched_descriptor_dims_disable_matching(self):
@@ -382,7 +382,7 @@ class TestEvaluatePair:
         pts = rng.uniform(30, 370, (4, 2)).tolist()
         a = make_set(pts, descriptors=rng.normal(size=(4, 4)).tolist())
         b = make_set(pts, descriptors=rng.normal(size=(4, 6)).tolist())
-        ev = evaluate_pair(a, b, Homography.identity(), FAST)
+        ev = evaluate_pair(a, b, Homography(np.eye(3)), FAST)
         assert not ev.descriptors_available
         assert ev.true_matches == 0
         assert ev.n_rep == 4
@@ -424,9 +424,9 @@ class TestReferenceFrame:
         cfg = SynthConfig(seed=11, n_points=300, jitter_sigma=1.0, dropout_rate=0.2,
                           n_distractors=50, descriptor_dim=16, descriptor_noise_sigma=0.05)
         ref = generate_reference(cfg)
-        test = derive_test(ref, Homography.identity(), cfg)
+        test = derive_test(ref, Homography(np.eye(3)), cfg)
         forward, backward = self.both_directions(
-            ref, test, Homography.identity(), EvalConfig(normalize_radius=normalize_radius)
+            ref, test, Homography(np.eye(3)), EvalConfig(normalize_radius=normalize_radius)
         )
         assert forward.n_rep > 100
         assert (forward.n_ref, forward.n_test) == (backward.n_test, backward.n_ref)

@@ -255,7 +255,7 @@ class TestDeriveTest:
             seed=23, n_points=40, descriptor_dim=4, dropout_rate=0.35
         )
         ref = generate_reference(cfg)
-        h = Homography.identity()
+        h = Homography(np.eye(3))
         test = derive_test(ref, h, cfg)
 
         gen = SplitMix64(23 ^ TEST_STREAM_SALT)
@@ -280,7 +280,7 @@ class TestDeriveTest:
                 seed=seed, n_points=200, descriptor_dim=0, dropout_rate=0.3
             )
             ref = generate_reference(cfg)
-            test = derive_test(ref, Homography.identity(), cfg)
+            test = derive_test(ref, Homography(np.eye(3)), cfg)
             rates.append(len(test) / 200)
         assert abs(np.mean(rates) - 0.7) < 0.02
 
@@ -293,8 +293,8 @@ class TestDeriveTest:
                     seed=seed, n_points=60, descriptor_dim=0, jitter_sigma=jitter
                 )
                 ref = generate_reference(cfg)
-                test = derive_test(ref, Homography.identity(), cfg)
-                ev = evaluate_pair(ref, test, Homography.identity(), FAST)
+                test = derive_test(ref, Homography(np.eye(3)), cfg)
+                ev = evaluate_pair(ref, test, Homography(np.eye(3)), FAST)
                 vals.append(ev.c1)
             means.append(float(np.mean(vals)))
         assert means[0] > means[1] > means[2]
@@ -304,7 +304,7 @@ class TestDeriveTest:
             seed=29, n_points=40, descriptor_dim=16, n_distractors=15
         )
         ref = generate_reference(cfg)
-        test = derive_test(ref, Homography.identity(), cfg)
+        test = derive_test(ref, Homography(np.eye(3)), cfg)
         assert len(test) == 40 + 15
         planted = np.array([kp.descriptor for kp in test.keypoints[:40]])
         for kp in test.keypoints[40:]:
@@ -348,7 +348,7 @@ class TestDeriveTest:
         descriptors = ref.descriptors.copy()
         descriptors[0] = 0.0
         zeroed = KeypointSet(ref.image_id, ref.width, ref.height, ref.centers, ref.abc, descriptors)
-        h = Homography.identity()
+        h = Homography(np.eye(3))
         plain = derive_test(ref, h, cfg)
         fallback = derive_test(zeroed, h, cfg)
         assert np.array_equal(fallback.keypoints[0].descriptor, np.eye(8)[0])
@@ -371,7 +371,7 @@ class TestDeriveTest:
         negated = KeypointSet(
             ref.image_id, ref.width, ref.height, ref.centers, ref.abc, -ref.descriptors
         )
-        h = Homography.identity()
+        h = Homography(np.eye(3))
         plain = derive_test(ref, h, cfg)
         flipped = derive_test(negated, h, cfg)
         assert len(plain) == len(flipped) == 12 + 30
@@ -569,7 +569,7 @@ def old_write_keypoints(kset):
 
 
 DIFF_HOMOGRAPHIES = {
-    "identity": Homography.identity(),
+    "identity": Homography(np.eye(3)),
     "similarity": Homography(
         np.array([[0.95, -0.2, 40.0], [0.2, 0.95, -25.0], [0.0, 0.0, 1.0]])
     ),
@@ -622,7 +622,7 @@ class TestBlockSynthMatchesScalar:
         # best of DISTRACTOR_TRIES is kept.
         cfg = SynthConfig(seed=5, n_points=150, n_distractors=5, descriptor_dim=2)
         ref = generate_reference(cfg)
-        h = Homography.identity()
+        h = Homography(np.eye(3))
         got = derive_test(ref, h, cfg)
         _assert_same_sets(got, old_derive_test(ref, h, cfg))
         planted = np.array([kp.descriptor for kp in got.keypoints[:150]])
@@ -638,7 +638,7 @@ class TestBlockSynthMatchesScalar:
         descriptors = ref.descriptors.copy()
         descriptors[::3] = 0.0
         zeroed = KeypointSet(ref.image_id, ref.width, ref.height, ref.centers, ref.abc, descriptors)
-        h = Homography.identity()
+        h = Homography(np.eye(3))
         got = derive_test(zeroed, h, cfg)
         _assert_same_sets(got, old_derive_test(zeroed, h, cfg))
         assert np.array_equal(got.keypoints[0].descriptor, np.eye(dim)[0])
@@ -719,8 +719,8 @@ class TestBlockSynthMatchesScalar:
         cfg = SynthConfig(seed=73, n_points=len(centers), descriptor_dim=3)
         ref = generate_reference(cfg)
         ref = KeypointSet(ref.image_id, w, hgt, centers, ref.abc, ref.descriptors)
-        got = derive_test(ref, Homography.identity(), cfg)
-        _assert_same_sets(got, old_derive_test(ref, Homography.identity(), cfg))
+        got = derive_test(ref, Homography(np.eye(3)), cfg)
+        _assert_same_sets(got, old_derive_test(ref, Homography(np.eye(3)), cfg))
         assert len(got) == 7
 
     def test_writer_matches_scalar_writer(self):
