@@ -289,17 +289,20 @@ SUBCOMMANDS = {
 
 
 def build_parser(command=None):
-    """The repbench argument parser.  Every subcommand gets its name and
-    help line, which is all that `repbench --help` and a bad command name
-    show, but only `command`'s subparser gets its arguments, or every
-    subparser when command is None."""
+    """The repbench argument parser.  When command names a subcommand, the
+    parser has that subcommand alone, with its arguments: all that a run of
+    it parses, and its help.  Otherwise it has every subcommand with its
+    name and help line, which is all that `repbench --help` and a bad
+    command name show, and their arguments too when command is None."""
     parser = argparse.ArgumentParser(
         prog="repbench",
         description="Repeatability benchmarking of local feature detectors "
         "under ground-truth homographies.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments, func) in SUBCOMMANDS.items():
+    names = [command] if command in SUBCOMMANDS else SUBCOMMANDS
+    for name in names:
+        help_text, add_arguments, func = SUBCOMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         if command in (None, name):
             add_arguments(p)

@@ -16,8 +16,8 @@ half_extents are the one copy of each ellipse formula, and every
 transcendental is libm's, one element at a time (libm); in_image is the
 one rule for a point inside an image, boundary included.  Many points and
 pairs are handled in one pass over arrays: project_points projects K
-points, homography_jacobians linearises the map at K points,
-transport_shapes carries K regions through their Jacobians, and
+points, homography_jacobians linearises one map, or one map per point, at
+K points, transport_shapes carries K regions through their Jacobians, and
 overlap_errors lays out the grid of each of K pairs and runs the rows of
 all the grids through one row kernel, a block of OVERLAP_BLOCK_ROWS rows
 at a time; it alone sets the grid's pitch and decides which pairs are
@@ -192,14 +192,16 @@ def in_image(points, width, height):
 def _homogeneous(m, points):
     """(u, v, w) = m (x, y, 1) at each row (x, y) of points (K, 2), and the
     mask of the rows in view: every projection's one formula, element by
-    element, so no BLAS kernel sets its bits.  A row is at infinity when
-    |w| < PROJECTIVE_EPS * max|m| or w is NaN, a test that does not depend
-    on the scale of m.  The caller holds the errstate."""
+    element, so no BLAS kernel sets its bits.  m is one 3 x 3 matrix or a
+    (K, 3, 3) stack of them, one per row; a row's values have the same bits
+    either way.  A row is at infinity when |w| < PROJECTIVE_EPS * max|m| or
+    w is NaN, a test that does not depend on the scale of m.  The caller
+    holds the errstate."""
     x, y = points.T
-    u = m[0, 0] * x + m[0, 1] * y + m[0, 2]
-    v = m[1, 0] * x + m[1, 1] * y + m[1, 2]
-    w = m[2, 0] * x + m[2, 1] * y + m[2, 2]
-    return u, v, w, np.abs(w) >= PROJECTIVE_EPS * np.abs(m).max()
+    u = m[..., 0, 0] * x + m[..., 0, 1] * y + m[..., 0, 2]
+    v = m[..., 1, 0] * x + m[..., 1, 1] * y + m[..., 1, 2]
+    w = m[..., 2, 0] * x + m[..., 2, 1] * y + m[..., 2, 2]
+    return u, v, w, np.abs(w) >= PROJECTIVE_EPS * np.abs(m).max(axis=(-2, -1))
 
 
 def indexed_distances(a, b, rows, cols):
@@ -288,18 +290,23 @@ def homography_jacobians(h, points):
     points (K, 2).  For the rational map (u/w, v/w) the partials are
     d(u/w)/dx = (u_x * w - u * w_x) / w^2 and so on.
 
+    h is a Homography, or a (K, 3, 3) stack of matrices, one per point
+    (_homogeneous), so the points of several maps go in one call.
+
     Returns (jac, projected, at_infinity): the (K, 2, 2) Jacobians and (K,
     2) images of the points, and the mask of the points that map to
     infinity, whose values are meaningless.
     """
-    m = h.m
+    m = h.m if isinstance(h, Homography) else h
     # w * w may overflow, which rounds the Jacobian towards 0
     with np.errstate(all="ignore"):
         u, v, w, in_view = _homogeneous(m, points)
         w2 = w * w
         jac = np.stack(
-            [(m[0, 0] * w - u * m[2, 0]) / w2, (m[0, 1] * w - u * m[2, 1]) / w2,
-             (m[1, 0] * w - v * m[2, 0]) / w2, (m[1, 1] * w - v * m[2, 1]) / w2],
+            [(m[..., 0, 0] * w - u * m[..., 2, 0]) / w2,
+             (m[..., 0, 1] * w - u * m[..., 2, 1]) / w2,
+             (m[..., 1, 0] * w - v * m[..., 2, 0]) / w2,
+             (m[..., 1, 1] * w - v * m[..., 2, 1]) / w2],
             axis=1,
         ).reshape(-1, 2, 2)
         projected = np.stack([u / w, v / w], axis=1)

@@ -41,7 +41,7 @@ from .formats import (
 from .geometry import Homography
 from .metrics import EvalConfig, candidate_tables, evaluate_pair
 from .stats import bin_scores, check_thresholds, correlate, summarize
-from .synth import derive_test, generate_reference
+from .synth import derive_tests, generate_reference
 
 PAIR_SCHEMA = "repbench.pair/1"
 CORRELATE_SCHEMA = "repbench.correlate/1"
@@ -379,18 +379,19 @@ def synth_sequence(
     with open(os.path.join(out_dir, "img1.kpts"), "w") as fh:
         fh.write(write_keypoints(ref))
 
-    for i in range(2, images + 1):
-        k = i - 1
+    jobs = []
+    for k in range(1, images):
         if homographies is not None:
             h = homographies[k - 1]
         else:
             h = default_sequence_homography(k, cfg.image_width, cfg.image_height)
         jitter = cfg.jitter_sigma
         if jitter_end is not None:
-            jitter += (jitter_end - cfg.jitter_sigma) * (i - 2) / (images - 2)
-        step_cfg = replace(cfg, seed=cfg.seed + k, jitter_sigma=jitter)
-        image_id = f"img{i}"
-        kset = derive_test(ref, h, step_cfg, image_id=image_id)
+            jitter += (jitter_end - cfg.jitter_sigma) * (k - 1) / (images - 2)
+        jobs.append((h, replace(cfg, seed=cfg.seed + k, jitter_sigma=jitter), f"img{k + 1}"))
+    # one zip, not enumerate(zip(...)): the result tuples that enumerate
+    # reuses would keep an earlier set alive through the next write
+    for i, (h, _, image_id), kset in zip(range(2, images + 1), jobs, derive_tests(ref, jobs)):
         hpath = f"H_1_{i}.txt"
         with open(os.path.join(out_dir, f"{image_id}.kpts"), "w") as fh:
             fh.write(write_keypoints(kset))

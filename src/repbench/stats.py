@@ -30,8 +30,8 @@ def pearson_r(xs, ys) -> float | None:
         return None
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("series values must be finite")
-    dx = x - x.mean()
-    dy = y - y.mean()
+    dx = _below_one(x - x.mean())
+    dy = _below_one(y - y.mean())
     sxx = float(dx @ dx)
     syy = float(dy @ dy)
     # equal floats need not average to themselves (0.1 three times), so a
@@ -40,6 +40,15 @@ def pearson_r(xs, ys) -> float | None:
         return None
     r = float(dx @ dy) / math.sqrt(sxx * syy)
     return min(1.0, max(-1.0, r))
+
+
+def _below_one(d):
+    """d scaled by a power of two so that its largest magnitude is below 1,
+    or d itself when it is already: pearson_r's sums of squares and
+    products then cannot overflow.  Scaling by 2^k is exact, so r keeps
+    its bits wherever the unscaled sums were finite and normal."""
+    _, e = math.frexp(float(np.abs(d).max()))
+    return np.ldexp(d, -e) if e > 0 else d
 
 
 def _betacf(a, b, x):

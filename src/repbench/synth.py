@@ -31,7 +31,10 @@ decide where each survivor's block starts; then the blocks of all
 survivors are drawn at once, and the survivors are transported, culled and
 normalised as arrays.  Each distractor's block starts at a fixed offset
 after the survival scan, and each of its descriptor tries is a block of
-its own.
+its own.  The derived images of a sequence are drawn in bounded groups
+(derive_tests, GROUP_DRAWS): one array pass serves all the survivors and
+distractors of a group, and every step works per element, per row or per
+2 x 2 matrix, so the bytes of an image do not depend on the grouping.
 """
 
 import math
@@ -62,6 +65,13 @@ MIN_SCALE = (2.0 * MAX_AXIS_RATIO**2 / sys.float_info.max) ** 0.25
 MAX_SCALE = sys.float_info.min ** -0.25
 DISTRACTOR_MAX_COSINE = 0.9
 DISTRACTOR_TRIES = 64
+# derive_tests draws consecutive images together while their survivors'
+# uniforms stay within this bound, 256 KiB per float64 array: the few
+# thousand draws of each small image share one pass, which saves numpy's
+# per-call overhead, while an image with more draws (about 126 survivors
+# at D = 128) is drawn alone, so the peak memory of large images does not
+# grow with the group.
+GROUP_DRAWS = 1 << 15
 
 
 def uniform_blocks(starts, n):
@@ -139,17 +149,18 @@ class SynthConfig:
             raise ValueError("descriptor_noise_sigma must be finite and >= 0")
 
 
-def _regions(u, cfg):
+def _regions(u, lo, span, width, height):
     """Region rows (cx, cy, a, b, c) of (K, 5) uniform rows (ux, uy, ur, uq,
-    ut), in that draw order.
+    ut), in that draw order, for the scale range [lo, lo + span] and a
+    width x height image; each of these is one value or a (K,) array, one
+    value per row.
 
     r is the equivalent radius (the ellipse has the area of a circle of
     radius r), q in [1, MAX_AXIS_RATIO] the axis ratio, theta the major-axis
     angle in [0, pi).  cos and sin are libm's (geometry.libm).
     """
     ux, uy, ur, uq, ut = u.T
-    lo, hi = cfg.scale_range
-    r = lo + ur * (hi - lo)
+    r = lo + ur * span
     root_q = np.sqrt(1.0 + uq * (MAX_AXIS_RATIO - 1.0))
     major = r * root_q
     minor = r / root_q
@@ -157,7 +168,7 @@ def _regions(u, cfg):
     d2 = 1.0 / (minor * minor)
     co, si = libm(math.cos, ut * math.pi), libm(math.sin, ut * math.pi)
     return np.stack(
-        [ux * cfg.image_width, uy * cfg.image_height, co * co * d1 + si * si * d2,
+        [ux * width, uy * height, co * co * d1 + si * si * d2,
          co * si * (d1 - d2), si * si * d1 + co * co * d2],
         axis=1,
     )
@@ -187,15 +198,16 @@ def generate_reference(cfg, image_id="ref"):
     per_point = 5 + 2 * cfg.descriptor_dim
     u = uniform_blocks([cfg.seed & _MASK64], cfg.n_points * per_point)
     u = u.reshape(cfg.n_points, per_point)
-    regions = _regions(u[:, :5], cfg)
+    lo, hi = cfg.scale_range
+    regions = _regions(u[:, :5], lo, hi - lo, cfg.image_width, cfg.image_height)
     return KeypointSet(image_id, cfg.image_width, cfg.image_height, regions[:, :2],
                        regions[:, 2:], _normalized(_box_muller(u[:, 5:])))
 
 
-def _transport(h, centers, abc):
-    """Images under h of the regions (centers, abc), linearised at their
-    centers: the projected center and the shape J^-T mu J^-1 for the
-    Jacobian J of h there.
+def _transport(maps, centers, abc):
+    """Images under maps, a Homography or one 3 x 3 matrix per region, of
+    the regions (centers, abc), linearised at their centers: the projected
+    center and the shape J^-T mu J^-1 for the Jacobian J of the map there.
 
     Returns (kept, centers, abc): the indices of the regions that have an
     image, and those images.  A region has none when its center maps to
@@ -203,7 +215,7 @@ def _transport(h, centers, abc):
     or its image is not positive definite (DegenerateRegion).  Raises
     ValueError when an image is not finite (geometry.region_checks).
     """
-    jac, centers, at_infinity = homography_jacobians(h, centers)
+    jac, centers, at_infinity = homography_jacobians(maps, centers)
     kept = np.flatnonzero(~at_infinity)
     try:
         inv = np.linalg.inv(jac[kept])
@@ -261,39 +273,111 @@ def derive_test(ref, h, cfg, image_id="test"):
     stream, 5 uniforms and DISTRACTOR_TRIES * descriptor_dim normals, so
     where later draws sit in the stream never depends on the descriptors.
 
-    Only the survival scan steps through the points; the survivors' draws
-    and transport, and the distractors' regions, are one pass over arrays.
+    This is derive_tests with one job.
     """
-    dim = cfg.descriptor_dim
+    return next(derive_tests(ref, [(h, cfg, image_id)]))
+
+
+def derive_tests(ref, jobs):
+    """derive_test(ref, h, cfg, image_id) for each job (h, cfg, image_id),
+    yielded in job order, with the same bits.
+
+    Only the survival scans step through the points, one image at a time,
+    as each fixes where its image's blocks sit in its stream.  Consecutive
+    images are then derived as one group while their survivors' uniforms
+    stay within GROUP_DRAWS, an image with more being a group of its own:
+    one normal_blocks call draws every survivor's block, one transport
+    carries each survivor through its own image's map, jitter, culling and
+    normalising run once, and one _regions call places every distractor.
+    Every step works per element, per row or per 2 x 2 matrix, so an
+    image's bits do not depend on its group; a group's sets are made
+    before the first of them is yielded.
+    """
+    dim = ref.descriptor_dim
+    group, draws = [], 0
+    for h, cfg, image_id in jobs:
+        if cfg.descriptor_dim != dim:
+            raise ValueError(
+                f"descriptor_dim {cfg.descriptor_dim} differs from the reference's {dim}"
+            )
+        scan = _survival_scan(len(ref), cfg)
+        n = len(scan[0]) * 2 * (2 + dim)
+        if group and draws + n > GROUP_DRAWS:
+            yield from _derive_group(ref, group)
+            group, draws = [], 0
+        group.append((h, cfg, image_id, *scan))
+        draws += n
+    if group:
+        yield from _derive_group(ref, group)
+
+
+def _survival_scan(n, cfg):
+    """derive_test's survival scan over n reference points: the survivors'
+    indices and the state where each survivor's block starts, as int64 and
+    uint64 arrays, and the state after the scan, where the distractors'
+    blocks start."""
     state = (cfg.seed ^ TEST_STREAM_SALT) & _MASK64
-    survivor_block = 2 * (2 + dim) * _GOLDEN
+    survivor_block = 2 * (2 + cfg.descriptor_dim) * _GOLDEN
     survivors, starts = [], []
-    for k in range(len(ref)):
+    for k in range(n):
         state, u = _survival_step(state)
         if u >= cfg.dropout_rate:
             survivors.append(k)
             starts.append(state)
             state = (state + survivor_block) & _MASK64
-    survivors = np.array(survivors, dtype=np.int64)
+    return np.array(survivors, dtype=np.int64), np.array(starts, dtype=np.uint64), state
+
+
+def _derive_group(ref, group):
+    """The sets of a group of derive_tests, each job's (h, cfg, image_id)
+    with its survival scan, made in one pass over arrays, as a list: the
+    pass's arrays are freed before the caller reads the first set."""
+    hs, cfgs, ids, survivors, survivor_starts, states = zip(*group)
+    dim = ref.descriptor_dim
+    widths = np.array([cfg.image_width for cfg in cfgs], dtype=float)
+    heights = np.array([cfg.image_height for cfg in cfgs], dtype=float)
+
+    def rows_of(counts):
+        """Each row's image, for counts[g] rows of image g."""
+        return np.repeat(np.arange(len(group)), counts)
+
+    image = rows_of([len(s) for s in survivors])
+    survivors = np.concatenate(survivors)
     # jitter x, jitter y, then the descriptor noise, one row per survivor
-    draws = normal_blocks(starts, 2 + dim)
-    kept, centers, abc = _transport(h, ref.centers[survivors], ref.abc[survivors])
+    draws = normal_blocks(np.concatenate(survivor_starts), 2 + dim)
+    maps = np.array([h.m for h in hs])[image]
+    kept, centers, abc = _transport(maps, ref.centers[survivors], ref.abc[survivors])
+    image = image[kept]
+    jitter = np.array([cfg.jitter_sigma for cfg in cfgs])[image, None]
     with np.errstate(over="ignore"):
-        centers += draws[kept, :2] * cfg.jitter_sigma
-    inside = in_image(centers, cfg.image_width, cfg.image_height)
-    kept, centers, abc = kept[inside], centers[inside], abc[inside]
-    planted = _normalized(
-        ref.descriptors[survivors[kept]] + draws[kept, 2:] * cfg.descriptor_noise_sigma
-    )
+        centers += draws[kept, :2] * jitter
+    inside = in_image(centers, widths[image], heights[image])
+    kept, centers, abc, image = kept[inside], centers[inside], abc[inside], image[inside]
+    noise = np.array([cfg.descriptor_noise_sigma for cfg in cfgs])[image, None]
+    planted = _normalized(ref.descriptors[survivors[kept]] + draws[kept, 2:] * noise)
 
     distractor_block = (5 + 2 * DISTRACTOR_TRIES * dim) * _GOLDEN
-    starts = [(state + j * distractor_block) & _MASK64 for j in range(cfg.n_distractors)]
-    regions = _regions(uniform_blocks(starts, 5), cfg)
-    extra = [
-        _distractor_descriptor((start + 5 * _GOLDEN) & _MASK64, dim, planted) for start in starts
-    ] if dim else []
-    return KeypointSet(
-        image_id, cfg.image_width, cfg.image_height,
-        np.concatenate([centers, regions[:, :2]]), np.concatenate([abc, regions[:, 2:]]),
-        np.concatenate([planted, np.reshape(extra, (cfg.n_distractors, dim))]),
-    )
+    starts = [(state + j * distractor_block) & _MASK64
+              for state, cfg in zip(states, cfgs) for j in range(cfg.n_distractors)]
+    owner = rows_of([cfg.n_distractors for cfg in cfgs])
+    lo = np.array([cfg.scale_range[0] for cfg in cfgs], dtype=float)
+    span = np.array([cfg.scale_range[1] - cfg.scale_range[0] for cfg in cfgs], dtype=float)
+    regions = _regions(uniform_blocks(starts, 5), lo[owner], span[owner], widths[owner],
+                       heights[owner])
+
+    kept_at = [0, *np.cumsum(np.bincount(image, minlength=len(group)))]
+    owner_at = [0, *np.cumsum([cfg.n_distractors for cfg in cfgs])]
+    sets = []
+    for g, (cfg, image_id) in enumerate(zip(cfgs, ids)):
+        rows, extra = slice(*kept_at[g : g + 2]), slice(*owner_at[g : g + 2])
+        descriptors = [
+            _distractor_descriptor((start + 5 * _GOLDEN) & _MASK64, dim, planted[rows])
+            for start in starts[extra]
+        ] if dim else []
+        sets.append(KeypointSet(
+            image_id, cfg.image_width, cfg.image_height,
+            np.concatenate([centers[rows], regions[extra, :2]]),
+            np.concatenate([abc[rows], regions[extra, 2:]]),
+            np.concatenate([planted[rows], np.reshape(descriptors, (cfg.n_distractors, dim))]),
+        ))
+    return sets

@@ -4,6 +4,7 @@ import json
 import math
 import os
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -999,7 +1000,7 @@ class TestCli:
         has empty series, each correlation cell says why, and the CSV holds
         only its header."""
         _, manifest = self.synth(tmp_path, capsys)
-        doc = json.loads(open(manifest).read())
+        doc = json.loads(Path(manifest).read_text())
         doc["images"], doc["homographies"] = doc["images"][:1], []
         alone = tmp_path / "cli" / "alone.json"
         alone.write_text(json.dumps(doc))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,31 @@ class TestPearson:
     def test_underflowing_sums_of_squares(self):
         # each sum is about 1e-200, and their product underflows to 0
         assert pearson_r([0, 1e-100, 2e-100], [0, 1e-100, 3e-100]) is None
+
+    def test_overflowing_sums_of_squares(self):
+        # unscaled, the centred sum of squares of x is 8e400: it overflowed
+        # to inf (with a RuntimeWarning) and r read 0.0 for a line
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pearson_r([0, 1e200, 2e200], [0, 1, 2]) == 1.0
+            assert pearson_r([0, 1, 2], [0, -1e200, -2e200]) == -1.0
+            assert correlate([0, 1e200, 2e200], [0, 1, 2])["r"] == 1.0
+
+    def test_scaling_keeps_the_bits_of_r(self):
+        """On series whose sums neither overflow nor underflow unscaled,
+        among them report-like rates and true-match counts, r has the bits
+        of the unscaled formula."""
+        rng = np.random.default_rng(35)
+        for k in range(2000):
+            n = int(rng.integers(3, 40))
+            if k % 2:
+                x, y = rng.uniform(0.0, 1.0, n), rng.integers(0, 5000, n).astype(float)
+            else:
+                x = rng.normal(0.0, 10.0 ** rng.uniform(-60.0, 60.0), n)
+                y = rng.normal(0.0, 10.0 ** rng.uniform(-60.0, 60.0), n)
+            dx, dy = x - x.mean(), y - y.mean()
+            unscaled = float(dx @ dy) / math.sqrt(float(dx @ dx) * float(dy @ dy))
+            assert pearson_r(x, y) == min(1.0, max(-1.0, unscaled))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):

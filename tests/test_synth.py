@@ -3,10 +3,12 @@ import functools
 import hashlib
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repbench import synth
 from repbench.cli import main as cli_main
 from repbench.errors import DegenerateRegion, PointAtInfinity
 from repbench.formats import (
@@ -29,6 +31,7 @@ from repbench.synth import (
     SynthConfig,
     _survival_step,
     derive_test,
+    derive_tests,
     generate_reference,
     normal_blocks,
     uniform_blocks,
@@ -736,6 +739,157 @@ class TestBlockSynthMatchesScalar:
             ],
         )
         assert write_keypoints(kset) == old_write_keypoints(kset)
+
+
+def _ramp_jobs(ref, cfg, homographies, jitter_end=None):
+    """One derive_tests job per homography, as synth_sequence makes them:
+    job k has seed cfg.seed + k and, with jitter_end, a jitter ramping from
+    cfg.jitter_sigma to jitter_end."""
+    jobs = []
+    for k, h in enumerate(homographies, start=1):
+        jitter = cfg.jitter_sigma
+        if jitter_end is not None:
+            jitter += (jitter_end - cfg.jitter_sigma) * (k - 1) / (len(homographies) - 1)
+        jobs.append((h, replace(cfg, seed=cfg.seed + k, jitter_sigma=jitter), f"img{k + 1}"))
+    return jobs
+
+
+def _assert_batched_is_per_image(ref, jobs):
+    """derive_tests gives every job derive_test's set, bit for bit."""
+    got = list(derive_tests(ref, jobs))
+    assert len(got) == len(jobs)
+    for kset, (h, cfg, image_id) in zip(got, jobs):
+        want = derive_test(ref, h, cfg, image_id)
+        assert (kset.image_id, kset.width, kset.height) == (want.image_id, want.width, want.height)
+        for name in ("centers", "abc", "descriptors"):
+            a, b = getattr(kset, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    return got
+
+
+def _group_sizes(monkeypatch):
+    """The list to which derive_tests' groups append their sizes."""
+    sizes = []
+    derive_group = synth._derive_group
+
+    def counted(ref, group):
+        sizes.append(len(group))
+        return derive_group(ref, group)
+
+    monkeypatch.setattr(synth, "_derive_group", counted)
+    return sizes
+
+
+SIMILARITY_RAMP = [default_sequence_homography(k, 800, 640) for k in range(1, 6)]
+
+
+class TestDeriveTestsMatchPerImage:
+    @pytest.mark.parametrize("dropout", [0.0, 0.3, 0.9])
+    def test_dropout(self, dropout):
+        cfg = SynthConfig(seed=11, n_points=120, jitter_sigma=0.5, dropout_rate=dropout,
+                          descriptor_noise_sigma=0.05)
+        ref = generate_reference(cfg)
+        _assert_batched_is_per_image(ref, _ramp_jobs(ref, cfg, SIMILARITY_RAMP))
+
+    def test_dropout_differs_per_job(self):
+        cfg = SynthConfig(seed=12, n_points=90, jitter_sigma=1.0, descriptor_dim=4)
+        ref = generate_reference(cfg)
+        jobs = [(h, replace(c, dropout_rate=rate), image_id) for (h, c, image_id), rate
+                in zip(_ramp_jobs(ref, cfg, SIMILARITY_RAMP), (0.0, 0.5, 0.99, 0.2, 0.7))]
+        _assert_batched_is_per_image(ref, jobs)
+
+    @pytest.mark.parametrize("dim", [2, 16])
+    def test_distractors(self, dim):
+        cfg = SynthConfig(seed=13, n_points=60, jitter_sigma=0.5, dropout_rate=0.1,
+                          n_distractors=6, descriptor_dim=dim, descriptor_noise_sigma=0.05)
+        ref = generate_reference(cfg)
+        _assert_batched_is_per_image(ref, _ramp_jobs(ref, cfg, SIMILARITY_RAMP))
+
+    def test_best_of_64_distractor_fallback(self):
+        # as in TestBlockSynthMatchesScalar: 150 planted 2-D directions
+        # leave no gap, so every distractor falls back to its best try
+        cfg = SynthConfig(seed=5, n_points=150, n_distractors=5, descriptor_dim=2)
+        ref = generate_reference(cfg)
+        got = _assert_batched_is_per_image(ref, _ramp_jobs(ref, cfg, SIMILARITY_RAMP[:3]))
+        for kset in got:
+            planted, distractors = kset.descriptors[:-5], kset.descriptors[-5:]
+            assert (np.max(distractors @ planted.T, axis=1) > DISTRACTOR_MAX_COSINE).all()
+
+    def test_no_descriptors(self):
+        cfg = SynthConfig(seed=14, n_points=100, jitter_sigma=0.5, dropout_rate=0.2,
+                          n_distractors=3, descriptor_dim=0)
+        ref = generate_reference(cfg)
+        _assert_batched_is_per_image(ref, _ramp_jobs(ref, cfg, SIMILARITY_RAMP))
+
+    def test_jitter_ramp(self):
+        cfg = SynthConfig(seed=15, n_points=80, jitter_sigma=0.25, dropout_rate=0.1,
+                          descriptor_noise_sigma=0.05)
+        ref = generate_reference(cfg)
+        _assert_batched_is_per_image(ref, _ramp_jobs(ref, cfg, SIMILARITY_RAMP, jitter_end=3.0))
+
+    def test_pinned_horizon_homographies(self):
+        # the horizon-in-view case's maps: from k = 3 on, the points right
+        # of the horizon map to infinity or behind it and are culled
+        cfg = SynthConfig(seed=7, n_points=300, jitter_sigma=0.5, dropout_rate=0.1,
+                          n_distractors=2, descriptor_dim=8, descriptor_noise_sigma=0.05)
+        ref = generate_reference(cfg)
+        hs = [_projective_ramp(k, (-5e-4, 0.0)) for k in range(1, 6)]
+        _assert_batched_is_per_image(ref, _ramp_jobs(ref, cfg, hs, jitter_end=2.0))
+
+    def test_maps_at_infinity_and_singular_among_others(self):
+        # one group holds an identity, a similarity, a map whose horizon
+        # crosses the image, one that puts every point at infinity and one
+        # whose Jacobians are singular right of x = 340, where the group's
+        # stacked inverse falls back to one matrix at a time
+        cfg = SynthConfig(seed=67, n_points=80, jitter_sigma=0.5, dropout_rate=0.1,
+                          n_distractors=2, descriptor_dim=4)
+        ref = generate_reference(cfg)
+        singular = Homography(np.array([[1e153, 0.0, 0.0], [0.0, 1e153, 0.0],
+                                        [1e151, 0.0, 1e154]]))
+        hs = [*DIFF_HOMOGRAPHIES.values(), singular]
+        got = _assert_batched_is_per_image(ref, _ramp_jobs(ref, cfg, hs))
+        assert len(got[3]) == 2 and 2 < len(got[4]) < len(ref)
+
+    def test_image_sizes_and_scale_ranges_differ_per_job(self):
+        cfg = SynthConfig(seed=16, n_points=70, jitter_sigma=2.0, dropout_rate=0.1,
+                          n_distractors=4, descriptor_dim=3)
+        ref = generate_reference(cfg)
+        shapes = [(800, 640, (2.0, 6.0), 4), (300, 200, (1.0, 30.0), 0),
+                  (1200, 900, (5, 5), 7), (400, 640, (2.0, 3.0), 1)]
+        jobs = [(h, replace(c, image_width=w, image_height=hgt, scale_range=scales,
+                            n_distractors=n), image_id)
+                for (h, c, image_id), (w, hgt, scales, n)
+                in zip(_ramp_jobs(ref, cfg, SIMILARITY_RAMP[:4]), shapes)]
+        _assert_batched_is_per_image(ref, jobs)
+
+    @pytest.mark.parametrize("per_group, sizes", [(1, [1, 1, 1, 1, 1]), (2, [2, 2, 1])])
+    def test_group_edges(self, monkeypatch, per_group, sizes):
+        # without dropout each image draws n_points * 2 * (2 + D) uniforms,
+        # so this bound puts per_group images in each group
+        cfg = SynthConfig(seed=17, n_points=40, jitter_sigma=1.0, n_distractors=3,
+                          descriptor_dim=5, descriptor_noise_sigma=0.1)
+        ref = generate_reference(cfg)
+        monkeypatch.setattr(synth, "GROUP_DRAWS", per_group * 40 * 2 * (2 + 5))
+        groups = _group_sizes(monkeypatch)
+        _assert_batched_is_per_image(ref, _ramp_jobs(ref, cfg, SIMILARITY_RAMP, jitter_end=4.0))
+        # then each of the five derive_test calls is a group of one
+        assert groups == sizes + [1] * 5
+
+    def test_benchmark_sizes_are_grouped_as_documented(self, monkeypatch):
+        # ramp-projective's five small images share one group, and each of
+        # descriptor-m400's, over the bound, is drawn alone
+        groups = _group_sizes(monkeypatch)
+        for n_points, dim in ((80, 16), (400, 128)):
+            cfg = SynthConfig(seed=7, n_points=n_points, dropout_rate=0.1, descriptor_dim=dim)
+            ref = generate_reference(cfg)
+            list(derive_tests(ref, _ramp_jobs(ref, cfg, SIMILARITY_RAMP)))
+        assert groups == [5, 1, 1, 1, 1, 1]
+
+    def test_descriptor_dim_must_match_the_reference(self):
+        cfg = SynthConfig(seed=18, n_points=10, descriptor_dim=4)
+        ref = generate_reference(cfg)
+        with pytest.raises(ValueError, match="descriptor_dim"):
+            derive_test(ref, SIMILARITY_RAMP[0], replace(cfg, descriptor_dim=3))
 
 
 # ---------------------------------------------------------------------------
